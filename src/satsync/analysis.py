@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .agents import ModelClass
 from .errors import ValidationError
 from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral, verify_gains
 from .graphs import CommGraph, check_rootset, generate_graph, laplacian
-from .linalg import kron, solve_lyapunov
+from .linalg import solve_lyapunov
 from .protocols import ProtocolRealization, build_protocol
 from .simulation import (
     DEFAULT_DT,
@@ -155,12 +154,9 @@ def sync_metrics(traj, tol=1e-2, window=None):
     deviation = traj.x - traj.x_r[:, None, :]
     max_error = np.linalg.norm(deviation, axis=-1).max(axis=1)
     pairwise = np.zeros_like(max_error)
-    for i, j in combinations(range(traj.x.shape[1]), 2):
-        np.maximum(
-            pairwise,
-            np.linalg.norm(traj.x[:, i, :] - traj.x[:, j, :], axis=-1),
-            out=pairwise,
-        )
+    for i in range(traj.x.shape[1] - 1):
+        gaps = np.linalg.norm(traj.x[:, i:i + 1, :] - traj.x[:, i + 1:, :], axis=-1)
+        np.maximum(pairwise, gaps.max(axis=1), out=pairwise)
 
     below = max_error < tol
     in_band = times >= times[-1] - window - 1e-12
@@ -209,7 +205,7 @@ def _require_certificate_setup(model, graph, rho, wanted, label):
 def _tracking_block(model, graph):
     """The stable matrix governing the stacked tracking error."""
     eye_n = np.eye(model.n)
-    return kron(np.eye(graph.n), model.a) - kron(laplacian(graph).Lbar, eye_n)
+    return np.kron(np.eye(graph.n), model.a) - np.kron(laplacian(graph).Lbar, eye_n)
 
 
 def lyapunov_certificate_P1(model, graph, rho, traj=None):

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: Kronecker products, spectra, definiteness
+"""Dense linear-algebra kernel: spectra, definiteness
 tests, and the two matrix-equation solvers (Lyapunov, filter Riccati) that
 the gain synthesis and certificate machinery sit on.
 
@@ -22,7 +22,6 @@ __all__ = [
     "RANK_RTOL",
     "CLUSTER_TOL",
     "Spectrum",
-    "kron",
     "eigenvalues",
     "is_hurwitz",
     "is_negative_definite",
@@ -63,15 +62,6 @@ class Spectrum:
 
     def max_real(self):
         return float(self.values.real.max())
-
-
-def kron(a, b):
-    """Kronecker product with block (i, j) equal to ``a[i, j] * b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron operands must be 2-D")
-    return np.kron(a, b)
 
 
 def eigenvalues(a, tol=EIG_TOL):

@@ -27,7 +27,6 @@ from satsync.analysis import (
 from satsync.cli import main
 from satsync.gains import compute_Lambda, design_K_mixed, solve_P_neutral
 from satsync.graphs import check_rootset, generate_graph, laplacian
-from satsync.linalg import kron
 from satsync.presets import (
     GRAPH_A,
     GRAPH_B,
@@ -226,7 +225,7 @@ def test_c06_recorded_proof_coordinates_match_their_dynamics(acceptance_log):
     rec = simulate(p3)
     lbar = laplacian(p3.graph).Lbar
     n, N = 2, p3.graph.n
-    m_e = kron(np.eye(N), p3.model.a) - kron(lbar, np.eye(n))
+    m_e = np.kron(np.eye(N), p3.model.a) - np.kron(lbar, np.eye(n))
     e0 = rec.e[0].reshape(-1)
     _, e_ref = rk4(lambda t, e: m_e @ e, e0, p3.dt, len(rec.times) - 1)
     dev_e = np.max(np.abs(rec.e.reshape(len(rec.times), -1) - e_ref))
@@ -237,7 +236,7 @@ def test_c06_recorded_proof_coordinates_match_their_dynamics(acceptance_log):
     rec4 = simulate(ex1)
     f = ex1.protocol.gains.f
     a_obs = ex1.model.a - f @ ex1.model.c
-    m_eb = kron(np.eye(ex1.graph.n), a_obs)
+    m_eb = np.kron(np.eye(ex1.graph.n), a_obs)
     eb0 = rec4.ebar[0].reshape(-1)
     _, eb_ref = rk4(lambda t, e: m_eb @ e, eb0, ex1.dt, len(rec4.times) - 1)
     dev_eb = np.max(np.abs(rec4.ebar.reshape(len(rec4.times), -1) - eb_ref))

@@ -1,5 +1,7 @@
 """Diagnostics: metrics, energy certificates, sweeps, report round trips."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,22 @@ def test_sync_metrics_hand_oracle():
     assert rep.convergence_time == 2.0
     # pairwise disagreement at t=0 is |4-3| = 1
     assert rep.pairwise_error[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 19])
+def test_sync_metrics_pairwise_equals_pair_loop(n):
+    rng = np.random.default_rng(n)
+    T, N = 40, 12
+    x = rng.normal(size=(T, N, n))
+    zeros = np.zeros((T, N, 1))
+    rec = TrajectoryRecord(
+        kind="P1", times=np.linspace(0.0, T - 1.0, T), x_r=np.zeros((T, n)), x=x,
+        chi=x, xhat=None, u=zeros, sat_u=zeros, e=x, ebar=None,
+    )
+    want = np.zeros(T)
+    for i, j in combinations(range(N), 2):
+        np.maximum(want, np.linalg.norm(x[:, i, :] - x[:, j, :], axis=-1), out=want)
+    assert np.array_equal(sync_metrics(rec, tol=0.5).pairwise_error, want)
 
 
 def test_sync_metrics_rejects_late_excursion():

@@ -8,21 +8,12 @@ from satsync.linalg import (
     eigenvalues,
     is_hurwitz,
     is_negative_definite,
-    kron,
     realify_eigenvector,
     solve_filter_riccati,
     solve_lyapunov,
 )
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def test_kron_matches_hand_oracle():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 5.0], [6.0, 7.0]])
-    # top-left block is 1*b, top-right 2*b, etc.
-    want = np.block([[1 * b, 2 * b], [3 * b, 4 * b]])
-    assert np.array_equal(kron(a, b), want)
 
 
 def test_eigenvalues_of_rotation_are_plus_minus_i():

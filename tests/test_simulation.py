@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satsync.agents import AgentModel
 from satsync.errors import IntegrationError, ValidationError
 from satsync.gains import synthesize_gains
-from satsync.graphs import CommGraph, generate_graph
+from satsync.graphs import CommGraph, generate_graph, laplacian
+from satsync.presets import example2_gains, example2_model
 from satsync.protocols import build_protocol
 from satsync.simulation import (
+    SPARSE_MIN_DIM,
     Scenario,
     assemble,
     exosystem_reference,
@@ -159,3 +164,82 @@ def test_integration_error_reports_time_of_blowup():
     with pytest.raises(IntegrationError) as err:
         rk4(lambda t, z: 10.0 * z, np.array([1e307]), 0.1, 500)
     assert err.value.t is not None and 0.0 < err.value.t <= 50.0
+
+
+def dense_kron_operators(sc):
+    """M, G, U written out block by block with dense ``np.kron``."""
+    model, graph, proto = sc.model, sc.graph, sc.protocol
+    n, m, N = model.n, model.m, graph.n
+    n_c = proto.controller_state_dim
+    pair = laplacian(graph)
+    iota = graph.root_flags.astype(float).reshape(N, 1)
+    dim = n + N * n + N * n_c
+    r, x, c = slice(0, n), slice(n, n + N * n), slice(n + N * n, dim)
+    eye = np.eye(N)
+    cc_c = proto.c_c @ model.c
+    d_state = proto.d_c[:, : proto.h_c.shape[0]]
+    d_input = proto.d_c[:, proto.h_c.shape[0]:]
+
+    m_mat = np.zeros((dim, dim))
+    m_mat[r, r] = model.a
+    m_mat[x, x] = np.kron(eye, model.a)
+    m_mat[c, x] = np.kron(pair.Lbar, cc_c)
+    m_mat[c, r] = -np.kron(iota, cc_c)
+    m_mat[c, c] = (
+        np.kron(eye, proto.a_c)
+        - np.kron(np.diagflat(iota), proto.root_state)
+        + np.kron(pair.L, d_state @ proto.h_c)
+    )
+    g_mat = np.zeros((dim, N * m))
+    g_mat[x, :] = np.kron(eye, model.b)
+    g_mat[c, :] = np.kron(eye, proto.b_c) + np.kron(np.diagflat(iota), proto.root_input)
+    if d_input.size:
+        g_mat[c, :] += np.kron(pair.L, d_input)
+    u_mat = np.zeros((N * m, dim))
+    u_mat[:, c] = np.kron(eye, proto.f_c)
+    return m_mat, g_mat, u_mat
+
+
+def _example2_protocols():
+    model = example2_model()
+    full = AgentModel(a=model.a, b=model.b, c=np.eye(model.n), coupling="full")
+    return {
+        "P6": (model, build_protocol("P6", model, example2_gains())),
+        "P5": (full, build_protocol("P5", full, example2_gains())),
+    }
+
+
+EXAMPLE2_PROTOCOLS = _example2_protocols()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(EXAMPLE2_PROTOCOLS)),
+    family=st.sampled_from(["random", "path", "star"]),
+    n_agents=st.integers(1, 40),
+    extra_roots=st.sets(st.integers(2, 40), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roots, seed):
+    model, proto = EXAMPLE2_PROTOCOLS[kind]
+    n = model.n
+    roots = [1] + [r for r in extra_roots if r <= n_agents]
+    graph = generate_graph(family, n_agents, roots=roots, seed=seed)
+    sc = Scenario(
+        name="op", model=model, graph=graph, protocol=proto,
+        x_r0=np.zeros(n), x0=np.zeros((n_agents, n)),
+    )
+    loop = assemble(sc)
+    want = dense_kron_operators(sc)
+    dim = want[0].shape[0]
+    got = (loop.m_mat, loop.g_mat, loop.u_mat)
+    assert all(sp.issparse(op) == (dim >= SPARSE_MIN_DIM) for op in got)
+    if dim < SPARSE_MIN_DIM:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    # states large enough that some inputs saturate and some do not
+    z = np.random.default_rng(seed).uniform(-2.0, 2.0, dim)
+    m_mat, g_mat, u_mat = want
+    field = m_mat @ z + g_mat @ np.clip(u_mat @ z, -1.0, 1.0)
+    err = np.max(np.abs(loop.vector_field(0.0, z) - field))
+    assert err <= 1e-12 * np.max(np.abs(field))
