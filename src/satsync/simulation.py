@@ -66,6 +66,11 @@ MAX_STEPS = 10_000_000
 # 280 22 vs 19 us, 322 24 vs 22 us, 406 41 vs 22 us, 532 112 vs 25 us,
 # 994 284 vs 46 us. Path graphs cross over at the same place.
 SPARSE_MIN_DIM = 256
+# Trajectory export formats about this many CSV rows (whole time steps
+# of N rows each) per block, about 1.5 MB of transient floats and text.
+# Export speed is flat from 256 to 32768 rows; at 4096 the block raised
+# example2's peak RSS by 5.5 MB, at 1024 it leaves the peak unchanged.
+_EXPORT_ROWS = 1024
 
 
 @dataclass
@@ -358,32 +363,38 @@ def exosystem_reference(a, x_r0, times):
 def export_trajectory(record, path):
     """Write one row per (time, agent): t, agent, x, chi, xhat?, u,
     sat_u, xr -- comma separated, header first, 17 significant digits.
+
+    One ``%`` formats a block of whole time steps. ``%.17g`` is the same
+    conversion as ``format(v, ".17g")``, and the agent index, a float
+    here, prints as its integer.
     """
     T, N, n = record.x.shape
-    m = record.u.shape[2]
-    cols = ["t", "agent"]
-    cols += [f"x{j}" for j in range(n)]
-    cols += [f"chi{j}" for j in range(n)]
+    per_agent = {"x": record.x, "chi": record.chi}
     if record.xhat is not None:
-        cols += [f"xhat{j}" for j in range(n)]
-    cols += [f"u{j}" for j in range(m)]
-    cols += [f"sat_u{j}" for j in range(m)]
+        per_agent["xhat"] = record.xhat
+    per_agent.update(u=record.u, sat_u=record.sat_u)
+    cols = ["t", "agent"]
+    cols += [f"{name}{j}" for name, a in per_agent.items() for j in range(a.shape[2])]
     cols += [f"xr{j}" for j in range(n)]
+    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    agent = np.arange(1.0, N + 1.0)[None, :, None]
+    steps = max(1, _EXPORT_ROWS // N)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(T):
-            t_txt = _fmt(record.times[k])
-            xr_txt = [_fmt(v) for v in record.x_r[k]]
-            for i in range(N):
-                row = [t_txt, str(i + 1)]
-                row += [_fmt(v) for v in record.x[k, i]]
-                row += [_fmt(v) for v in record.chi[k, i]]
-                if record.xhat is not None:
-                    row += [_fmt(v) for v in record.xhat[k, i]]
-                row += [_fmt(v) for v in record.u[k, i]]
-                row += [_fmt(v) for v in record.sat_u[k, i]]
-                row += xr_txt
-                fh.write(",".join(row) + "\n")
+        for k in range(0, T, steps):
+            t = record.times[k: k + steps]
+            shape = (len(t), N)
+            block = np.concatenate(
+                [
+                    np.broadcast_to(t[:, None, None], shape + (1,)),
+                    np.broadcast_to(agent, shape + (1,)),
+                    *(a[k: k + steps] for a in per_agent.values()),
+                    np.broadcast_to(record.x_r[k: k + steps, None, :], shape + (n,)),
+                ],
+                axis=2,
+                dtype=float,
+            )
+            fh.write(row_fmt * (len(t) * N) % tuple(block.reshape(-1).tolist()))
 
 
 def read_trajectory(path):
@@ -396,7 +407,3 @@ def read_trajectory(path):
             f"{path}: {len(header)} columns in header, {data.shape[1]} in data"
         )
     return {name: data[:, j] for j, name in enumerate(header)}
-
-
-def _fmt(v):
-    return format(float(v), ".17g")

@@ -1,6 +1,14 @@
-"""Shared fixtures; collects acceptance verdict lines for the final summary."""
+"""Shared fixtures and the hypothesis profile; collects acceptance
+verdict lines for the final summary."""
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and never read or
+# write the local example database (derandomize implies database=None);
+# a test's own @settings still override single fields.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 _verdicts = []
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from satsync.agents import AgentModel
@@ -13,8 +13,10 @@ from satsync.graphs import CommGraph, generate_graph, laplacian
 from satsync.presets import example2_gains, example2_model
 from satsync.protocols import build_protocol
 from satsync.simulation import (
+    _EXPORT_ROWS,
     SPARSE_MIN_DIM,
     Scenario,
+    TrajectoryRecord,
     assemble,
     exosystem_reference,
     export_trajectory,
@@ -43,6 +45,18 @@ def rotation_scenario(n_agents=3, horizon=2.0, dt=0.01, seed=0, **kw):
         horizon=horizon,
         **kw,
     )
+
+
+def _example2_protocols():
+    model = example2_model()
+    full = AgentModel(a=model.a, b=model.b, c=np.eye(model.n), coupling="full")
+    return {
+        "P6": (model, build_protocol("P6", model, example2_gains())),
+        "P5": (full, build_protocol("P5", full, example2_gains())),
+    }
+
+
+EXAMPLE2_PROTOCOLS = _example2_protocols()
 
 
 def test_rk4_fourth_order_on_exponential():
@@ -121,16 +135,33 @@ def test_full_state_error_dynamics_oracle():
 
 
 def test_trajectory_round_trip(tmp_path):
-    rec = simulate(rotation_scenario(horizon=0.5))
+    # example2's observer-based P6 (xhat present) on a run longer than
+    # one export block
+    model, proto = EXAMPLE2_PROTOCOLS["P6"]
+    N, n = 3, model.n
+    sc = Scenario(
+        name="rt", model=model, graph=generate_graph("random", N, roots=[1], seed=2),
+        protocol=proto, x_r0=np.ones(n),
+        x0=np.random.default_rng(2).uniform(-0.5, 0.5, (N, n)), dt=0.01, horizon=15.0,
+    )
+    rec = simulate(sc)
+    T = rec.times.shape[0]
+    assert rec.xhat is not None and T > _EXPORT_ROWS // N
     path = tmp_path / "traj.csv"
     export_trajectory(rec, path)
     cols = read_trajectory(path)
-    T, N = rec.times.shape[0], rec.n_agents
-    assert len(cols["t"]) == T * N
-    # values come back bit-exact through the 17-digit format
-    got = cols["x0"].reshape(T, N)
-    assert np.array_equal(got, rec.x[:, :, 0])
-    assert np.array_equal(cols["agent"].reshape(T, N)[0], np.arange(1, N + 1))
+    want = {
+        "t": np.repeat(rec.times, N),
+        "agent": np.tile(np.arange(1.0, N + 1.0), T),
+    }
+    for name in ("x", "chi", "xhat", "u", "sat_u"):
+        arr = getattr(rec, name)
+        want.update({f"{name}{j}": arr[:, :, j].reshape(-1) for j in range(arr.shape[2])})
+    want.update({f"xr{j}": np.repeat(rec.x_r[:, j], N) for j in range(n)})
+    # every column comes back bit-exact through the 17-digit format
+    assert list(cols) == list(want)
+    for name, values in want.items():
+        assert np.array_equal(cols[name], values), name
 
 
 def test_scenario_validation():
@@ -200,18 +231,6 @@ def dense_kron_operators(sc):
     return m_mat, g_mat, u_mat
 
 
-def _example2_protocols():
-    model = example2_model()
-    full = AgentModel(a=model.a, b=model.b, c=np.eye(model.n), coupling="full")
-    return {
-        "P6": (model, build_protocol("P6", model, example2_gains())),
-        "P5": (full, build_protocol("P5", full, example2_gains())),
-    }
-
-
-EXAMPLE2_PROTOCOLS = _example2_protocols()
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(sorted(EXAMPLE2_PROTOCOLS)),
@@ -243,3 +262,77 @@ def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roo
     field = m_mat @ z + g_mat @ np.clip(u_mat @ z, -1.0, 1.0)
     err = np.max(np.abs(loop.vector_field(0.0, z) - field))
     assert err <= 1e-12 * np.max(np.abs(field))
+
+
+def per_value_export(record, path):
+    """The CSV writer's byte contract, spelled out one value at a time."""
+    T, N, n = record.x.shape
+    m = record.u.shape[2]
+    blocks = [("x", record.x, n), ("chi", record.chi, n)]
+    if record.xhat is not None:
+        blocks.append(("xhat", record.xhat, n))
+    blocks += [("u", record.u, m), ("sat_u", record.sat_u, m)]
+    cols = ["t", "agent"] + [f"{nm}{j}" for nm, _, w in blocks for j in range(w)]
+    cols += [f"xr{j}" for j in range(n)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(T):
+            xr = [format(float(v), ".17g") for v in record.x_r[k]]
+            for i in range(N):
+                row = [format(float(record.times[k]), ".17g"), str(i + 1)]
+                row += [format(float(v), ".17g") for _, a, _ in blocks for v in a[k, i]]
+                fh.write(",".join(row + xr) + "\n")
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e16, 1e17,
+    1.0, -1.0, 0.1, 1 / 3, 2.0**53, -(2.0**53) - 2.0, 123456789012345.0,
+    1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize("boundary", ["one step", "block - 1", "block", "block + 1"])
+@pytest.mark.parametrize("n_agents", [1, 3, _EXPORT_ROWS // 3 + 1])
+# A failing file runs to MBs: report the first differing line, and skip
+# shrinking, which would rewrite both files hundreds of times.
+@settings(max_examples=6, phases=[Phase.explicit, Phase.generate])
+@given(
+    n=st.integers(1, 3),
+    m=st.sampled_from([1, 3]),
+    with_xhat=st.booleans(),
+    pool=st.lists(
+        st.sampled_from(SPECIAL_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_block_export_matches_per_value_writer(
+    tmp_path_factory, n_agents, boundary, n, m, with_xhat, pool, seed
+):
+    # T sits on either side of the writer's block boundary; the largest
+    # network fits only two time steps in a block
+    per_block = max(1, _EXPORT_ROWS // n_agents)
+    T = {"one step": 1, "block - 1": max(1, per_block - 1), "block": per_block,
+         "block + 1": per_block + 1}[boundary]
+    rng = np.random.default_rng(seed)
+    pool = np.array(pool)
+
+    def draw(*shape):
+        return rng.choice(pool, size=shape)
+
+    rec = TrajectoryRecord(
+        kind="P6" if with_xhat else "P1",
+        times=draw(T), x_r=draw(T, n), x=draw(T, n_agents, n), chi=draw(T, n_agents, n),
+        xhat=draw(T, n_agents, n) if with_xhat else None,
+        u=draw(T, n_agents, m), sat_u=draw(T, n_agents, m),
+        e=None, ebar=None,
+    )
+    tmp = tmp_path_factory.mktemp("export")
+    export_trajectory(rec, tmp / "block.csv")
+    per_value_export(rec, tmp / "oracle.csv")
+    got = (tmp / "block.csv").read_bytes().splitlines(keepends=True)
+    want = (tmp / "oracle.csv").read_bytes().splitlines(keepends=True)
+    assert len(got) == len(want)
+    for line, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"line {line}"
