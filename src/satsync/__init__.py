@@ -20,16 +20,14 @@ from .agents import (
 from .analysis import (
     LyapunovCertificate,
     RunRecord,
-    ScaleFreeCase,
     SyncReport,
     export_report,
     gain_margin_runs,
-    gain_margin_sweep,
     lyapunov_certificate_P1,
     lyapunov_trace_P3,
     parse_report,
+    run_case,
     scale_free_runs,
-    scale_free_sweep,
     sync_metrics,
     v_trace_violation,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "NetworkSignals",
     "ProtocolRealization",
     "RunRecord",
-    "ScaleFreeCase",
     "Scenario",
     "SyncReport",
     "SynthesisError",
@@ -111,7 +108,6 @@ __all__ = [
     "export_report",
     "export_trajectory",
     "gain_margin_runs",
-    "gain_margin_sweep",
     "generate_graph",
     "laplacian",
     "load_graph",
@@ -125,11 +121,11 @@ __all__ = [
     "preset_names",
     "preset_scenario",
     "read_trajectory",
+    "run_case",
     "save_graph",
     "saturate",
     "saturation_potential",
     "scale_free_runs",
-    "scale_free_sweep",
     "scenario_echo",
     "serialize_graph",
     "simulate",

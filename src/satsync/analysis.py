@@ -22,36 +22,28 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .agents import ModelClass
 from .errors import ValidationError
 from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral, verify_gains
-from .graphs import CommGraph, check_rootset, generate_graph, laplacian
+from .graphs import check_rootset, generate_graph, laplacian
 from .linalg import solve_lyapunov
-from .protocols import ProtocolRealization, build_protocol
-from .simulation import (
-    DEFAULT_DT,
-    DEFAULT_HORIZON,
-    Scenario,
-    TrajectoryRecord,
-    export_trajectory,
-    simulate,
-)
+from .protocols import build_protocol
+from .simulation import TrajectoryRecord, export_trajectory, simulate
 
 __all__ = [
     "SyncReport",
     "LyapunovCertificate",
     "RunRecord",
-    "ScaleFreeCase",
     "sync_metrics",
     "v_trace_violation",
     "lyapunov_certificate_P1",
     "lyapunov_trace_P3",
-    "gain_margin_sweep",
+    "run_case",
     "gain_margin_runs",
-    "scale_free_sweep",
     "scale_free_runs",
     "export_report",
     "parse_report",
@@ -313,192 +305,105 @@ def lyapunov_trace_P3(model, graph, rho, traj, k=None):
     return agent_term + error_term + input_term
 
 
-def _gain_margin_case(item):
-    scenario, rho, keep_trajectory = item
-    realization = scenario.protocol
-    gains = replace(realization.gains, rho=rho)
-    protocol = build_protocol(realization.kind, scenario.model, gains)
-    case = replace(scenario, name=f"{scenario.name}-rho{rho:g}", protocol=protocol)
-    record = simulate(case)
+def run_case(scenario, keep_trajectory=True):
+    """Run one scenario: simulate, score it, audit its gains.
+
+    The verdict uses the scenario's own tolerance and window; the gains
+    are the ones its realization was built from.
+    """
+    record = simulate(scenario)
+    protocol = scenario.protocol
     return RunRecord(
-        name=case.name,
+        name=scenario.name,
         report=sync_metrics(record, tol=scenario.tol, window=scenario.window),
-        gain_report=verify_gains(scenario.model, gains, kind=realization.kind),
+        gain_report=verify_gains(scenario.model, protocol.gains, kind=protocol.kind),
         trajectory=record if keep_trajectory else None,
     )
 
 
-def gain_margin_runs(scenario, rhos, jobs=1, keep_trajectories=True):
-    """Re-run one scenario across loop gains, keeping the full records.
+def _rho_case(scenario, index, rho):
+    protocol = scenario.protocol
+    gains = replace(protocol.gains, rho=rho)
+    return replace(
+        scenario,
+        name=f"{scenario.name}-rho{rho:g}",
+        protocol=build_protocol(protocol.kind, scenario.model, gains),
+    )
 
-    Every other ingredient — graph, initial conditions, step size — is
+
+def _size_case(scenario, index, size, ic_scale=1.0):
+    model, protocol = scenario.model, scenario.protocol
+    seed = scenario.seed or 0
+    realization = build_protocol(protocol.kind, model, protocol.gains)
+    graph = generate_graph("random", size, roots=[1], seed=seed + index)
+    rng = np.random.default_rng([seed, index, 1])
+    return replace(
+        scenario,
+        name=f"{scenario.name}-n{size}",
+        graph=graph,
+        protocol=realization,
+        x_r0=np.zeros(model.n),
+        x0=rng.uniform(-ic_scale, ic_scale, size=(size, model.n)),
+        controller0=None,
+    )
+
+
+def _build_and_run(item):
+    build, index, value, keep_trajectory = item
+    case = build(index, value)
+    return case, run_case(case, keep_trajectory)
+
+
+def _run_cases(build, values, jobs, keep_trajectories):
+    """(case, RunRecord) per value, in input order whatever ``jobs`` is.
+
+    Each case is built inside the worker that runs it, just before it
+    runs, so no case costs anything until its turn.
+    """
+    items = [(build, index, value, keep_trajectories) for index, value in enumerate(values)]
+    if jobs is None or jobs <= 1 or len(items) <= 1:
+        return [_build_and_run(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(_build_and_run, items))
+
+
+def gain_margin_runs(scenario, rhos, jobs=1, keep_trajectories=True):
+    """Re-run one scenario across loop gains.
+
+    Every other ingredient -- graph, initial conditions, step size -- is
     held fixed; only the scalar gain changes, which re-synthesizes the
-    realization and re-verifies the gains per run. Records come back in
-    the input order regardless of ``jobs``.
+    realization per case (named ``<name>-rho<rho>``). Returns
+    (case scenario, RunRecord) pairs in the input order.
     """
     rhos = [float(r) for r in rhos]
     for r in rhos:
         if not r > 0.0:
             raise ValidationError(f"rho must be positive, got {r:g}")
-    items = [(scenario, r, keep_trajectories) for r in rhos]
-    return _pmap(_gain_margin_case, items, jobs)
+    return _run_cases(partial(_rho_case, scenario), rhos, jobs, keep_trajectories)
 
 
-def gain_margin_sweep(scenario, rhos, jobs=1):
-    """Report-only variant of :func:`gain_margin_runs`: one SyncReport per gain."""
-    return [run.report for run in gain_margin_runs(scenario, rhos, jobs, keep_trajectories=False)]
+def scale_free_runs(scenario, sizes, *, ic_scale=1.0, jobs=1, keep_trajectories=True):
+    """Run one scenario's protocol over random networks of growing size.
 
-
-@dataclass(eq=False)
-class ScaleFreeCase:
-    """One network size of a scale-free sweep: graph, controller, verdict."""
-
-    n_agents: int
-    graph: CommGraph
-    realization: ProtocolRealization
-    report: SyncReport
-    trajectory: TrajectoryRecord | None = None
-
-
-def _scale_free_case(item):
-    (
-        model,
-        kind,
-        gains,
-        size,
-        seed,
-        index,
-        dt,
-        horizon,
-        x_r0,
-        ic_scale,
-        tol,
-        window,
-        record_every,
-        keep_trajectory,
-    ) = item
-    realization = build_protocol(kind, model, gains)
-    graph = generate_graph("random", size, roots=[1], seed=seed + index)
-    rng = np.random.default_rng([seed, index, 1])
-    x0 = rng.uniform(-ic_scale, ic_scale, size=(size, model.n))
-    reference = np.zeros(model.n) if x_r0 is None else np.asarray(x_r0, dtype=float)
-    scenario = Scenario(
-        name=f"scale-free-n{size}",
-        model=model,
-        graph=graph,
-        protocol=realization,
-        x_r0=reference,
-        x0=x0,
-        dt=dt,
-        horizon=horizon,
-        record_every=record_every,
-        tol=tol,
-        window=window,
-    )
-    record = simulate(scenario)
-    return ScaleFreeCase(
-        n_agents=size,
-        graph=graph,
-        realization=realization,
-        report=sync_metrics(record, tol=tol, window=window),
-        trajectory=record if keep_trajectory else None,
-    )
-
-
-def scale_free_runs(
-    model,
-    kind,
-    gains,
-    sizes,
-    seed,
-    *,
-    dt=DEFAULT_DT,
-    horizon=DEFAULT_HORIZON,
-    x_r0=None,
-    ic_scale=1.0,
-    tol=1e-2,
-    window=None,
-    record_every=1,
-    jobs=1,
-    keep_trajectories=True,
-):
-    """Run one protocol, synthesized once, over networks of growing size.
-
-    For each entry of ``sizes`` a random rooted graph is generated from
-    ``seed`` (offset by position, so the list is reproducible
-    element-wise) along with uniform initial conditions in
-    [-ic_scale, ic_scale]. The realization is rebuilt per case from the
-    same model and gains, which makes the build determinism checkable:
-    the controller matrices must come out bit-identical for every size.
-    Cases come back in input order.
+    Case ``index`` (named ``<name>-n<size>``) gets a random graph rooted
+    at node 1, seeded ``seed + index``, and initial states drawn
+    uniformly in [-ic_scale, ic_scale] from ``default_rng([seed, index,
+    1])``, where ``seed`` is the scenario's (0 when unset); the
+    reference starts at zero and the controllers at rest. Step size,
+    horizon, thinning and the verdict's tolerance and window come from
+    the scenario. The realization is rebuilt per case from the same
+    model and gains, which makes the build determinism checkable: the
+    controller matrices must come out bit-identical for every size.
+    Returns (case scenario, RunRecord) pairs in the input order.
     """
     sizes = [int(n) for n in sizes]
     for n in sizes:
         if n < 1:
             raise ValidationError(f"network size must be at least 1, got {n}")
-    seed = int(seed)
-    items = [
-        (
-            model,
-            kind,
-            gains,
-            n,
-            seed,
-            idx,
-            dt,
-            horizon,
-            x_r0,
-            ic_scale,
-            tol,
-            window,
-            record_every,
-            keep_trajectories,
-        )
-        for idx, n in enumerate(sizes)
-    ]
-    return _pmap(_scale_free_case, items, jobs)
-
-
-def scale_free_sweep(
-    model,
-    kind,
-    gains,
-    sizes,
-    seed,
-    *,
-    dt=DEFAULT_DT,
-    horizon=DEFAULT_HORIZON,
-    x_r0=None,
-    ic_scale=1.0,
-    tol=1e-2,
-    window=None,
-    jobs=1,
-):
-    """Trajectory-free variant of :func:`scale_free_runs` for verdicts only."""
-    return scale_free_runs(
-        model,
-        kind,
-        gains,
-        sizes,
-        seed,
-        dt=dt,
-        horizon=horizon,
-        x_r0=x_r0,
-        ic_scale=ic_scale,
-        tol=tol,
-        window=window,
-        jobs=jobs,
-        keep_trajectories=False,
-    )
-
-
-def _pmap(fn, items, jobs):
-    if jobs is None or jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
+    build = partial(_size_case, scenario, ic_scale=ic_scale)
+    return _run_cases(build, sizes, jobs, keep_trajectories)
 
 
 @dataclass(eq=False)

@@ -31,20 +31,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    RunRecord,
-    export_report,
-    gain_margin_runs,
-    scale_free_runs,
-    sync_metrics,
-)
+from .analysis import export_report, gain_margin_runs, run_case, scale_free_runs
 from .errors import IntegrationError, SynthesisError, ValidationError
 from .gains import synthesize_gains, verify_gains
 from .graphs import check_rootset
 from .presets import GRAPH_A, GRAPH_B, preset_names, preset_scenario
-from .protocols import build_protocol, compatible_classes
+from .protocols import compatible_classes
 from .scenario import build_scenario, parse_scenario_doc, scenario_echo
-from .simulation import simulate
 
 _SWEEP_RECORD_EVERY = 100
 
@@ -165,12 +158,9 @@ def cmd_simulate(args):
     parts = _load_parts(args)
     scenario = build_scenario(parts)
     started = time.perf_counter()
-    record = simulate(scenario)
+    run = run_case(scenario)
     wall = time.perf_counter() - started
-    report = sync_metrics(record, tol=scenario.tol, window=scenario.window)
-    gain_report = verify_gains(scenario.model, scenario.protocol.gains, kind=scenario.protocol.kind)
     os.makedirs(args.out, exist_ok=True)
-    run = RunRecord(name=scenario.name, report=report, gain_report=gain_report, trajectory=record)
     paths = export_report([run], args.out)
     echo = scenario_echo(scenario)
     paths.append(_write_json(os.path.join(args.out, "scenario.json"), echo))
@@ -179,13 +169,13 @@ def cmd_simulate(args):
         args.out,
         {
             "scenario": echo,
-            "gain_checks": _checks_doc(gain_report),
+            "gain_checks": _checks_doc(run.gain_report),
             "outputs": outputs,
-            "results": {scenario.name: _result_doc(report)},
+            "results": {scenario.name: _result_doc(run.report)},
         },
         wall,
     )
-    _print_outcome(scenario.name, report)
+    _print_outcome(scenario.name, run.report)
     print(f"run directory: {args.out}")
     return 0
 
@@ -235,15 +225,13 @@ def cmd_reproduce(args):
         doc["graph"] = graph_doc
         doc["name"] = f"{args.preset}-{label}"
         scenario = build_scenario(parse_scenario_doc(doc, overrides=overrides))
-        record = simulate(scenario)
-        report = sync_metrics(record, tol=scenario.tol, window=scenario.window)
-        gain_report = verify_gains(scenario.model, scenario.protocol.gains, kind=scenario.protocol.kind)
+        run = run_case(scenario)
         if gain_checks is None:
-            gain_checks = _checks_doc(gain_report)
-        runs.append(RunRecord(name=scenario.name, report=report, gain_report=gain_report, trajectory=record))
+            gain_checks = _checks_doc(run.gain_report)
+        runs.append(run)
         echoes[f"{scenario.name}-scenario.json"] = scenario_echo(scenario)
-        results[scenario.name] = _result_doc(report)
-        _print_outcome(scenario.name, report)
+        results[scenario.name] = _result_doc(run.report)
+        _print_outcome(scenario.name, run.report)
     wall = time.perf_counter() - started
     paths = export_report(runs, args.out)
     for file_name, echo in echoes.items():
@@ -280,43 +268,15 @@ def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     if args.rho is not None:
-        values = _parse_float_list(args.rho, "--rho")
-        runs = gain_margin_runs(scenario, values, jobs=args.jobs)
-        labels = [f"rho={v:g}" for v in values]
-        digests = [
-            _controller_digest(
-                build_protocol(scenario.protocol.kind, scenario.model, replace(scenario.protocol.gains, rho=v))
-            )
-            for v in values
-        ]
+        pairs = gain_margin_runs(scenario, _parse_float_list(args.rho, "--rho"), jobs=args.jobs)
+        labels = [f"rho={case.protocol.gains.rho:g}" for case, _ in pairs]
     else:
         sizes = [int(v) for v in _parse_float_list(args.n, "--n")]
-        seed = args.seed if args.seed is not None else (scenario.seed or 0)
-        cases = scale_free_runs(
-            scenario.model,
-            scenario.protocol.kind,
-            scenario.protocol.gains,
-            sizes,
-            seed,
-            dt=scenario.dt,
-            horizon=scenario.horizon,
-            tol=scenario.tol,
-            window=scenario.window,
-            record_every=scenario.record_every,
-            jobs=args.jobs,
-        )
-        labels = [f"n={case.n_agents}" for case in cases]
-        digests = [_controller_digest(case.realization) for case in cases]
-        runs = [
-            RunRecord(
-                name=f"{scenario.name}-n{case.n_agents}",
-                report=case.report,
-                gain_report=verify_gains(scenario.model, scenario.protocol.gains, kind=scenario.protocol.kind),
-                trajectory=case.trajectory,
-            )
-            for case in cases
-        ]
+        pairs = scale_free_runs(scenario, sizes, jobs=args.jobs)
+        labels = [f"n={case.graph.n}" for case, _ in pairs]
     wall = time.perf_counter() - started
+    digests = [_controller_digest(case.protocol) for case, _ in pairs]
+    runs = [run for _, run in pairs]
 
     print(f"{'case':>12}  {'converged':>9}  {'t_conv':>10}  controller")
     results = {}
@@ -343,13 +303,17 @@ def cmd_sweep(args):
     return 0
 
 
-def _add_scenario_flags(parser, with_rho=True):
-    parser.add_argument("--scenario", required=True, help="path to the scenario document")
+def _add_sim_flags(parser):
     parser.add_argument("--dt", type=float, help="override the integration step")
     parser.add_argument("--horizon", type=float, help="override the simulated horizon (s)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--record-every", dest="record_every", type=int,
                         help="record every k-th step")
+
+
+def _add_scenario_flags(parser, with_rho=True):
+    parser.add_argument("--scenario", required=True, help="path to the scenario document")
+    _add_sim_flags(parser)
     if with_rho:
         parser.add_argument("--rho", type=float, help="override the loop gain")
 
@@ -377,7 +341,7 @@ def _build_parser():
     p = sub.add_parser("reproduce", help="run a bundled preset over both demonstration networks")
     p.add_argument("preset", choices=preset_names())
     p.add_argument("--out", required=True, help="run directory to write")
-    _add_scenario_flags_reproduce(p)
+    _add_sim_flags(p)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("sweep", help="re-run a scenario across loop gains or network sizes")
@@ -389,14 +353,6 @@ def _build_parser():
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for the sweep")
     p.set_defaults(func=cmd_sweep)
     return parser
-
-
-def _add_scenario_flags_reproduce(parser):
-    parser.add_argument("--dt", type=float, help="override the integration step")
-    parser.add_argument("--horizon", type=float, help="override the simulated horizon (s)")
-    parser.add_argument("--seed", type=int, help="override the preset seed")
-    parser.add_argument("--record-every", dest="record_every", type=int,
-                        help="record every k-th step")
 
 
 def main(argv=None):

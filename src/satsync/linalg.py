@@ -50,29 +50,23 @@ def _square(a, name="a"):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a real matrix together with the tolerance used to
-    interpret them. Complex eigenvalues come in conjugate pairs; the
-    values are sorted by (real, imaginary) part for reproducibility."""
+    """Eigenvalues of a real matrix. Complex eigenvalues come in
+    conjugate pairs; the values are sorted by (real, imaginary) part for
+    reproducibility."""
 
     values: np.ndarray
-    tol: float = EIG_TOL
-
-    def real_parts(self):
-        return self.values.real
 
     def max_real(self):
         return float(self.values.real.max())
 
 
-def eigenvalues(a, tol=EIG_TOL):
+def eigenvalues(a):
     """Eigenvalues of a square real matrix, deterministically ordered.
 
     Parameters
     ----------
     a : array_like
         Square matrix.
-    tol : float
-        Tolerance attached to the result for downstream predicates.
 
     Returns
     -------
@@ -81,7 +75,7 @@ def eigenvalues(a, tol=EIG_TOL):
     a = _square(a)
     vals = np.linalg.eigvals(a)
     order = np.lexsort((vals.imag, vals.real))
-    return Spectrum(values=vals[order], tol=float(tol))
+    return Spectrum(values=vals[order])
 
 
 def is_hurwitz(a, tol=EIG_TOL):

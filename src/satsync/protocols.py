@@ -90,12 +90,7 @@ class ProtocolRealization:
     """
 
     kind: str
-    rho: float
-    state_dim: int
-    input_dim: int
-    output_dim: int
     controller_state_dim: int
-    xi_dim: int
     a_c: np.ndarray
     b_c: np.ndarray
     c_c: np.ndarray
@@ -170,7 +165,7 @@ def build_protocol(kind, model, gains, decomp=None):
         h_c = np.eye(n)
         root_state = np.eye(n)
         root_input = np.zeros((n, m))
-        n_c, xi_dim = n, n
+        n_c = n
     else:
         a_c = np.zeros((2 * n, 2 * n))
         a_c[:n, :n] = model.a - gains.f @ model.c
@@ -191,16 +186,11 @@ def build_protocol(kind, model, gains, decomp=None):
         root_state[n:, n:] = np.eye(n)
         root_input = np.zeros((2 * n, m))
         root_input[:n, :] = model.b
-        n_c, xi_dim = 2 * n, n + m
+        n_c = 2 * n
 
     return ProtocolRealization(
         kind=kind,
-        rho=gains.rho,
-        state_dim=n,
-        input_dim=m,
-        output_dim=q_out,
         controller_state_dim=n_c,
-        xi_dim=xi_dim,
         a_c=a_c,
         b_c=b_c,
         c_c=c_c,

@@ -301,13 +301,11 @@ class TrajectoryRecord:
         return self.x.shape[1]
 
 
-def integrate(loop, record_every=None):
+def integrate(loop):
     """Run a closed loop over its scenario horizon; unpack the record."""
     sc = loop.scenario
-    if record_every is None:
-        record_every = sc.record_every
     times, states = rk4(
-        loop.vector_field, loop.initial_state(), sc.dt, sc.steps, record_every
+        loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every
     )
     n, m, N = sc.model.n, sc.model.m, sc.graph.n
     proto = sc.protocol
@@ -339,9 +337,9 @@ def integrate(loop, record_every=None):
     )
 
 
-def simulate(scenario, record_every=None):
+def simulate(scenario):
     """assemble + integrate in one call."""
-    return integrate(assemble(scenario), record_every=record_every)
+    return integrate(assemble(scenario))
 
 
 def exosystem_reference(a, x_r0, times):

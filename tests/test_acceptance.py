@@ -33,11 +33,12 @@ from satsync.presets import (
     example1_gains,
     example1_model,
     example2_model,
+    graph_a,
     preset_scenario,
 )
-from satsync.protocols import compute_network_signals
+from satsync.protocols import build_protocol, compute_network_signals
 from satsync.scenario import parse_scenario
-from satsync.simulation import rk4, simulate
+from satsync.simulation import Scenario, rk4, simulate
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DOUBLE_A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -144,19 +145,25 @@ CONTROLLER_FIELDS = (
 
 
 def test_c03_one_controller_fits_every_network_size(acceptance_log):
-    cases = scale_free_runs(
-        example1_model(), "P4", example1_gains(), [3, 10, 25],
-        seed=1, dt=1e-3, horizon=120.0, ic_scale=1.0, record_every=10,
-        keep_trajectories=False,
+    model = example1_model()
+    # the sweep replaces the graph and the initial states case by case
+    base = Scenario(
+        name="c03", model=model, graph=graph_a(),
+        protocol=build_protocol("P4", model, example1_gains()),
+        x_r0=np.zeros(model.n), x0=np.zeros((3, model.n)),
+        dt=1e-3, horizon=120.0, seed=1, record_every=10,
     )
+    pairs = scale_free_runs(base, [3, 10, 25], ic_scale=1.0, keep_trajectories=False)
+    cases = [case for case, _ in pairs]
+    reports = [run.report for _, run in pairs]
     bit_identical = all(
-        np.array_equal(getattr(cases[0].realization, f), getattr(c.realization, f))
+        np.array_equal(getattr(cases[0].protocol, f), getattr(c.protocol, f))
         for c in cases[1:] for f in CONTROLLER_FIELDS
     )
-    converged = all(c.report.converged for c in cases)
+    converged = all(r.converged for r in reports)
     detail = ", ".join(
-        f"n={c.n_agents}: {'conv at %.1f s' % c.report.convergence_time if c.report.converged else 'no'}"
-        for c in cases
+        f"n={c.graph.n}: {'conv at %.1f s' % r.convergence_time if r.converged else 'no'}"
+        for c, r in zip(cases, reports)
     )
     ok = bit_identical and converged
     _verdict(
@@ -182,7 +189,7 @@ def test_c04_loop_gain_margin_is_unbounded(acceptance_log):
     details = []
     ok = True
     for label, runs in (("double-integrator", ex1_runs), ("oscillator", p1_runs)):
-        for rho, run in zip(rhos, runs):
+        for rho, (_, run) in zip(rhos, runs):
             rep = run.report
             ok &= rep.converged
             details.append(

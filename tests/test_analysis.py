@@ -1,5 +1,6 @@
 """Diagnostics: metrics, energy certificates, sweeps, report round trips."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -10,12 +11,10 @@ from satsync.analysis import (
     RunRecord,
     export_report,
     gain_margin_runs,
-    gain_margin_sweep,
     lyapunov_certificate_P1,
     lyapunov_trace_P3,
     parse_report,
     scale_free_runs,
-    scale_free_sweep,
     sync_metrics,
     v_trace_violation,
 )
@@ -142,25 +141,25 @@ def test_p3_energy_trace_decreases():
 
 def test_gain_margin_sweep_scales_and_matches_serial():
     sc = p1_scenario(horizon=6.0)
-    serial = gain_margin_runs(sc, [1.0, 4.0], jobs=1)
-    parallel = gain_margin_runs(sc, [1.0, 4.0], jobs=2)
+    serial = [run for _, run in gain_margin_runs(sc, [1.0, 4.0], jobs=1)]
+    parallel = [run for _, run in gain_margin_runs(sc, [1.0, 4.0], jobs=2)]
     assert serial == parallel
-    reports = gain_margin_sweep(sc, [1.0, 4.0])
+    reports = [run.report for _, run in gain_margin_runs(sc, [1.0, 4.0], keep_trajectories=False)]
     assert [r.converged for r in reports] == [run.report.converged for run in serial]
 
 
 def test_scale_free_sweep_reuses_one_controller():
-    model = AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2), coupling="full")
-    gains = synthesize_gains(model, "P1")
-    cases = scale_free_runs(model, "P1", gains, [2, 5], seed=3, dt=0.01, horizon=6.0)
-    assert [c.n_agents for c in cases] == [2, 5]
+    sc = replace(p1_scenario(horizon=6.0), seed=3)
+    pairs = scale_free_runs(sc, [2, 5])
+    cases = [case for case, _ in pairs]
+    assert [c.graph.n for c in cases] == [2, 5]
     for field in ("a_c", "b_c", "f_c", "u_gain"):
         assert np.array_equal(
-            getattr(cases[0].realization, field), getattr(cases[1].realization, field)
+            getattr(cases[0].protocol, field), getattr(cases[1].protocol, field)
         )
-    thin = scale_free_sweep(model, "P1", gains, [2, 5], seed=3, dt=0.01, horizon=6.0)
-    assert [c.trajectory for c in thin] == [None, None]
-    assert [c.report for c in thin] == [c.report for c in cases]
+    thin = scale_free_runs(sc, [2, 5], keep_trajectories=False)
+    assert [run.trajectory for _, run in thin] == [None, None]
+    assert [run.report for _, run in thin] == [run.report for _, run in pairs]
 
 
 def test_export_parse_round_trip(tmp_path):

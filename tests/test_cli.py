@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import satsync
 from satsync.cli import main
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SHORT_SCENARIO = {
     "name": "clidemo",
@@ -125,6 +130,34 @@ def test_sweep_n_controller_digest_is_size_free(scenario_file, tmp_path, capsys)
     manifest = read_json(out / "manifest.json")
     digests = list(manifest["run"]["sweep"].values())
     assert len(digests) == 2 and digests[0] == digests[1]
+
+
+def test_sweep_n_jobs_do_not_change_the_run_directory(scenario_file, tmp_path):
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--scenario", scenario_file, "--n", "2,4,3",
+                     "--out", str(outs[jobs]), "--seed", "1", "--jobs", jobs]) == 0
+    names = sorted(os.listdir(outs["1"]))
+    assert names == sorted(os.listdir(outs["2"]))
+    assert names == ["clidemo-n2.csv", "clidemo-n3.csv", "clidemo-n4.csv",
+                     "manifest.json", "scenario.json", "summary.json"]
+    for name in names:
+        if name != "manifest.json":
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+    m1, m2 = (read_json(outs[j] / "manifest.json") for j in ("1", "2"))
+    assert m1["run"] == m2["run"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(satsync.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "satsync", "verify", "--scenario", "scenarios/oscillator_trio.json"],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "verification passed" in done.stdout
 
 
 def test_sweep_requires_exactly_one_axis(scenario_file, tmp_path):
