@@ -228,7 +228,7 @@ def lyapunov_certificate_P1(model, graph, rho, traj=None):
     if traj is not None:
         dev = traj.x - traj.x_r[:, None, :]
         agent_term = np.einsum("tia,ab,tib->t", dev, p, dev)
-        e_flat = traj.e.reshape(traj.e.shape[0], -1)
+        e_flat = traj.e.reshape(len(traj.times), -1)
         error_term = np.einsum("ta,ab,tb->t", e_flat, p_bar, e_flat)
         v_trace = agent_term + error_term
     return LyapunovCertificate(
@@ -296,7 +296,7 @@ def lyapunov_trace_P3(model, graph, rho, traj, k=None):
     dev = traj.x - traj.x_r[:, None, :]
     vel_dev = dev[:, :, vel]
     agent_term = rho * np.einsum("tia,ab,tib->t", vel_dev, p_d, vel_dev)
-    e_flat = traj.e.reshape(traj.e.shape[0], -1)
+    e_flat = traj.e.reshape(len(traj.times), -1)
     error_term = np.einsum("ta,ab,tb->t", e_flat, p_big, e_flat)
     # batched form of saturation_potential, one scalar per sample
     mag = np.abs(traj.u)
@@ -321,12 +321,32 @@ def run_case(scenario, keep_trajectory=True):
     )
 
 
+def _rho_name(scenario, rho):
+    return f"{scenario.name}-rho{rho:g}"
+
+
+def _size_name(scenario, size):
+    return f"{scenario.name}-n{size}"
+
+
+def _require_distinct_names(scenario, label, values, name):
+    """Reject a case list in which two values would name the same run."""
+    seen = {}
+    for value in values:
+        case = name(scenario, value)
+        if case in seen:
+            raise ValidationError(
+                f"{label} {seen[case]!r} and {value!r} both give the case name {case!r}"
+            )
+        seen[case] = value
+
+
 def _rho_case(scenario, index, rho):
     protocol = scenario.protocol
     gains = replace(protocol.gains, rho=rho)
     return replace(
         scenario,
-        name=f"{scenario.name}-rho{rho:g}",
+        name=_rho_name(scenario, rho),
         protocol=build_protocol(protocol.kind, scenario.model, gains),
     )
 
@@ -339,7 +359,7 @@ def _size_case(scenario, index, size, ic_scale=1.0):
     rng = np.random.default_rng([seed, index, 1])
     return replace(
         scenario,
-        name=f"{scenario.name}-n{size}",
+        name=_size_name(scenario, size),
         graph=graph,
         protocol=realization,
         x_r0=np.zeros(model.n),
@@ -374,13 +394,15 @@ def gain_margin_runs(scenario, rhos, jobs=1, keep_trajectories=True):
 
     Every other ingredient -- graph, initial conditions, step size -- is
     held fixed; only the scalar gain changes, which re-synthesizes the
-    realization per case (named ``<name>-rho<rho>``). Returns
+    realization per case (named ``<name>-rho<rho>``, ``rho`` printed
+    with ``%g``; gains that print alike are rejected). Returns
     (case scenario, RunRecord) pairs in the input order.
     """
     rhos = [float(r) for r in rhos]
     for r in rhos:
         if not r > 0.0:
             raise ValidationError(f"rho must be positive, got {r:g}")
+    _require_distinct_names(scenario, "rho values", rhos, _rho_name)
     return _run_cases(partial(_rho_case, scenario), rhos, jobs, keep_trajectories)
 
 
@@ -396,12 +418,14 @@ def scale_free_runs(scenario, sizes, *, ic_scale=1.0, jobs=1, keep_trajectories=
     the scenario. The realization is rebuilt per case from the same
     model and gains, which makes the build determinism checkable: the
     controller matrices must come out bit-identical for every size.
-    Returns (case scenario, RunRecord) pairs in the input order.
+    Sizes must be whole numbers and distinct. Returns (case scenario,
+    RunRecord) pairs in the input order.
     """
-    sizes = [int(n) for n in sizes]
     for n in sizes:
-        if n < 1:
-            raise ValidationError(f"network size must be at least 1, got {n}")
+        if not (float(n).is_integer() and n >= 1):
+            raise ValidationError(f"network size must be a whole number >= 1, got {n:g}")
+    sizes = [int(n) for n in sizes]
+    _require_distinct_names(scenario, "network sizes", sizes, _size_name)
     build = partial(_size_case, scenario, ic_scale=ic_scale)
     return _run_cases(build, sizes, jobs, keep_trajectories)
 

@@ -271,8 +271,7 @@ def cmd_sweep(args):
         pairs = gain_margin_runs(scenario, _parse_float_list(args.rho, "--rho"), jobs=args.jobs)
         labels = [f"rho={case.protocol.gains.rho:g}" for case, _ in pairs]
     else:
-        sizes = [int(v) for v in _parse_float_list(args.n, "--n")]
-        pairs = scale_free_runs(scenario, sizes, jobs=args.jobs)
+        pairs = scale_free_runs(scenario, _parse_float_list(args.n, "--n"), jobs=args.jobs)
         labels = [f"n={case.graph.n}" for case, _ in pairs]
     wall = time.perf_counter() - started
     digests = [_controller_digest(case.protocol) for case, _ in pairs]

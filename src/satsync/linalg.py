@@ -97,11 +97,11 @@ def is_negative_definite(a, tol=EIG_TOL):
 def solve_lyapunov(a, q):
     """Solve ``a.T @ P + P @ a = -q`` for symmetric P.
 
-    The equation is solved directly through its Kronecker vectorization,
-    which is deterministic and exact up to one dense linear solve. ``a``
-    must be Hurwitz: that is the regime every caller in this package is
-    in, and it guarantees a unique symmetric solution, positive definite
-    whenever ``q`` is.
+    The equation is solved by the Bartels-Stewart method (Schur form of
+    ``a``, then a triangular solve), in O(n^3) time and O(n^2) memory.
+    ``a`` must be Hurwitz: that is the regime every caller in this
+    package is in, and it guarantees a unique symmetric solution,
+    positive definite whenever ``q`` is.
 
     Parameters
     ----------
@@ -132,11 +132,7 @@ def solve_lyapunov(a, q):
             "Lyapunov equation has no stable solution: matrix is not Hurwitz "
             f"(max Re eig = {eigenvalues(a).max_real():.3e})"
         )
-    n = a.shape[0]
-    eye = np.eye(n)
-    # vec(a.T P + P a) = (I (x) a.T + a.T (x) I) vec(P), column-major vec.
-    lhs = np.kron(eye, a.T) + np.kron(a.T, eye)
-    p = np.linalg.solve(lhs, -q.flatten(order="F")).reshape((n, n), order="F")
+    p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
     p = 0.5 * (p + p.T)
     scale = max(np.linalg.norm(q), 1e-30)
     residual = np.linalg.norm(a.T @ p + p @ a + q)

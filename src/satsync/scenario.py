@@ -101,6 +101,13 @@ def _number(value, path, *, positive=False, integer=False):
     return float(value)
 
 
+def _seed(value, path):
+    seed = _number(value, path, integer=True)
+    if seed < 0:
+        raise ValidationError(f"{path}: must be nonnegative, got {seed}")
+    return seed
+
+
 def _matrix(value, path):
     if not isinstance(value, list) or not value or not all(
         isinstance(row, list) for row in value
@@ -216,7 +223,7 @@ def _parse_graph_section(doc, base_dir):
         if not isinstance(kind, str):
             raise ValidationError(f"graph.generate.kind: expected a string, got {kind!r}")
         n = _number(spec["n"], "graph.generate.n", positive=True, integer=True)
-        seed = _number(spec["seed"], "graph.generate.seed", integer=True)
+        seed = _seed(spec["seed"], "graph.generate.seed")
         roots = spec.get("roots", [1])
         if not isinstance(roots, list):
             raise ValidationError("graph.generate.roots: expected a list")
@@ -305,7 +312,7 @@ def parse_scenario_doc(data, base_dir=None, overrides=None):
     record_every = _number(sim.get("record_every", 1), "sim.record_every", positive=True, integer=True)
     seed = None
     if sim.get("seed") is not None:
-        seed = _number(sim["seed"], "sim.seed", integer=True)
+        seed = _seed(sim["seed"], "sim.seed")
 
     if "x_r0" in sim:
         x_r0 = _vector(sim["x_r0"], "sim.x_r0")

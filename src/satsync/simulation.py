@@ -124,6 +124,15 @@ class Scenario:
             raise ValidationError(
                 f"window must be in (0, horizon], got {self.window}"
             )
+        # the run records steps * dt seconds, which rounding can put just
+        # below the horizon; allow what sync_metrics allows
+        span = self.steps * self.dt
+        if self.window > span + 1e-12:
+            raise ValidationError(
+                f"analysis.window {self.window:g} s exceeds the simulated span of "
+                f"{self.steps} steps of {self.dt:g} s = {span:g} s "
+                f"(sim.horizon {self.horizon:g}, sim.dt {self.dt:g})"
+            )
         self.x_r0 = np.asarray(self.x_r0, dtype=float).reshape(-1)
         if self.x_r0.shape != (n,):
             raise ValidationError(f"x_r0 must have length {n}, got {self.x_r0.shape}")
@@ -276,64 +285,63 @@ def rk4(f, z0, dt, steps, record_every=1):
 
 @dataclass
 class TrajectoryRecord:
-    """Everything recorded along one run, plus the proof coordinates.
+    """The recorded states of one run; the controller signals derive from them.
 
-    Arrays are indexed [time, agent, component] (x_r: [time,
-    component]). ``e`` is the per-agent controller error x_i - x_r -
-    chi_i; ``ebar`` (partial-state kinds only) is the observer error in
-    network coordinates, the expanded-Laplacian mix of state errors
-    minus xhat.
+    ``x_r`` [time, component], ``x`` and ``xc`` [time, agent, component]
+    are views into the one state matrix ``rk4`` fills. ``chi``, ``xhat``,
+    ``u``, ``sat_u`` and the proof coordinates ``e`` (x_i - x_r - chi_i)
+    and ``ebar`` (partial-state kinds: the expanded-Laplacian mix of state
+    errors minus xhat) are computed from them on every read.
     """
 
-    kind: str
     times: np.ndarray
     x_r: np.ndarray
     x: np.ndarray
-    chi: np.ndarray
-    xhat: np.ndarray | None
-    u: np.ndarray
-    sat_u: np.ndarray
-    e: np.ndarray
-    ebar: np.ndarray | None
+    xc: np.ndarray
+    scenario: Scenario
 
     @property
-    def n_agents(self):
-        return self.x.shape[1]
+    def chi(self):
+        proto = self.scenario.protocol
+        return np.einsum("kj,tij->tik", proto.h_c, self.xc) if proto.uses_observer else self.xc
+
+    @property
+    def xhat(self):
+        return self.xc[:, :, : self.x.shape[2]] if self.scenario.protocol.uses_observer else None
+
+    @property
+    def u(self):
+        return np.einsum("kj,tij->tik", self.scenario.protocol.f_c, self.xc)
+
+    @property
+    def sat_u(self):
+        return saturate(self.u)
+
+    @property
+    def e(self):
+        return self.x - self.x_r[:, None, :] - self.chi
+
+    @property
+    def ebar(self):
+        if not self.scenario.protocol.uses_observer:
+            return None
+        lbar = laplacian(self.scenario.graph).Lbar
+        return np.einsum("ij,tjk->tik", lbar, self.x - self.x_r[:, None, :]) - self.xhat
 
 
 def integrate(loop):
-    """Run a closed loop over its scenario horizon; unpack the record."""
+    """Run a closed loop over its scenario horizon; wrap the recorded states."""
     sc = loop.scenario
     times, states = rk4(
         loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every
     )
-    n, m, N = sc.model.n, sc.model.m, sc.graph.n
-    proto = sc.protocol
-    T = len(times)
-    x_r = states[:, :n]
-    x = states[:, n: n + N * n].reshape(T, N, n)
-    xc = states[:, n + N * n:].reshape(T, N, proto.controller_state_dim)
-    chi = np.einsum("kj,tij->tik", proto.h_c, xc) if proto.uses_observer else xc
-    xhat = xc[:, :, :n] if proto.uses_observer else None
-    u = np.einsum("kj,tij->tik", proto.f_c, xc)
-    sat_u = saturate(u)
-    xtilde = x - x_r[:, None, :]
-    e = xtilde - chi
-    ebar = None
-    if proto.uses_observer:
-        lbar = laplacian(sc.graph).Lbar
-        ebar = np.einsum("ij,tjk->tik", lbar, xtilde) - xhat
+    n, N, T = sc.model.n, sc.graph.n, len(times)
     return TrajectoryRecord(
-        kind=proto.kind,
         times=times,
-        x_r=x_r,
-        x=x,
-        chi=chi,
-        xhat=xhat,
-        u=u,
-        sat_u=sat_u,
-        e=e,
-        ebar=ebar,
+        x_r=states[:, :n],
+        x=states[:, n: n + N * n].reshape(T, N, n),
+        xc=states[:, n + N * n:].reshape(T, N, sc.protocol.controller_state_dim),
+        scenario=sc,
     )
 
 
@@ -370,7 +378,8 @@ def export_trajectory(record, path):
     per_agent = {"x": record.x, "chi": record.chi}
     if record.xhat is not None:
         per_agent["xhat"] = record.xhat
-    per_agent.update(u=record.u, sat_u=record.sat_u)
+    u = record.u
+    per_agent.update(u=u, sat_u=saturate(u))
     cols = ["t", "agent"]
     cols += [f"{name}{j}" for name, a in per_agent.items() for j in range(a.shape[2])]
     cols += [f"xr{j}" for j in range(n)]

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,17 +54,24 @@ def p3_scenario(n_agents=3, horizon=12.0, dt=0.01, seed=1):
     )
 
 
+def hand_record(x):
+    """Record of agent states ``x`` [time, agent, component] at t = 0, 1, ...
+
+    The reference sits at zero and a stand-in full-state realization
+    keeps one controller state per agent at rest, so chi and u are zero
+    and e equals x.
+    """
+    T, N, n = x.shape
+    protocol = SimpleNamespace(uses_observer=False, f_c=np.zeros((1, 1)))
+    return TrajectoryRecord(
+        times=np.linspace(0.0, T - 1.0, T), x_r=np.zeros((T, n)), x=x,
+        xc=np.zeros((T, N, 1)), scenario=SimpleNamespace(protocol=protocol),
+    )
+
+
 def synthetic_record(errors):
     """Trajectory whose per-agent error norms are exactly ``errors``."""
-    errors = np.asarray(errors, dtype=float)
-    T, N = errors.shape
-    x_r = np.zeros((T, 1))
-    x = errors[:, :, None]
-    zeros = np.zeros((T, N, 1))
-    return TrajectoryRecord(
-        kind="P1", times=np.linspace(0.0, T - 1.0, T), x_r=x_r, x=x,
-        chi=zeros, xhat=None, u=zeros, sat_u=zeros, e=x, ebar=None,
-    )
+    return hand_record(np.asarray(errors, dtype=float)[:, :, None])
 
 
 def test_sync_metrics_hand_oracle():
@@ -82,11 +90,7 @@ def test_sync_metrics_pairwise_equals_pair_loop(n):
     rng = np.random.default_rng(n)
     T, N = 40, 12
     x = rng.normal(size=(T, N, n))
-    zeros = np.zeros((T, N, 1))
-    rec = TrajectoryRecord(
-        kind="P1", times=np.linspace(0.0, T - 1.0, T), x_r=np.zeros((T, n)), x=x,
-        chi=x, xhat=None, u=zeros, sat_u=zeros, e=x, ebar=None,
-    )
+    rec = hand_record(x)
     want = np.zeros(T)
     for i, j in combinations(range(N), 2):
         np.maximum(want, np.linalg.norm(x[:, i, :] - x[:, j, :], axis=-1), out=want)

@@ -177,6 +177,36 @@ def test_sweep_empty_axis_is_an_error(scenario_file, tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, values, named", [
+    ("--n", "3,3", "network sizes 3 and 3"),
+    ("--n", "2.5", "whole number >= 1, got 2.5"),
+    ("--rho", "1.0000001,1.0000002", "rho values 1.0000001 and 1.0000002"),
+])
+def test_sweep_rejects_bad_case_lists_before_any_case_runs(
+    scenario_file, tmp_path, capsys, monkeypatch, axis, values, named
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr("satsync.analysis.run_case", no_run)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", scenario_file, axis, values, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--seed", "-1"], "sim.seed: must be nonnegative"),
+    # 2 s at dt 0.09 is 22 steps, 1.98 s, shorter than the 2 s window
+    (["--horizon", "2", "--dt", "0.09"], "analysis.window 2 s exceeds the simulated span"),
+])
+def test_simulate_rejects_before_integrating(scenario_file, tmp_path, capsys, argv, named):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", scenario_file, *argv, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_unknown_preset_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["reproduce", "nope", "--out", str(tmp_path / "x")])

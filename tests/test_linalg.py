@@ -43,6 +43,17 @@ def test_solve_lyapunov_scalar_oracle():
     assert p[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
+def test_solve_lyapunov_non_symmetric_hand_oracle():
+    # a = [[-1, 1], [0, -2]], q = I. With P = [[p, r], [r, s]],
+    # a.T P + P a = [[-2p, p - 3r], [p - 3r, 2r - 4s]] = -I gives
+    # p = 1/2, r = 1/6, s = 1/3. The transposed equation a P + P a.T = -q
+    # has the different solution [[7/12, 1/12], [1/12, 1/4]].
+    a = np.array([[-1.0, 1.0], [0.0, -2.0]])
+    p = solve_lyapunov(a, np.eye(2))
+    want = np.array([[1 / 2, 1 / 6], [1 / 6, 1 / 3]])
+    assert np.allclose(p, want, rtol=0.0, atol=1e-15)
+
+
 def test_solve_lyapunov_residual_and_definiteness():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -159,6 +159,17 @@ def test_graph_generate_form_requires_seed():
     assert parts.graph.roots() == [1]  # default root
 
 
+def test_negative_seeds_are_rejected_with_their_path():
+    with pytest.raises(ValidationError, match=r"^sim\.seed: must be nonnegative"):
+        parse_scenario_doc(doc(sim={"seed": -1}))
+    d = doc(graph={"generate": {"kind": "random", "n": 4, "seed": -1}})
+    with pytest.raises(ValidationError, match=r"^graph\.generate\.seed: must be nonnegative"):
+        parse_scenario_doc(d)
+    with pytest.raises(ValidationError, match=r"sim\.seed: must be nonnegative"):
+        parse_scenario_doc(doc(), overrides={"sim.seed": -3})
+    assert parse_scenario_doc(doc(sim={"seed": 0})).seed == 0
+
+
 def test_graph_file_form(tmp_path):
     gpath = tmp_path / "net.json"
     gpath.write_text(json.dumps(MINIMAL["graph"]))

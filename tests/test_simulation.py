@@ -1,12 +1,16 @@
 """Closed-loop assembly, integration accuracy, trajectory round trips."""
 
+from dataclasses import fields, replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from satsync.agents import AgentModel
+from satsync.agents import AgentModel, saturate
+from satsync.analysis import sync_metrics
 from satsync.errors import IntegrationError, ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
@@ -57,6 +61,17 @@ def _example2_protocols():
 
 
 EXAMPLE2_PROTOCOLS = _example2_protocols()
+
+
+def p6_scenario(n_agents=3, horizon=15.0, seed=2):
+    """example2's observer-based P6 on a seeded random graph."""
+    model, proto = EXAMPLE2_PROTOCOLS["P6"]
+    return Scenario(
+        name="p6", model=model, graph=generate_graph("random", n_agents, roots=[1], seed=seed),
+        protocol=proto, x_r0=np.ones(model.n),
+        x0=np.random.default_rng(seed).uniform(-0.5, 0.5, (n_agents, model.n)),
+        dt=0.01, horizon=horizon,
+    )
 
 
 def test_rk4_fourth_order_on_exponential():
@@ -134,16 +149,53 @@ def test_full_state_error_dynamics_oracle():
     assert np.max(np.abs(rec.e[:, 0, :] - e_ref)) < 1e-9
 
 
+def eager_signals(rec):
+    """The controller signals as ``integrate`` once computed and stored them."""
+    sc = rec.scenario
+    n, proto, xc = sc.model.n, sc.protocol, rec.xc
+    chi = np.einsum("kj,tij->tik", proto.h_c, xc) if proto.uses_observer else xc
+    xhat = xc[:, :, :n] if proto.uses_observer else None
+    u = np.einsum("kj,tij->tik", proto.f_c, xc)
+    sat_u = saturate(u)
+    xtilde = rec.x - rec.x_r[:, None, :]
+    e = xtilde - chi
+    ebar = None
+    if proto.uses_observer:
+        lbar = laplacian(sc.graph).Lbar
+        ebar = np.einsum("ij,tjk->tik", lbar, xtilde) - xhat
+    return {"chi": chi, "xhat": xhat, "u": u, "sat_u": sat_u, "e": e, "ebar": ebar}
+
+
+def _saturating_p1():
+    sc = rotation_scenario(seed=3)
+    return replace(sc, x0=8.0 * sc.x0)
+
+
+@pytest.mark.parametrize("make", [_saturating_p1, lambda: p6_scenario(horizon=4.0)], ids=["P1", "P6"])
+def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
+    sc = make()
+    rec = simulate(sc)
+    assert [f.name for f in fields(TrajectoryRecord)] == ["times", "x_r", "x", "xc", "scenario"]
+    # x_r, x and xc are views into the one matrix the integrator filled
+    states = rec.x_r.base
+    dim = assemble(sc).initial_state().size
+    assert states.shape == (rec.times.size, dim)
+    for view in (rec.x_r, rec.x, rec.xc):
+        assert view.base is states and np.shares_memory(view, states)
+    for name, want in eager_signals(rec).items():
+        got = getattr(rec, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert np.array_equal(got, want), name
+    assert np.any(np.abs(rec.u) > 1.0)  # the clip is exercised
+
+
 def test_trajectory_round_trip(tmp_path):
     # example2's observer-based P6 (xhat present) on a run longer than
     # one export block
-    model, proto = EXAMPLE2_PROTOCOLS["P6"]
-    N, n = 3, model.n
-    sc = Scenario(
-        name="rt", model=model, graph=generate_graph("random", N, roots=[1], seed=2),
-        protocol=proto, x_r0=np.ones(n),
-        x0=np.random.default_rng(2).uniform(-0.5, 0.5, (N, n)), dt=0.01, horizon=15.0,
-    )
+    sc = p6_scenario()
+    N, n = sc.graph.n, sc.model.n
     rec = simulate(sc)
     T = rec.times.shape[0]
     assert rec.xhat is not None and T > _EXPORT_ROWS // N
@@ -186,6 +238,17 @@ def test_scenario_validation():
             name="x", model=sc.model, graph=sc.graph, protocol=sc.protocol,
             x_r0=sc.x_r0, x0=np.zeros((2, 2)), dt=0.01, horizon=1.0,  # wrong agent count
         )
+
+    # 5 s at dt 0.08 rounds to 62 steps, 4.96 s; the default 5 s window
+    # does not fit
+    with pytest.raises(ValidationError, match=r"analysis\.window 5 s .* 4\.96 s .*sim\.horizon 5, sim\.dt 0\.08"):
+        replace(sc, dt=0.08, horizon=5.0, window=None)
+    assert replace(sc, dt=0.08, horizon=5.0, window=4.96).steps == 62
+    # 10 steps of 0.09 s record 0.8999999999999999 s: a 0.9 s window is
+    # inside the allowance that sync_metrics grants
+    rec = simulate(replace(sc, dt=0.09, horizon=0.9, window=None))
+    assert rec.times[-1] - rec.times[0] < 0.9
+    assert sync_metrics(rec, window=0.9).window == 0.9
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -321,12 +384,17 @@ def test_block_export_matches_per_value_writer(
     def draw(*shape):
         return rng.choice(pool, size=shape)
 
+    # a stand-in realization: xhat is the first n controller states (when
+    # present), chi the last n, and each input one of the drawn columns
+    n_c = 2 * n if with_xhat else n
+    protocol = SimpleNamespace(
+        uses_observer=with_xhat,
+        h_c=np.eye(n_c)[n_c - n:],
+        f_c=np.eye(n_c)[[k % n_c for k in range(m)]],
+    )
     rec = TrajectoryRecord(
-        kind="P6" if with_xhat else "P1",
-        times=draw(T), x_r=draw(T, n), x=draw(T, n_agents, n), chi=draw(T, n_agents, n),
-        xhat=draw(T, n_agents, n) if with_xhat else None,
-        u=draw(T, n_agents, m), sat_u=draw(T, n_agents, m),
-        e=None, ebar=None,
+        times=draw(T), x_r=draw(T, n), x=draw(T, n_agents, n), xc=draw(T, n_agents, n_c),
+        scenario=SimpleNamespace(protocol=protocol),
     )
     tmp = tmp_path_factory.mktemp("export")
     export_trajectory(rec, tmp / "block.csv")
