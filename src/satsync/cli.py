@@ -160,7 +160,6 @@ def cmd_simulate(args):
     started = time.perf_counter()
     run = run_case(scenario)
     wall = time.perf_counter() - started
-    os.makedirs(args.out, exist_ok=True)
     paths = export_report([run], args.out)
     echo = scenario_echo(scenario)
     paths.append(_write_json(os.path.join(args.out, "scenario.json"), echo))
@@ -214,7 +213,6 @@ def cmd_synthesize(args):
 
 def cmd_reproduce(args):
     overrides = _overrides(args)
-    os.makedirs(args.out, exist_ok=True)
     runs = []
     echoes = {}
     results = {}
@@ -265,7 +263,6 @@ def cmd_sweep(args):
     if args.record_every is None:
         # sweeps thin their trajectories by default; full runs stay opt-in
         scenario = replace(scenario, record_every=_SWEEP_RECORD_EVERY)
-    os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     if args.rho is not None:
         pairs = gain_margin_runs(scenario, _parse_float_list(args.rho, "--rho"), jobs=args.jobs)

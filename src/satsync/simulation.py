@@ -67,7 +67,8 @@ MAX_STEPS = 10_000_000
 # 994 284 vs 46 us. Path graphs cross over at the same place.
 SPARSE_MIN_DIM = 256
 # Trajectory export formats about this many CSV rows (whole time steps
-# of N rows each) per block, about 1.5 MB of transient floats and text.
+# of N rows each) per block, about 1.5 MB of transient floats and text;
+# a pooled export holds at most two blocks per worker in flight.
 # Export speed is flat from 256 to 32768 rows; at 4096 the block raised
 # example2's peak RSS by 5.5 MB, at 1024 it leaves the peak unchanged.
 _EXPORT_ROWS = 1024
@@ -366,42 +367,76 @@ def exosystem_reference(a, x_r0, times):
     return states
 
 
-def export_trajectory(record, path):
+def _time_slice(record, start, stop):
+    """Time steps ``start`` to ``stop`` - 1 of a record, as a record of views."""
+    return TrajectoryRecord(
+        times=record.times[start:stop],
+        x_r=record.x_r[start:stop],
+        x=record.x[start:stop],
+        xc=record.xc[start:stop],
+        scenario=record.scenario,
+    )
+
+
+def _time_blocks(record, rows=_EXPORT_ROWS):
+    """The record as consecutive slices of whole time steps, about ``rows``
+    CSV rows each; the last one may be shorter."""
+    steps = max(1, rows // record.x.shape[1])
+    return (_time_slice(record, k, k + steps) for k in range(0, len(record.times), steps))
+
+
+def _signal_columns(record):
+    """The CSV's per-agent column groups of a record or slice, in order."""
+    columns = {"x": record.x, "chi": record.chi}
+    if record.xhat is not None:
+        columns["xhat"] = record.xhat
+    u = record.u
+    columns.update(u=u, sat_u=saturate(u))
+    return columns
+
+
+def _format_block(block):
+    """The CSV rows of a record slice, formatted by one ``%``.
+
+    The signals are derived from the slice alone, so a block needs
+    nothing but its own states and the realization.
+    """
+    T, N, n = block.x.shape
+    shape = (T, N)
+    values = np.concatenate(
+        [
+            np.broadcast_to(block.times[:, None, None], shape + (1,)),
+            np.broadcast_to(np.arange(1.0, N + 1.0)[None, :, None], shape + (1,)),
+            *_signal_columns(block).values(),
+            np.broadcast_to(block.x_r[:, None, :], shape + (n,)),
+        ],
+        axis=2,
+        dtype=float,
+    )
+    row_fmt = ",".join(["%.17g"] * values.shape[2]) + "\n"
+    return row_fmt * (T * N) % tuple(values.reshape(-1).tolist())
+
+
+def export_trajectory(record, path, pmap=map):
     """Write one row per (time, agent): t, agent, x, chi, xhat?, u,
     sat_u, xr -- comma separated, header first, 17 significant digits.
 
-    One ``%`` formats a block of whole time steps. ``%.17g`` is the same
-    conversion as ``format(v, ".17g")``, and the agent index, a float
-    here, prints as its integer.
+    The rows are formatted in blocks of whole time steps (see
+    ``_format_block``) through ``pmap``, the builtin ``map`` or a
+    ``parallel.process_map`` pool, and written in block order, so the
+    bytes do not depend on where a block was formatted. ``%.17g`` is
+    the same conversion as ``format(v, ".17g")``, and the agent index,
+    a float here, prints as its integer.
     """
-    T, N, n = record.x.shape
-    per_agent = {"x": record.x, "chi": record.chi}
-    if record.xhat is not None:
-        per_agent["xhat"] = record.xhat
-    u = record.u
-    per_agent.update(u=u, sat_u=saturate(u))
+    n = record.x.shape[2]
+    first = _signal_columns(_time_slice(record, 0, 1))
     cols = ["t", "agent"]
-    cols += [f"{name}{j}" for name, a in per_agent.items() for j in range(a.shape[2])]
+    cols += [f"{name}{j}" for name, a in first.items() for j in range(a.shape[2])]
     cols += [f"xr{j}" for j in range(n)]
-    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
-    agent = np.arange(1.0, N + 1.0)[None, :, None]
-    steps = max(1, _EXPORT_ROWS // N)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(0, T, steps):
-            t = record.times[k: k + steps]
-            shape = (len(t), N)
-            block = np.concatenate(
-                [
-                    np.broadcast_to(t[:, None, None], shape + (1,)),
-                    np.broadcast_to(agent, shape + (1,)),
-                    *(a[k: k + steps] for a in per_agent.values()),
-                    np.broadcast_to(record.x_r[k: k + steps, None, :], shape + (n,)),
-                ],
-                axis=2,
-                dtype=float,
-            )
-            fh.write(row_fmt * (len(t) * N) % tuple(block.reshape(-1).tolist()))
+        for text in pmap(_format_block, _time_blocks(record)):
+            fh.write(text)
 
 
 def read_trajectory(path):

@@ -4,6 +4,8 @@ verdict lines for the final summary."""
 import pytest
 from hypothesis import settings
 
+from satsync.parallel import process_map
+
 # Property tests draw the same examples on every run and never read or
 # write the local example database (derandomize implies database=None);
 # a test's own @settings still override single fields.
@@ -11,6 +13,13 @@ settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
 
 _verdicts = []
+
+
+@pytest.fixture(scope="module")
+def pooled_map():
+    """A real two-worker process pool, started once per test module."""
+    with process_map(2) as pmap:
+        yield pmap
 
 
 @pytest.fixture(scope="session")

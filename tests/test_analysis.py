@@ -1,5 +1,7 @@
 """Diagnostics: metrics, energy certificates, sweeps, report round trips."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 from itertools import combinations
 from types import SimpleNamespace
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from satsync.agents import AgentModel
+from satsync import analysis
 from satsync.analysis import (
     RunRecord,
     export_report,
@@ -188,3 +191,28 @@ def test_export_report_rejects_duplicate_names(tmp_path):
     runs = [RunRecord(name="dup", report=rep), RunRecord(name="dup", report=rep)]
     with pytest.raises(ValidationError, match="dup"):
         export_report(runs, tmp_path)
+
+
+def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
+    # force the pool onto a small export; the second record's CSV path
+    # turns into a directory once the pool is running
+    monkeypatch.setattr(analysis, "EXPORT_POOL_MIN_ROWS", 1)
+    rec = simulate(p1_scenario(horizon=4.0))
+    rep = sync_metrics(rec, tol=1e-2)
+    runs = [RunRecord(name=name, report=rep, trajectory=rec) for name in ("a", "b")]
+    real = analysis.export_trajectory
+    blocked = []
+
+    def export_then_block(record, path, pmap):
+        real(record, path, pmap)
+        assert multiprocessing.active_children()  # the pool is running
+        if os.path.basename(path) == "a.csv" and blocked:
+            os.mkdir(blocked[0])
+
+    monkeypatch.setattr(analysis, "export_trajectory", export_then_block)
+    export_report(runs, tmp_path / "ok")
+    assert multiprocessing.active_children() == []
+    blocked.append(tmp_path / "fail" / "b.csv")
+    with pytest.raises(IsADirectoryError):
+        export_report(runs, tmp_path / "fail")
+    assert multiprocessing.active_children() == []

@@ -192,7 +192,7 @@ def test_sweep_rejects_bad_case_lists_before_any_case_runs(
     out = tmp_path / "sw"
     assert main(["sweep", "--scenario", scenario_file, axis, values, "--out", str(out)]) == 1
     assert named in capsys.readouterr().err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -204,6 +204,17 @@ def test_simulate_rejects_before_integrating(scenario_file, tmp_path, capsys, ar
     out = tmp_path / "run"
     assert main(["simulate", "--scenario", scenario_file, *argv, "--out", str(out)]) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", None, "--n", "0,3"],
+    ["reproduce", "example2", "--seed", "-1"],
+], ids=["sweep", "reproduce"])
+def test_rejected_commands_leave_no_run_directory(scenario_file, tmp_path, argv):
+    out = tmp_path / "d"
+    argv = [scenario_file if a is None else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Closed-loop assembly, integration accuracy, trajectory round trips."""
 
+import pickle
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from satsync.simulation import (
     SPARSE_MIN_DIM,
     Scenario,
     TrajectoryRecord,
+    _time_blocks,
     assemble,
     exosystem_reference,
     export_trajectory,
@@ -189,6 +191,24 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
         else:
             assert np.array_equal(got, want), name
     assert np.any(np.abs(rec.u) > 1.0)  # the clip is exercised
+    # export derives the signals per block: each slice, the ragged last
+    # one included, gives the rows of the whole-run signals, also after
+    # the pickle round trip that carries it to a worker process
+    for rows in (_EXPORT_ROWS, 100):
+        blocks = list(_time_blocks(rec, rows))
+        assert len(blocks[-1].times) < rows // sc.graph.n
+        start = 0
+        for block in blocks:
+            stop = start + len(block.times)
+            for copy in (block, pickle.loads(pickle.dumps(block))):
+                for name in ("chi", "xhat", "u", "sat_u"):
+                    want, got = getattr(rec, name), getattr(copy, name)
+                    if want is None:
+                        assert got is None, name
+                    else:
+                        assert np.array_equal(got, want[start:stop]), (name, start)
+            start = stop
+        assert start == len(rec.times)
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -371,7 +391,7 @@ SPECIAL_VALUES = [
     seed=st.integers(0, 2**16),
 )
 def test_block_export_matches_per_value_writer(
-    tmp_path_factory, n_agents, boundary, n, m, with_xhat, pool, seed
+    tmp_path_factory, pooled_map, n_agents, boundary, n, m, with_xhat, pool, seed
 ):
     # T sits on either side of the writer's block boundary; the largest
     # network fits only two time steps in a block
@@ -398,9 +418,12 @@ def test_block_export_matches_per_value_writer(
     )
     tmp = tmp_path_factory.mktemp("export")
     export_trajectory(rec, tmp / "block.csv")
+    export_trajectory(rec, tmp / "pooled.csv", pooled_map)
     per_value_export(rec, tmp / "oracle.csv")
-    got = (tmp / "block.csv").read_bytes().splitlines(keepends=True)
     want = (tmp / "oracle.csv").read_bytes().splitlines(keepends=True)
-    assert len(got) == len(want)
-    for line, (g, w) in enumerate(zip(got, want)):
-        assert g == w, f"line {line}"
+    # in process and in worker processes, the same bytes as the oracle
+    for name in ("block.csv", "pooled.csv"):
+        got = (tmp / name).read_bytes().splitlines(keepends=True)
+        assert len(got) == len(want), name
+        for line, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"{name} line {line}"
