@@ -33,7 +33,7 @@ from .graphs import check_rootset, generate_graph, laplacian
 from .linalg import solve_lyapunov
 from .parallel import process_map, usable_cpus
 from .protocols import build_protocol
-from .simulation import TrajectoryRecord, export_trajectory, simulate
+from .simulation import _EXPORT_ROWS, TrajectoryRecord, export_trajectory, simulate
 
 __all__ = [
     "SyncReport",
@@ -52,13 +52,14 @@ __all__ = [
 ]
 
 # An export_report call that writes at least this many CSV rows formats
-# them in a pool of one worker process per usable CPU; smaller calls
-# format in process, where starting the pool costs more than it saves.
-# export_report of one example2 P6 record (N = 10), in process against a
-# forced 2-worker pool (median of 9, 2-vCPU x86-64 host, forked from a
-# parent holding 80 MB): 3k rows 88 vs 125 ms, 5k 143 vs 132 ms,
-# 7k 191 vs 144 ms, 9k 216 vs 167 ms, 12k 324 vs 224 ms,
-# 20k 535 vs 368 ms, 60k 1599 vs 957 ms.
+# them in a pool of one worker process per usable CPU, but no more
+# workers than blocks; smaller calls format in process, where starting
+# the pool costs more than it saves. export_report of one example2 P6
+# record (N = 10), in process against a forced 2-worker pool (median of
+# 9, 2-vCPU x86-64 host, forked from a parent holding 80 MB): 3k rows
+# 88 vs 125 ms, 5k 143 vs 132 ms, 7k 191 vs 144 ms, 9k 216 vs 167 ms,
+# 12k 324 vs 224 ms, 20k 535 vs 368 ms, 60k 1599 vs 957 ms. The
+# crossover was measured with 2 workers only.
 EXPORT_POOL_MIN_ROWS = 10_000
 
 
@@ -485,7 +486,10 @@ def export_report(records, path):
     os.makedirs(path, exist_ok=True)
     written = []
     runs = []
-    with process_map(usable_cpus() if rows >= EXPORT_POOL_MIN_ROWS else 1) as pmap:
+    workers = 1
+    if rows >= EXPORT_POOL_MIN_ROWS:
+        workers = min(usable_cpus(), -(-rows // _EXPORT_ROWS))
+    with process_map(workers) as pmap:
         for record in records:
             report = record.report
             entry = {

@@ -8,17 +8,20 @@ input order, so a long stream of items never holds more than that many
 results in memory. The pool is shut down on leaving the block, also
 when the block raises; calls not yet started are cancelled.
 
-Workers come from the platform's default start method, which is
-``fork`` on Linux: a worker that started a fresh interpreter would
-import numpy and the package first, about 0.5 s on a 2-vCPU x86-64
-host, most of what pooling example2's export saves. The pool forks its
-workers before it starts its own manager thread, so they copy a
-process running only the caller's thread and native library threads.
+On Linux the workers are forked, whatever the interpreter's default
+start method (``forkserver`` from Python 3.14): a worker that started
+a fresh interpreter would import numpy and the package first, about
+0.5 s on a 2-vCPU x86-64 host, most of what pooling example2's export
+saves. A forking pool starts all its workers before its own manager
+thread, so they copy a process running only the caller's thread and
+native library threads. Elsewhere the platform's default method is
+used. Under any method a worker exits once its caller has died.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from collections import deque
@@ -26,6 +29,9 @@ from contextlib import contextmanager
 from functools import partial
 
 __all__ = ["process_map", "usable_cpus"]
+
+# the pool's start method; None is the platform's default
+_START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
 
 def usable_cpus():
@@ -36,15 +42,25 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def _exit_with(parent):
-    """Pool initializer: end this worker once ``parent`` has died.
+def _exit_with_caller():
+    """Pool initializer: end this worker once the process that made the
+    pool has died.
 
     A worker waits on its task queue, which it holds open itself, so a
     caller killed by a signal would otherwise leave it waiting forever.
+    A forked or spawned worker sees its parent change at once. A fork
+    server's worker has the server as its parent, and the server lives
+    as long as its workers, so it checks the caller's sentinel instead;
+    that alone would not do under fork, where a sibling forked later
+    holds the sentinel open.
     """
+    import multiprocessing
+
+    parent = os.getppid()
+    caller = multiprocessing.parent_process()
 
     def watch():
-        while os.getppid() == parent:
+        while os.getppid() == parent and caller.is_alive():
             time.sleep(0.5)
         os._exit(1)
 
@@ -69,10 +85,13 @@ def process_map(workers):
         return
     # imported here: the multiprocessing machinery costs a command that
     # never starts a pool about 0.5 MB of peak RSS and some start-up time
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(
-        max_workers=workers, initializer=_exit_with, initargs=(os.getpid(),)
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(_START_METHOD),
+        initializer=_exit_with_caller,
     )
     try:
         yield partial(_bounded_map, pool, 2 * workers)

@@ -284,6 +284,20 @@ def rk4(f, z0, dt, steps, record_every=1):
     return times, states
 
 
+# The controller signals of any span of time steps: TrajectoryRecord's
+# properties and the export's blocks evaluate the same expressions.
+def _chi(protocol, xc):
+    return np.einsum("kj,tij->tik", protocol.h_c, xc) if protocol.uses_observer else xc
+
+
+def _xhat(protocol, x, xc):
+    return xc[:, :, : x.shape[2]] if protocol.uses_observer else None
+
+
+def _u(protocol, xc):
+    return np.einsum("kj,tij->tik", protocol.f_c, xc)
+
+
 @dataclass
 class TrajectoryRecord:
     """The recorded states of one run; the controller signals derive from them.
@@ -303,16 +317,15 @@ class TrajectoryRecord:
 
     @property
     def chi(self):
-        proto = self.scenario.protocol
-        return np.einsum("kj,tij->tik", proto.h_c, self.xc) if proto.uses_observer else self.xc
+        return _chi(self.scenario.protocol, self.xc)
 
     @property
     def xhat(self):
-        return self.xc[:, :, : self.x.shape[2]] if self.scenario.protocol.uses_observer else None
+        return _xhat(self.scenario.protocol, self.x, self.xc)
 
     @property
     def u(self):
-        return np.einsum("kj,tij->tik", self.scenario.protocol.f_c, self.xc)
+        return _u(self.scenario.protocol, self.xc)
 
     @property
     def sat_u(self):
@@ -367,48 +380,45 @@ def exosystem_reference(a, x_r0, times):
     return states
 
 
-def _time_slice(record, start, stop):
-    """Time steps ``start`` to ``stop`` - 1 of a record, as a record of views."""
-    return TrajectoryRecord(
-        times=record.times[start:stop],
-        x_r=record.x_r[start:stop],
-        x=record.x[start:stop],
-        xc=record.xc[start:stop],
-        scenario=record.scenario,
+def _time_blocks(record, rows=_EXPORT_ROWS):
+    """The record as consecutive blocks of whole time steps, about ``rows``
+    CSV rows each; the last one may be shorter.
+
+    A block is ``(protocol, times, x_r, x, xc)``, the states as views:
+    all its rows read. The graph stays out, so a block pickled for a
+    worker process carries O(N) data, not the N x N weights.
+    """
+    steps = max(1, rows // record.x.shape[1])
+    states = (record.times, record.x_r, record.x, record.xc)
+    protocol = record.scenario.protocol
+    return (
+        (protocol, *(a[k: k + steps] for a in states))
+        for k in range(0, len(record.times), steps)
     )
 
 
-def _time_blocks(record, rows=_EXPORT_ROWS):
-    """The record as consecutive slices of whole time steps, about ``rows``
-    CSV rows each; the last one may be shorter."""
-    steps = max(1, rows // record.x.shape[1])
-    return (_time_slice(record, k, k + steps) for k in range(0, len(record.times), steps))
-
-
-def _signal_columns(record):
-    """The CSV's per-agent column groups of a record or slice, in order."""
-    columns = {"x": record.x, "chi": record.chi}
-    if record.xhat is not None:
-        columns["xhat"] = record.xhat
-    u = record.u
+def _signal_columns(protocol, x, xc):
+    """The CSV's per-agent column groups of some time steps, in order."""
+    columns = {"x": x, "chi": _chi(protocol, xc)}
+    xhat = _xhat(protocol, x, xc)
+    if xhat is not None:
+        columns["xhat"] = xhat
+    u = _u(protocol, xc)
     columns.update(u=u, sat_u=saturate(u))
     return columns
 
 
 def _format_block(block):
-    """The CSV rows of a record slice, formatted by one ``%``.
-
-    The signals are derived from the slice alone, so a block needs
-    nothing but its own states and the realization.
-    """
-    T, N, n = block.x.shape
+    """The CSV rows of a block from ``_time_blocks``, formatted by one ``%``."""
+    protocol, times, x_r, x, xc = block
+    T, N, n = x.shape
     shape = (T, N)
     values = np.concatenate(
         [
-            np.broadcast_to(block.times[:, None, None], shape + (1,)),
+            np.broadcast_to(times[:, None, None], shape + (1,)),
             np.broadcast_to(np.arange(1.0, N + 1.0)[None, :, None], shape + (1,)),
-            *_signal_columns(block).values(),
-            np.broadcast_to(block.x_r[:, None, :], shape + (n,)),
+            *_signal_columns(protocol, x, xc).values(),
+            np.broadcast_to(x_r[:, None, :], shape + (n,)),
         ],
         axis=2,
         dtype=float,
@@ -429,7 +439,7 @@ def export_trajectory(record, path, pmap=map):
     a float here, prints as its integer.
     """
     n = record.x.shape[2]
-    first = _signal_columns(_time_slice(record, 0, 1))
+    first = _signal_columns(record.scenario.protocol, record.x[:1], record.xc[:1])
     cols = ["t", "agent"]
     cols += [f"{name}{j}" for name, a in first.items() for j in range(a.shape[2])]
     cols += [f"xr{j}" for j in range(n)]

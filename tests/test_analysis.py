@@ -25,8 +25,9 @@ from satsync.analysis import (
 from satsync.errors import ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import generate_graph
+from satsync.parallel import process_map
 from satsync.protocols import build_protocol
-from satsync.simulation import Scenario, TrajectoryRecord, simulate
+from satsync.simulation import _EXPORT_ROWS, Scenario, TrajectoryRecord, simulate
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DOUBLE_A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -194,9 +195,10 @@ def test_export_report_rejects_duplicate_names(tmp_path):
 
 
 def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
-    # force the pool onto a small export; the second record's CSV path
-    # turns into a directory once the pool is running
+    # force the pool onto a small export, also on a 1-CPU host; the
+    # second record's CSV path turns into a directory once the pool runs
     monkeypatch.setattr(analysis, "EXPORT_POOL_MIN_ROWS", 1)
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
     rec = simulate(p1_scenario(horizon=4.0))
     rep = sync_metrics(rec, tol=1e-2)
     runs = [RunRecord(name=name, report=rep, trajectory=rec) for name in ("a", "b")]
@@ -216,3 +218,19 @@ def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
     with pytest.raises(IsADirectoryError):
         export_report(runs, tmp_path / "fail")
     assert multiprocessing.active_children() == []
+
+
+def test_export_report_starts_no_more_workers_than_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(analysis, "EXPORT_POOL_MIN_ROWS", 1)
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 64)
+    asked = []
+
+    def record_workers(workers):
+        asked.append(workers)
+        return process_map(1)
+
+    monkeypatch.setattr(analysis, "process_map", record_workers)
+    rec = simulate(p1_scenario(horizon=4.0))  # 401 steps x 3 agents
+    rep = sync_metrics(rec, tol=1e-2)
+    export_report([RunRecord(name="a", report=rep, trajectory=rec)], tmp_path)
+    assert asked == [-(-401 * 3 // _EXPORT_ROWS)] == [2]

@@ -1,5 +1,6 @@
 """The ordered, bounded process map shared by sweeps and export."""
 
+import multiprocessing
 import operator
 import os
 import signal
@@ -10,6 +11,10 @@ import time
 import pytest
 
 import satsync
+from satsync import parallel
+from satsync.parallel import process_map
+
+METHODS = multiprocessing.get_all_start_methods()
 
 
 def test_process_map_keeps_order_and_bounds_work_in_flight(pooled_map):
@@ -27,9 +32,22 @@ def test_process_map_keeps_order_and_bounds_work_in_flight(pooled_map):
     assert [first, *results] == [-k for k in range(40)]
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_process_map_runs_under_every_start_method(method, monkeypatch):
+    # a worker's parent is the caller only under fork; under forkserver
+    # it is the fork server, and the workers must still stay up
+    monkeypatch.setattr(parallel, "_START_METHOD", method)
+    with process_map(2) as pmap:
+        assert list(pmap(operator.neg, range(8))) == [-k for k in range(8)]
+        time.sleep(0.7)  # longer than one parent check
+        assert list(pmap(abs, range(-3, 3))) == [3, 2, 1, 0, 1, 2]
+
+
 CALLER = """
-import multiprocessing, time
+import multiprocessing, sys, time
+from satsync import parallel
 from satsync.parallel import process_map
+parallel._START_METHOD = sys.argv[1]
 with process_map(2) as pmap:
     list(pmap(abs, range(4)))
     print(*(p.pid for p in multiprocessing.active_children()), flush=True)
@@ -46,10 +64,11 @@ def _running(pid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-def test_workers_exit_when_their_caller_is_killed():
+@pytest.mark.parametrize("method", METHODS)
+def test_workers_exit_when_their_caller_is_killed(method):
     src = os.path.dirname(os.path.dirname(satsync.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    caller = subprocess.Popen([sys.executable, "-c", CALLER], env=env, stdout=subprocess.PIPE, text=True)
+    caller = subprocess.Popen([sys.executable, "-c", CALLER, method], env=env, stdout=subprocess.PIPE, text=True)
     try:
         workers = [int(pid) for pid in caller.stdout.readline().split()]
     finally:

@@ -22,6 +22,7 @@ from satsync.simulation import (
     SPARSE_MIN_DIM,
     Scenario,
     TrajectoryRecord,
+    _signal_columns,
     _time_blocks,
     assemble,
     exosystem_reference,
@@ -191,22 +192,26 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
         else:
             assert np.array_equal(got, want), name
     assert np.any(np.abs(rec.u) > 1.0)  # the clip is exercised
-    # export derives the signals per block: each slice, the ragged last
+    # export derives the signals per block: each block, the ragged last
     # one included, gives the rows of the whole-run signals, also after
-    # the pickle round trip that carries it to a worker process
+    # the pickle round trip that carries it to a worker process, and it
+    # carries the protocol but not the scenario and its graph
+    names = [name for name in ("x", "chi", "xhat", "u", "sat_u") if getattr(rec, name) is not None]
     for rows in (_EXPORT_ROWS, 100):
         blocks = list(_time_blocks(rec, rows))
-        assert len(blocks[-1].times) < rows // sc.graph.n
+        assert len(blocks[-1][1]) < rows // sc.graph.n
         start = 0
         for block in blocks:
-            stop = start + len(block.times)
+            assert block[0] is sc.protocol
+            stop = start + len(block[1])
             for copy in (block, pickle.loads(pickle.dumps(block))):
-                for name in ("chi", "xhat", "u", "sat_u"):
-                    want, got = getattr(rec, name), getattr(copy, name)
-                    if want is None:
-                        assert got is None, name
-                    else:
-                        assert np.array_equal(got, want[start:stop]), (name, start)
+                protocol, times, x_r, x, xc = copy
+                assert np.array_equal(times, rec.times[start:stop])
+                assert np.array_equal(x_r, rec.x_r[start:stop])
+                columns = _signal_columns(protocol, x, xc)
+                assert list(columns) == names
+                for name, got in columns.items():
+                    assert np.array_equal(got, getattr(rec, name)[start:stop]), (name, start)
             start = stop
         assert start == len(rec.times)
 
