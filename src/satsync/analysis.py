@@ -21,19 +21,25 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
+from collections import deque
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
+from . import simulation
 from .agents import ModelClass
 from .errors import ValidationError
 from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral, verify_gains
 from .graphs import check_rootset, generate_graph, laplacian
 from .linalg import solve_lyapunov
-from .parallel import process_map, usable_cpus
+from .parallel import SharedMatrix, process_map, sharing_workers, usable_cpus
 from .protocols import build_protocol
-from .simulation import _EXPORT_ROWS, TrajectoryRecord, export_trajectory, simulate
+from .simulation import _EXPORT_ROWS, ClosedLoop, TrajectoryRecord, export_trajectory
 
 __all__ = [
     "SyncReport",
@@ -44,6 +50,8 @@ __all__ = [
     "lyapunov_certificate_P1",
     "lyapunov_trace_P3",
     "run_case",
+    "run_cases",
+    "case_workers",
     "gain_margin_runs",
     "scale_free_runs",
     "export_report",
@@ -318,13 +326,21 @@ def lyapunov_trace_P3(model, graph, rho, traj, k=None):
     return agent_term + error_term + input_term
 
 
-def run_case(scenario, keep_trajectory=True):
-    """Run one scenario: simulate, score it, audit its gains.
+def run_case(case, keep_trajectory=True, states=None):
+    """Run one case: simulate, score it, audit its gains.
 
-    The verdict uses the scenario's own tolerance and window; the gains
-    are the ones its realization was built from.
+    ``case`` is a Scenario or the ClosedLoop assembled from one; the
+    states are recorded into ``states`` when it is given (a matrix of
+    the loop's ``record_shape``). The verdict uses the scenario's own
+    tolerance and window; the gains are the ones its realization was
+    built from.
     """
-    record = simulate(scenario)
+    # assemble and integrate are looked up on their module at call time,
+    # so that a replacement installed there (a test's, a profiler's)
+    # takes part in every run
+    loop = case if isinstance(case, ClosedLoop) else simulation.assemble(case)
+    record = simulation.integrate(loop, states)
+    scenario = loop.scenario
     protocol = scenario.protocol
     return RunRecord(
         name=scenario.name,
@@ -332,6 +348,59 @@ def run_case(scenario, keep_trajectory=True):
         gain_report=verify_gains(scenario.model, protocol.gains, kind=protocol.kind),
         trajectory=record if keep_trajectory else None,
     )
+
+
+def _assembled(case):
+    loop = simulation.assemble(case)
+    return loop, SharedMatrix(*loop.record_shape)
+
+
+def _run_assembled(item):
+    loop, states = item
+    return run_case(loop, keep_trajectory=False, states=states.array)
+
+
+def _recorded(item, run, keep_trajectory):
+    loop, states = item
+    if keep_trajectory:
+        record = TrajectoryRecord.of_states(loop.scenario, run.report.times, states.array)
+        run = replace(run, trajectory=record)
+    return loop.scenario, run
+
+
+def run_cases(cases, pmap=map, keep_trajectories=True):
+    """Run case scenarios; yield (case, RunRecord) in order, each as soon as it has run.
+
+    ``pmap`` is the builtin ``map`` or a ``parallel.process_map`` pool
+    whose workers fork (``parallel.sharing_workers``) and that has run
+    no task yet. Each case is assembled in this process, and its states
+    are recorded into a ``SharedMatrix`` made here; the run
+    (``run_case``) sends back only its verdict and gain audit, and the
+    record is this process's view of the matrix. Through ``map`` each
+    case is assembled just before it runs, so one case at a time holds
+    its operator; a pool forks its workers at its first task, so every
+    case is assembled before that.
+    """
+    # no local name holds a finished case's operator while the next one
+    # is assembled
+    ready = deque()
+
+    def assembled():
+        for case in cases:
+            ready.append(_assembled(case))
+            yield ready[-1]
+
+    items = assembled() if pmap is map else list(assembled())
+    for run in pmap(_run_assembled, items):
+        yield _recorded(ready.popleft(), run, keep_trajectories)
+
+
+def case_workers(scenarios):
+    """Workers for one pool that runs ``scenarios`` and exports their
+    records: one per usable CPU, no more than the CSVs have blocks, and
+    one (in process) where the pool cannot share the state matrices."""
+    rows = sum(sc.recorded_steps * sc.graph.n for sc in scenarios)
+    return sharing_workers(min(usable_cpus(), -(-rows // _EXPORT_ROWS)))
 
 
 def _rho_name(scenario, rho):
@@ -381,21 +450,17 @@ def _size_case(scenario, index, size, ic_scale=1.0):
     )
 
 
-def _build_and_run(item):
-    build, index, value, keep_trajectory = item
-    case = build(index, value)
-    return case, run_case(case, keep_trajectory)
-
-
 def _run_cases(build, values, jobs, keep_trajectories):
     """(case, RunRecord) per value, in input order whatever ``jobs`` is.
 
-    Each case is built inside the worker that runs it, just before it
-    runs, so no case costs anything until its turn.
+    With one job each case is built just before it runs; with more, all
+    of them are built before the pool's workers start (``run_cases``).
     """
-    items = [(build, index, value, keep_trajectories) for index, value in enumerate(values)]
-    with process_map(min(jobs or 1, len(items))) as pmap:
-        return list(pmap(_build_and_run, items))
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    cases = (build(index, value) for index, value in enumerate(values))
+    with process_map(min(sharing_workers(jobs), len(values))) as pmap:
+        return list(run_cases(cases, pmap, keep_trajectories))
 
 
 def gain_margin_runs(scenario, rhos, jobs=1, keep_trajectories=True):
@@ -464,71 +529,120 @@ def _safe_name(name):
     return safe or "run"
 
 
-def export_report(records, path):
+def _claim_file(claimed, name):
+    """The CSV file name of run ``name``, entered in ``claimed`` (file
+    name -> run name); a run that an earlier one would overwrite, having
+    the same name or one that makes the same file name, is rejected."""
+    file_name = _safe_name(name) + ".csv"
+    if file_name in claimed:
+        raise ValidationError(
+            f"runs {claimed[file_name]!r} and {name!r} would both write {file_name}"
+        )
+    claimed[file_name] = name
+    return file_name
+
+
+def export_report(records, path, pmap=None):
     """Write a machine-readable summary plus per-run trajectory files.
 
     ``path`` is a directory (created if missing). The summary lands in
     ``summary.json``; every record carrying a trajectory additionally
-    writes ``<name>.csv`` next to it. Returns the written paths, summary
-    first. Floats survive the JSON round trip exactly. A call writing at
-    least ``EXPORT_POOL_MIN_ROWS`` CSV rows formats them in one process
-    pool, shut down before it returns or raises; the bytes are the same
+    writes ``<name>.csv`` next to it, the name made file-safe. Returns
+    the written paths, summary first. Floats survive the JSON round
+    trip exactly.
+
+    ``records`` is a sequence of RunRecord, or an iterable yielding them
+    as their runs finish; each record's CSV is written when it arrives.
+    Two runs that would write one file are rejected: a sequence's before
+    anything is written, an iterable's when the second arrives. The
+    files are moved into ``path`` only once every one is written, so an
+    export that fails before that, a run in ``records`` raising
+    included, leaves ``path`` as it was (absent if it was absent).
+
+    The CSV rows are formatted through ``pmap``, a caller's
+    ``parallel.process_map``. Without one, a call writing at least
+    ``EXPORT_POOL_MIN_ROWS`` CSV rows formats them in a pool of its own,
+    shut down before it returns or raises; the bytes are the same
     either way.
     """
-    names = [record.name for record in records]
-    if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate run names in export: {sorted(names)}")
+    if isinstance(records, Sequence):
+        claimed = {}
+        for record in records:
+            _claim_file(claimed, record.name)
+    if pmap is not None:
+        return _write_report(records, path, pmap)
+    records = list(records)
     rows = sum(
         record.trajectory.x.shape[0] * record.trajectory.x.shape[1]
         for record in records
         if record.trajectory is not None
     )
-    os.makedirs(path, exist_ok=True)
-    written = []
-    runs = []
     workers = 1
     if rows >= EXPORT_POOL_MIN_ROWS:
         workers = min(usable_cpus(), -(-rows // _EXPORT_ROWS))
     with process_map(workers) as pmap:
-        for record in records:
-            report = record.report
-            entry = {
-                "name": record.name,
-                "tolerance": report.tol,
-                "window": report.window,
-                "converged": report.converged,
-                "convergence_time": report.convergence_time,
-                "final_max_error": float(report.max_error[-1]),
-                "final_pairwise_error": float(report.pairwise_error[-1]),
-                "times": [float(v) for v in report.times],
-                "max_error": [float(v) for v in report.max_error],
-                "pairwise_error": [float(v) for v in report.pairwise_error],
-                "gain_checks": None,
-                "trajectory_file": None,
+        return _write_report(records, path, pmap)
+
+
+def _summary_entry(record):
+    report = record.report
+    entry = {
+        "name": record.name,
+        "tolerance": report.tol,
+        "window": report.window,
+        "converged": report.converged,
+        "convergence_time": report.convergence_time,
+        "final_max_error": float(report.max_error[-1]),
+        "final_pairwise_error": float(report.pairwise_error[-1]),
+        "times": [float(v) for v in report.times],
+        "max_error": [float(v) for v in report.max_error],
+        "pairwise_error": [float(v) for v in report.pairwise_error],
+        "gain_checks": None,
+        "trajectory_file": None,
+    }
+    if record.gain_report is not None:
+        entry["gain_checks"] = [
+            {
+                "name": check.name,
+                "passed": check.passed,
+                "margin": check.margin,
+                "detail": check.detail,
             }
-            if record.gain_report is not None:
-                entry["gain_checks"] = [
-                    {
-                        "name": check.name,
-                        "passed": check.passed,
-                        "margin": check.margin,
-                        "detail": check.detail,
-                    }
-                    for check in record.gain_report.checks
-                ]
+            for check in record.gain_report.checks
+        ]
+    return entry
+
+
+def _write_report(records, path, pmap):
+    made = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    # every file is written here first, and moved into path once all are
+    staging = tempfile.mkdtemp(prefix=".export-", dir=path)
+    claimed = {}
+    runs = []
+    try:
+        for record in records:
+            file_name = _claim_file(claimed, record.name)
+            entry = _summary_entry(record)
             if record.trajectory is not None:
-                file_name = _safe_name(record.name) + ".csv"
-                file_path = os.path.join(path, file_name)
-                export_trajectory(record.trajectory, file_path, pmap)
+                export_trajectory(record.trajectory, os.path.join(staging, file_name), pmap)
                 entry["trajectory_file"] = file_name
-                written.append(file_path)
             runs.append(entry)
-    doc = {"format": "satsync-report", "version": 1, "runs": runs}
-    summary_path = os.path.join(path, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return [summary_path] + written
+        doc = {"format": "satsync-report", "version": 1, "runs": runs}
+        with open(os.path.join(staging, "summary.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        written = ["summary.json"] + [e["trajectory_file"] for e in runs if e["trajectory_file"]]
+        for name in written:
+            os.replace(os.path.join(staging, name), os.path.join(path, name))
+    except BaseException:
+        shutil.rmtree(staging)
+        if made:
+            with suppress(OSError):  # not empty: something else was written there
+                os.rmdir(path)
+        raise
+    os.rmdir(staging)
+    return [os.path.join(path, name) for name in written]
 
 
 def parse_report(path):

@@ -31,10 +31,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .analysis import export_report, gain_margin_runs, run_case, scale_free_runs
+from .analysis import case_workers, export_report, gain_margin_runs, run_case, run_cases, scale_free_runs
 from .errors import IntegrationError, SynthesisError, ValidationError
 from .gains import synthesize_gains, verify_gains
 from .graphs import check_rootset
+from .parallel import process_map
 from .presets import GRAPH_A, GRAPH_B, preset_names, preset_scenario
 from .protocols import compatible_classes
 from .scenario import build_scenario, parse_scenario_doc, scenario_echo
@@ -159,10 +160,10 @@ def cmd_simulate(args):
     scenario = build_scenario(parts)
     started = time.perf_counter()
     run = run_case(scenario)
-    wall = time.perf_counter() - started
     paths = export_report([run], args.out)
     echo = scenario_echo(scenario)
     paths.append(_write_json(os.path.join(args.out, "scenario.json"), echo))
+    wall = time.perf_counter() - started
     outputs = sorted(os.path.basename(p) for p in paths)
     _write_manifest(
         args.out,
@@ -213,31 +214,38 @@ def cmd_synthesize(args):
 
 def cmd_reproduce(args):
     overrides = _overrides(args)
-    runs = []
-    echoes = {}
-    results = {}
-    gain_checks = None
-    started = time.perf_counter()
+    scenarios = []
     for label, graph_doc in (("net3", GRAPH_A), ("net10", GRAPH_B)):
         doc = preset_scenario(args.preset)
         doc["graph"] = graph_doc
         doc["name"] = f"{args.preset}-{label}"
-        scenario = build_scenario(parse_scenario_doc(doc, overrides=overrides))
-        run = run_case(scenario)
-        if gain_checks is None:
-            gain_checks = _checks_doc(run.gain_report)
-        runs.append(run)
-        echoes[f"{scenario.name}-scenario.json"] = scenario_echo(scenario)
-        results[scenario.name] = _result_doc(run.report)
-        _print_outcome(scenario.name, run.report)
+        scenarios.append(build_scenario(parse_scenario_doc(doc, overrides=overrides)))
+    started = time.perf_counter()
+    runs = []
+
+    def reported(pairs):
+        # report each run as it finishes, while the next one still runs
+        for scenario, run in pairs:
+            _print_outcome(scenario.name, run.report)
+            runs.append(run)
+            yield run
+
+    # one pool runs both cases and formats each CSV as its case finishes
+    with process_map(case_workers(scenarios)) as pmap:
+        paths = export_report(reported(run_cases(scenarios, pmap)), args.out, pmap)
+    echoes = [scenario_echo(scenario) for scenario in scenarios]
+    for scenario, echo in zip(scenarios, echoes):
+        paths.append(_write_json(os.path.join(args.out, f"{scenario.name}-scenario.json"), echo))
     wall = time.perf_counter() - started
-    paths = export_report(runs, args.out)
-    for file_name, echo in echoes.items():
-        paths.append(_write_json(os.path.join(args.out, file_name), echo))
     outputs = sorted(os.path.basename(p) for p in paths)
     _write_manifest(
         args.out,
-        {"scenario": list(echoes.values()), "gain_checks": gain_checks, "outputs": outputs, "results": results},
+        {
+            "scenario": echoes,
+            "gain_checks": _checks_doc(runs[0].gain_report),
+            "outputs": outputs,
+            "results": {run.name: _result_doc(run.report) for run in runs},
+        },
         wall,
     )
     print(f"run directory: {args.out}")
@@ -258,6 +266,8 @@ def _parse_float_list(text, flag):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     parts = _load_parts(args)
     scenario = build_scenario(parts)
     if args.record_every is None:
@@ -270,7 +280,6 @@ def cmd_sweep(args):
     else:
         pairs = scale_free_runs(scenario, _parse_float_list(args.n, "--n"), jobs=args.jobs)
         labels = [f"n={case.graph.n}" for case, _ in pairs]
-    wall = time.perf_counter() - started
     digests = [_controller_digest(case.protocol) for case, _ in pairs]
     runs = [run for _, run in pairs]
 
@@ -284,6 +293,7 @@ def cmd_sweep(args):
     paths = export_report(runs, args.out)
     echo = scenario_echo(scenario)
     paths.append(_write_json(os.path.join(args.out, "scenario.json"), echo))
+    wall = time.perf_counter() - started
     outputs = sorted(os.path.basename(p) for p in paths)
     _write_manifest(
         args.out,

@@ -1,4 +1,4 @@
-"""One ordered, bounded process map for sweeps and trajectory export.
+"""One ordered, bounded process map for runs and trajectory export.
 
 ``process_map(workers)`` is a context manager that yields a ``map``-like
 function. With one worker it is the builtin ``map``, run in process as
@@ -16,19 +16,31 @@ saves. A forking pool starts all its workers before its own manager
 thread, so they copy a process running only the caller's thread and
 native library threads. Elsewhere the platform's default method is
 used. Under any method a worker exits once its caller has died.
+
+A ``SharedMatrix`` is a float matrix in an anonymous shared mapping.
+Made before a forking pool's first task, it is inherited by every
+worker: a worker writes a run's states into the caller's memory, and
+only the run's small results travel back by pickle. Workers started
+any other way cannot reach it, so ``sharing_workers`` runs such work
+in process there.
 """
 
 from __future__ import annotations
 
+import itertools
+import mmap
 import os
 import sys
 import threading
 import time
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from functools import partial
 
-__all__ = ["process_map", "usable_cpus"]
+import numpy as np
+
+__all__ = ["SharedMatrix", "process_map", "sharing_workers", "usable_cpus"]
 
 # the pool's start method; None is the platform's default
 _START_METHOD = "fork" if sys.platform.startswith("linux") else None
@@ -40,6 +52,50 @@ def usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def sharing_workers(wanted):
+    """Workers for tasks that write into a ``SharedMatrix``: ``wanted``
+    where the pool forks them, else 1 (in process)."""
+    return wanted if _START_METHOD == "fork" else 1
+
+
+# SharedMatrix arrays by key, as long as their handle lives in the
+# process that made them; a forked worker holds a copy of the table
+_shared = {}
+_keys = itertools.count()
+
+
+class SharedMatrix:
+    """A rows x cols float matrix in an anonymous shared mapping.
+
+    ``array`` is the matrix, zero until written. A handle pickled into a
+    pool task travels as its key, and a worker forked after the handle
+    was made resolves the key to the same memory, so what the worker
+    writes there the caller reads, and nothing is copied.
+    """
+
+    def __init__(self, rows, cols):
+        buf = mmap.mmap(-1, max(rows * cols * 8, 1))
+        self.array = np.frombuffer(buf, dtype=float, count=rows * cols).reshape(rows, cols)
+        self._key = next(_keys)
+        _shared[self._key] = self.array
+        weakref.finalize(self, _shared.pop, self._key, None)
+
+    def __reduce__(self):
+        return _inherited, (self._key,)
+
+
+def _inherited(key):
+    handle = SharedMatrix.__new__(SharedMatrix)
+    handle._key = key
+    try:
+        handle.array = _shared[key]
+    except KeyError:
+        raise RuntimeError(
+            "a SharedMatrix reaches only pool workers forked after it was made"
+        ) from None
+    return handle
 
 
 def _exit_with_caller():

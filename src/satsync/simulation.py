@@ -155,6 +155,11 @@ class Scenario:
     def steps(self):
         return int(round(self.horizon / self.dt))
 
+    @property
+    def recorded_steps(self):
+        """Time steps a run records: every ``record_every``-th and the last."""
+        return -(-self.steps // self.record_every) + 1
+
 
 @dataclass
 class ClosedLoop:
@@ -177,6 +182,11 @@ class ClosedLoop:
         return np.concatenate(
             [sc.x_r0, sc.x0.reshape(-1), sc.controller0.reshape(-1)]
         )
+
+    @property
+    def record_shape(self):
+        """(recorded steps, state size) of the matrix ``integrate`` fills."""
+        return self.scenario.recorded_steps, self.m_mat.shape[0]
 
 
 def assemble(scenario):
@@ -245,13 +255,14 @@ def assemble(scenario):
     return ClosedLoop(scenario=sc, m_mat=m_mat, g_mat=g_mat, u_mat=u_mat)
 
 
-def rk4(f, z0, dt, steps, record_every=1):
+def rk4(f, z0, dt, steps, record_every=1, states=None):
     """Classical 4th-order fixed-step integration of dz/dt = f(t, z).
 
     Returns (times, states) with states[k] the state at times[k]; the
     initial and final states are always recorded, intermediates every
-    ``record_every`` steps. Aborts with the offending time if the state
-    stops being finite.
+    ``record_every`` steps. A ``states`` matrix given is filled in
+    place; else a new one is made. Aborts with the offending time if
+    the state stops being finite.
     """
     if not 0 < dt <= MAX_DT:
         raise ValidationError(f"dt must be in (0, {MAX_DT}], got {dt}")
@@ -262,7 +273,11 @@ def rk4(f, z0, dt, steps, record_every=1):
     if rec_idx[-1] != steps:
         rec_idx.append(steps)
     times = np.array([k * dt for k in rec_idx])
-    states = np.empty((len(rec_idx), z.size))
+    shape = (len(rec_idx), z.size)
+    if states is None:
+        states = np.empty(shape)
+    elif states.shape != shape:
+        raise ValidationError(f"state matrix must be {shape}, got {states.shape}")
     states[0] = z
     out = 1
     half = 0.5 * dt
@@ -315,6 +330,18 @@ class TrajectoryRecord:
     xc: np.ndarray
     scenario: Scenario
 
+    @classmethod
+    def of_states(cls, scenario, times, states):
+        """The record whose states[k] (z at times[k]) ``states`` holds."""
+        n, N, T = scenario.model.n, scenario.graph.n, len(times)
+        return cls(
+            times=times,
+            x_r=states[:, :n],
+            x=states[:, n: n + N * n].reshape(T, N, n),
+            xc=states[:, n + N * n:].reshape(T, N, scenario.protocol.controller_state_dim),
+            scenario=scenario,
+        )
+
     @property
     def chi(self):
         return _chi(self.scenario.protocol, self.xc)
@@ -343,20 +370,17 @@ class TrajectoryRecord:
         return np.einsum("ij,tjk->tik", lbar, self.x - self.x_r[:, None, :]) - self.xhat
 
 
-def integrate(loop):
-    """Run a closed loop over its scenario horizon; wrap the recorded states."""
+def integrate(loop, states=None):
+    """Run a closed loop over its scenario horizon; wrap the recorded states.
+
+    ``states``, a matrix of ``loop.record_shape``, receives the states
+    in place when given (see ``rk4``).
+    """
     sc = loop.scenario
     times, states = rk4(
-        loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every
+        loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every, states
     )
-    n, N, T = sc.model.n, sc.graph.n, len(times)
-    return TrajectoryRecord(
-        times=times,
-        x_r=states[:, :n],
-        x=states[:, n: n + N * n].reshape(T, N, n),
-        xc=states[:, n + N * n:].reshape(T, N, sc.protocol.controller_state_dim),
-        scenario=sc,
-    )
+    return TrajectoryRecord.of_states(sc, times, states)
 
 
 def simulate(scenario):

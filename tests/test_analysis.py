@@ -18,6 +18,8 @@ from satsync.analysis import (
     lyapunov_certificate_P1,
     lyapunov_trace_P3,
     parse_report,
+    run_case,
+    run_cases,
     scale_free_runs,
     sync_metrics,
     v_trace_violation,
@@ -25,7 +27,7 @@ from satsync.analysis import (
 from satsync.errors import ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import generate_graph
-from satsync.parallel import process_map
+from satsync.parallel import process_map, sharing_workers
 from satsync.protocols import build_protocol
 from satsync.simulation import _EXPORT_ROWS, Scenario, TrajectoryRecord, simulate
 
@@ -192,6 +194,46 @@ def test_export_report_rejects_duplicate_names(tmp_path):
     runs = [RunRecord(name="dup", report=rep), RunRecord(name="dup", report=rep)]
     with pytest.raises(ValidationError, match="dup"):
         export_report(runs, tmp_path)
+
+
+def test_export_report_rejects_names_that_make_one_file(tmp_path):
+    rec = simulate(p1_scenario(horizon=0.5))
+    rep = sync_metrics(rec, tol=1e-2)
+    runs = [RunRecord(name=name, report=rep, trajectory=rec) for name in ("case a", "case-a")]
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match="'case a' and 'case-a' would both write case-a.csv"):
+        export_report(runs, out)
+    assert not out.exists()  # rejected before anything was written
+    # an iterable's records are checked as they arrive, and nothing moves into place
+    with pytest.raises(ValidationError, match="'case a' and 'case-a'"):
+        export_report(iter(runs), out, map)
+    assert not out.exists()
+
+
+@pytest.mark.skipif(sharing_workers(2) == 1, reason="pool workers are not forked here")
+def test_run_cases_record_into_shared_states_through_a_pool(monkeypatch):
+    made = []
+
+    class Recorded(analysis.SharedMatrix):
+        def __init__(self, rows, cols):
+            super().__init__(rows, cols)
+            made.append(self)
+
+    monkeypatch.setattr(analysis, "SharedMatrix", Recorded)
+    cases = [p1_scenario(n_agents=n, horizon=2.0, seed=n) for n in (3, 5)]
+    cases = [replace(sc, name=f"p1-{sc.graph.n}") for sc in cases]
+    with process_map(2) as pmap:
+        pairs = list(run_cases(cases, pmap))
+    assert [case for case, _ in pairs] == cases and len(made) == 2
+    for (case, run), states in zip(pairs, made):
+        alone = run_case(case)
+        assert run == alone  # verdict and gain audit, bitwise
+        rec = run.trajectory
+        # the record is the caller's view of the matrix a worker filled,
+        # not a copy sent back
+        assert np.shares_memory(rec.x, states.array)
+        for name in ("times", "x_r", "x", "xc"):
+            assert np.array_equal(getattr(rec, name), getattr(alone.trajectory, name)), name
 
 
 def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):

@@ -1,15 +1,20 @@
 """Command-line behavior: exit codes, run-directory contract, determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import satsync
+from satsync import analysis, simulation
 from satsync.cli import main
+from satsync.errors import IntegrationError
+from satsync.parallel import sharing_workers
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -216,6 +221,114 @@ def test_rejected_commands_leave_no_run_directory(scenario_file, tmp_path, argv)
     argv = [scenario_file if a is None else a for a in argv]
     assert main([*argv, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", scenario_file, "--rho", "1,2", "--jobs", jobs,
+                 "--out", str(out)]) == 1
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SHORT_REPRODUCE = ["reproduce", "example1", "--horizon", "6", "--dt", "0.01"]
+needs_fork = pytest.mark.skipif(sharing_workers(2) == 1, reason="pool workers are not forked here")
+
+
+def test_reproduce_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    outs, printed = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
+        outs[cpus] = tmp_path / f"cpus{cpus}"
+        assert main([*SHORT_REPRODUCE, "--out", str(outs[cpus])]) == 1  # not converged in 6 s
+        printed[cpus] = capsys.readouterr().out.replace(str(outs[cpus]), "OUT")
+        assert multiprocessing.active_children() == []
+    assert printed[1] == printed[2]
+    names = sorted(os.listdir(outs[1]))
+    assert names == sorted(os.listdir(outs[2]))
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+    m1, m2 = (read_json(outs[c] / "manifest.json") for c in (1, 2))
+    assert m1["run"] == m2["run"]
+
+
+@needs_fork
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
+def test_reproduce_whose_second_case_fails_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, existing):
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+    real = simulation.integrate
+
+    def fail_net10(loop, states=None):
+        record = real(loop, states)
+        if loop.scenario.graph.n == 10:
+            raise IntegrationError(f"net10 failed in process {os.getpid()}")
+        return record
+
+    monkeypatch.setattr(simulation, "integrate", fail_net10)
+    out = tmp_path / "rep"
+    before = {}
+    if existing:
+        out.mkdir()
+        for name in ("example1-net3.csv", "notes.txt"):
+            (out / name).write_text("earlier\n")
+            before[name] = "earlier\n"
+    assert main([*SHORT_REPRODUCE, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "net10 failed in process" in err
+    assert f"process {os.getpid()}" not in err  # it failed in a worker
+    if existing:
+        assert {p.name: p.read_text() for p in out.iterdir()} == before
+    else:
+        assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+class Assembled(Exception):
+    pass
+
+
+@needs_fork
+def test_reproduce_assembles_its_first_case_in_the_calling_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+
+    def stop(scenario):
+        raise Assembled(os.getpid(), len(multiprocessing.active_children()))
+
+    monkeypatch.setattr(simulation, "assemble", stop)
+    out = tmp_path / "rep"
+    with pytest.raises(Assembled) as err:
+        main([*SHORT_REPRODUCE, "--out", str(out)])
+    # raised here, before any pool worker existed, not as a broken pool
+    assert err.value.args == (os.getpid(), 0)
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+@needs_fork
+def test_reproduce_exports_the_first_case_while_the_second_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+    started = tmp_path / "net3-export-started"
+    real_integrate, real_export = simulation.integrate, analysis.export_trajectory
+
+    def net10_waits_for_net3_export(loop, states=None):
+        if loop.scenario.graph.n == 10:
+            deadline = time.monotonic() + 20.0
+            while not started.exists():
+                if time.monotonic() > deadline:
+                    raise IntegrationError("net3's export had not started")
+                time.sleep(0.01)
+        return real_integrate(loop, states)
+
+    def export(record, path, pmap):
+        started.touch()
+        real_export(record, path, pmap)
+
+    monkeypatch.setattr(simulation, "integrate", net10_waits_for_net3_export)
+    monkeypatch.setattr(analysis, "export_trajectory", export)
+    assert main([*SHORT_REPRODUCE, "--out", str(tmp_path / "rep")]) == 1  # not converged in 6 s
+    assert sorted(os.listdir(tmp_path / "rep"))[:2] == ["example1-net10-scenario.json", "example1-net10.csv"]
 
 
 def test_reproduce_unknown_preset_is_usage_error(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 import satsync
 from satsync import parallel
-from satsync.parallel import process_map
+from satsync.parallel import SharedMatrix, process_map, sharing_workers
 
 METHODS = multiprocessing.get_all_start_methods()
 
@@ -43,10 +43,39 @@ def test_process_map_runs_under_every_start_method(method, monkeypatch):
         assert list(pmap(abs, range(-3, 3))) == [3, 2, 1, 0, 1, 2]
 
 
+def _fill_with_pid(handle):
+    handle.array[:] = os.getpid()
+    return os.getpid()
+
+
+@pytest.mark.skipif(sharing_workers(2) == 1, reason="pool workers are not forked here")
+def test_shared_matrix_written_by_a_worker_is_read_by_its_caller():
+    handles = [SharedMatrix(3, 4), SharedMatrix(1, 2), SharedMatrix(5, 1)]
+    with process_map(2) as pmap:
+        pids = list(pmap(_fill_with_pid, handles))
+    assert os.getpid() not in pids
+    for handle, pid in zip(handles, pids):
+        assert handle.array.shape in {(3, 4), (1, 2), (5, 1)}
+        assert (handle.array == pid).all()
+
+
+def test_shared_matrix_leaves_the_table_with_its_handle(monkeypatch):
+    handle = SharedMatrix(2, 3)
+    key, row = handle._key, handle.array[1]
+    assert parallel._shared[key] is handle.array
+    del handle
+    assert key not in parallel._shared
+    row[:] = 1.0  # a view still holds the memory
+    assert row.tolist() == [1.0, 1.0, 1.0]
+    for method in METHODS:
+        monkeypatch.setattr(parallel, "_START_METHOD", method)
+        assert sharing_workers(4) == (4 if method == "fork" else 1)
+
+
 CALLER = """
 import multiprocessing, sys, time
 from satsync import parallel
-from satsync.parallel import process_map
+from satsync.parallel import SharedMatrix, process_map, sharing_workers
 parallel._START_METHOD = sys.argv[1]
 with process_map(2) as pmap:
     list(pmap(abs, range(4)))

@@ -122,6 +122,21 @@ def test_equilibrium_stays_put():
     assert np.max(np.abs(rec.u)) < 1e-12
 
 
+@pytest.mark.parametrize("record_every", [1, 3, 7, 1000])
+def test_integrate_fills_a_given_state_matrix(record_every):
+    sc = rotation_scenario(horizon=0.5, record_every=record_every)
+    loop = assemble(sc)
+    states = np.full(loop.record_shape, np.nan)
+    rec = integrate(loop, states)
+    alone = simulate(sc)
+    assert len(alone.times) == sc.recorded_steps == states.shape[0]
+    for view in (rec.x_r, rec.x, rec.xc):
+        assert np.shares_memory(view, states)
+    assert np.array_equal(states, alone.x_r.base)
+    with pytest.raises(ValidationError, match="state matrix must be"):
+        integrate(loop, np.empty((states.shape[0] + 1, states.shape[1])))
+
+
 def test_exosystem_reference_matches_stacked_run():
     sc = rotation_scenario()
     rec = simulate(sc)
