@@ -19,6 +19,7 @@ checks alone.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -633,6 +634,11 @@ def _write_report(records, path, pmap):
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         written = ["summary.json"] + [e["trajectory_file"] for e in runs if e["trajectory_file"]]
+        # a file cannot replace a directory; find that before the first
+        # move, so that a failure moves nothing
+        for target in (os.path.join(path, name) for name in written):
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
         for name in written:
             os.replace(os.path.join(staging, name), os.path.join(path, name))
     except BaseException:

@@ -1,4 +1,4 @@
-"""Stacked closed-loop assembly and fixed-step integration.
+"""Stacked closed loop and fixed-step integration.
 
 The full network state is one vector
 
@@ -6,19 +6,21 @@ The full network state is one vector
 
 holding the reference exosystem, the agent states, and the controller
 states. Everything the agents exchange is diffusive, so the closed loop
-factors exactly as
+is the protocol's per-agent equations (see ``ClosedLoop``): one product
+of the stacked per-agent rows with the local and root blocks, and one
+product each with the Laplacian L and the expanded Laplacian Lbar, which
+is all the graph contributes: N x N times N x n_c per call, where the
+Kronecker-product operator the equations factor into,
 
-    dz/dt = M z + G sat(U z)
+    dz/dt = M z + G sat(U z),
 
-with M, G, U assembled once from Kronecker products of the Laplacians
-with the realization matrices. They are built as sparse (CSR) Kronecker
-products and kept sparse for large networks, where a dense M would cost
-O(dim^2) memory and time per right-hand-side call; below
-``SPARSE_MIN_DIM`` state components they are densified, because a dense
-product is faster there. ``sat`` is applied componentwise to the
-stacked inputs inside every integrator stage -- the model is continuous
-time and the saturation lives inside the plant, so there is no
-zero-order hold anywhere.
+multiplies each Laplacian entry by a whole block of the realization.
+Below ``PER_AGENT_MIN_DIM`` state components ``assemble`` materializes
+M, G and U from the same equations, because a dense product is faster
+there. ``sat`` is applied componentwise to the stacked inputs inside
+every integrator stage -- the model is continuous time and the
+saturation lives inside the plant, so there is no zero-order hold
+anywhere.
 
 Integration is classical fixed-step RK4. No adaptivity: the right-hand
 side is globally Lipschitz (saturation only flattens it), determinism
@@ -27,10 +29,10 @@ and bitwise reproducibility matter more here than step-size cleverness.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .agents import saturate
 from .errors import IntegrationError, ValidationError
@@ -50,7 +52,7 @@ __all__ = [
     "DEFAULT_DT",
     "DEFAULT_HORIZON",
     "MAX_STEPS",
-    "SPARSE_MIN_DIM",
+    "PER_AGENT_MIN_DIM",
 ]
 
 DEFAULT_DT = 1e-3
@@ -59,13 +61,18 @@ DEFAULT_HORIZON = 30.0
 # oscillatory dynamics here, and the step count is capped outright.
 MAX_DT = 0.1
 MAX_STEPS = 10_000_000
-# Closed loops with at least this many state components keep M, G, U
-# sparse; smaller ones are densified. Per right-hand-side call, dense
-# against CSR (example2's P6 on seeded random graphs, best of 5, 2 BLAS
-# threads, 2-vCPU x86-64 host): dim 70 9 vs 15 us, 217 17 vs 20 us,
-# 280 22 vs 19 us, 322 24 vs 22 us, 406 41 vs 22 us, 532 112 vs 25 us,
-# 994 284 vs 46 us. Path graphs cross over at the same place.
-SPARSE_MIN_DIM = 256
+# Closed loops with at least this many state components apply the
+# per-agent equations; smaller ones are densified. Per right-hand-side
+# call, dense against per-agent (example2's P6 on seeded random graphs,
+# best of 5, 2 BLAS threads, 2-vCPU x86-64 host): dim 70 9 vs 30 us,
+# 217 21 vs 39 us, 280 27 vs 38 us, 322 33 vs 31 us, 364 37 vs 34 us,
+# 406 44 vs 28 us, 532 130 vs 43 us, 1057 355 vs 44 us, 2107 1166 vs
+# 75 us, 3157 2855 vs 84 us, 8407 33139 vs 436 us. The sparse Kronecker
+# operator this replaced took 25, 45, 147, 366 and 2061 us from dim 532
+# to 8407. The dense Laplacians cost O(N^2) whatever the edge count, so
+# long sparse graphs lose: path N = 150, 400, 1000 take 130, 555 and
+# 2761 us, against 52, 113 and 289 us for the sparse operator.
+PER_AGENT_MIN_DIM = 384
 # Trajectory export formats about this many CSV rows (whole time steps
 # of N rows each) per block, about 1.5 MB of transient floats and text;
 # a pooled export holds at most two blocks per worker in flight.
@@ -119,6 +126,17 @@ class Scenario:
             )
         if self.record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
+        # the state matrix a run records must fit in the machine
+        dim = n + N * (n + n_c)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if self.recorded_steps * dim * 8 > memory:
+            raise ValidationError(
+                f"the recorded states would take {self.recorded_steps * dim * 8 / 1e9:.3g} GB "
+                f"({self.recorded_steps} steps of {dim} states), more than this "
+                f"machine's {memory / 1e9:.3g} GB of memory: raise sim.record_every "
+                f"({self.record_every}), shorten sim.horizon ({self.horizon:g}) or "
+                f"lengthen sim.dt ({self.dt:g})"
+            )
         if self.window is None:
             self.window = min(5.0, self.horizon)
         if not 0 < self.window <= self.horizon:
@@ -163,19 +181,76 @@ class Scenario:
 
 @dataclass
 class ClosedLoop:
-    """The factored vector field dz/dt = m_mat z + g_mat sat(u_mat z).
+    """The stacked closed loop as the protocol's per-agent equations.
 
-    The matrices are dense ndarrays or CSR arrays (see ``assemble``);
-    ``vector_field`` is the same expression for both.
+    With the agent states ``X`` (N x n), the controller states ``Xc``
+    (N x n_c) and the saturated inputs ``S`` (N x m) as rows per agent,
+    and ``d_c = [d_x | d_u]`` split at the state part of xi,
+
+        U       = Xc f_c^T
+        dx_r/dt = a x_r
+        dX/dt   = X a^T + S b^T
+        dXc/dt  = Xc a_c^T + S b_c^T + iota (S root_input^T - Xc root_state^T)
+                  + L (Xc h_c^T d_x^T + S d_u^T)              (d_c zeta_hat)
+                  + Lbar X (c_c C)^T - iota x_r^T (c_c C)^T   (c_c zeta_bar)
+
+    The per-agent blocks are one product ``[X | Xc | S] @ gain``; the
+    graph enters through one product each with ``lap`` (L) and ``lbar``
+    (Lbar), and through the root flags ``iota``. ``m_mat``, ``g_mat``
+    and ``u_mat``, when set (see ``assemble``), are the same equations
+    as dense matrices: dz/dt = m_mat z + g_mat sat(u_mat z).
     """
 
     scenario: Scenario
-    m_mat: np.ndarray | sp.csr_array
-    g_mat: np.ndarray | sp.csr_array
-    u_mat: np.ndarray | sp.csr_array
+    lap: np.ndarray
+    lbar: np.ndarray
+    iota: np.ndarray  # N x 1
+    exo: np.ndarray  # x_r -> [dx_r | (c_c C) x_r]
+    gain: np.ndarray  # [X | Xc | S] -> [dX | local | root | into L | into Lbar]
+    f_t: np.ndarray  # f_c^T
+    m_mat: np.ndarray | None = None
+    g_mat: np.ndarray | None = None
+    u_mat: np.ndarray | None = None
+
+    def inputs(self, z):
+        """The controllers' unsaturated inputs U: N x m after z's leading axes."""
+        return self._split(z)[2] @ self.f_t
+
+    def rates(self, z, s):
+        """dz/dt at states ``z`` and saturated inputs ``s``; linear in both.
+
+        ``z`` may carry leading batch axes, ``s`` the same ones before
+        its N x m.
+        """
+        x_r, x, xc = self._split(z)
+        n, n_c = x.shape[-1], xc.shape[-1]
+        w = np.concatenate([x, xc, s], axis=-1) @ self.gain
+        r = x_r @ self.exo
+        out = np.empty(z.shape)
+        _, dx, dxc = self._split(out)
+        out[..., :n] = r[..., :n]
+        dx[...] = w[..., :n]
+        # summed as (local + iota root) + L (.) + Lbar (.), so that each
+        # entry of a materialized M or G is rounded as its Kronecker sum
+        np.multiply(self.iota, w[..., n + n_c: n + 2 * n_c] - r[..., None, n:], out=dxc)
+        dxc += w[..., n: n + n_c]
+        dxc += self.lap @ w[..., n + 2 * n_c: n + 3 * n_c]
+        dxc += self.lbar @ w[..., n + 3 * n_c:]
+        return out
 
     def vector_field(self, t, z):
-        return self.m_mat @ z + self.g_mat @ saturate(self.u_mat @ z)
+        if self.m_mat is not None:
+            return self.m_mat @ z + self.g_mat @ saturate(self.u_mat @ z)
+        return self.rates(z, saturate(self.inputs(z)))
+
+    def _split(self, z):
+        n, N = self.exo.shape[0], self.lap.shape[0]
+        lead = z.shape[:-1]
+        return (
+            z[..., :n],
+            z[..., n: n + N * n].reshape(lead + (N, n)),
+            z[..., n + N * n:].reshape(lead + (N, -1)),
+        )
 
     def initial_state(self):
         sc = self.scenario
@@ -184,24 +259,25 @@ class ClosedLoop:
         )
 
     @property
+    def dim(self):
+        """Size of the stacked state z."""
+        n, N = self.exo.shape[0], self.lap.shape[0]
+        return n + N * (n + self.f_t.shape[0])
+
+    @property
     def record_shape(self):
         """(recorded steps, state size) of the matrix ``integrate`` fills."""
-        return self.scenario.recorded_steps, self.m_mat.shape[0]
+        return self.scenario.recorded_steps, self.dim
 
 
 def assemble(scenario):
-    """Build the stacked closed loop for a scenario.
+    """Build the closed loop of a scenario: its per-agent blocks and graph.
 
-    Block rows of M/G: the exosystem runs open loop; agent rows carry
-    the shared dynamics plus input injection; controller rows combine
-    the realization matrices with the graph Laplacians -- the expanded
-    Laplacian against output errors, the plain one against the
-    exchanged signals, and each agent's root flag against the
-    root-only terms.
-
-    The blocks are sparse Kronecker products in CSR form. Below
-    ``SPARSE_MIN_DIM`` state components they are densified, and the
-    dense matrices equal ``np.kron`` products of the same blocks
+    Below ``PER_AGENT_MIN_DIM`` state components the equations are also
+    materialized as dense M, G, U by applying them to identity columns.
+    Each entry is then a block entry or its product with a graph entry,
+    or a sum of those in the order ``(a_c - iota root_state) + L d_x h_c``,
+    so the matrices equal the ``np.kron`` products of the same blocks
     entry for entry.
     """
     sc = scenario
@@ -209,50 +285,40 @@ def assemble(scenario):
     n, m, N = model.n, model.m, graph.n
     n_c = proto.controller_state_dim
     pair = laplacian(graph)
-    iota = graph.root_flags.astype(float)
-    dim = n + N * n + N * n_c
-
-    eye_n = sp.eye_array(N, format="csr")
-    roots = sp.diags_array(iota, format="csr")
-    lap, lbar = sp.csr_array(pair.L), sp.csr_array(pair.Lbar)
-
-    def kron(a, b):
-        return sp.kron(a, b, format="csr")
-
-    # zeta_bar = Lbar (x) C applied to agent states minus iota (x) C x_r.
-    cc_c = proto.c_c @ model.c
-    # Controller self-coupling: local dynamics, root leak, and the
-    # state part of zeta_hat (exchanged xi is h_c xc plus, for
-    # partial-state kinds, the saturated input handled under G).
-    d_state = proto.d_c[:, : proto.h_c.shape[0]]
-    d_input = proto.d_c[:, proto.h_c.shape[0]:]
-    m_cc = (
-        kron(eye_n, proto.a_c)
-        - kron(roots, proto.root_state)
-        + kron(lap, d_state @ proto.h_c)
-    )
-    m_mat = sp.block_array(
+    q = proto.h_c.shape[0]  # state part of the exchanged xi
+    d_state, d_input = proto.d_c[:, :q], proto.d_c[:, q:]
+    if not d_input.size:
+        d_input = np.zeros((n_c, m))
+    cc_t = (proto.c_c @ model.c).T
+    zero = np.zeros
+    gain = np.block(
         [
-            [model.a, None, None],
-            [None, kron(eye_n, model.a), None],
-            [-kron(iota.reshape(N, 1), cc_c), kron(lbar, cc_c), m_cc],
-        ],
-        format="csr",
+            [model.a.T, zero((n, 3 * n_c)), cc_t],
+            [zero((n_c, n)), proto.a_c.T, -proto.root_state.T, (d_state @ proto.h_c).T, zero((n_c, n_c))],
+            [model.b.T, proto.b_c.T, proto.root_input.T, d_input.T, zero((m, n_c))],
+        ]
     )
-
-    g_c = kron(eye_n, proto.b_c) + kron(roots, proto.root_input)
-    if d_input.size:
-        g_c += kron(lap, d_input)
-    g_mat = sp.block_array(
-        [[sp.csr_array((n, N * m))], [kron(eye_n, model.b)], [g_c]], format="csr"
+    loop = ClosedLoop(
+        scenario=sc,
+        lap=pair.L,
+        lbar=pair.Lbar,
+        iota=graph.root_flags.astype(float).reshape(N, 1),
+        exo=np.hstack([model.a.T, cc_t]),
+        gain=gain,
+        f_t=proto.f_c.T,
     )
-    u_mat = sp.block_array(
-        [[sp.csr_array((N * m, n + N * n)), kron(eye_n, proto.f_c)]], format="csr"
-    )
-
-    if dim < SPARSE_MIN_DIM:
-        m_mat, g_mat, u_mat = m_mat.toarray(), g_mat.toarray(), u_mat.toarray()
-    return ClosedLoop(scenario=sc, m_mat=m_mat, g_mat=g_mat, u_mat=u_mat)
+    dim = loop.dim
+    if dim < PER_AGENT_MIN_DIM:
+        # row j of rates(e_j) is column j of M. The matrices are kept in
+        # C order: M z on a transposed view sums in another order, and
+        # the run directories' bytes would change with it
+        eye = np.eye(dim)
+        loop.m_mat = np.ascontiguousarray(loop.rates(eye, zero((dim, N, m))).T)
+        loop.g_mat = np.ascontiguousarray(
+            loop.rates(zero((N * m, dim)), np.eye(N * m).reshape(N * m, N, m)).T
+        )
+        loop.u_mat = np.ascontiguousarray(loop.inputs(eye).reshape(dim, N * m).T)
+    return loop
 
 
 def rk4(f, z0, dt, steps, record_every=1, states=None):

@@ -260,6 +260,8 @@ def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
     with pytest.raises(IsADirectoryError):
         export_report(runs, tmp_path / "fail")
     assert multiprocessing.active_children() == []
+    # the failure moved nothing into the run directory
+    assert os.listdir(tmp_path / "fail") == ["b.csv"]
 
 
 def test_export_report_starts_no_more_workers_than_blocks(tmp_path, monkeypatch):

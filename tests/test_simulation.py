@@ -6,7 +6,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +15,10 @@ from satsync.errors import IntegrationError, ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
 from satsync.presets import example2_gains, example2_model
-from satsync.protocols import build_protocol
+from satsync.protocols import build_protocol, compute_network_signals
 from satsync.simulation import (
     _EXPORT_ROWS,
-    SPARSE_MIN_DIM,
+    PER_AGENT_MIN_DIM,
     Scenario,
     TrajectoryRecord,
     _signal_columns,
@@ -355,8 +354,8 @@ def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roo
     want = dense_kron_operators(sc)
     dim = want[0].shape[0]
     got = (loop.m_mat, loop.g_mat, loop.u_mat)
-    assert all(sp.issparse(op) == (dim >= SPARSE_MIN_DIM) for op in got)
-    if dim < SPARSE_MIN_DIM:
+    assert all((op is not None) == (dim < PER_AGENT_MIN_DIM) for op in got)
+    if dim < PER_AGENT_MIN_DIM:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     # states large enough that some inputs saturate and some do not
@@ -365,6 +364,83 @@ def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roo
     field = m_mat @ z + g_mat @ np.clip(u_mat @ z, -1.0, 1.0)
     err = np.max(np.abs(loop.vector_field(0.0, z) - field))
     assert err <= 1e-12 * np.max(np.abs(field))
+
+
+def per_agent_field(sc, z):
+    """dz/dt from the realization's standard form, one agent at a time,
+    with the network signals from ``compute_network_signals``."""
+    model, graph, proto = sc.model, sc.graph, sc.protocol
+    n, N, n_c = model.n, graph.n, proto.controller_state_dim
+    x_r, x, xc = z[:n], z[n: n + N * n].reshape(N, n), z[n + N * n:].reshape(N, n_c)
+    sat_u = np.clip([proto.f_c @ xc[i] for i in range(N)], -1.0, 1.0)
+    xi = [proto.h_c @ xc[i] for i in range(N)]
+    if proto.uses_observer:
+        xi = np.hstack([xi, sat_u])
+    signals = compute_network_signals(
+        proto.kind, graph, x @ model.c.T, model.c @ x_r, xi, state_dim=n
+    )
+    zeta_bar, zeta_hat = signals.zeta_bar, signals.zeta_hat()
+    dx, dxc = [], []
+    for i in range(N):
+        dx.append(model.a @ x[i] + model.b @ sat_u[i])
+        dxc.append(
+            proto.a_c @ xc[i] + proto.b_c @ sat_u[i] + proto.c_c @ zeta_bar[i]
+            + proto.d_c @ zeta_hat[i]
+            + graph.root_flags[i] * (proto.root_input @ sat_u[i] - proto.root_state @ xc[i])
+        )
+    return np.concatenate([model.a @ x_r, np.ravel(dx), np.ravel(dxc)])
+
+
+@pytest.mark.parametrize("kind", ["P6", "P5"])
+@pytest.mark.parametrize("family, n_agents", [("random", 150), ("path", 400)])
+def test_vector_field_matches_per_agent_equations(kind, family, n_agents):
+    # dims 3157 and 8407: past where the dense np.kron reference fits
+    model, proto = EXAMPLE2_PROTOCOLS[kind]
+    graph = generate_graph(family, n_agents, roots=[1, n_agents // 2], seed=n_agents)
+    sc = Scenario(
+        name="big", model=model, graph=graph, protocol=proto,
+        x_r0=np.zeros(model.n), x0=np.zeros((n_agents, model.n)),
+    )
+    loop = assemble(sc)
+    assert loop.dim >= PER_AGENT_MIN_DIM and loop.m_mat is None
+    z = np.random.default_rng(n_agents).uniform(-2.0, 2.0, loop.dim)
+    want = per_agent_field(sc, z)
+    assert np.any(np.abs(loop.inputs(z)) > 1.0) and np.any(np.abs(loop.inputs(z)) < 1.0)
+    err = np.max(np.abs(loop.vector_field(0.0, z) - want))
+    assert err <= 1e-12 * np.max(np.abs(want))
+
+
+def test_closed_loop_holds_no_network_sized_operator():
+    # a seeded N = 200 loop: the per-agent blocks and the two N x N
+    # Laplacians, counted as the benchmark's tracer counts array fields
+    # (a sparse operator by its data, indices and index pointers)
+    loop = assemble(p6_scenario(n_agents=200, horizon=1.0))
+    total = 0
+    for value in vars(loop).values():
+        if hasattr(value, "indptr"):
+            total += value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
+        elif hasattr(value, "nbytes"):
+            total += value.nbytes
+    assert total < 2 * 2**20
+
+
+def test_scenario_rejects_a_record_larger_than_memory():
+    # N = 400 with 1e7 recorded steps: about 670 GB of states, more than
+    # any machine; the check needs no allocation to say so
+    model, proto = EXAMPLE2_PROTOCOLS["P6"]
+    graph = generate_graph("path", 400, roots=[1], seed=0)
+    big = dict(
+        name="big", model=model, graph=graph, protocol=proto,
+        x_r0=np.zeros(model.n), x0=np.zeros((400, model.n)), dt=0.01, horizon=1e5,
+    )
+    with pytest.raises(
+        ValidationError,
+        match=r"recorded states would take 673 GB .* raise sim\.record_every \(1\), "
+        r"shorten sim\.horizon \(100000\) or lengthen sim\.dt \(0\.01\)",
+    ):
+        Scenario(**big)
+    # thinned to one recorded step in 10^5, the same run fits
+    assert Scenario(**big, record_every=10**5).recorded_steps == 101
 
 
 def per_value_export(record, path):
