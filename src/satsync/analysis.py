@@ -25,10 +25,8 @@ import os
 import shutil
 import tempfile
 from collections import deque
-from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -38,7 +36,7 @@ from .errors import ValidationError
 from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral, verify_gains
 from .graphs import check_rootset, generate_graph, laplacian
 from .linalg import solve_lyapunov
-from .parallel import SharedMatrix, process_map, sharing_workers, usable_cpus
+from .parallel import SharedMatrix, sharing_workers, usable_cpus
 from .protocols import build_protocol
 from .simulation import _EXPORT_ROWS, ClosedLoop, TrajectoryRecord, export_trajectory
 
@@ -54,22 +52,11 @@ __all__ = [
     "run_cases",
     "case_workers",
     "gain_margin_runs",
+    "network_sizes",
     "scale_free_runs",
     "export_report",
     "parse_report",
-    "EXPORT_POOL_MIN_ROWS",
 ]
-
-# An export_report call that writes at least this many CSV rows formats
-# them in a pool of one worker process per usable CPU, but no more
-# workers than blocks; smaller calls format in process, where starting
-# the pool costs more than it saves. export_report of one example2 P6
-# record (N = 10), in process against a forced 2-worker pool (median of
-# 9, 2-vCPU x86-64 host, forked from a parent holding 80 MB): 3k rows
-# 88 vs 125 ms, 5k 143 vs 132 ms, 7k 191 vs 144 ms, 9k 216 vs 167 ms,
-# 12k 324 vs 224 ms, 20k 535 vs 368 ms, 60k 1599 vs 957 ms. The
-# crossover was measured with 2 workers only.
-EXPORT_POOL_MIN_ROWS = 10_000
 
 
 @dataclass(eq=False)
@@ -396,11 +383,10 @@ def run_cases(cases, pmap=map, keep_trajectories=True):
         yield _recorded(ready.popleft(), run, keep_trajectories)
 
 
-def case_workers(scenarios):
-    """Workers for one pool that runs ``scenarios`` and exports their
-    records: one per usable CPU, no more than the CSVs have blocks, and
+def case_workers(rows):
+    """Workers for one pool that runs cases and exports their ``rows``
+    CSV rows: one per usable CPU, no more than the CSVs have blocks, and
     one (in process) where the pool cannot share the state matrices."""
-    rows = sum(sc.recorded_steps * sc.graph.n for sc in scenarios)
     return sharing_workers(min(usable_cpus(), -(-rows // _EXPORT_ROWS)))
 
 
@@ -424,7 +410,7 @@ def _require_distinct_names(scenario, label, values, name):
         seen[case] = value
 
 
-def _rho_case(scenario, index, rho):
+def _rho_case(scenario, rho):
     protocol = scenario.protocol
     gains = replace(protocol.gains, rho=rho)
     return replace(
@@ -451,37 +437,38 @@ def _size_case(scenario, index, size, ic_scale=1.0):
     )
 
 
-def _run_cases(build, values, jobs, keep_trajectories):
-    """(case, RunRecord) per value, in input order whatever ``jobs`` is.
-
-    With one job each case is built just before it runs; with more, all
-    of them are built before the pool's workers start (``run_cases``).
-    """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    cases = (build(index, value) for index, value in enumerate(values))
-    with process_map(min(sharing_workers(jobs), len(values))) as pmap:
-        return list(run_cases(cases, pmap, keep_trajectories))
-
-
-def gain_margin_runs(scenario, rhos, jobs=1, keep_trajectories=True):
+def gain_margin_runs(scenario, rhos, pmap=map, keep_trajectories=True):
     """Re-run one scenario across loop gains.
 
     Every other ingredient -- graph, initial conditions, step size -- is
     held fixed; only the scalar gain changes, which re-synthesizes the
     realization per case (named ``<name>-rho<rho>``, ``rho`` printed
-    with ``%g``; gains that print alike are rejected). Returns
-    (case scenario, RunRecord) pairs in the input order.
+    with ``%g``; gains that print alike are rejected). The gains are
+    checked at once; the cases run through ``pmap`` (see ``run_cases``)
+    as the returned iterator is read, yielding (case scenario,
+    RunRecord) pairs in the input order.
     """
     rhos = [float(r) for r in rhos]
     for r in rhos:
         if not r > 0.0:
             raise ValidationError(f"rho must be positive, got {r:g}")
     _require_distinct_names(scenario, "rho values", rhos, _rho_name)
-    return _run_cases(partial(_rho_case, scenario), rhos, jobs, keep_trajectories)
+    cases = (_rho_case(scenario, rho) for rho in rhos)
+    return run_cases(cases, pmap, keep_trajectories)
 
 
-def scale_free_runs(scenario, sizes, *, ic_scale=1.0, jobs=1, keep_trajectories=True):
+def network_sizes(scenario, sizes):
+    """``sizes`` as ints, each a whole number >= 1 that names a case of
+    ``scenario``'s size sweep no other size names; else rejected."""
+    for n in sizes:
+        if not (float(n).is_integer() and n >= 1):
+            raise ValidationError(f"network size must be a whole number >= 1, got {n:g}")
+    sizes = [int(n) for n in sizes]
+    _require_distinct_names(scenario, "network sizes", sizes, _size_name)
+    return sizes
+
+
+def scale_free_runs(scenario, sizes, pmap=map, *, ic_scale=1.0, keep_trajectories=True):
     """Run one scenario's protocol over random networks of growing size.
 
     Case ``index`` (named ``<name>-n<size>``) gets a random graph rooted
@@ -493,16 +480,13 @@ def scale_free_runs(scenario, sizes, *, ic_scale=1.0, jobs=1, keep_trajectories=
     the scenario. The realization is rebuilt per case from the same
     model and gains, which makes the build determinism checkable: the
     controller matrices must come out bit-identical for every size.
-    Sizes must be whole numbers and distinct. Returns (case scenario,
-    RunRecord) pairs in the input order.
+    The sizes are checked at once (``network_sizes``); the cases run
+    through ``pmap`` (see ``run_cases``) as the returned iterator is
+    read, yielding (case scenario, RunRecord) pairs in the input order.
     """
-    for n in sizes:
-        if not (float(n).is_integer() and n >= 1):
-            raise ValidationError(f"network size must be a whole number >= 1, got {n:g}")
-    sizes = [int(n) for n in sizes]
-    _require_distinct_names(scenario, "network sizes", sizes, _size_name)
-    build = partial(_size_case, scenario, ic_scale=ic_scale)
-    return _run_cases(build, sizes, jobs, keep_trajectories)
+    sizes = network_sizes(scenario, sizes)
+    cases = (_size_case(scenario, i, n, ic_scale) for i, n in enumerate(sizes))
+    return run_cases(cases, pmap, keep_trajectories)
 
 
 @dataclass(eq=False)
@@ -543,51 +527,9 @@ def _claim_file(claimed, name):
     return file_name
 
 
-def export_report(records, path, pmap=None):
-    """Write a machine-readable summary plus per-run trajectory files.
-
-    ``path`` is a directory (created if missing). The summary lands in
-    ``summary.json``; every record carrying a trajectory additionally
-    writes ``<name>.csv`` next to it, the name made file-safe. Returns
-    the written paths, summary first. Floats survive the JSON round
-    trip exactly.
-
-    ``records`` is a sequence of RunRecord, or an iterable yielding them
-    as their runs finish; each record's CSV is written when it arrives.
-    Two runs that would write one file are rejected: a sequence's before
-    anything is written, an iterable's when the second arrives. The
-    files are moved into ``path`` only once every one is written, so an
-    export that fails before that, a run in ``records`` raising
-    included, leaves ``path`` as it was (absent if it was absent).
-
-    The CSV rows are formatted through ``pmap``, a caller's
-    ``parallel.process_map``. Without one, a call writing at least
-    ``EXPORT_POOL_MIN_ROWS`` CSV rows formats them in a pool of its own,
-    shut down before it returns or raises; the bytes are the same
-    either way.
-    """
-    if isinstance(records, Sequence):
-        claimed = {}
-        for record in records:
-            _claim_file(claimed, record.name)
-    if pmap is not None:
-        return _write_report(records, path, pmap)
-    records = list(records)
-    rows = sum(
-        record.trajectory.x.shape[0] * record.trajectory.x.shape[1]
-        for record in records
-        if record.trajectory is not None
-    )
-    workers = 1
-    if rows >= EXPORT_POOL_MIN_ROWS:
-        workers = min(usable_cpus(), -(-rows // _EXPORT_ROWS))
-    with process_map(workers) as pmap:
-        return _write_report(records, path, pmap)
-
-
 def _summary_entry(record):
     report = record.report
-    entry = {
+    return {
         "name": record.name,
         "tolerance": report.tol,
         "window": report.window,
@@ -598,23 +540,30 @@ def _summary_entry(record):
         "times": [float(v) for v in report.times],
         "max_error": [float(v) for v in report.max_error],
         "pairwise_error": [float(v) for v in report.pairwise_error],
-        "gain_checks": None,
+        "gain_checks": None if record.gain_report is None else record.gain_report.as_dicts(),
         "trajectory_file": None,
     }
-    if record.gain_report is not None:
-        entry["gain_checks"] = [
-            {
-                "name": check.name,
-                "passed": check.passed,
-                "margin": check.margin,
-                "detail": check.detail,
-            }
-            for check in record.gain_report.checks
-        ]
-    return entry
 
 
-def _write_report(records, path, pmap):
+def export_report(records, path, pmap=map):
+    """Write a machine-readable summary plus per-run trajectory files.
+
+    ``path`` is a directory (created if missing). The summary lands in
+    ``summary.json``; every record carrying a trajectory additionally
+    writes ``<name>.csv`` next to it, the name made file-safe. Returns
+    the written paths, summary first. Floats survive the JSON round
+    trip exactly.
+
+    ``records`` is a sequence of RunRecord, or an iterable yielding them
+    as their runs finish; each record's CSV is written when it arrives,
+    its rows formatted through ``pmap`` (the builtin ``map`` or a
+    caller's ``parallel.process_map``; the bytes are the same either
+    way). A run that would write the same file as an earlier one is
+    rejected when it arrives. The files are moved into ``path`` only
+    once every one is written, so an export that fails before that, a
+    run in ``records`` raising included, leaves ``path`` as it was
+    (absent if it was absent).
+    """
     made = not os.path.isdir(path)
     os.makedirs(path, exist_ok=True)
     # every file is written here first, and moved into path once all are

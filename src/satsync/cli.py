@@ -27,11 +27,12 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .analysis import case_workers, export_report, gain_margin_runs, run_case, run_cases, scale_free_runs
+from .analysis import case_workers, export_report, gain_margin_runs, network_sizes, run_cases, scale_free_runs
 from .errors import IntegrationError, SynthesisError, ValidationError
 from .gains import synthesize_gains, verify_gains
 from .graphs import check_rootset
@@ -102,18 +103,6 @@ def _write_json(path, doc):
     return path
 
 
-def _checks_doc(report):
-    return [
-        {
-            "name": check.name,
-            "passed": check.passed,
-            "margin": check.margin,
-            "detail": check.detail,
-        }
-        for check in report.checks
-    ]
-
-
 def _write_manifest(out_dir, run_section, wall_clock):
     doc = {
         "format": "satsync-manifest",
@@ -146,7 +135,8 @@ def _print_checks(report, rootset_ok):
         print(f"[{state}] {check.name}: margin={check.margin:.6g} ({check.detail})")
 
 
-def _print_outcome(name, report):
+def _print_outcome(case, run):
+    name, report = run.name, run.report
     if report.converged:
         print(f"{name}: converged at t={report.convergence_time:g} s "
               f"(tol {report.tol:g}, window {report.window:g} s)")
@@ -155,12 +145,41 @@ def _print_outcome(name, report):
               f"(final max error {report.max_error[-1]:.4g}, tol {report.tol:g})")
 
 
+def _run_and_export(pairs, rows, out, on_run):
+    """Run a command's cases and export their records through one pool.
+
+    The pool has ``analysis.case_workers(rows)`` workers, ``rows`` being
+    the CSV rows the cases record. ``pairs(pmap)`` returns the
+    (case, RunRecord) pairs, each as its run finishes; ``on_run(case,
+    run)`` reports each one, and its CSV is then formatted in the same
+    pool while later cases still run. Returns the runs, in order, and
+    the written paths.
+    """
+    runs = []
+
+    def reported(pairs):
+        for case, run in pairs:
+            on_run(case, run)
+            runs.append(run)
+            yield run
+
+    with process_map(case_workers(rows)) as pmap:
+        # pairs(pmap) is called before the export starts, so a sweep's
+        # case list is checked before anything is written
+        paths = export_report(reported(pairs(pmap)), out, pmap)
+    return runs, paths
+
+
 def cmd_simulate(args):
     parts = _load_parts(args)
     scenario = build_scenario(parts)
     started = time.perf_counter()
-    run = run_case(scenario)
-    paths = export_report([run], args.out)
+    (run,), paths = _run_and_export(
+        lambda pmap: run_cases([scenario], pmap),
+        scenario.recorded_steps * scenario.graph.n,
+        args.out,
+        _print_outcome,
+    )
     echo = scenario_echo(scenario)
     paths.append(_write_json(os.path.join(args.out, "scenario.json"), echo))
     wall = time.perf_counter() - started
@@ -169,13 +188,12 @@ def cmd_simulate(args):
         args.out,
         {
             "scenario": echo,
-            "gain_checks": _checks_doc(run.gain_report),
+            "gain_checks": run.gain_report.as_dicts(),
             "outputs": outputs,
             "results": {scenario.name: _result_doc(run.report)},
         },
         wall,
     )
-    _print_outcome(scenario.name, run.report)
     print(f"run directory: {args.out}")
     return 0
 
@@ -221,18 +239,12 @@ def cmd_reproduce(args):
         doc["name"] = f"{args.preset}-{label}"
         scenarios.append(build_scenario(parse_scenario_doc(doc, overrides=overrides)))
     started = time.perf_counter()
-    runs = []
-
-    def reported(pairs):
-        # report each run as it finishes, while the next one still runs
-        for scenario, run in pairs:
-            _print_outcome(scenario.name, run.report)
-            runs.append(run)
-            yield run
-
-    # one pool runs both cases and formats each CSV as its case finishes
-    with process_map(case_workers(scenarios)) as pmap:
-        paths = export_report(reported(run_cases(scenarios, pmap)), args.out, pmap)
+    runs, paths = _run_and_export(
+        lambda pmap: run_cases(scenarios, pmap),
+        sum(sc.recorded_steps * sc.graph.n for sc in scenarios),
+        args.out,
+        _print_outcome,
+    )
     echoes = [scenario_echo(scenario) for scenario in scenarios]
     for scenario, echo in zip(scenarios, echoes):
         paths.append(_write_json(os.path.join(args.out, f"{scenario.name}-scenario.json"), echo))
@@ -242,7 +254,7 @@ def cmd_reproduce(args):
         args.out,
         {
             "scenario": echoes,
-            "gain_checks": _checks_doc(runs[0].gain_report),
+            "gain_checks": runs[0].gain_report.as_dicts(),
             "outputs": outputs,
             "results": {run.name: _result_doc(run.report) for run in runs},
         },
@@ -266,8 +278,6 @@ def _parse_float_list(text, flag):
 
 
 def cmd_sweep(args):
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     parts = _load_parts(args)
     scenario = build_scenario(parts)
     if args.record_every is None:
@@ -275,22 +285,25 @@ def cmd_sweep(args):
         scenario = replace(scenario, record_every=_SWEEP_RECORD_EVERY)
     started = time.perf_counter()
     if args.rho is not None:
-        pairs = gain_margin_runs(scenario, _parse_float_list(args.rho, "--rho"), jobs=args.jobs)
-        labels = [f"rho={case.protocol.gains.rho:g}" for case, _ in pairs]
+        rhos = _parse_float_list(args.rho, "--rho")
+        sizes = [scenario.graph.n] * len(rhos)
+        sweep = partial(gain_margin_runs, scenario, rhos)
     else:
-        pairs = scale_free_runs(scenario, _parse_float_list(args.n, "--n"), jobs=args.jobs)
-        labels = [f"n={case.graph.n}" for case, _ in pairs]
-    digests = [_controller_digest(case.protocol) for case, _ in pairs]
-    runs = [run for _, run in pairs]
+        sizes = network_sizes(scenario, _parse_float_list(args.n, "--n"))
+        sweep = partial(scale_free_runs, scenario, sizes)
+    digests, results = {}, {}
 
-    print(f"{'case':>12}  {'converged':>9}  {'t_conv':>10}  controller")
-    results = {}
-    for label, run, digest in zip(labels, runs, digests):
+    def table_row(case, run):
+        label = f"rho={case.protocol.gains.rho:g}" if args.rho is not None else f"n={case.graph.n}"
+        if not digests:
+            print(f"{'case':>12}  {'converged':>9}  {'t_conv':>10}  controller")
+        digests[label] = _controller_digest(case.protocol)
         report = run.report
         t_conv = f"{report.convergence_time:g}" if report.converged else "-"
-        print(f"{label:>12}  {str(report.converged):>9}  {t_conv:>10}  {digest[:12]}")
+        print(f"{label:>12}  {str(report.converged):>9}  {t_conv:>10}  {digests[label][:12]}")
         results[run.name] = _result_doc(report)
-    paths = export_report(runs, args.out)
+
+    _, paths = _run_and_export(sweep, scenario.recorded_steps * sum(sizes), args.out, table_row)
     echo = scenario_echo(scenario)
     paths.append(_write_json(os.path.join(args.out, "scenario.json"), echo))
     wall = time.perf_counter() - started
@@ -299,7 +312,7 @@ def cmd_sweep(args):
         args.out,
         {
             "scenario": echo,
-            "sweep": {label: digest for label, digest in zip(labels, digests)},
+            "sweep": digests,
             "outputs": outputs,
             "results": results,
         },
@@ -356,7 +369,6 @@ def _build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rho", help="comma-separated loop gains, e.g. 1,10,100")
     group.add_argument("--n", help="comma-separated network sizes, e.g. 3,10,25")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the sweep")
     p.set_defaults(func=cmd_sweep)
     return parser
 

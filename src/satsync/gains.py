@@ -17,7 +17,7 @@ admitted only after passing the same checks the synthesized ones do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -119,6 +119,10 @@ class GainReport:
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
+
+    def as_dicts(self):
+        """The checks as JSON objects (name, passed, margin, detail), in order."""
+        return [asdict(c) for c in self.checks]
 
 
 def solve_P_neutral(a):

@@ -4,7 +4,7 @@ verdict lines for the final summary."""
 import pytest
 from hypothesis import settings
 
-from satsync.parallel import process_map
+from satsync.parallel import process_map, sharing_workers
 
 # Property tests draw the same examples on every run and never read or
 # write the local example database (derandomize implies database=None);
@@ -13,6 +13,15 @@ settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
 
 _verdicts = []
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "needs_fork: needs pool workers that are forked")
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("needs_fork") and sharing_workers(2) == 1:
+        pytest.skip("pool workers are not forked here")
 
 
 @pytest.fixture(scope="module")

@@ -156,7 +156,7 @@ def test_c03_one_controller_fits_every_network_size(acceptance_log):
         x_r0=np.zeros(model.n), x0=np.zeros((3, model.n)),
         dt=1e-3, horizon=120.0, seed=1, record_every=10,
     )
-    pairs = scale_free_runs(base, [3, 10, 25], ic_scale=1.0, keep_trajectories=False)
+    pairs = list(scale_free_runs(base, [3, 10, 25], ic_scale=1.0, keep_trajectories=False))
     cases = [case for case, _ in pairs]
     reports = [run.report for _, run in pairs]
     bit_identical = all(

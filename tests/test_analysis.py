@@ -13,6 +13,7 @@ from satsync.agents import AgentModel
 from satsync import analysis
 from satsync.analysis import (
     RunRecord,
+    case_workers,
     export_report,
     gain_margin_runs,
     lyapunov_certificate_P1,
@@ -151,8 +152,9 @@ def test_p3_energy_trace_decreases():
 
 def test_gain_margin_sweep_scales_and_matches_serial():
     sc = p1_scenario(horizon=6.0)
-    serial = [run for _, run in gain_margin_runs(sc, [1.0, 4.0], jobs=1)]
-    parallel = [run for _, run in gain_margin_runs(sc, [1.0, 4.0], jobs=2)]
+    serial = [run for _, run in gain_margin_runs(sc, [1.0, 4.0])]
+    with process_map(sharing_workers(2)) as pmap:
+        parallel = [run for _, run in gain_margin_runs(sc, [1.0, 4.0], pmap)]
     assert serial == parallel
     reports = [run.report for _, run in gain_margin_runs(sc, [1.0, 4.0], keep_trajectories=False)]
     assert [r.converged for r in reports] == [run.report.converged for run in serial]
@@ -160,14 +162,14 @@ def test_gain_margin_sweep_scales_and_matches_serial():
 
 def test_scale_free_sweep_reuses_one_controller():
     sc = replace(p1_scenario(horizon=6.0), seed=3)
-    pairs = scale_free_runs(sc, [2, 5])
+    pairs = list(scale_free_runs(sc, [2, 5]))
     cases = [case for case, _ in pairs]
     assert [c.graph.n for c in cases] == [2, 5]
     for field in ("a_c", "b_c", "f_c", "u_gain"):
         assert np.array_equal(
             getattr(cases[0].protocol, field), getattr(cases[1].protocol, field)
         )
-    thin = scale_free_runs(sc, [2, 5], keep_trajectories=False)
+    thin = list(scale_free_runs(sc, [2, 5], keep_trajectories=False))
     assert [run.trajectory for _, run in thin] == [None, None]
     assert [run.report for _, run in thin] == [run.report for _, run in pairs]
 
@@ -210,7 +212,7 @@ def test_export_report_rejects_names_that_make_one_file(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.skipif(sharing_workers(2) == 1, reason="pool workers are not forked here")
+@pytest.mark.needs_fork
 def test_run_cases_record_into_shared_states_through_a_pool(monkeypatch):
     made = []
 
@@ -237,10 +239,7 @@ def test_run_cases_record_into_shared_states_through_a_pool(monkeypatch):
 
 
 def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
-    # force the pool onto a small export, also on a 1-CPU host; the
-    # second record's CSV path turns into a directory once the pool runs
-    monkeypatch.setattr(analysis, "EXPORT_POOL_MIN_ROWS", 1)
-    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+    # the second record's CSV path turns into a directory once the pool runs
     rec = simulate(p1_scenario(horizon=4.0))
     rep = sync_metrics(rec, tol=1e-2)
     runs = [RunRecord(name=name, report=rep, trajectory=rec) for name in ("a", "b")]
@@ -254,27 +253,22 @@ def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
             os.mkdir(blocked[0])
 
     monkeypatch.setattr(analysis, "export_trajectory", export_then_block)
-    export_report(runs, tmp_path / "ok")
+    with process_map(2) as pmap:
+        export_report(runs, tmp_path / "ok", pmap)
     assert multiprocessing.active_children() == []
     blocked.append(tmp_path / "fail" / "b.csv")
-    with pytest.raises(IsADirectoryError):
-        export_report(runs, tmp_path / "fail")
+    with pytest.raises(IsADirectoryError), process_map(2) as pmap:
+        export_report(runs, tmp_path / "fail", pmap)
     assert multiprocessing.active_children() == []
     # the failure moved nothing into the run directory
     assert os.listdir(tmp_path / "fail") == ["b.csv"]
 
 
-def test_export_report_starts_no_more_workers_than_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(analysis, "EXPORT_POOL_MIN_ROWS", 1)
+def test_case_workers_are_no_more_than_blocks_or_usable_cpus(monkeypatch):
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 64)
-    asked = []
-
-    def record_workers(workers):
-        asked.append(workers)
-        return process_map(1)
-
-    monkeypatch.setattr(analysis, "process_map", record_workers)
-    rec = simulate(p1_scenario(horizon=4.0))  # 401 steps x 3 agents
-    rep = sync_metrics(rec, tol=1e-2)
-    export_report([RunRecord(name="a", report=rep, trajectory=rec)], tmp_path)
-    assert asked == [-(-401 * 3 // _EXPORT_ROWS)] == [2]
+    assert case_workers(401 * 3) == sharing_workers(2)  # 1203 rows make two blocks
+    assert case_workers(_EXPORT_ROWS) == 1
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+    assert case_workers(100 * _EXPORT_ROWS) == sharing_workers(2)
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 1)
+    assert case_workers(100 * _EXPORT_ROWS) == 1

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import satsync
-from satsync import analysis, simulation
+from satsync import analysis, cli, simulation
 from satsync.cli import main
 from satsync.errors import IntegrationError
-from satsync.parallel import sharing_workers
+from satsync.parallel import process_map, sharing_workers
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -118,7 +118,7 @@ def test_synthesize_prints_gains(scenario_file, capsys):
 def test_sweep_rho_table_and_outputs(scenario_file, tmp_path, capsys):
     out = tmp_path / "sw"
     rc = main(["sweep", "--scenario", scenario_file, "--rho", "1,2",
-               "--out", str(out), "--jobs", "2"])
+               "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
     assert "rho=1" in text and "rho=2" in text
@@ -135,23 +135,6 @@ def test_sweep_n_controller_digest_is_size_free(scenario_file, tmp_path, capsys)
     manifest = read_json(out / "manifest.json")
     digests = list(manifest["run"]["sweep"].values())
     assert len(digests) == 2 and digests[0] == digests[1]
-
-
-def test_sweep_n_jobs_do_not_change_the_run_directory(scenario_file, tmp_path):
-    outs = {}
-    for jobs in ("1", "2"):
-        outs[jobs] = tmp_path / f"jobs{jobs}"
-        assert main(["sweep", "--scenario", scenario_file, "--n", "2,4,3",
-                     "--out", str(outs[jobs]), "--seed", "1", "--jobs", jobs]) == 0
-    names = sorted(os.listdir(outs["1"]))
-    assert names == sorted(os.listdir(outs["2"]))
-    assert names == ["clidemo-n2.csv", "clidemo-n3.csv", "clidemo-n4.csv",
-                     "manifest.json", "scenario.json", "summary.json"]
-    for name in names:
-        if name != "manifest.json":
-            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
-    m1, m2 = (read_json(outs[j] / "manifest.json") for j in ("1", "2"))
-    assert m1["run"] == m2["run"]
 
 
 def test_python_dash_m_runs_the_cli():
@@ -223,27 +206,27 @@ def test_rejected_commands_leave_no_run_directory(scenario_file, tmp_path, argv)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
-    out = tmp_path / "sw"
-    assert main(["sweep", "--scenario", scenario_file, "--rho", "1,2", "--jobs", jobs,
-                 "--out", str(out)]) == 1
-    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-    assert not out.exists()
-
-
 SHORT_REPRODUCE = ["reproduce", "example1", "--horizon", "6", "--dt", "0.01"]
-needs_fork = pytest.mark.skipif(sharing_workers(2) == 1, reason="pool workers are not forked here")
 
 
-def test_reproduce_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
-    outs, printed = {}, {}
+def same_for_one_and_two_cpus(argv, code, tmp_path, capsys, monkeypatch):
+    """Run ``argv`` with 1 and then 2 usable CPUs; each opens one pool of
+    that many workers, and both print the same and write the same run
+    directory. Returns its file names."""
+    outs, printed, opened = {}, {}, []
+
+    def one_pool(workers):
+        opened.append(workers)
+        return process_map(workers)
+
+    monkeypatch.setattr(cli, "process_map", one_pool)
     for cpus in (1, 2):
         monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
         outs[cpus] = tmp_path / f"cpus{cpus}"
-        assert main([*SHORT_REPRODUCE, "--out", str(outs[cpus])]) == 1  # not converged in 6 s
+        assert main([*argv, "--out", str(outs[cpus])]) == code
         printed[cpus] = capsys.readouterr().out.replace(str(outs[cpus]), "OUT")
         assert multiprocessing.active_children() == []
+    assert opened == [1, sharing_workers(2)]
     assert printed[1] == printed[2]
     names = sorted(os.listdir(outs[1]))
     assert names == sorted(os.listdir(outs[2]))
@@ -252,9 +235,29 @@ def test_reproduce_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeyp
             assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
     m1, m2 = (read_json(outs[c] / "manifest.json") for c in (1, 2))
     assert m1["run"] == m2["run"]
+    return names
 
 
-@needs_fork
+def test_reproduce_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    # not converged in 6 s
+    same_for_one_and_two_cpus(SHORT_REPRODUCE, 1, tmp_path, capsys, monkeypatch)
+
+
+# every record in full: enough CSV rows for two workers
+@pytest.mark.parametrize("argv, runs", [
+    (["simulate"], ["clidemo.csv"]),
+    (["sweep", "--n", "2,4,3"], ["clidemo-n2.csv", "clidemo-n3.csv", "clidemo-n4.csv"]),
+    (["sweep", "--rho", "1,2"], ["clidemo-rho1.csv", "clidemo-rho2.csv"]),
+], ids=["simulate", "sweep-n", "sweep-rho"])
+def test_run_directory_does_not_depend_on_the_worker_count(
+    scenario_file, tmp_path, capsys, monkeypatch, argv, runs
+):
+    argv = [*argv, "--scenario", scenario_file, "--seed", "1", "--record-every", "1"]
+    names = same_for_one_and_two_cpus(argv, 0, tmp_path, capsys, monkeypatch)
+    assert names == [*runs, "manifest.json", "scenario.json", "summary.json"]
+
+
+@pytest.mark.needs_fork
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
 def test_reproduce_whose_second_case_fails_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, existing):
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
@@ -289,7 +292,7 @@ class Assembled(Exception):
     pass
 
 
-@needs_fork
+@pytest.mark.needs_fork
 def test_reproduce_assembles_its_first_case_in_the_calling_process(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
 
@@ -306,7 +309,32 @@ def test_reproduce_assembles_its_first_case_in_the_calling_process(tmp_path, mon
     assert not out.exists()
 
 
-@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_has_built_one_case_when_it_first_assembles(scenario_file, tmp_path, monkeypatch, cpus):
+    # the set-up cost of a sweep ends at its first assemble; the other
+    # cases' graphs and starts are built after it
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
+    built = []
+    real = analysis._size_case
+
+    def size_case(*args):
+        built.append(args)
+        return real(*args)
+
+    def stop(scenario):
+        raise Assembled(len(built))
+
+    monkeypatch.setattr(analysis, "_size_case", size_case)
+    monkeypatch.setattr(simulation, "assemble", stop)
+    out = tmp_path / "sw"
+    with pytest.raises(Assembled) as err:
+        main(["sweep", "--scenario", scenario_file, "--n", "2,4,3", "--record-every", "1",
+              "--out", str(out)])
+    assert err.value.args == (1,)
+    assert not out.exists()
+
+
+@pytest.mark.needs_fork
 def test_reproduce_exports_the_first_case_while_the_second_runs(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
     started = tmp_path / "net3-export-started"

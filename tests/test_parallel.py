@@ -1,4 +1,4 @@
-"""The ordered, bounded process map shared by sweeps and export."""
+"""The ordered, bounded process map each command runs and exports through."""
 
 import multiprocessing
 import operator
@@ -48,7 +48,7 @@ def _fill_with_pid(handle):
     return os.getpid()
 
 
-@pytest.mark.skipif(sharing_workers(2) == 1, reason="pool workers are not forked here")
+@pytest.mark.needs_fork
 def test_shared_matrix_written_by_a_worker_is_read_by_its_caller():
     handles = [SharedMatrix(3, 4), SharedMatrix(1, 2), SharedMatrix(5, 1)]
     with process_map(2) as pmap:

@@ -366,6 +366,24 @@ def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roo
     assert err <= 1e-12 * np.max(np.abs(field))
 
 
+def test_operator_sums_each_entry_in_the_kron_order():
+    # a diagonal entry of M's controller block is (a_c - iota root_state)
+    # + L d_x h_c; at two rooted agents of in-degree 1 its terms are 0.3,
+    # 0.2 and 0.1, and the sum taken in another order rounds differently
+    assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 != (0.1 + 0.3) + 0.2
+    model, proto = EXAMPLE2_PROTOCOLS["P5"]
+    eye = np.eye(proto.controller_state_dim)
+    proto = replace(proto, a_c=0.3 * eye, root_state=-0.2 * eye, h_c=eye, d_c=0.1 * eye)
+    graph = CommGraph(n=2, weights=[[0.0, 1.0], [1.0, 0.0]], root_flags=[1, 1])
+    sc = Scenario(
+        name="order", model=model, graph=graph, protocol=proto,
+        x_r0=np.zeros(model.n), x0=np.zeros((2, model.n)),
+    )
+    loop = assemble(sc)
+    got = (loop.m_mat, loop.g_mat, loop.u_mat)
+    assert all(np.array_equal(g, w) for g, w in zip(got, dense_kron_operators(sc)))
+
+
 def per_agent_field(sc, z):
     """dz/dt from the realization's standard form, one agent at a time,
     with the network signals from ``compute_network_signals``."""
