@@ -56,17 +56,14 @@ from .graphs import (
 from .presets import preset_names, preset_scenario
 from .protocols import (
     KINDS,
-    NetworkSignals,
     ProtocolRealization,
     build_protocol,
     compatible_classes,
-    compute_network_signals,
 )
 from .scenario import build_scenario, parse_scenario, parse_scenario_doc, scenario_echo
 from .simulation import (
     Scenario,
     TrajectoryRecord,
-    exosystem_reference,
     export_trajectory,
     read_trajectory,
     simulate,
@@ -87,7 +84,6 @@ __all__ = [
     "LyapunovCertificate",
     "MixedDecomposition",
     "ModelClass",
-    "NetworkSignals",
     "ProtocolRealization",
     "RunRecord",
     "Scenario",
@@ -100,11 +96,9 @@ __all__ = [
     "check_rootset",
     "classify",
     "compatible_classes",
-    "compute_network_signals",
     "design_F",
     "design_K_double",
     "design_K_mixed",
-    "exosystem_reference",
     "export_report",
     "export_trajectory",
     "gain_margin_runs",

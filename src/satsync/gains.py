@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .agents import MixedDecomposition, ModelClass, mixed_decompose
 from .errors import SynthesisError, ValidationError
@@ -54,6 +53,10 @@ __all__ = [
 # residuals pass below 1e-8 (relative).
 DEFINITE_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
+# Least-squares rank cutoff relative to the largest singular value: the
+# cutoff of scipy's ``lstsq`` default, so the SVD-based solve (LAPACK
+# gelsd in both libraries) keeps the same effective rank.
+_LSTSQ_RCOND = np.finfo(float).eps
 
 # Which gains each protocol kind consumes.
 _REQUIRED = {
@@ -144,6 +147,8 @@ def solve_P_neutral(a):
         raise SynthesisError(
             f"a has an eigenvalue with real part {vals.real.max():.3e} > 0"
         )
+    import scipy.linalg
+
     t, qmat, k = scipy.linalg.schur(
         a, output="real", sort=lambda re, im: re < -EIG_TOL
     )
@@ -257,7 +262,7 @@ def design_K_mixed(decomp, p_d=None):
     at = _decomposed_a(decomp)
     bt = decomp.b_tilde
     rhs = -(bt.T @ lam)
-    k0 = scipy.linalg.lstsq(at.T, rhs.T)[0].T
+    k0 = np.linalg.lstsq(at.T, rhs.T, rcond=_LSTSQ_RCOND)[0].T
     scale = max(1.0, np.linalg.norm(rhs))
     if np.linalg.norm(k0 @ at - rhs) > RESIDUAL_TOL * scale:
         raise SynthesisError("equality constraint on k has no solution")
@@ -389,7 +394,7 @@ def _best_p_d(decomp, k):
         return np.zeros((0, 0))
     bt_vel = decomp.b_tilde[q: 2 * q, :]
     k_pos = k[:, :q]
-    p_d = scipy.linalg.lstsq(bt_vel.T, -k_pos)[0]
+    p_d = np.linalg.lstsq(bt_vel.T, -k_pos, rcond=_LSTSQ_RCOND)[0]
     return 0.5 * (p_d + p_d.T)
 
 

@@ -20,6 +20,7 @@ eigenvalue of ``Lbar`` in the open right half plane.
 
 from __future__ import annotations
 
+import bisect
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -27,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EIG_TOL
 
 __all__ = [
     "CommGraph",
     "LaplacianPair",
     "laplacian",
     "check_rootset",
-    "expanded_spectrum_check",
     "generate_graph",
     "parse_graph",
     "serialize_graph",
@@ -122,13 +121,6 @@ def check_rootset(graph):
     return bool(reached.all())
 
 
-def expanded_spectrum_check(graph, tol=EIG_TOL):
-    """True iff every eigenvalue of the expanded Laplacian has Re > tol."""
-    pair = laplacian(graph)
-    vals = np.linalg.eigvals(pair.Lbar)
-    return bool(vals.real.min() > tol)
-
-
 # Random edge weights are drawn from this dyadic grid in [0.5, 2]: bounded
 # away from zero (keeps Lbar well conditioned) and exactly representable,
 # so Laplacian row sums cancel to exactly 0 in floating point.
@@ -176,21 +168,24 @@ def generate_graph(kind, n, roots, seed=0, extra_edge_prob=0.2):
         for i in range(1, n):
             weights[i, 0] = 1.0
     elif kind == "random":
+        # x[rng.integers(len(x))] is the same draw from the stream as
+        # rng.choice(x), at a quarter of its per-call cost.
         rng = np.random.default_rng(seed)
-        attached = set(r - 1 for r in roots)
+        grid = len(_WEIGHT_GRID)
+        attached = [r - 1 for r in roots]
         for i in range(n):
-            if i in attached:
+            if flags[i]:
                 continue
-            parent = int(rng.choice(sorted(attached)))
-            weights[i, parent] = float(rng.choice(_WEIGHT_GRID))
-            attached.add(i)
+            parent = attached[rng.integers(len(attached))]
+            weights[i, parent] = _WEIGHT_GRID[rng.integers(grid)]
+            bisect.insort(attached, i)
         # Sprinkle extra edges; reachability is already guaranteed.
         for i in range(n):
             for j in range(n):
                 if i == j or weights[i, j] > 0:
                     continue
                 if rng.random() < extra_edge_prob:
-                    weights[i, j] = float(rng.choice(_WEIGHT_GRID))
+                    weights[i, j] = _WEIGHT_GRID[rng.integers(grid)]
     else:
         raise ValidationError(f"unknown graph kind {kind!r}")
     graph = CommGraph(n=n, weights=weights, root_flags=flags)

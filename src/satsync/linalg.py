@@ -6,6 +6,11 @@ Everything works on plain ``numpy.ndarray`` values. Eigenvalue-based
 predicates take an explicit tolerance; the defaults below are used
 package-wide so that classification, synthesis, and verification agree
 on what counts as zero.
+
+``scipy.linalg`` is imported inside the Schur-based solvers only (here
+and in ``gains.solve_P_neutral``). Loading it took 0.35 s of the 0.59 s
+``import satsync.cli`` took on a 2-vCPU host, plus about 22 MB, and the
+P6 commands call none of them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SynthesisError
 
@@ -132,6 +136,8 @@ def solve_lyapunov(a, q):
             "Lyapunov equation has no stable solution: matrix is not Hurwitz "
             f"(max Re eig = {eigenvalues(a).max_real():.3e})"
         )
+    import scipy.linalg
+
     p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
     p = 0.5 * (p + p.T)
     scale = max(np.linalg.norm(q), 1e-30)
@@ -178,6 +184,8 @@ def solve_filter_riccati(a, c, max_newton=10):
 
     def _residual(y):
         return a @ y + y @ a.T - y @ c.T @ c @ y + np.eye(n)
+
+    import scipy.linalg
 
     try:
         y = scipy.linalg.solve_continuous_are(a.T, c.T, np.eye(n), np.eye(c.shape[0]))

@@ -1,5 +1,4 @@
-"""Per-agent controller realizations for the six protocol kinds, and the
-two network signals every agent consumes.
+"""Per-agent controller realizations for the six protocol kinds.
 
 The kinds pair one controller structure with one agent class:
 
@@ -38,17 +37,14 @@ import numpy as np
 from .agents import ModelClass, mixed_decompose
 from .errors import SynthesisError, ValidationError
 from .gains import verify_gains
-from .graphs import laplacian
 
 __all__ = [
     "KINDS",
     "FULL_STATE_KINDS",
     "PARTIAL_STATE_KINDS",
     "ProtocolRealization",
-    "NetworkSignals",
     "build_protocol",
     "compatible_classes",
-    "compute_network_signals",
 ]
 
 KINDS = ("P1", "P2", "P3", "P4", "P5", "P6")
@@ -105,25 +101,6 @@ class ProtocolRealization:
     @property
     def uses_observer(self):
         return self.kind in PARTIAL_STATE_KINDS
-
-
-@dataclass(frozen=True)
-class NetworkSignals:
-    """Stacked diffusive signals, one row per agent.
-
-    ``zeta_hat_1``/``zeta_hat_2`` are the state/input components of
-    zeta_hat for partial-state kinds; full-state kinds put the whole
-    signal in ``zeta_hat_1`` and leave ``zeta_hat_2`` as None.
-    """
-
-    zeta_bar: np.ndarray
-    zeta_hat_1: np.ndarray
-    zeta_hat_2: np.ndarray | None
-
-    def zeta_hat(self):
-        if self.zeta_hat_2 is None:
-            return self.zeta_hat_1
-        return np.hstack([self.zeta_hat_1, self.zeta_hat_2])
 
 
 def build_protocol(kind, model, gains, decomp=None):
@@ -201,49 +178,4 @@ def build_protocol(kind, model, gains, decomp=None):
         root_input=root_input,
         u_gain=u_gain,
         gains=gains,
-    )
-
-
-def compute_network_signals(kind, graph, y, y_r, xi, state_dim=None):
-    """Evaluate the two diffusive signals for a stacked network snapshot.
-
-    ``y`` is (N, q_out) stacked agent outputs, ``y_r`` the reference
-    output, ``xi`` the (N, xi_dim) stacked exchanged values. For
-    partial-state kinds ``state_dim`` (the agent state dimension n)
-    locates the split of zeta_hat into its state and input components.
-
-    zeta_bar row i is the expanded-Laplacian weighting of the output
-    errors, sum_j lbar_ij (y_j - y_r) -- identical to the neighbor-sum
-    form sum_j a_ij (y_i - y_j) + iota_i (y_i - y_r). zeta_hat row i is
-    the plain-Laplacian weighting sum_j a_ij (xi_i - xi_j).
-    """
-    if kind not in KINDS:
-        raise ValidationError(f"unknown protocol kind {kind!r}")
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    y_r = np.asarray(y_r, dtype=float).reshape(-1)
-    if y.shape[0] != graph.n or xi.shape[0] != graph.n:
-        raise ValidationError(
-            f"need one row per agent: y has {y.shape[0]}, xi has {xi.shape[0]}, "
-            f"graph has {graph.n}"
-        )
-    if y.shape[1] != y_r.shape[0]:
-        raise ValidationError(
-            f"y rows have length {y.shape[1]} but y_r has length {y_r.shape[0]}"
-        )
-    pair = laplacian(graph)
-    zeta_bar = pair.Lbar @ (y - y_r)
-    zeta_hat = pair.L @ xi
-    if kind in FULL_STATE_KINDS:
-        return NetworkSignals(zeta_bar=zeta_bar, zeta_hat_1=zeta_hat, zeta_hat_2=None)
-    if state_dim is None:
-        raise ValidationError("partial-state kinds need state_dim to split zeta_hat")
-    if not 0 < state_dim < xi.shape[1]:
-        raise ValidationError(
-            f"state_dim {state_dim} does not split xi of width {xi.shape[1]}"
-        )
-    return NetworkSignals(
-        zeta_bar=zeta_bar,
-        zeta_hat_1=zeta_hat[:, :state_dim],
-        zeta_hat_2=zeta_hat[:, state_dim:],
     )

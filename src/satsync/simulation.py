@@ -46,7 +46,6 @@ __all__ = [
     "rk4",
     "integrate",
     "simulate",
-    "exosystem_reference",
     "export_trajectory",
     "read_trajectory",
     "DEFAULT_DT",
@@ -452,22 +451,6 @@ def integrate(loop, states=None):
 def simulate(scenario):
     """assemble + integrate in one call."""
     return integrate(assemble(scenario))
-
-
-def exosystem_reference(a, x_r0, times):
-    """Reference trajectory on the same grid the stacked run uses.
-
-    The exosystem inside the stack is autonomous, so integrating it
-    alone with the same scheme and steps reproduces the stacked x_r
-    column; this is the standalone oracle for it.
-    """
-    a = np.asarray(a, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if len(times) < 2:
-        return np.tile(np.asarray(x_r0, dtype=float), (len(times), 1))
-    dt = times[1] - times[0]
-    _, states = rk4(lambda t, z: a @ z, x_r0, dt, len(times) - 1)
-    return states
 
 
 def _time_blocks(record, rows=_EXPORT_ROWS):

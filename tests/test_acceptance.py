@@ -39,9 +39,11 @@ from satsync.presets import (
     graph_a,
     preset_scenario,
 )
-from satsync.protocols import build_protocol, compute_network_signals
+from satsync.protocols import build_protocol
 from satsync.scenario import parse_scenario
 from satsync.simulation import Scenario, rk4, simulate
+
+from oracles import compute_network_signals
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DOUBLE_A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -102,9 +104,11 @@ def test_c01_example1_tracking_at_bundled_settings(acceptance_log):
     _verdict(acceptance_log, 1, ok, f"example1 on both networks -- {detail}")
     assert runtime_ok, "runtime budget exceeded"
     assert converged, (
-        "example1's bundled 30 s horizon is too short for its +/-5 start box "
-        "under unit-saturated inputs; the long-horizon companion test shows "
-        f"the identical configuration converging -- {detail}"
+        "example1 does not converge in its bundled 30 s horizon from its "
+        "+/-5 start box, though a bang-bang minimum-time bound puts every "
+        "agent within reach in 11.3 s or less: the protocol and its gains set "
+        "the time, not the saturation limit; the long-horizon companion test "
+        f"shows the identical configuration converging -- {detail}"
     )
 
 

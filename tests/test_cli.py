@@ -137,15 +137,62 @@ def test_sweep_n_controller_digest_is_size_free(scenario_file, tmp_path, capsys)
     assert len(digests) == 2 and digests[0] == digests[1]
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*argv):
+    """Standard output of a fresh interpreter run in the repository root
+    with this package importable; it must exit 0."""
     src = os.path.dirname(os.path.dirname(satsync.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-m", "satsync", "verify", "--scenario", "scenarios/oscillator_trio.json"],
-        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *argv],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert "verification passed" in done.stdout
+    return done.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    out = _run_python("-m", "satsync", "verify", "--scenario", "scenarios/oscillator_trio.json")
+    assert "verification passed" in out
+
+
+def test_p6_commands_never_load_scipy(tmp_path):
+    # scipy is loaded only by the Schur-based syntheses (neutral p,
+    # Lyapunov, filter Riccati); the P6 presets get by without it.
+    code = """if True:
+        import sys
+        from satsync.cli import main
+        loaded = ["scipy" in sys.modules]
+        main(["reproduce", "example2", "--dt", "0.01", "--horizon", "5", "--out", sys.argv[1]])
+        loaded.append("scipy" in sys.modules)
+        main(["sweep", "--scenario", "scenarios/random_observer_net.json", "--n", "4,6",
+              "--dt", "0.01", "--horizon", "5", "--out", sys.argv[2]])
+        loaded.append("scipy" in sys.modules)
+        print(loaded)
+    """
+    out = _run_python("-c", code, str(tmp_path / "ex2"), str(tmp_path / "sweep"))
+    assert out.splitlines()[-1] == "[False, False, False]"
+    for name in ("ex2", "sweep"):
+        assert (tmp_path / name / "manifest.json").is_file()
+
+
+def test_synthesize_loads_scipy_for_the_neutral_weight():
+    code = """if True:
+        import sys
+        from satsync.cli import main
+        main(["synthesize", "--scenario", "scenarios/oscillator_trio.json"])
+        print("scipy" in sys.modules)
+    """
+    assert _run_python("-c", code) == (
+        "gains for kind P1 (rho=1):\n"
+        "p =\n"
+        "  [1, 0]\n"
+        "  [0, 1]\n"
+        "[pass] rootset_reachable: every node reachable from the root set\n"
+        "[pass] rho_positive: margin=1 (rho = 1)\n"
+        "[pass] p_neutral_weight: margin=1 (min eig(p) = 1.000e+00, "
+        "max eig(pa+a'p) = 0.000e+00)\n"
+        "True\n"
+    )
 
 
 def test_sweep_requires_exactly_one_axis(scenario_file, tmp_path):

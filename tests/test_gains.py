@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from satsync.agents import AgentModel, mixed_decompose
 from satsync.errors import SynthesisError, ValidationError
 from satsync.gains import (
+    _LSTSQ_RCOND,
     GainSet,
     compute_Lambda,
     design_F,
@@ -111,6 +115,39 @@ def test_design_K_mixed_satisfies_both_conditions():
     assert np.linalg.norm(k @ at + bt.T @ lam) <= 1e-8 * max(1.0, np.linalg.norm(bt.T @ lam))
     gram = k @ bt + bt.T @ k.T
     assert np.linalg.eigvalsh(0.5 * (gram + gram.T)).max() < 0
+
+
+@st.composite
+def lstsq_problems(draw):
+    """(a, b): full rank, rank r < min(m, n) as a product of thin
+    factors, or one singular value at 4 eps relative -- above scipy's
+    cutoff, below numpy's default eps * max(m, n) once max(m, n) > 4."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    family = draw(st.sampled_from(["full", "product", "near_cutoff"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rhs = rng.standard_normal((m, draw(st.integers(1, 3))))
+    if family == "full":
+        return rng.standard_normal((m, n)), rhs
+    r = draw(st.integers(0, min(m, n) - 1))
+    if family == "product":
+        return rng.standard_normal((m, r)) @ rng.standard_normal((r, n)), rhs
+    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sv = np.zeros((m, n))
+    sv[range(r), range(r)] = np.logspace(0, -3, r)
+    sv[r, r] = 4 * np.finfo(float).eps
+    return u @ sv @ v.T, rhs
+
+
+@given(lstsq_problems())
+def test_numpy_lstsq_matches_scipy_default_cutoff(problem):
+    # design_K_mixed and _best_p_d solve with numpy at _LSTSQ_RCOND; scipy's
+    # default cutoff is the oracle for the effective rank and the solution
+    a, rhs = problem
+    x, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=_LSTSQ_RCOND)
+    want, _, want_rank, _ = scipy.linalg.lstsq(a, rhs)
+    assert rank == want_rank
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_verify_gains_passes_on_synthesized():

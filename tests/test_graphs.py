@@ -9,7 +9,6 @@ from satsync.errors import ValidationError
 from satsync.graphs import (
     CommGraph,
     check_rootset,
-    expanded_spectrum_check,
     generate_graph,
     laplacian,
     load_graph,
@@ -17,6 +16,8 @@ from satsync.graphs import (
     save_graph,
     serialize_graph,
 )
+
+from oracles import expanded_spectrum_check, random_graph_by_choice
 
 
 def chain3():
@@ -80,6 +81,19 @@ def test_generate_graph_deterministic_and_shaped():
     assert g1 != g3
     assert g1.n == 8
     assert g1.roots() == [2, 5]
+
+
+@pytest.mark.parametrize("n, roots", [
+    (1, [1]), (2, [2]), (10, [1, 4]), (25, [2, 7, 9]), (60, [1]), (150, [1, 4]),
+])
+@pytest.mark.parametrize("seed", [0, 3, 11, 12345])
+def test_random_graph_draws_as_generator_choice_did(n, roots, seed):
+    # the same draws from the stream: sweeps and bundled scenarios keep
+    # their graphs, and with them their run directories
+    got = generate_graph("random", n, roots=roots, seed=seed)
+    want = random_graph_by_choice(n, roots, seed=seed)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.root_flags, want.root_flags)
 
 
 def test_comm_graph_validation():

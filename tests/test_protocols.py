@@ -8,13 +8,9 @@ from satsync.errors import ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
 from satsync.presets import example1_model, example2_model
-from satsync.protocols import (
-    FULL_STATE_KINDS,
-    KINDS,
-    build_protocol,
-    compatible_classes,
-    compute_network_signals,
-)
+from satsync.protocols import FULL_STATE_KINDS, KINDS, build_protocol, compatible_classes
+
+from oracles import compute_network_signals
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

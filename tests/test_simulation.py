@@ -15,7 +15,7 @@ from satsync.errors import IntegrationError, ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
 from satsync.presets import example2_gains, example2_model
-from satsync.protocols import build_protocol, compute_network_signals
+from satsync.protocols import build_protocol
 from satsync.simulation import (
     _EXPORT_ROWS,
     PER_AGENT_MIN_DIM,
@@ -24,13 +24,14 @@ from satsync.simulation import (
     _signal_columns,
     _time_blocks,
     assemble,
-    exosystem_reference,
     export_trajectory,
     integrate,
     read_trajectory,
     rk4,
     simulate,
 )
+
+from oracles import compute_network_signals, exosystem_reference
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
