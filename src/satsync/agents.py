@@ -91,23 +91,17 @@ class Classification:
     controllable: bool
     observable: bool
 
-    def cluster_at(self, value, tol=CLUSTER_TOL):
-        for cl in self.clusters:
-            if abs(cl.value - value) <= tol:
-                return cl
-        return None
 
-
-def check_controllable_observable(a, b, c, tol=RANK_RTOL):
-    """Kalman rank tests, with rank read off singular values at tol*||.||."""
+def check_controllable_observable(a, b, c):
+    """Kalman rank tests, with rank read off singular values at RANK_RTOL*||.||."""
     a, b, c = _check_dims(a, b, c)
     n = a.shape[0]
     ctrl = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n)])
     obsv = np.vstack([c @ np.linalg.matrix_power(a, k) for k in range(n)])
-    return _rank(ctrl, tol) == n, _rank(obsv, tol) == n
+    return _rank(ctrl) == n, _rank(obsv) == n
 
 
-def classify(a, b, c, tol=EIG_TOL):
+def classify(a, b, c):
     """Decide the structural class of (a, b, c) and return certificates.
 
     The returned clusters group eigenvalues that agree to within the
@@ -118,14 +112,14 @@ def classify(a, b, c, tol=EIG_TOL):
     clusters = _eigen_clusters(a)
     ctrl, obsv = check_controllable_observable(a, b, c)
 
-    axis = [cl for cl in clusters if abs(cl.value.real) <= tol]
-    stable = all(cl.value.real <= tol for cl in clusters)
+    axis = [cl for cl in clusters if abs(cl.value.real) <= EIG_TOL]
+    stable = all(cl.value.real <= EIG_TOL for cl in clusters)
     semisimple = all(cl.geometric == cl.algebraic for cl in axis)
     if ctrl and obsv and stable and semisimple:
         cls = ModelClass.NEUTRALLY_STABLE
     elif _is_double_integrator(a, b):
         cls = ModelClass.DOUBLE_INTEGRATOR
-    elif _mixed_structure_error(a, b, clusters, tol) is None:
+    elif _mixed_structure_error(a, b, clusters) is None:
         cls = ModelClass.MIXED
     else:
         cls = ModelClass.UNSUPPORTED
@@ -191,8 +185,8 @@ class MixedDecomposition:
     blkdiag(a_s, a_f, a_omega): ``a_s = [[0, I_q], [0, 0]]`` holds the q
     position/velocity chains (positions first), ``a_f = 0`` holds the
     m - q single integrators, and ``a_omega`` is skew and holds the
-    oscillator pairs. b_tilde and c_tilde are the input/output matrices
-    seen in those coordinates.
+    oscillator pairs. b_tilde is the input matrix seen in those
+    coordinates.
     """
 
     gamma_x: np.ndarray
@@ -200,12 +194,11 @@ class MixedDecomposition:
     a_f: np.ndarray
     a_omega: np.ndarray
     b_tilde: np.ndarray
-    c_tilde: np.ndarray
     m: int
     q: int
 
 
-def mixed_decompose(a, b, c, tol=EIG_TOL, gamma_x=None):
+def mixed_decompose(a, b, c, gamma_x=None):
     """Split a mixed-class dynamics matrix into its canonical blocks.
 
     With ``gamma_x=None`` the transformation is built from the
@@ -224,7 +217,7 @@ def mixed_decompose(a, b, c, tol=EIG_TOL, gamma_x=None):
     """
     a, b, c = _check_dims(a, b, c)
     n, m = a.shape[0], b.shape[1]
-    reason = _mixed_structure_error(a, b, _eigen_clusters(a), tol)
+    reason = _mixed_structure_error(a, b, _eigen_clusters(a))
     if reason is not None:
         raise SynthesisError(f"dynamics lack the mixed structure: {reason}")
     q = _num_length2_chains(a)
@@ -260,7 +253,6 @@ def mixed_decompose(a, b, c, tol=EIG_TOL, gamma_x=None):
         a_f=a_f,
         a_omega=0.5 * (a_omega - a_omega.T),
         b_tilde=gamma_x @ b,
-        c_tilde=c @ gx_inv,
         m=m,
         q=q,
     )
@@ -286,11 +278,11 @@ def _check_dims(a, b, c):
     return a, b, c
 
 
-def _rank(mat, tol=RANK_RTOL):
+def _rank(mat):
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
 
 
 def _eigen_clusters(a):
@@ -355,7 +347,7 @@ def _num_length2_chains(a):
     return k2 - k1
 
 
-def _mixed_structure_error(a, b, clusters, tol):
+def _mixed_structure_error(a, b, clusters):
     """None if (a, b) has the mixed structure, else a human-readable reason."""
     m = b.shape[1]
     k1, k2, k3 = _kernel_dims(a)
@@ -366,7 +358,7 @@ def _mixed_structure_error(a, b, clusters, tol):
     for cl in clusters:
         if cl.value == 0:
             continue
-        if abs(cl.value.real) > tol:
+        if abs(cl.value.real) > EIG_TOL:
             return f"eigenvalue {cl.value:.3g} is not purely imaginary"
         if cl.algebraic != 1:
             return f"imaginary eigenvalue {cl.value:.3g} is not simple"

@@ -25,7 +25,7 @@ import os
 import shutil
 import tempfile
 from collections import deque
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import ValidationError
 from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral, verify_gains
 from .graphs import check_rootset, generate_graph, laplacian
 from .linalg import solve_lyapunov
-from .parallel import SharedMatrix, sharing_workers, usable_cpus
+from .parallel import SharedMatrix, usable_cpus
 from .protocols import build_protocol
 from .simulation import _EXPORT_ROWS, ClosedLoop, TrajectoryRecord, export_trajectory
 
@@ -54,6 +54,7 @@ __all__ = [
     "gain_margin_runs",
     "network_sizes",
     "scale_free_runs",
+    "staged",
     "export_report",
     "parse_report",
 ]
@@ -360,9 +361,8 @@ def run_cases(cases, pmap=map, keep_trajectories=True):
     """Run case scenarios; yield (case, RunRecord) in order, each as soon as it has run.
 
     ``pmap`` is the builtin ``map`` or a ``parallel.process_map`` pool
-    whose workers fork (``parallel.sharing_workers``) and that has run
-    no task yet. Each case is assembled in this process, and its states
-    are recorded into a ``SharedMatrix`` made here; the run
+    that has run no task yet. Each case is assembled in this process,
+    and its states are recorded into a ``SharedMatrix`` made here; the run
     (``run_case``) sends back only its verdict and gain audit, and the
     record is this process's view of the matrix. Through ``map`` each
     case is assembled just before it runs, so one case at a time holds
@@ -385,9 +385,8 @@ def run_cases(cases, pmap=map, keep_trajectories=True):
 
 def case_workers(rows):
     """Workers for one pool that runs cases and exports their ``rows``
-    CSV rows: one per usable CPU, no more than the CSVs have blocks, and
-    one (in process) where the pool cannot share the state matrices."""
-    return sharing_workers(min(usable_cpus(), -(-rows // _EXPORT_ROWS)))
+    CSV rows: one per usable CPU, no more than the CSVs have blocks."""
+    return min(usable_cpus(), -(-rows // _EXPORT_ROWS))
 
 
 def _rho_name(scenario, rho):
@@ -545,6 +544,38 @@ def _summary_entry(record):
     }
 
 
+@contextmanager
+def staged(path):
+    """Write the files of directory ``path`` all at once.
+
+    Yields a hidden staging directory made inside ``path`` (``path`` is
+    created if missing). Every file written there is moved into
+    ``path`` when the block ends, and only then: a block that raises,
+    or a target that is a directory, moves nothing, removes the staging
+    directory and leaves ``path`` as it was (absent if it was absent).
+    """
+    made = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".export-", dir=path)
+    try:
+        yield staging
+        names = sorted(os.listdir(staging))
+        # a file cannot replace a directory; find that before the first
+        # move, so that a failure moves nothing
+        for target in (os.path.join(path, name) for name in names):
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        for name in names:
+            os.replace(os.path.join(staging, name), os.path.join(path, name))
+    except BaseException:
+        shutil.rmtree(staging)
+        if made:
+            with suppress(OSError):  # not empty: something else was written there
+                os.rmdir(path)
+        raise
+    os.rmdir(staging)
+
+
 def export_report(records, path, pmap=map):
     """Write a machine-readable summary plus per-run trajectory files.
 
@@ -559,18 +590,13 @@ def export_report(records, path, pmap=map):
     its rows formatted through ``pmap`` (the builtin ``map`` or a
     caller's ``parallel.process_map``; the bytes are the same either
     way). A run that would write the same file as an earlier one is
-    rejected when it arrives. The files are moved into ``path`` only
-    once every one is written, so an export that fails before that, a
-    run in ``records`` raising included, leaves ``path`` as it was
-    (absent if it was absent).
+    rejected when it arrives. The files are written through ``staged``,
+    so an export that fails, a run in ``records`` raising included,
+    leaves ``path`` as it was.
     """
-    made = not os.path.isdir(path)
-    os.makedirs(path, exist_ok=True)
-    # every file is written here first, and moved into path once all are
-    staging = tempfile.mkdtemp(prefix=".export-", dir=path)
     claimed = {}
     runs = []
-    try:
+    with staged(path) as staging:
         for record in records:
             file_name = _claim_file(claimed, record.name)
             entry = _summary_entry(record)
@@ -582,21 +608,7 @@ def export_report(records, path, pmap=map):
         with open(os.path.join(staging, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        written = ["summary.json"] + [e["trajectory_file"] for e in runs if e["trajectory_file"]]
-        # a file cannot replace a directory; find that before the first
-        # move, so that a failure moves nothing
-        for target in (os.path.join(path, name) for name in written):
-            if os.path.isdir(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
-        for name in written:
-            os.replace(os.path.join(staging, name), os.path.join(path, name))
-    except BaseException:
-        shutil.rmtree(staging)
-        if made:
-            with suppress(OSError):  # not empty: something else was written there
-                os.rmdir(path)
-        raise
-    os.rmdir(staging)
+    written = ["summary.json"] + [e["trajectory_file"] for e in runs if e["trajectory_file"]]
     return [os.path.join(path, name) for name in written]
 
 

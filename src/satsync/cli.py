@@ -9,10 +9,12 @@ convergence tolerance; ``sweep`` re-runs a scenario across loop gains
 or network sizes.
 
 A run directory always holds exactly the resolved scenario echo(es),
-``summary.json``, the trajectory file(s), and ``manifest.json``. The
-manifest's ``run`` section is deterministic -- identical invocations
-produce identical content, with wall-clock timing kept outside it --
-and trajectory and summary files are byte-identical across reruns.
+``summary.json``, the trajectory file(s), and ``manifest.json``, moved
+in together once all of them are written, so a command that fails
+leaves it as it was. The manifest's ``run`` section is deterministic
+-- identical invocations produce identical content, with wall-clock
+timing kept outside it -- and trajectory and summary files are
+byte-identical across reruns.
 Convergence is data in the report, not an exit status, except for
 ``reproduce`` which fails when a preset does not converge. Agent
 indices in all user-facing output are 1-based.
@@ -32,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .analysis import case_workers, export_report, gain_margin_runs, network_sizes, run_cases, scale_free_runs
+from .analysis import case_workers, export_report, gain_margin_runs, network_sizes, run_cases, scale_free_runs, staged
 from .errors import IntegrationError, SynthesisError, ValidationError
 from .gains import synthesize_gains, verify_gains
 from .graphs import check_rootset
@@ -100,22 +102,6 @@ def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return path
-
-
-def _write_manifest(out_dir, run_section, wall_clock):
-    doc = {
-        "format": "satsync-manifest",
-        "version": 1,
-        "artifact_version": __version__,
-        "run": run_section,
-        "wall_clock_s": wall_clock,
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    _write_json(tmp, doc)
-    os.replace(tmp, path)
-    return path
 
 
 def _result_doc(report):
@@ -145,16 +131,22 @@ def _print_outcome(case, run):
               f"(final max error {report.max_error[-1]:.4g}, tol {report.tol:g})")
 
 
-def _run_and_export(pairs, rows, out, on_run):
-    """Run a command's cases and export their records through one pool.
+def _write_run(out, pairs, rows, on_run, echoes, second):
+    """Run a command's cases and write its whole run directory at once.
 
-    The pool has ``analysis.case_workers(rows)`` workers, ``rows`` being
-    the CSV rows the cases record. ``pairs(pmap)`` returns the
-    (case, RunRecord) pairs, each as its run finishes; ``on_run(case,
-    run)`` reports each one, and its CSV is then formatted in the same
-    pool while later cases still run. Returns the runs, in order, and
-    the written paths.
+    The cases run through one pool of ``analysis.case_workers(rows)``
+    workers, ``rows`` being the CSV rows they record. ``pairs(pmap)``
+    returns the (case, RunRecord) pairs, each as its run finishes;
+    ``on_run(case, run)`` reports each one, and its CSV is then
+    formatted in the same pool while later cases still run. ``echoes``
+    maps each echo file name to its scenario; the manifest's
+    ``scenario`` is that echo, or the list of them where there are
+    several, and ``second(runs)`` gives the manifest's next (key,
+    value). Every file, manifest included, is written through
+    ``analysis.staged``, so nothing reaches ``out`` unless all of them
+    do. Returns the runs, in order.
     """
+    started = time.perf_counter()
     runs = []
 
     def reported(pairs):
@@ -164,37 +156,47 @@ def _run_and_export(pairs, rows, out, on_run):
             yield run
 
     with process_map(case_workers(rows)) as pmap:
-        # pairs(pmap) is called before the export starts, so a sweep's
-        # case list is checked before anything is written
-        paths = export_report(reported(pairs(pmap)), out, pmap)
-    return runs, paths
+        # pairs(pmap) is called before anything is written, so a sweep's
+        # case list is checked first
+        cases = pairs(pmap)
+        with staged(out) as staging:
+            export_report(reported(cases), staging, pmap)
+            docs = [scenario_echo(scenario) for scenario in echoes.values()]
+            for name, doc in zip(echoes, docs):
+                _write_json(os.path.join(staging, name), doc)
+            wall = time.perf_counter() - started
+            key, value = second(runs)
+            run_section = {
+                "scenario": docs[0] if len(docs) == 1 else docs,
+                key: value,
+                "outputs": sorted(os.listdir(staging)),
+                "results": {run.name: _result_doc(run.report) for run in runs},
+            }
+            _write_json(os.path.join(staging, "manifest.json"), {
+                "format": "satsync-manifest",
+                "version": 1,
+                "artifact_version": __version__,
+                "run": run_section,
+                "wall_clock_s": wall,
+            })
+    print(f"run directory: {out}")
+    return runs
+
+
+def _gain_checks(runs):
+    return "gain_checks", runs[0].gain_report.as_dicts()
 
 
 def cmd_simulate(args):
-    parts = _load_parts(args)
-    scenario = build_scenario(parts)
-    started = time.perf_counter()
-    (run,), paths = _run_and_export(
+    scenario = build_scenario(_load_parts(args))
+    _write_run(
+        args.out,
         lambda pmap: run_cases([scenario], pmap),
         scenario.recorded_steps * scenario.graph.n,
-        args.out,
         _print_outcome,
+        {"scenario.json": scenario},
+        _gain_checks,
     )
-    echo = scenario_echo(scenario)
-    paths.append(_write_json(os.path.join(args.out, "scenario.json"), echo))
-    wall = time.perf_counter() - started
-    outputs = sorted(os.path.basename(p) for p in paths)
-    _write_manifest(
-        args.out,
-        {
-            "scenario": echo,
-            "gain_checks": run.gain_report.as_dicts(),
-            "outputs": outputs,
-            "results": {scenario.name: _result_doc(run.report)},
-        },
-        wall,
-    )
-    print(f"run directory: {args.out}")
     return 0
 
 
@@ -238,29 +240,14 @@ def cmd_reproduce(args):
         doc["graph"] = graph_doc
         doc["name"] = f"{args.preset}-{label}"
         scenarios.append(build_scenario(parse_scenario_doc(doc, overrides=overrides)))
-    started = time.perf_counter()
-    runs, paths = _run_and_export(
+    runs = _write_run(
+        args.out,
         lambda pmap: run_cases(scenarios, pmap),
         sum(sc.recorded_steps * sc.graph.n for sc in scenarios),
-        args.out,
         _print_outcome,
+        {f"{sc.name}-scenario.json": sc for sc in scenarios},
+        _gain_checks,
     )
-    echoes = [scenario_echo(scenario) for scenario in scenarios]
-    for scenario, echo in zip(scenarios, echoes):
-        paths.append(_write_json(os.path.join(args.out, f"{scenario.name}-scenario.json"), echo))
-    wall = time.perf_counter() - started
-    outputs = sorted(os.path.basename(p) for p in paths)
-    _write_manifest(
-        args.out,
-        {
-            "scenario": echoes,
-            "gain_checks": runs[0].gain_report.as_dicts(),
-            "outputs": outputs,
-            "results": {run.name: _result_doc(run.report) for run in runs},
-        },
-        wall,
-    )
-    print(f"run directory: {args.out}")
     all_converged = all(run.report.converged for run in runs)
     if not all_converged:
         print("reproduction FAILED: not every run converged", file=sys.stderr)
@@ -283,7 +270,6 @@ def cmd_sweep(args):
     if args.record_every is None:
         # sweeps thin their trajectories by default; full runs stay opt-in
         scenario = replace(scenario, record_every=_SWEEP_RECORD_EVERY)
-    started = time.perf_counter()
     if args.rho is not None:
         rhos = _parse_float_list(args.rho, "--rho")
         sizes = [scenario.graph.n] * len(rhos)
@@ -291,7 +277,7 @@ def cmd_sweep(args):
     else:
         sizes = network_sizes(scenario, _parse_float_list(args.n, "--n"))
         sweep = partial(scale_free_runs, scenario, sizes)
-    digests, results = {}, {}
+    digests = {}
 
     def table_row(case, run):
         label = f"rho={case.protocol.gains.rho:g}" if args.rho is not None else f"n={case.graph.n}"
@@ -301,24 +287,15 @@ def cmd_sweep(args):
         report = run.report
         t_conv = f"{report.convergence_time:g}" if report.converged else "-"
         print(f"{label:>12}  {str(report.converged):>9}  {t_conv:>10}  {digests[label][:12]}")
-        results[run.name] = _result_doc(report)
 
-    _, paths = _run_and_export(sweep, scenario.recorded_steps * sum(sizes), args.out, table_row)
-    echo = scenario_echo(scenario)
-    paths.append(_write_json(os.path.join(args.out, "scenario.json"), echo))
-    wall = time.perf_counter() - started
-    outputs = sorted(os.path.basename(p) for p in paths)
-    _write_manifest(
+    _write_run(
         args.out,
-        {
-            "scenario": echo,
-            "sweep": digests,
-            "outputs": outputs,
-            "results": results,
-        },
-        wall,
+        sweep,
+        scenario.recorded_steps * sum(sizes),
+        table_row,
+        {"scenario.json": scenario},
+        lambda runs: ("sweep", digests),
     )
-    print(f"run directory: {args.out}")
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .agents import MixedDecomposition, ModelClass, mixed_decompose
+from .agents import mixed_decompose
 from .errors import SynthesisError, ValidationError
 from .linalg import (
     EIG_TOL,
@@ -142,7 +142,7 @@ def solve_P_neutral(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"a must be square, got shape {a.shape}")
     n = a.shape[0]
-    vals = eigenvalues(a).values
+    vals = eigenvalues(a)
     if vals.real.max() > EIG_TOL:
         raise SynthesisError(
             f"a has an eigenvalue with real part {vals.real.max():.3e} > 0"
@@ -292,21 +292,21 @@ def _decomposed_a(decomp):
 # -- verification ------------------------------------------------------------
 
 
-def verify_P(a, p, tol=RESIDUAL_TOL):
-    """Check p > 0 symmetric and ``p a + a' p <= tol*||a||``."""
+def verify_P(a, p):
+    """Check p > 0 symmetric and ``p a + a' p <= RESIDUAL_TOL*||a||``."""
     a = np.asarray(a, dtype=float)
     p = np.asarray(p, dtype=float)
     if p.shape != a.shape:
         raise ValidationError(f"p must match a's shape {a.shape}, got {p.shape}")
     sym_err = np.linalg.norm(p - p.T)
-    if sym_err > tol * max(1.0, np.linalg.norm(p)):
+    if sym_err > RESIDUAL_TOL * max(1.0, np.linalg.norm(p)):
         return False, -sym_err, f"p is not symmetric (asymmetry {sym_err:.3e})"
     min_eig = float(np.linalg.eigvalsh(0.5 * (p + p.T)).min())
     if min_eig <= DEFINITE_TOL:
         return False, min_eig, f"p is not positive definite (min eig {min_eig:.3e})"
     resid = p @ a + a.T @ p
     max_eig = float(np.linalg.eigvalsh(0.5 * (resid + resid.T)).max())
-    bound = tol * max(1.0, np.linalg.norm(a))
+    bound = RESIDUAL_TOL * max(1.0, np.linalg.norm(a))
     if max_eig > bound:
         return False, -max_eig, (
             f"p a + a' p has positive eigenvalue {max_eig:.3e} (bound {bound:.3e})"
@@ -323,12 +323,12 @@ def verify_F(a, c, f):
         raise ValidationError(
             f"f must have shape ({a.shape[0]}, {c.shape[0]}), got {f.shape}"
         )
-    margin = -float(eigenvalues(a - f @ c).max_real())
+    margin = -float(eigenvalues(a - f @ c).real.max())
     ok = margin > EIG_TOL
     return ok, margin, f"slowest observer mode at {-margin:.6g}"
 
 
-def verify_K_double(k, m, tol=RESIDUAL_TOL):
+def verify_K_double(k, m):
     """Check k = (k1 k2) with both m x m blocks negative definite."""
     k = np.asarray(k, dtype=float)
     if k.shape != (m, 2 * m):
@@ -344,7 +344,7 @@ def verify_K_double(k, m, tol=RESIDUAL_TOL):
     return ok, worst[1], detail
 
 
-def verify_K_mixed(decomp, k, p_d=None, tol=RESIDUAL_TOL):
+def verify_K_mixed(decomp, k, p_d=None):
     """Check the mixed-case equality and strict inequality for k.
 
     With ``p_d`` given, the equality is checked against it. Without it,
@@ -374,12 +374,12 @@ def verify_K_mixed(decomp, k, p_d=None, tol=RESIDUAL_TOL):
     scale = max(1.0, np.linalg.norm(decomp.b_tilde.T @ lam))
     gram = k @ decomp.b_tilde + decomp.b_tilde.T @ k.T
     ineq_margin = -float(np.linalg.eigvalsh(0.5 * (gram + gram.T)).max())
-    ok = resid <= tol * scale and ineq_margin > DEFINITE_TOL
+    ok = resid <= RESIDUAL_TOL * scale and ineq_margin > DEFINITE_TOL
     detail = (
         f"equality residual {resid:.3e} (scale {scale:.3g}), "
         f"input dissipation margin {ineq_margin:.3e}"
     )
-    return ok, min(ineq_margin, tol * scale - resid), detail, p_d
+    return ok, min(ineq_margin, RESIDUAL_TOL * scale - resid), detail, p_d
 
 
 def _best_p_d(decomp, k):
@@ -398,13 +398,12 @@ def _best_p_d(decomp, k):
     return 0.5 * (p_d + p_d.T)
 
 
-def verify_gains(model, gains, kind=None, tol=RESIDUAL_TOL, decomp=None):
-    """Run every verification the model class / protocol kind requires.
+def verify_gains(model, gains, kind, decomp=None):
+    """Run every verification the protocol kind requires.
 
     Report-only: each condition contributes a :class:`GainCheck` with a
-    numerical margin; nothing raises for a failed condition. With
-    ``kind`` given, the gains that kind consumes must be present
-    (missing ones raise). Without it, whatever is present is checked.
+    numerical margin; nothing raises for a failed condition. The gains
+    the kind consumes must be present (missing ones raise).
     """
     checks = [
         GainCheck(
@@ -416,51 +415,45 @@ def verify_gains(model, gains, kind=None, tol=RESIDUAL_TOL, decomp=None):
             else "rho must be positive",
         )
     ]
-    if kind is not None:
-        if kind not in _REQUIRED:
-            raise ValidationError(f"unknown protocol kind {kind!r}")
-        missing = [g for g in _REQUIRED[kind] if getattr(gains, g) is None]
-        if missing:
-            raise ValidationError(f"kind {kind} needs gains {missing}")
-    wanted = _REQUIRED[kind] if kind is not None else ("p", "f", "k")
+    if kind not in _REQUIRED:
+        raise ValidationError(f"unknown protocol kind {kind!r}")
+    wanted = _REQUIRED[kind]
+    missing = [g for g in wanted if getattr(gains, g) is None]
+    if missing:
+        raise ValidationError(f"kind {kind} needs gains {missing}")
 
-    if "p" in wanted and gains.p is not None:
-        ok, margin, detail = verify_P(model.a, gains.p, tol)
+    if "p" in wanted:
+        ok, margin, detail = verify_P(model.a, gains.p)
         checks.append(GainCheck("p_neutral_weight", ok, margin, detail))
-    if "f" in wanted and gains.f is not None:
+    if "f" in wanted:
         ok, margin, detail = verify_F(model.a, model.c, gains.f)
         checks.append(GainCheck("f_stabilizes_observer", ok, margin, detail))
-    if "k" in wanted and gains.k is not None:
-        mixed_kind = kind in ("P5", "P6") if kind is not None else (
-            model.model_class is ModelClass.MIXED
-        )
-        if mixed_kind:
+    if "k" in wanted:
+        if kind in ("P5", "P6"):
             if decomp is None:
                 decomp = mixed_decompose(
                     model.a, model.b, model.c, gamma_x=gains.gamma_x
                 )
-            ok, margin, detail, p_d = verify_K_mixed(decomp, gains.k, gains.p_d, tol)
+            ok, margin, detail, p_d = verify_K_mixed(decomp, gains.k, gains.p_d)
             checks.append(GainCheck("k_mixed_conditions", ok, margin, detail))
         else:
-            ok, margin, detail = verify_K_double(gains.k, model.m, tol)
+            ok, margin, detail = verify_K_double(gains.k, model.m)
             checks.append(GainCheck("k_blocks_negative_definite", ok, margin, detail))
     return GainReport(checks=tuple(checks))
 
 
-def synthesize_gains(model, kind, rho=1.0, p_d=None, decomp=None):
+def synthesize_gains(model, kind, rho=1.0):
     """Produce the full GainSet a protocol kind needs for this model."""
     if kind not in _REQUIRED:
         raise ValidationError(f"unknown protocol kind {kind!r}")
-    p = f = k = lam = gamma_x = None
+    p = f = k = lam = p_d = gamma_x = None
     if kind in ("P1", "P2"):
         p = solve_P_neutral(model.a)
     if kind in ("P3", "P4"):
         k = design_K_double(model.m)
     if kind in ("P5", "P6"):
-        if decomp is None:
-            decomp = mixed_decompose(model.a, model.b, model.c)
-        if p_d is None:
-            p_d = np.eye(decomp.q)
+        decomp = mixed_decompose(model.a, model.b, model.c)
+        p_d = np.eye(decomp.q)
         k = design_K_mixed(decomp, p_d)
         lam = compute_Lambda(decomp, p_d)
         gamma_x = decomp.gamma_x

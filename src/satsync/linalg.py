@@ -2,10 +2,9 @@
 tests, and the two matrix-equation solvers (Lyapunov, filter Riccati) that
 the gain synthesis and certificate machinery sit on.
 
-Everything works on plain ``numpy.ndarray`` values. Eigenvalue-based
-predicates take an explicit tolerance; the defaults below are used
-package-wide so that classification, synthesis, and verification agree
-on what counts as zero.
+Everything works on plain ``numpy.ndarray`` values. The tolerances
+below are fixed and shared package-wide, so that classification,
+synthesis, and verification agree on what counts as zero.
 
 ``scipy.linalg`` is imported inside the Schur-based solvers only (here
 and in ``gains.solve_P_neutral``). Loading it took 0.35 s of the 0.59 s
@@ -15,8 +14,6 @@ P6 commands call none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SynthesisError
@@ -25,7 +22,6 @@ __all__ = [
     "EIG_TOL",
     "RANK_RTOL",
     "CLUSTER_TOL",
-    "Spectrum",
     "eigenvalues",
     "is_hurwitz",
     "is_negative_definite",
@@ -41,6 +37,8 @@ RANK_RTOL = 1e-8
 # Eigenvalues closer than this are treated as one cluster when counting
 # multiplicities.
 CLUSTER_TOL = 1e-6
+# Most Newton-Kleinman steps polishing a filter Riccati solution.
+_NEWTON_STEPS = 10
 
 
 def _square(a, name="a"):
@@ -50,18 +48,6 @@ def _square(a, name="a"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a real matrix. Complex eigenvalues come in
-    conjugate pairs; the values are sorted by (real, imaginary) part for
-    reproducibility."""
-
-    values: np.ndarray
-
-    def max_real(self):
-        return float(self.values.real.max())
 
 
 def eigenvalues(a):
@@ -74,28 +60,29 @@ def eigenvalues(a):
 
     Returns
     -------
-    Spectrum
+    numpy.ndarray
+        The eigenvalues, complex ones in conjugate pairs, sorted by
+        (real, imaginary) part for reproducibility.
     """
     a = _square(a)
     vals = np.linalg.eigvals(a)
-    order = np.lexsort((vals.imag, vals.real))
-    return Spectrum(values=vals[order])
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
-def is_hurwitz(a, tol=EIG_TOL):
-    """True iff every eigenvalue of ``a`` has real part < -tol."""
-    return bool(eigenvalues(a).max_real() < -tol)
+def is_hurwitz(a):
+    """True iff every eigenvalue of ``a`` has real part < -EIG_TOL."""
+    return bool(eigenvalues(a).real.max() < -EIG_TOL)
 
 
-def is_negative_definite(a, tol=EIG_TOL):
-    """True iff the symmetric part of ``a`` has all eigenvalues < -tol.
+def is_negative_definite(a):
+    """True iff the symmetric part of ``a`` has all eigenvalues < -EIG_TOL.
 
     Definiteness of a non-symmetric matrix is judged through its
     symmetric part, which is what quadratic-form arguments see.
     """
     a = _square(a)
     sym = 0.5 * (a + a.T)
-    return bool(np.linalg.eigvalsh(sym).max() < -tol)
+    return bool(np.linalg.eigvalsh(sym).max() < -EIG_TOL)
 
 
 def solve_lyapunov(a, q):
@@ -134,7 +121,7 @@ def solve_lyapunov(a, q):
     if not is_hurwitz(a):
         raise SynthesisError(
             "Lyapunov equation has no stable solution: matrix is not Hurwitz "
-            f"(max Re eig = {eigenvalues(a).max_real():.3e})"
+            f"(max Re eig = {eigenvalues(a).real.max():.3e})"
         )
     import scipy.linalg
 
@@ -149,14 +136,14 @@ def solve_lyapunov(a, q):
     return p
 
 
-def solve_filter_riccati(a, c, max_newton=10):
+def solve_filter_riccati(a, c):
     """Solve ``a Y + Y a.T - Y c.T c Y + I = 0`` for the stabilizing Y.
 
     This is the filter-side algebraic Riccati equation; the observer gain
     is recovered as ``F = Y @ c.T`` and makes ``a - F c`` Hurwitz. The
     stabilizing solution comes from the Schur-based solver and is then
-    polished by Newton-Kleinman iterations until the residual is well
-    inside the contract.
+    polished by at most ``_NEWTON_STEPS`` Newton-Kleinman iterations
+    until the residual is well inside the contract.
 
     Parameters
     ----------
@@ -196,7 +183,7 @@ def solve_filter_riccati(a, c, max_newton=10):
         raise SynthesisError("Riccati solution is not stabilizing")
     # Newton-Kleinman refinement; each step solves one Lyapunov equation at
     # the current stabilizing iterate and converges quadratically.
-    for _ in range(max_newton):
+    for _ in range(_NEWTON_STEPS):
         scale = max(1.0, np.linalg.norm(y))
         if np.linalg.norm(_residual(y)) <= 1e-9 * scale:
             break

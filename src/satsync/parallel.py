@@ -1,28 +1,27 @@
 """One ordered, bounded process map for runs and trajectory export.
 
 ``process_map(workers)`` is a context manager that yields a ``map``-like
-function. With one worker it is the builtin ``map``, run in process as
-its results are consumed. With more it submits calls to a process pool,
-at most two per worker ahead of the caller, and yields the results in
+function. With one worker, or where workers cannot be forked (anywhere
+but Linux), it is the builtin ``map``, run in process as its results are
+consumed. Otherwise it submits calls to a pool of forked processes, at
+most two per worker ahead of the caller, and yields the results in
 input order, so a long stream of items never holds more than that many
 results in memory. The pool is shut down on leaving the block, also
 when the block raises; calls not yet started are cancelled.
 
-On Linux the workers are forked, whatever the interpreter's default
-start method (``forkserver`` from Python 3.14): a worker that started
-a fresh interpreter would import numpy and the package first, about
-0.5 s on a 2-vCPU x86-64 host, most of what pooling example2's export
-saves. A forking pool starts all its workers before its own manager
-thread, so they copy a process running only the caller's thread and
-native library threads. Elsewhere the platform's default method is
-used. Under any method a worker exits once its caller has died.
+The workers are forked whatever the interpreter's default start method
+(``forkserver`` from Python 3.14): a worker that started a fresh
+interpreter would import numpy and the package first, about 0.5 s on a
+2-vCPU x86-64 host, most of what pooling example2's export saves, and
+could not reach a ``SharedMatrix``. A forking pool starts all its
+workers before its own manager thread, so they copy a process running
+only the caller's thread and native library threads. A worker exits
+once its caller has died.
 
 A ``SharedMatrix`` is a float matrix in an anonymous shared mapping.
-Made before a forking pool's first task, it is inherited by every
-worker: a worker writes a run's states into the caller's memory, and
-only the run's small results travel back by pickle. Workers started
-any other way cannot reach it, so ``sharing_workers`` runs such work
-in process there.
+Made before a pool's first task, it is inherited by every worker: a
+worker writes a run's states into the caller's memory, and only the
+run's small results travel back by pickle.
 """
 
 from __future__ import annotations
@@ -40,10 +39,10 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["SharedMatrix", "process_map", "sharing_workers", "usable_cpus"]
+__all__ = ["FORKS", "SharedMatrix", "process_map", "usable_cpus"]
 
-# the pool's start method; None is the platform's default
-_START_METHOD = "fork" if sys.platform.startswith("linux") else None
+# whether pool workers can be forked; elsewhere every map runs in process
+FORKS = sys.platform.startswith("linux")
 
 
 def usable_cpus():
@@ -52,12 +51,6 @@ def usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def sharing_workers(wanted):
-    """Workers for tasks that write into a ``SharedMatrix``: ``wanted``
-    where the pool forks them, else 1 (in process)."""
-    return wanted if _START_METHOD == "fork" else 1
 
 
 # SharedMatrix arrays by key, as long as their handle lives in the
@@ -104,19 +97,12 @@ def _exit_with_caller():
 
     A worker waits on its task queue, which it holds open itself, so a
     caller killed by a signal would otherwise leave it waiting forever.
-    A forked or spawned worker sees its parent change at once. A fork
-    server's worker has the server as its parent, and the server lives
-    as long as its workers, so it checks the caller's sentinel instead;
-    that alone would not do under fork, where a sibling forked later
-    holds the sentinel open.
+    A forked worker sees its parent change at once.
     """
-    import multiprocessing
-
     parent = os.getppid()
-    caller = multiprocessing.parent_process()
 
     def watch():
-        while os.getppid() == parent and caller.is_alive():
+        while os.getppid() == parent:
             time.sleep(0.5)
         os._exit(1)
 
@@ -136,7 +122,7 @@ def _bounded_map(pool, ahead, fn, items):
 @contextmanager
 def process_map(workers):
     """Yield ``pmap(fn, items)``: results in input order, ``workers`` processes."""
-    if workers <= 1:
+    if workers <= 1 or not FORKS:
         yield map
         return
     # imported here: the multiprocessing machinery costs a command that
@@ -146,7 +132,7 @@ def process_map(workers):
 
     pool = ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=multiprocessing.get_context(_START_METHOD),
+        mp_context=multiprocessing.get_context("fork"),
         initializer=_exit_with_caller,
     )
     try:

@@ -29,7 +29,6 @@ __all__ = [
     "GRAPH_A",
     "GRAPH_B",
     "graph_a",
-    "graph_b",
     "preset_names",
     "preset_scenario",
     "example1_model",
@@ -171,11 +170,6 @@ def preset_scenario(name):
 def graph_a():
     """The three-node path network, rooted at node 1."""
     return parse_graph(GRAPH_A)
-
-
-def graph_b():
-    """The ten-node branched network, rooted at node 1."""
-    return parse_graph(GRAPH_B)
 
 
 def example1_model():

@@ -103,7 +103,7 @@ class ProtocolRealization:
         return self.kind in PARTIAL_STATE_KINDS
 
 
-def build_protocol(kind, model, gains, decomp=None):
+def build_protocol(kind, model, gains):
     """Instantiate one protocol kind for an agent model and gain set.
 
     Verifies the gains first and refuses incompatible pairings; the
@@ -118,7 +118,8 @@ def build_protocol(kind, model, gains, decomp=None):
         )
     if kind in FULL_STATE_KINDS and model.coupling != "full":
         raise ValidationError(f"kind {kind} needs full-state coupling")
-    if kind in ("P5", "P6") and decomp is None:
+    decomp = None
+    if kind in ("P5", "P6"):
         decomp = mixed_decompose(model.a, model.b, model.c, gamma_x=gains.gamma_x)
     report = verify_gains(model, gains, kind=kind, decomp=decomp)
     if not report.passed:

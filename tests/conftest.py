@@ -4,7 +4,7 @@ verdict lines for the final summary."""
 import pytest
 from hypothesis import settings
 
-from satsync.parallel import process_map, sharing_workers
+from satsync.parallel import FORKS, process_map
 
 # Property tests draw the same examples on every run and never read or
 # write the local example database (derandomize implies database=None);
@@ -20,7 +20,7 @@ def pytest_configure(config):
 
 
 def pytest_runtest_setup(item):
-    if item.get_closest_marker("needs_fork") and sharing_workers(2) == 1:
+    if item.get_closest_marker("needs_fork") and not FORKS:
         pytest.skip("pool workers are not forked here")
 
 

@@ -28,7 +28,7 @@ from satsync.analysis import (
 from satsync.errors import ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import generate_graph
-from satsync.parallel import process_map, sharing_workers
+from satsync.parallel import process_map
 from satsync.protocols import build_protocol
 from satsync.simulation import _EXPORT_ROWS, Scenario, TrajectoryRecord, simulate
 
@@ -153,7 +153,7 @@ def test_p3_energy_trace_decreases():
 def test_gain_margin_sweep_scales_and_matches_serial():
     sc = p1_scenario(horizon=6.0)
     serial = [run for _, run in gain_margin_runs(sc, [1.0, 4.0])]
-    with process_map(sharing_workers(2)) as pmap:
+    with process_map(2) as pmap:
         parallel = [run for _, run in gain_margin_runs(sc, [1.0, 4.0], pmap)]
     assert serial == parallel
     reports = [run.report for _, run in gain_margin_runs(sc, [1.0, 4.0], keep_trajectories=False)]
@@ -238,6 +238,7 @@ def test_run_cases_record_into_shared_states_through_a_pool(monkeypatch):
             assert np.array_equal(getattr(rec, name), getattr(alone.trajectory, name)), name
 
 
+@pytest.mark.needs_fork
 def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
     # the second record's CSV path turns into a directory once the pool runs
     rec = simulate(p1_scenario(horizon=4.0))
@@ -266,9 +267,9 @@ def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
 
 def test_case_workers_are_no_more_than_blocks_or_usable_cpus(monkeypatch):
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 64)
-    assert case_workers(401 * 3) == sharing_workers(2)  # 1203 rows make two blocks
+    assert case_workers(401 * 3) == 2  # 1203 rows make two blocks
     assert case_workers(_EXPORT_ROWS) == 1
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
-    assert case_workers(100 * _EXPORT_ROWS) == sharing_workers(2)
+    assert case_workers(100 * _EXPORT_ROWS) == 2
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 1)
     assert case_workers(100 * _EXPORT_ROWS) == 1

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import satsync
 from satsync import analysis, cli, simulation
 from satsync.cli import main
 from satsync.errors import IntegrationError
-from satsync.parallel import process_map, sharing_workers
+from satsync.parallel import FORKS, process_map
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -256,15 +257,42 @@ def test_rejected_commands_leave_no_run_directory(scenario_file, tmp_path, argv)
 SHORT_REPRODUCE = ["reproduce", "example1", "--horizon", "6", "--dt", "0.01"]
 
 
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["simulate", "--scenario", None], "scenario.json"),
+    (SHORT_REPRODUCE, "example1-net3-scenario.json"),
+    (["sweep", "--scenario", None, "--rho", "1,2"], "scenario.json"),
+], ids=["simulate", "reproduce", "sweep-rho"])
+@pytest.mark.parametrize("blocked", ["echo", "manifest"])
+def test_a_directory_in_the_way_leaves_out_as_it_was(scenario_file, tmp_path, capsys, argv, echo, blocked):
+    # the echoes and the manifest are written after the CSVs and the
+    # summary; a file that cannot be moved in must take them back out
+    out = tmp_path / "out"
+    target = out / (echo if blocked == "echo" else "manifest.json")
+    target.mkdir(parents=True)
+    (out / "notes.txt").write_text("earlier\n")
+    before = _tree(out)
+    argv = [scenario_file if a is None else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert str(target) in capsys.readouterr().err
+    assert _tree(out) == before
+
+
 def same_for_one_and_two_cpus(argv, code, tmp_path, capsys, monkeypatch):
     """Run ``argv`` with 1 and then 2 usable CPUs; each opens one pool of
-    that many workers, and both print the same and write the same run
-    directory. Returns its file names."""
+    that many workers (in process with one, or where workers cannot be
+    forked), and both print the same and write the same run directory.
+    Returns its file names."""
     outs, printed, opened = {}, {}, []
 
+    @contextmanager
     def one_pool(workers):
-        opened.append(workers)
-        return process_map(workers)
+        with process_map(workers) as pmap:
+            opened.append((workers, pmap is not map))
+            yield pmap
 
     monkeypatch.setattr(cli, "process_map", one_pool)
     for cpus in (1, 2):
@@ -273,7 +301,7 @@ def same_for_one_and_two_cpus(argv, code, tmp_path, capsys, monkeypatch):
         assert main([*argv, "--out", str(outs[cpus])]) == code
         printed[cpus] = capsys.readouterr().out.replace(str(outs[cpus]), "OUT")
         assert multiprocessing.active_children() == []
-    assert opened == [1, sharing_workers(2)]
+    assert opened == [(1, False), (2, FORKS)]
     assert printed[1] == printed[2]
     names = sorted(os.listdir(outs[1]))
     assert names == sorted(os.listdir(outs[2]))

@@ -1,6 +1,5 @@
 """The ordered, bounded process map each command runs and exports through."""
 
-import multiprocessing
 import operator
 import os
 import signal
@@ -12,9 +11,7 @@ import pytest
 
 import satsync
 from satsync import parallel
-from satsync.parallel import SharedMatrix, process_map, sharing_workers
-
-METHODS = multiprocessing.get_all_start_methods()
+from satsync.parallel import SharedMatrix, process_map
 
 
 def test_process_map_keeps_order_and_bounds_work_in_flight(pooled_map):
@@ -32,11 +29,8 @@ def test_process_map_keeps_order_and_bounds_work_in_flight(pooled_map):
     assert [first, *results] == [-k for k in range(40)]
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_process_map_runs_under_every_start_method(method, monkeypatch):
-    # a worker's parent is the caller only under fork; under forkserver
-    # it is the fork server, and the workers must still stay up
-    monkeypatch.setattr(parallel, "_START_METHOD", method)
+@pytest.mark.needs_fork
+def test_process_map_keeps_its_workers_while_the_caller_lives():
     with process_map(2) as pmap:
         assert list(pmap(operator.neg, range(8))) == [-k for k in range(8)]
         time.sleep(0.7)  # longer than one parent check
@@ -59,7 +53,7 @@ def test_shared_matrix_written_by_a_worker_is_read_by_its_caller():
         assert (handle.array == pid).all()
 
 
-def test_shared_matrix_leaves_the_table_with_its_handle(monkeypatch):
+def test_shared_matrix_leaves_the_table_with_its_handle():
     handle = SharedMatrix(2, 3)
     key, row = handle._key, handle.array[1]
     assert parallel._shared[key] is handle.array
@@ -67,16 +61,11 @@ def test_shared_matrix_leaves_the_table_with_its_handle(monkeypatch):
     assert key not in parallel._shared
     row[:] = 1.0  # a view still holds the memory
     assert row.tolist() == [1.0, 1.0, 1.0]
-    for method in METHODS:
-        monkeypatch.setattr(parallel, "_START_METHOD", method)
-        assert sharing_workers(4) == (4 if method == "fork" else 1)
 
 
 CALLER = """
-import multiprocessing, sys, time
-from satsync import parallel
-from satsync.parallel import SharedMatrix, process_map, sharing_workers
-parallel._START_METHOD = sys.argv[1]
+import multiprocessing, time
+from satsync.parallel import process_map
 with process_map(2) as pmap:
     list(pmap(abs, range(4)))
     print(*(p.pid for p in multiprocessing.active_children()), flush=True)
@@ -92,12 +81,12 @@ def _running(pid):
         return False
 
 
+@pytest.mark.needs_fork
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-@pytest.mark.parametrize("method", METHODS)
-def test_workers_exit_when_their_caller_is_killed(method):
+def test_workers_exit_when_their_caller_is_killed():
     src = os.path.dirname(os.path.dirname(satsync.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    caller = subprocess.Popen([sys.executable, "-c", CALLER, method], env=env, stdout=subprocess.PIPE, text=True)
+    caller = subprocess.Popen([sys.executable, "-c", CALLER], env=env, stdout=subprocess.PIPE, text=True)
     try:
         workers = [int(pid) for pid in caller.stdout.readline().split()]
     finally:
