@@ -10,11 +10,11 @@ or network sizes.
 
 A run directory always holds exactly the resolved scenario echo(es),
 ``summary.json``, the trajectory file(s), and ``manifest.json``, moved
-in together once all of them are written, so a command that fails
-leaves it as it was. The manifest's ``run`` section is deterministic
--- identical invocations produce identical content, with wall-clock
-timing kept outside it -- and trajectory and summary files are
-byte-identical across reruns.
+in together once all of them are written, so a command that fails or
+is sent SIGTERM leaves it as it was (SIGKILL cannot be caught). The
+manifest's ``run`` section is deterministic -- identical invocations
+produce identical content, with wall-clock timing kept outside it --
+and trajectory and summary files are byte-identical across reruns.
 Convergence is data in the report, not an exit status, except for
 ``reproduce`` which fails when a preset does not converge. Agent
 indices in all user-facing output are 1-based.
@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -350,9 +351,24 @@ def _build_parser():
     return parser
 
 
+class Terminated(BaseException):
+    """SIGTERM, raised in the main thread so that every cleanup on the
+    way out runs; like ``KeyboardInterrupt``, no ``except Exception``
+    catches it."""
+
+
+def _raise_terminated(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # the cleanup runs to its end
+    raise Terminated
+
+
 def main(argv=None):
+    """Run one command. SIGTERM while it runs removes what the command
+    staged (and ``--out`` if it made it), stops its pool without waiting
+    for running cases, and then ends the process by SIGTERM."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         return args.func(args)
     except (ValidationError, SynthesisError, IntegrationError) as exc:
@@ -361,6 +377,11 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

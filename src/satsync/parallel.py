@@ -7,7 +7,9 @@ consumed. Otherwise it submits calls to a pool of forked processes, at
 most two per worker ahead of the caller, and yields the results in
 input order, so a long stream of items never holds more than that many
 results in memory. The pool is shut down on leaving the block, also
-when the block raises; calls not yet started are cancelled.
+when the block raises; calls not yet started are cancelled. An error
+waits for the calls already running; an interrupt (``KeyboardInterrupt``
+or another exception that is not an ``Exception``) does not.
 
 The workers are forked whatever the interpreter's default start method
 (``forkserver`` from Python 3.14): a worker that started a fresh
@@ -16,7 +18,8 @@ interpreter would import numpy and the package first, about 0.5 s on a
 could not reach a ``SharedMatrix``. A forking pool starts all its
 workers before its own manager thread, so they copy a process running
 only the caller's thread and native library threads. A worker exits
-once its caller has died.
+once its caller has died, and SIGTERM ends it whatever handler its
+caller installed.
 
 A ``SharedMatrix`` is a float matrix in an anonymous shared mapping.
 Made before a pool's first task, it is inherited by every worker: a
@@ -29,6 +32,7 @@ from __future__ import annotations
 import itertools
 import mmap
 import os
+import signal
 import sys
 import threading
 import time
@@ -93,12 +97,13 @@ def _inherited(key):
 
 def _exit_with_caller():
     """Pool initializer: end this worker once the process that made the
-    pool has died.
+    pool has died, or on SIGTERM.
 
     A worker waits on its task queue, which it holds open itself, so a
     caller killed by a signal would otherwise leave it waiting forever.
     A forked worker sees its parent change at once.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     parent = os.getppid()
 
     def watch():
@@ -137,5 +142,7 @@ def process_map(workers):
     )
     try:
         yield partial(_bounded_map, pool, 2 * workers)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    except BaseException as exc:
+        pool.shutdown(wait=isinstance(exc, Exception), cancel_futures=True)
+        raise
+    pool.shutdown(wait=True, cancel_futures=True)

@@ -73,10 +73,12 @@ MAX_STEPS = 10_000_000
 # 2761 us, against 52, 113 and 289 us for the sparse operator.
 PER_AGENT_MIN_DIM = 384
 # Trajectory export formats about this many CSV rows (whole time steps
-# of N rows each) per block, about 1.5 MB of transient floats and text;
-# a pooled export holds at most two blocks per worker in flight.
-# Export speed is flat from 256 to 32768 rows; at 4096 the block raised
-# example2's peak RSS by 5.5 MB, at 1024 it leaves the peak unchanged.
+# of N rows each) per block, one pool task; a pooled export holds at most
+# two blocks per worker in flight, and the CSV kernel formats a block 128
+# rows at a time (``_g17.ROWS``). reproduce example2 --dt 0.01 in 2
+# workers (medians of 4, 2-vCPU x86-64 host), rows per block: wall s and
+# peak RSS MB: 256 2.30 58.3, 512 2.13 59.5, 1024 1.93 60.5, 2048 1.93
+# 64.0, 4096 2.01 70.8.
 _EXPORT_ROWS = 1024
 
 
@@ -482,7 +484,10 @@ def _signal_columns(protocol, x, xc):
 
 
 def _format_block(block):
-    """The CSV rows of a block from ``_time_blocks``, formatted by one ``%``."""
+    """The CSV rows of a block from ``_time_blocks``, as bytes."""
+    # imported here: its tables are built at import, off the start-up path
+    from ._g17 import format_rows
+
     protocol, times, x_r, x, xc = block
     T, N, n = x.shape
     shape = (T, N)
@@ -496,8 +501,7 @@ def _format_block(block):
         axis=2,
         dtype=float,
     )
-    row_fmt = ",".join(["%.17g"] * values.shape[2]) + "\n"
-    return row_fmt * (T * N) % tuple(values.reshape(-1).tolist())
+    return format_rows(values.reshape(T * N, -1))
 
 
 def export_trajectory(record, path, pmap=map):
@@ -507,17 +511,18 @@ def export_trajectory(record, path, pmap=map):
     The rows are formatted in blocks of whole time steps (see
     ``_format_block``) through ``pmap``, the builtin ``map`` or a
     ``parallel.process_map`` pool, and written in block order, so the
-    bytes do not depend on where a block was formatted. ``%.17g`` is
-    the same conversion as ``format(v, ".17g")``, and the agent index,
-    a float here, prints as its integer.
+    bytes do not depend on where a block was formatted. Each value is
+    exactly ``'%.17g' % v``, the same conversion as ``format(v, ".17g")``
+    (see ``_g17``), and the agent index, a float here, prints as its
+    integer.
     """
     n = record.x.shape[2]
     first = _signal_columns(record.scenario.protocol, record.x[:1], record.xc[:1])
     cols = ["t", "agent"]
     cols += [f"{name}{j}" for name, a in first.items() for j in range(a.shape[2])]
     cols += [f"xr{j}" for j in range(n)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
         for text in pmap(_format_block, _time_blocks(record)):
             fh.write(text)
 

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -16,6 +17,8 @@ from satsync import analysis, cli, simulation
 from satsync.cli import main
 from satsync.errors import IntegrationError
 from satsync.parallel import FORKS, process_map
+
+from procs import children, running
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -174,6 +177,49 @@ def test_p6_commands_never_load_scipy(tmp_path):
     assert out.splitlines()[-1] == "[False, False, False]"
     for name in ("ex2", "sweep"):
         assert (tmp_path / name / "manifest.json").is_file()
+
+
+def test_start_up_never_loads_the_csv_kernel(tmp_path):
+    # the CSV kernel builds its tables when imported, so it is imported
+    # by the first block it formats, never before the first closed loop
+    code = """if True:
+        import os, sys
+        from satsync import cli, simulation
+        names = ("satsync._g17", "fractions")
+        print([name in sys.modules for name in names])
+        assemble = simulation.assemble
+
+        def assemble_then_stop(*args, **kwargs):
+            assemble(*args, **kwargs)
+            print([name in sys.modules for name in names], flush=True)
+            os._exit(0)
+
+        simulation.assemble = assemble_then_stop
+        cli.main(["reproduce", "example2", "--dt", "0.01", "--out", sys.argv[1]])
+    """
+    out = _run_python("-c", code, str(tmp_path / "ex2"))
+    assert out == "[False, False]\n[False, False]\n"
+
+
+@pytest.mark.needs_fork
+def test_every_csv_field_prints_as_percent_17g(tmp_path, monkeypatch):
+    # the byte contract of the trajectory files, on what pooled commands write
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+    scenario = os.path.join(REPO_ROOT, "scenarios", "random_observer_net.json")
+    main(["reproduce", "example2", "--dt", "0.01", "--horizon", "5", "--out", str(tmp_path / "ex2")])
+    main(["sweep", "--scenario", scenario, "--n", "4,6", "--dt", "0.01", "--horizon", "5",
+          "--out", str(tmp_path / "sweep")])
+    csvs = sorted(tmp_path.glob("*/*.csv"))
+    assert [path.name for path in csvs] == [
+        "example2-net10.csv", "example2-net3.csv", "random-observer-net-n4.csv", "random-observer-net-n6.csv",
+    ]
+    for path in csvs:
+        header, *lines = path.read_text().splitlines()
+        assert len(lines) > 10
+        for line in lines:
+            fields = line.split(",")
+            assert len(fields) == header.count(",") + 1
+            assert ",".join("%.17g" % float(field) for field in fields) == line, path.name
 
 
 def test_synthesize_loads_scipy_for_the_neutral_weight():
@@ -432,6 +478,65 @@ def test_reproduce_exports_the_first_case_while_the_second_runs(tmp_path, monkey
     monkeypatch.setattr(analysis, "export_trajectory", export)
     assert main([*SHORT_REPRODUCE, "--out", str(tmp_path / "rep")]) == 1  # not converged in 6 s
     assert sorted(os.listdir(tmp_path / "rep"))[:2] == ["example1-net10-scenario.json", "example1-net10.csv"]
+
+
+# a command whose pool always has two workers
+TWO_WORKERS = """
+import sys
+from satsync import analysis, cli
+analysis.usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.parametrize("group", [False, True], ids=["caller", "process-group"])
+def test_sigterm_leaves_out_as_it_was_and_no_worker(tmp_path, group):
+    # example2 at its preset dt integrates for many seconds; SIGTERM comes
+    # once both cases run in the workers and the CSVs are being staged,
+    # to the command alone or, as a service manager stops it, to its
+    # workers too
+    out = tmp_path / "d"
+    src = os.path.dirname(os.path.dirname(satsync.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    caller = subprocess.Popen(
+        [sys.executable, "-c", TWO_WORKERS, "reproduce", "example2", "--out", str(out)],
+        cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        workers = []
+        while len(workers) < 2 or not list(out.glob(".export-*")):
+            assert time.monotonic() < deadline and caller.poll() is None
+            time.sleep(0.05)
+            workers = children(caller.pid)
+        time.sleep(0.5)
+        sent = time.monotonic()
+        if group:
+            os.killpg(caller.pid, signal.SIGTERM)
+        else:
+            caller.send_signal(signal.SIGTERM)
+        status = caller.wait(timeout=60)
+        took = time.monotonic() - sent
+    finally:
+        caller.kill()
+        caller.wait()
+        stderr = caller.stderr.read()
+        caller.stderr.close()
+    assert status == -signal.SIGTERM, stderr
+    assert took < 5.0  # it did not wait for the running cases
+    assert "Traceback" not in stderr
+    assert not out.exists()  # the command made it, so it removed it
+    assert os.listdir(tmp_path) == []
+    deadline = time.monotonic() + 10.0
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [pid for pid in workers if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
 
 
 def test_reproduce_unknown_preset_is_usage_error(tmp_path):

@@ -13,6 +13,8 @@ import satsync
 from satsync import parallel
 from satsync.parallel import SharedMatrix, process_map
 
+from procs import running
+
 
 def test_process_map_keeps_order_and_bounds_work_in_flight(pooled_map):
     pulled = []
@@ -73,14 +75,6 @@ with process_map(2) as pmap:
 """
 
 
-def _running(pid):
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
 @pytest.mark.needs_fork
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
 def test_workers_exit_when_their_caller_is_killed():
@@ -93,11 +87,11 @@ def test_workers_exit_when_their_caller_is_killed():
         caller.kill()
         caller.wait(timeout=30)
         caller.stdout.close()
-    assert len(workers) == 2 and all(_running(pid) for pid in workers)
+    assert len(workers) == 2 and all(running(pid) for pid in workers)
     deadline = time.monotonic() + 10.0
-    while any(map(_running, workers)) and time.monotonic() < deadline:
+    while any(map(running, workers)) and time.monotonic() < deadline:
         time.sleep(0.1)
-    left = [pid for pid in workers if _running(pid)]
+    left = [pid for pid in workers if running(pid)]
     for pid in left:
         os.kill(pid, signal.SIGKILL)
     assert left == []

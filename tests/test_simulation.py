@@ -486,6 +486,9 @@ SPECIAL_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e16, 1e17,
     1.0, -1.0, 0.1, 1 / 3, 2.0**53, -(2.0**53) - 2.0, 123456789012345.0,
     1.7976931348623157e308,
+    # an exact tie at the 17th digit (rounded half to even), and a double
+    # below 10^-14 whose 17 digits round up to it
+    1e15 + 0.25, 1e-14,
 ]
 
 
