@@ -55,9 +55,11 @@ class ModelClass(str, enum.Enum):
     UNSUPPORTED = "unsupported"
 
 
-def saturate(v):
-    """Componentwise unit saturation: clip every entry to [-1, 1]."""
-    return np.clip(np.asarray(v, dtype=float), -1.0, 1.0)
+def saturate(v, out=None):
+    """Componentwise unit saturation: clip every entry to [-1, 1],
+    into ``out`` when given (a float array of ``v``'s shape)."""
+    # the array method is np.clip without its dispatch layer
+    return np.asarray(v, dtype=float).clip(-1.0, 1.0, out=out)
 
 
 def saturation_potential(u):

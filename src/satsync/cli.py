@@ -11,10 +11,11 @@ or network sizes.
 A run directory always holds exactly the resolved scenario echo(es),
 ``summary.json``, the trajectory file(s), and ``manifest.json``, moved
 in together once all of them are written, so a command that fails or
-is sent SIGTERM leaves it as it was (SIGKILL cannot be caught). The
-manifest's ``run`` section is deterministic -- identical invocations
-produce identical content, with wall-clock timing kept outside it --
-and trajectory and summary files are byte-identical across reruns.
+is sent SIGTERM or SIGINT leaves it as it was (SIGKILL cannot be
+caught). The manifest's ``run`` section is deterministic -- identical
+invocations produce identical content, with wall-clock timing kept
+outside it -- and trajectory and summary files are byte-identical
+across reruns.
 Convergence is data in the report, not an exit status, except for
 ``reproduce`` which fails when a preset does not converge. Agent
 indices in all user-facing output are 1-based.
@@ -351,24 +352,34 @@ def _build_parser():
     return parser
 
 
+# the signals a command cleans up after and then dies of
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
 class Terminated(BaseException):
-    """SIGTERM, raised in the main thread so that every cleanup on the
-    way out runs; like ``KeyboardInterrupt``, no ``except Exception``
-    catches it."""
+    """SIGTERM or SIGINT (``signum``), raised in the main thread so that
+    every cleanup on the way out runs; like ``KeyboardInterrupt``, no
+    ``except Exception`` catches it."""
+
+    def __init__(self, signum):
+        super().__init__(signum)
+        self.signum = signum
 
 
 def _raise_terminated(signum, frame):
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # the cleanup runs to its end
-    raise Terminated
+    for stop in _STOP_SIGNALS:  # the cleanup runs to its end
+        signal.signal(stop, signal.SIG_IGN)
+    raise Terminated(signum)
 
 
 def main(argv=None):
-    """Run one command. SIGTERM while it runs removes what the command
-    staged (and ``--out`` if it made it), stops its pool without waiting
-    for running cases, and then ends the process by SIGTERM."""
+    """Run one command. SIGTERM or SIGINT (Ctrl-C) while it runs removes
+    what the command staged (and ``--out`` if it made it), stops its pool
+    without waiting for running cases, and then ends the process by that
+    signal."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    previous = {stop: signal.signal(stop, _raise_terminated) for stop in _STOP_SIGNALS}
     try:
         return args.func(args)
     except (ValidationError, SynthesisError, IntegrationError) as exc:
@@ -377,11 +388,12 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Terminated:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGTERM)
+    except Terminated as exc:
+        signal.signal(exc.signum, signal.SIG_DFL)
+        os.kill(os.getpid(), exc.signum)
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for stop, handler in previous.items():
+            signal.signal(stop, handler)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ could not reach a ``SharedMatrix``. A forking pool starts all its
 workers before its own manager thread, so they copy a process running
 only the caller's thread and native library threads. A worker exits
 once its caller has died, and SIGTERM ends it whatever handler its
-caller installed.
+caller installed. A worker ignores SIGINT, which Ctrl-C sends to the
+whole process group: the caller handles it, and the worker exits with
+the caller.
 
 A ``SharedMatrix`` is a float matrix in an anonymous shared mapping.
 Made before a pool's first task, it is inherited by every worker: a
@@ -97,13 +99,15 @@ def _inherited(key):
 
 def _exit_with_caller():
     """Pool initializer: end this worker once the process that made the
-    pool has died, or on SIGTERM.
+    pool has died, or on SIGTERM; ignore SIGINT.
 
     A worker waits on its task queue, which it holds open itself, so a
     caller killed by a signal would otherwise leave it waiting forever.
-    A forked worker sees its parent change at once.
+    A forked worker sees its parent change at once. An interrupted
+    worker would print a traceback while its caller cleans up.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
 
     def watch():

@@ -16,21 +16,36 @@ Kronecker-product operator the equations factor into,
 
 multiplies each Laplacian entry by a whole block of the realization.
 Below ``PER_AGENT_MIN_DIM`` state components ``assemble`` materializes
-M, G and U from the same equations, because a dense product is faster
-there. ``sat`` is applied componentwise to the stacked inputs inside
-every integrator stage -- the model is continuous time and the
-saturation lives inside the plant, so there is no zero-order hold
-anywhere.
+M, G and U from the same equations. ``sat`` is applied componentwise to
+the stacked inputs inside every integrator stage -- the model is
+continuous time and the saturation lives inside the plant, so there is
+no zero-order hold anywhere.
 
 Integration is classical fixed-step RK4. No adaptivity: the right-hand
 side is globally Lipschitz (saturation only flattens it), determinism
 and bitwise reproducibility matter more here than step-size cleverness.
+A per-agent loop takes RK4's four stages through ``rk4`` and
+``ClosedLoop.vector_field``. A materialized loop takes the same step in
+one piece: every stage is affine in z and in its own saturated input
+s_i, so
+
+    z+ = Phi z + Gamma [s1; s2; s3; s4],
+    s_i = sat(A_i z + C_i [s1 .. s_{i-1}]),
+
+with Phi RK4's stability polynomial of dt M (Hairer, Norsett & Wanner,
+*Solving ODEs I*, section IV.2). ``integrate`` builds this
+``step_operator`` once per run and then spends one product with the
+stacked A_i, four saturations with three small products, and one
+product with [Phi | Gamma] per step. It rounds differently from the
+stage-wise sum: its states stay within about 1e-13 of max|z| of
+``rk4``'s on stable steps, and reruns are still bitwise identical.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +59,8 @@ __all__ = [
     "TrajectoryRecord",
     "assemble",
     "rk4",
+    "StepOperator",
+    "step_operator",
     "integrate",
     "simulate",
     "export_trajectory",
@@ -61,17 +78,30 @@ DEFAULT_HORIZON = 30.0
 MAX_DT = 0.1
 MAX_STEPS = 10_000_000
 # Closed loops with at least this many state components apply the
-# per-agent equations; smaller ones are densified. Per right-hand-side
-# call, dense against per-agent (example2's P6 on seeded random graphs,
-# best of 5, 2 BLAS threads, 2-vCPU x86-64 host): dim 70 9 vs 30 us,
-# 217 21 vs 39 us, 280 27 vs 38 us, 322 33 vs 31 us, 364 37 vs 34 us,
-# 406 44 vs 28 us, 532 130 vs 43 us, 1057 355 vs 44 us, 2107 1166 vs
-# 75 us, 3157 2855 vs 84 us, 8407 33139 vs 436 us. The sparse Kronecker
-# operator this replaced took 25, 45, 147, 366 and 2061 us from dim 532
-# to 8407. The dense Laplacians cost O(N^2) whatever the edge count, so
-# long sparse graphs lose: path N = 150, 400, 1000 take 130, 555 and
-# 2761 us, against 52, 113 and 289 us for the sparse operator.
-PER_AGENT_MIN_DIM = 384
+# per-agent equations; smaller ones are materialized and step through
+# ``step_operator``. Per step of 800 at dt 0.01, the materialized step
+# (its build included) against the per-agent RK4, example2's P6 on seeded
+# random graphs (min of 5 interleaved rounds, 2 BLAS threads, 2-vCPU
+# x86-64 host; us):
+#
+#   dim   materialized (build)   per-agent
+#   217     42 (7 ms)              140
+#   280     65 (10 ms)             139
+#   322    102 (15 ms)             136
+#   343    118 (17 ms)             155
+#   364    153 (21 ms)             143
+#   532    354 (54 ms)             147
+#
+# The step's [Phi | Gamma] has dim x (dim + 4 N m) entries, so kinds with
+# more inputs per state cross over earlier: P1 on the rotation (m = 1,
+# n = 2) ties at dim 302 (168 vs 158 us), P4 on example1 loses at 362
+# (170 vs 152 us). The per-agent step costs about 140 us whatever N up to
+# here, most of it numpy call overhead; past here its dense Laplacians
+# cost O(N^2) whatever the edge count, so long sparse graphs lose: path
+# N = 150, 400, 1000 take 130, 555 and 2761 us per right-hand side,
+# against 52, 113 and 289 us for the sparse Kronecker operator it
+# replaced.
+PER_AGENT_MIN_DIM = 350
 # Trajectory export formats about this many CSV rows (whole time steps
 # of N rows each) per block, one pool task; a pooled export holds at most
 # two blocks per worker in flight, and the CSV kernel formats a block 128
@@ -199,7 +229,8 @@ class ClosedLoop:
     graph enters through one product each with ``lap`` (L) and ``lbar``
     (Lbar), and through the root flags ``iota``. ``m_mat``, ``g_mat``
     and ``u_mat``, when set (see ``assemble``), are the same equations
-    as dense matrices: dz/dt = m_mat z + g_mat sat(u_mat z).
+    as dense matrices, dz/dt = m_mat z + g_mat sat(u_mat z), and
+    ``integrate`` steps such a loop through its ``step_operator``.
     """
 
     scenario: Scenario
@@ -240,8 +271,6 @@ class ClosedLoop:
         return out
 
     def vector_field(self, t, z):
-        if self.m_mat is not None:
-            return self.m_mat @ z + self.g_mat @ saturate(self.u_mat @ z)
         return self.rates(z, saturate(self.inputs(z)))
 
     def _split(self, z):
@@ -322,31 +351,52 @@ def assemble(scenario):
     return loop
 
 
-def rk4(f, z0, dt, steps, record_every=1, states=None):
-    """Classical 4th-order fixed-step integration of dz/dt = f(t, z).
+class StepOperator(NamedTuple):
+    """One RK4 step of a materialized closed loop: z+ = p [z; s1; s2; s3; s4].
 
-    Returns (times, states) with states[k] the state at times[k]; the
-    initial and final states are always recorded, intermediates every
-    ``record_every`` steps. A ``states`` matrix given is filled in
-    place; else a new one is made. Aborts with the offending time if
-    the state stops being finite.
+    The saturated stage inputs are s1 = sat(w1 z) and, for i = 2, 3, 4,
+    s_i = sat(w_i z + c[i - 2] [s1 .. s_{i-1}]), with w1 .. w4 the
+    consecutive N m row blocks of ``w`` (4 N m x dim). ``p`` is
+    [Phi | Gamma] (dim x (dim + 4 N m)), Phi being RK4's stability
+    polynomial of dt M.
     """
-    if not 0 < dt <= MAX_DT:
-        raise ValidationError(f"dt must be in (0, {MAX_DT}], got {dt}")
-    if steps > MAX_STEPS:
-        raise ValidationError(f"{steps} steps exceed the {MAX_STEPS} cap")
-    z = np.asarray(z0, dtype=float).copy()
-    rec_idx = list(range(0, steps + 1, record_every))
-    if rec_idx[-1] != steps:
-        rec_idx.append(steps)
-    times = np.array([k * dt for k in rec_idx])
-    shape = (len(rec_idx), z.size)
-    if states is None:
-        states = np.empty(shape)
-    elif states.shape != shape:
-        raise ValidationError(f"state matrix must be {shape}, got {states.shape}")
-    states[0] = z
-    out = 1
+
+    w: np.ndarray
+    c: tuple
+    p: np.ndarray
+
+
+def step_operator(loop):
+    """The RK4 step of a loop's materialized M, G, U at its scenario's dt.
+
+    ``rk4``'s stage recurrence is applied to the identity columns of
+    [z; s1; s2; s3; s4], each stage's saturated input taken as an
+    unknown: every stage state is then affine in z and in the inputs of
+    the stages before it, and each row of ``u_mat`` times a stage state
+    is that stage's pre-activation.
+    """
+    m_mat, g_mat, u_mat = loop.m_mat, loop.g_mat, loop.u_mat
+    dim, nm = m_mat.shape[0], u_mat.shape[0]
+    dt = loop.scenario.dt
+    z = np.eye(dim, dim + 4 * nm)
+    stage, ks, pre = z, [], []
+    for i, step in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
+        pre.append(u_mat @ stage)
+        k = m_mat @ stage
+        k[:, dim + i * nm: dim + (i + 1) * nm] += g_mat
+        ks.append(k)
+        if step is not None:
+            stage = z + step * k
+    k1, k2, k3, k4 = ks
+    return StepOperator(
+        w=np.vstack([a[:, :dim] for a in pre]),
+        c=tuple(a[:, dim: dim + i * nm] for i, a in enumerate(pre) if i),
+        p=z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+    )
+
+
+def _stage_steps(f, z, dt, steps):
+    """The state after each classical RK4 step of dz/dt = f(t, z)."""
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(steps):
@@ -356,14 +406,75 @@ def rk4(f, z0, dt, steps, record_every=1, states=None):
         k3 = f(t + half, z + half * k2)
         k4 = f(t + dt, z + dt * k3)
         z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
-            raise IntegrationError(
-                f"state became non-finite at t = {(k + 1) * dt:.6g}", t=(k + 1) * dt
-            )
-        if k + 1 == rec_idx[out]:
+        yield z
+
+
+def _operator_steps(op, z, steps):
+    """The state after each step of a ``StepOperator`` from z, as a view
+    into one of two buffers [z; s1; s2; s3; s4] that the steps take in turn."""
+    w, c, p = op
+    dim, nm = w.shape[1], w.shape[0] // 4
+    # w z lands in the input slots, and stage i's pre-activation is then
+    # [c_i | I] times the slots up to its own: one product, no sum
+    c = [np.hstack([c_i, np.eye(nm)]) for c_i in c]
+    pre = np.empty(nm)
+
+    def views(v):
+        inputs = [v[dim + i * nm: dim + (i + 1) * nm] for i in range(4)]
+        return v, v[:dim], v[dim:], inputs, [v[dim: dim + i * nm] for i in (2, 3, 4)]
+
+    now, nxt = views(np.empty(p.shape[1])), views(np.empty(p.shape[1]))
+    now[1][:] = z
+    for _ in range(steps):
+        v, z, slots, inputs, upto = now
+        # np.dot: the same BLAS products as matmul, with less overhead per call
+        np.dot(w, z, out=slots)
+        saturate(inputs[0], out=inputs[0])
+        for c_i, s, s_i in zip(c, upto, inputs[1:]):
+            saturate(np.dot(c_i, s, out=pre), out=s_i)
+        np.dot(p, v, out=nxt[1])
+        now, nxt = nxt, now
+        yield now[1]
+
+
+def _record(trajectory, z0, dt, steps, record_every, states):
+    """Record z0 and the states ``trajectory`` yields, one per step of
+    dt, as ``rk4`` returns them."""
+    if not 0 < dt <= MAX_DT:
+        raise ValidationError(f"dt must be in (0, {MAX_DT}], got {dt}")
+    if steps > MAX_STEPS:
+        raise ValidationError(f"{steps} steps exceed the {MAX_STEPS} cap")
+    rec_idx = list(range(0, steps + 1, record_every))
+    if rec_idx[-1] != steps:
+        rec_idx.append(steps)
+    times = np.array([k * dt for k in rec_idx])
+    shape = (len(rec_idx), z0.size)
+    if states is None:
+        states = np.empty(shape)
+    elif states.shape != shape:
+        raise ValidationError(f"state matrix must be {shape}, got {states.shape}")
+    states[0] = z0
+    out = 1
+    for k, z in enumerate(trajectory, 1):
+        if not np.isfinite(z).all():
+            raise IntegrationError(f"state became non-finite at t = {k * dt:.6g}", t=k * dt)
+        if k == rec_idx[out]:
             states[out] = z
             out += 1
     return times, states
+
+
+def rk4(f, z0, dt, steps, record_every=1, states=None):
+    """Classical 4th-order fixed-step integration of dz/dt = f(t, z).
+
+    Returns (times, states) with states[k] the state at times[k]; the
+    initial and final states are always recorded, intermediates every
+    ``record_every`` steps. A ``states`` matrix given is filled in
+    place; else a new one is made. Aborts with the offending time if
+    the state stops being finite.
+    """
+    z = np.asarray(z0, dtype=float).copy()
+    return _record(_stage_steps(f, z, dt, steps), z, dt, steps, record_every, states)
 
 
 # The controller signals of any span of time steps: TrajectoryRecord's
@@ -440,13 +551,18 @@ class TrajectoryRecord:
 def integrate(loop, states=None):
     """Run a closed loop over its scenario horizon; wrap the recorded states.
 
-    ``states``, a matrix of ``loop.record_shape``, receives the states
-    in place when given (see ``rk4``).
+    A materialized loop steps through its ``step_operator``, built here;
+    any other through ``rk4`` of its ``vector_field``. ``states``, a
+    matrix of ``loop.record_shape``, receives the states in place when
+    given (see ``rk4``).
     """
     sc = loop.scenario
-    times, states = rk4(
-        loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every, states
-    )
+    z0 = loop.initial_state()
+    if loop.m_mat is None:
+        times, states = rk4(loop.vector_field, z0, sc.dt, sc.steps, sc.record_every, states)
+    else:
+        trajectory = _operator_steps(step_operator(loop), z0, sc.steps)
+        times, states = _record(trajectory, z0, sc.dt, sc.steps, sc.record_every, states)
     return TrajectoryRecord.of_states(sc, times, states)
 
 

@@ -23,6 +23,15 @@ def test_saturate_clips_componentwise():
     assert np.array_equal(saturate(v), np.array([-1.0, -1.0, -0.2, 0.0, 0.7, 1.0, 1.0]))
 
 
+def test_saturate_is_np_clip_bit_for_bit_also_into_out():
+    v = np.array([-np.inf, -3.0, -1.0, -0.0, 0.0, 5e-324, 0.7, 1.0, np.nextafter(1.0, 2.0), np.inf, np.nan])
+    want = np.clip(v, -1.0, 1.0).tobytes()
+    assert saturate(v).tobytes() == want
+    out = np.full_like(v, 7.0)
+    assert saturate(v, out=out) is out and out.tobytes() == want
+    assert saturate(list(v)).tobytes() == want
+
+
 def test_saturate_idempotent_odd_lipschitz():
     rng = np.random.default_rng(17)
     u = rng.uniform(-4, 4, size=(200, 3))

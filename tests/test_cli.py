@@ -489,14 +489,13 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.needs_fork
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-@pytest.mark.parametrize("group", [False, True], ids=["caller", "process-group"])
-def test_sigterm_leaves_out_as_it_was_and_no_worker(tmp_path, group):
-    # example2 at its preset dt integrates for many seconds; SIGTERM comes
+def stop_while_a_case_runs(tmp_path, signum, group):
+    """Send ``signum`` to a pooled ``reproduce example2`` while its
+    10-node case still runs; check what it leaves and how it ends."""
+    # example2 at its preset dt integrates for seconds; the signal comes
     # once both cases run in the workers and the CSVs are being staged,
-    # to the command alone or, as a service manager stops it, to its
-    # workers too
+    # to the command alone or, as a service manager stops it or Ctrl-C
+    # interrupts it, to its workers too
     out = tmp_path / "d"
     src = os.path.dirname(os.path.dirname(satsync.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -513,11 +512,13 @@ def test_sigterm_leaves_out_as_it_was_and_no_worker(tmp_path, group):
             time.sleep(0.05)
             workers = children(caller.pid)
         time.sleep(0.5)
+        # the 10-node case has not finished: its CSV is not yet staged
+        assert not list(out.rglob("example2-net10.csv"))
         sent = time.monotonic()
         if group:
-            os.killpg(caller.pid, signal.SIGTERM)
+            os.killpg(caller.pid, signum)
         else:
-            caller.send_signal(signal.SIGTERM)
+            caller.send_signal(signum)
         status = caller.wait(timeout=60)
         took = time.monotonic() - sent
     finally:
@@ -525,7 +526,7 @@ def test_sigterm_leaves_out_as_it_was_and_no_worker(tmp_path, group):
         caller.wait()
         stderr = caller.stderr.read()
         caller.stderr.close()
-    assert status == -signal.SIGTERM, stderr
+    assert status == -signum, stderr
     assert took < 5.0  # it did not wait for the running cases
     assert "Traceback" not in stderr
     assert not out.exists()  # the command made it, so it removed it
@@ -537,6 +538,20 @@ def test_sigterm_leaves_out_as_it_was_and_no_worker(tmp_path, group):
     for pid in left:
         os.kill(pid, signal.SIGKILL)
     assert left == []
+
+
+@pytest.mark.needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.parametrize("group", [False, True], ids=["caller", "process-group"])
+def test_sigterm_leaves_out_as_it_was_and_no_worker(tmp_path, group):
+    stop_while_a_case_runs(tmp_path, signal.SIGTERM, group)
+
+
+@pytest.mark.needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.parametrize("group", [False, True], ids=["caller", "process-group"])
+def test_sigint_leaves_out_as_it_was_and_no_worker(tmp_path, group):
+    stop_while_a_case_runs(tmp_path, signal.SIGINT, group)
 
 
 def test_reproduce_unknown_preset_is_usage_error(tmp_path):

@@ -95,3 +95,47 @@ def test_workers_exit_when_their_caller_is_killed():
     for pid in left:
         os.kill(pid, signal.SIGKILL)
     assert left == []
+
+
+IDLE_WORKERS = """
+import multiprocessing, signal, time
+from satsync.parallel import process_map
+with process_map(2) as pmap:
+    list(pmap(abs, range(4)))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # forked before this
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    time.sleep(120)
+"""
+
+
+@pytest.mark.needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_idle_workers_leave_a_group_sigint_to_their_caller():
+    # Ctrl-C reaches every process of the group; a worker waiting for its
+    # next task would otherwise die of it with a traceback
+    src = os.path.dirname(os.path.dirname(satsync.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    caller = subprocess.Popen(
+        [sys.executable, "-c", IDLE_WORKERS], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        workers = [int(pid) for pid in caller.stdout.readline().split()]
+        os.killpg(caller.pid, signal.SIGINT)
+        time.sleep(1.0)
+        alive = [running(pid) for pid in workers]
+    finally:
+        caller.kill()
+        caller.wait(timeout=30)
+        stderr = caller.stderr.read()
+        caller.stdout.close()
+        caller.stderr.close()
+    assert len(workers) == 2 and all(alive)
+    assert "Traceback" not in stderr
+    deadline = time.monotonic() + 10.0
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [pid for pid in workers if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []

@@ -14,11 +14,12 @@ from satsync.analysis import sync_metrics
 from satsync.errors import IntegrationError, ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
-from satsync.presets import example2_gains, example2_model
+from satsync.presets import example1_gains, example1_model, example2_gains, example2_model
 from satsync.protocols import build_protocol
 from satsync.simulation import (
     _EXPORT_ROWS,
     PER_AGENT_MIN_DIM,
+    ClosedLoop,
     Scenario,
     TrajectoryRecord,
     _signal_columns,
@@ -29,6 +30,7 @@ from satsync.simulation import (
     read_trajectory,
     rk4,
     simulate,
+    step_operator,
 )
 
 from oracles import compute_network_signals, exosystem_reference
@@ -139,9 +141,17 @@ def test_integrate_fills_a_given_state_matrix(record_every):
 
 def test_exosystem_reference_matches_stacked_run():
     sc = rotation_scenario()
-    rec = simulate(sc)
+    loop = assemble(sc)
+    n = sc.model.n
+    # agents never feed the exosystem: the step's reference rows are zero
+    # outside the reference block, exactly
+    op = step_operator(loop)
+    assert not np.any(op.p[:n, n:])
+    rec = integrate(loop)
     ref = exosystem_reference(sc.model.a, sc.x_r0, rec.times)
-    assert np.array_equal(ref, rec.x_r)  # same scheme, same grid: exact
+    # the same RK4 on the same grid, its polynomial of dt a rounded as a
+    # matrix instead of stage by stage
+    assert np.max(np.abs(rec.x_r - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_simulate_deterministic():
@@ -298,6 +308,116 @@ def test_integration_error_reports_time_of_blowup():
     with pytest.raises(IntegrationError) as err:
         rk4(lambda t, z: 10.0 * z, np.array([1e307]), 0.1, 500)
     assert err.value.t is not None and 0.0 < err.value.t <= 50.0
+
+
+def _kind_protocols():
+    """(model, realization) of every protocol kind: the rotation for the
+    neutrally stable kinds, example1's double integrator and example2's
+    mixed model for the others."""
+    b = np.array([[0.0], [1.0]])
+    rot_full = AgentModel(a=ROTATION, b=b, c=np.eye(2), coupling="full")
+    rot_partial = AgentModel(a=ROTATION, b=b, c=np.array([[1.0, 0.0]]))
+    di = example1_model()
+    di_full = AgentModel(a=di.a, b=di.b, c=np.eye(di.n), coupling="full")
+    kinds = {
+        "P1": (rot_full, build_protocol("P1", rot_full, synthesize_gains(rot_full, "P1"))),
+        "P2": (rot_partial, build_protocol("P2", rot_partial, synthesize_gains(rot_partial, "P2"))),
+        "P3": (di_full, build_protocol("P3", di_full, example1_gains())),
+        "P4": (di, build_protocol("P4", di, example1_gains())),
+    }
+    return {**kinds, **EXAMPLE2_PROTOCOLS}
+
+
+KIND_PROTOCOLS = _kind_protocols()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_PROTOCOLS)),
+    family=st.sampled_from(["random", "path", "star"]),
+    size=st.floats(0.0, 1.0),
+    # up to the 0.01 s of the benchmark: at 0.03 s RK4 is unstable on some
+    # of these networks (its polynomial of dt (M + G U) has spectral
+    # radius 4-9), and both runs then amplify their rounding errors
+    dt=st.floats(0.001, 0.01),
+    steps=st.integers(1, 150),
+    record_every=st.integers(1, 20),
+    scale=st.floats(0.1, 5.0),
+    seed=st.integers(0, 2**16),
+)
+def test_materialized_step_matches_stage_wise_rk4(
+    kind, family, size, dt, steps, record_every, scale, seed
+):
+    model, proto = KIND_PROTOCOLS[kind]
+    n, n_c = model.n, proto.controller_state_dim
+    n_agents = 1 + int(size * ((PER_AGENT_MIN_DIM - 1 - n) // (n + n_c) - 1))
+    rng = np.random.default_rng(seed)
+    sc = Scenario(
+        name="eq", model=model, graph=generate_graph(family, n_agents, roots=[1], seed=seed),
+        protocol=proto, x_r0=rng.uniform(-scale, scale, n),
+        x0=rng.uniform(-scale, scale, (n_agents, n)),
+        controller0=rng.uniform(-scale, scale, (n_agents, n_c)),
+        dt=dt, horizon=steps * dt, record_every=record_every,
+    )
+    loop = assemble(sc)
+    assert loop.dim < PER_AGENT_MIN_DIM and loop.m_mat is not None
+    rec = integrate(loop)
+    times, ref = rk4(loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every)
+    got = rec.x_r.base
+    assert np.array_equal(rec.times, times)
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * np.max(np.abs(ref)))
+    # verdicts at the scenario's tolerance and at one set by a recorded
+    # error of the reference run, with a window of the drawn length
+    want = TrajectoryRecord.of_states(sc, times, ref)
+    errors = sync_metrics(want).max_error
+    drawn = errors[rng.integers(errors.size)] * (1 + 1e-6)
+    window = rng.uniform(0.1, 1.0) * (times[-1] - times[0])
+    for tol, window in ((sc.tol, None), (drawn, window)):
+        a, b = sync_metrics(rec, tol=tol, window=window), sync_metrics(want, tol=tol, window=window)
+        assert (a.converged, a.convergence_time) == (b.converged, b.convergence_time)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("kind", ["P1", "P6"])
+def test_materialized_step_reports_time_of_blowup(kind):
+    # a start near the float ceiling overflows in the step's products
+    model, proto = KIND_PROTOCOLS[kind]
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], (3, model.n))
+    sc = Scenario(
+        name="blowup", model=model, graph=generate_graph("random", 3, roots=[1], seed=0),
+        protocol=proto, x_r0=np.full(model.n, -1e308), x0=1e308 * signs,
+        dt=0.01, horizon=1.0,
+    )
+    loop = assemble(sc)
+    assert loop.m_mat is not None
+    with pytest.raises(IntegrationError) as err:
+        integrate(loop)
+    assert err.value.t is not None and 0.0 < err.value.t <= sc.horizon
+
+
+def test_only_per_agent_loops_integrate_through_the_vector_field(monkeypatch):
+    # the largest example2 P6 network below the threshold and the
+    # smallest at or above it
+    model, proto = EXAMPLE2_PROTOCOLS["P6"]
+    below = (PER_AGENT_MIN_DIM - 1 - model.n) // (model.n + proto.controller_state_dim)
+    small = assemble(p6_scenario(n_agents=below, horizon=0.05))
+    large = assemble(p6_scenario(n_agents=below + 1, horizon=0.05))
+    assert small.dim < PER_AGENT_MIN_DIM <= large.dim
+    field = ClosedLoop.vector_field
+    calls = []
+
+    def counted(self, t, z):
+        calls.append(t)
+        return field(self, t, z)
+
+    def forbidden(self, t, z):
+        raise AssertionError("a materialized loop called vector_field")
+
+    monkeypatch.setattr(ClosedLoop, "vector_field", forbidden)
+    integrate(small)
+    monkeypatch.setattr(ClosedLoop, "vector_field", counted)
+    integrate(large)
+    assert len(calls) == 4 * large.scenario.steps
 
 
 def dense_kron_operators(sc):
