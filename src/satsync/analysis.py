@@ -33,7 +33,7 @@ import numpy as np
 from . import simulation
 from .agents import ModelClass
 from .errors import ValidationError
-from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral, verify_gains
+from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral
 from .graphs import check_rootset, generate_graph, laplacian
 from .linalg import solve_lyapunov
 from .parallel import SharedMatrix, usable_cpus
@@ -58,6 +58,9 @@ __all__ = [
     "export_report",
     "parse_report",
 ]
+
+# Energy growth per step, relative to 1 + V, that v_trace_violation forgives
+V_TRACE_SLACK = 1e-9
 
 
 @dataclass(eq=False)
@@ -179,17 +182,17 @@ def sync_metrics(traj, tol=1e-2, window=None):
     )
 
 
-def v_trace_violation(v_trace, slack=1e-9):
+def v_trace_violation(v_trace):
     """Worst step-to-step energy growth beyond the integration allowance.
 
-    Returns max_k of V[k+1] - V[k] - slack*(1 + V[k]); a nonpositive
+    Returns max_k of V[k+1] - V[k] - V_TRACE_SLACK*(1 + V[k]); a nonpositive
     value means the trace is nonincreasing up to the allowance. Traces
     with fewer than two samples trivially return 0.0.
     """
     v = np.asarray(v_trace, dtype=float)
     if v.size < 2:
         return 0.0
-    growth = v[1:] - v[:-1] - slack * (1.0 + v[:-1])
+    growth = v[1:] - v[:-1] - V_TRACE_SLACK * (1.0 + v[:-1])
     return float(growth.max())
 
 
@@ -229,10 +232,10 @@ def lyapunov_certificate_P1(model, graph, rho, traj=None):
     )
     p = solve_P_neutral(model.a)
     gamma = 1.0 + rho * np.linalg.norm(model.b.T @ p, 2) ** 2
-    m_mat = _tracking_block(model, graph)
-    total = m_mat.shape[0]
-    p_bar = solve_lyapunov(m_mat, gamma * np.eye(total))
-    defect = m_mat.T @ p_bar + p_bar @ m_mat + gamma * np.eye(total)
+    track = _tracking_block(model, graph)
+    total = track.shape[0]
+    p_bar = solve_lyapunov(track, gamma * np.eye(total))
+    defect = track.T @ p_bar + p_bar @ track + gamma * np.eye(total)
     residual = float(np.linalg.eigvalsh(0.5 * (defect + defect.T)).max())
     v_trace = None
     if traj is not None:
@@ -299,9 +302,9 @@ def lyapunov_trace_P3(model, graph, rho, traj, k=None):
     if eps <= 0.0:
         raise ValidationError("velocity-block gain must be negative definite")
 
-    m_mat = _tracking_block(model, graph)
-    gamma = 1.0 + rho / eps * np.linalg.norm(k, 2) ** 2 * np.linalg.norm(m_mat, 2) ** 2
-    p_big = solve_lyapunov(m_mat, gamma * np.eye(m_mat.shape[0]))
+    track = _tracking_block(model, graph)
+    gamma = 1.0 + rho / eps * np.linalg.norm(k, 2) ** 2 * np.linalg.norm(track, 2) ** 2
+    p_big = solve_lyapunov(track, gamma * np.eye(track.shape[0]))
 
     dev = traj.x - traj.x_r[:, None, :]
     vel_dev = dev[:, :, vel]
@@ -315,14 +318,14 @@ def lyapunov_trace_P3(model, graph, rho, traj, k=None):
     return agent_term + error_term + input_term
 
 
-def run_case(case, keep_trajectory=True, states=None):
-    """Run one case: simulate, score it, audit its gains.
+def run_case(case, states=None):
+    """Run one case: simulate and score it; carry its record and gain audit.
 
     ``case`` is a Scenario or the ClosedLoop assembled from one; the
     states are recorded into ``states`` when it is given (a matrix of
-    the loop's ``record_shape``). The verdict uses the scenario's own
-    tolerance and window; the gains are the ones its realization was
-    built from.
+    the loop's ``record_shape``), which the record then views. The
+    verdict uses the scenario's own tolerance and window; the gain audit
+    is its realization's ``gain_report``.
     """
     # assemble and integrate are looked up on their module at call time,
     # so that a replacement installed there (a test's, a profiler's)
@@ -330,12 +333,11 @@ def run_case(case, keep_trajectory=True, states=None):
     loop = case if isinstance(case, ClosedLoop) else simulation.assemble(case)
     record = simulation.integrate(loop, states)
     scenario = loop.scenario
-    protocol = scenario.protocol
     return RunRecord(
         name=scenario.name,
         report=sync_metrics(record, tol=scenario.tol, window=scenario.window),
-        gain_report=verify_gains(scenario.model, protocol.gains, kind=protocol.kind),
-        trajectory=record if keep_trajectory else None,
+        gain_report=scenario.protocol.gain_report,
+        trajectory=record,
     )
 
 
@@ -346,18 +348,17 @@ def _assembled(case):
 
 def _run_assembled(item):
     loop, states = item
-    return run_case(loop, keep_trajectory=False, states=states.array)
+    # the record stays behind: the caller views the same shared states
+    return replace(run_case(loop, states.array), trajectory=None)
 
 
-def _recorded(item, run, keep_trajectory):
+def _recorded(item, run):
     loop, states = item
-    if keep_trajectory:
-        record = TrajectoryRecord.of_states(loop.scenario, run.report.times, states.array)
-        run = replace(run, trajectory=record)
-    return loop.scenario, run
+    record = TrajectoryRecord.of_states(loop.scenario, run.report.times, states.array)
+    return loop.scenario, replace(run, trajectory=record)
 
 
-def run_cases(cases, pmap=map, keep_trajectories=True):
+def run_cases(cases, pmap=map):
     """Run case scenarios; yield (case, RunRecord) in order, each as soon as it has run.
 
     ``pmap`` is the builtin ``map`` or a ``parallel.process_map`` pool
@@ -380,7 +381,7 @@ def run_cases(cases, pmap=map, keep_trajectories=True):
 
     items = assembled() if pmap is map else list(assembled())
     for run in pmap(_run_assembled, items):
-        yield _recorded(ready.popleft(), run, keep_trajectories)
+        yield _recorded(ready.popleft(), run)
 
 
 def case_workers(rows):
@@ -436,7 +437,7 @@ def _size_case(scenario, index, size, ic_scale=1.0):
     )
 
 
-def gain_margin_runs(scenario, rhos, pmap=map, keep_trajectories=True):
+def gain_margin_runs(scenario, rhos, pmap=map):
     """Re-run one scenario across loop gains.
 
     Every other ingredient -- graph, initial conditions, step size -- is
@@ -453,7 +454,7 @@ def gain_margin_runs(scenario, rhos, pmap=map, keep_trajectories=True):
             raise ValidationError(f"rho must be positive, got {r:g}")
     _require_distinct_names(scenario, "rho values", rhos, _rho_name)
     cases = (_rho_case(scenario, rho) for rho in rhos)
-    return run_cases(cases, pmap, keep_trajectories)
+    return run_cases(cases, pmap)
 
 
 def network_sizes(scenario, sizes):
@@ -467,7 +468,7 @@ def network_sizes(scenario, sizes):
     return sizes
 
 
-def scale_free_runs(scenario, sizes, pmap=map, *, ic_scale=1.0, keep_trajectories=True):
+def scale_free_runs(scenario, sizes, pmap=map, *, ic_scale=1.0):
     """Run one scenario's protocol over random networks of growing size.
 
     Case ``index`` (named ``<name>-n<size>``) gets a random graph rooted
@@ -485,7 +486,7 @@ def scale_free_runs(scenario, sizes, pmap=map, *, ic_scale=1.0, keep_trajectorie
     """
     sizes = network_sizes(scenario, sizes)
     cases = (_size_case(scenario, i, n, ic_scale) for i, n in enumerate(sizes))
-    return run_cases(cases, pmap, keep_trajectories)
+    return run_cases(cases, pmap)
 
 
 @dataclass(eq=False)

@@ -244,21 +244,21 @@ def compute_Lambda(decomp, p_d):
     return lam
 
 
-def design_K_mixed(decomp, p_d=None):
+def design_K_mixed(decomp):
     """Feedback for the mixed class: equality by least squares, strict
     input dissipation by a projected scaling search.
 
-    The base solution is the minimum-norm k0 with
-    ``k0 at = -bt' lam`` (at, bt: dynamics/input in the decomposed
-    coordinates). Adding rows from the left null space of ``at``
-    preserves the equality; the search scales ``-beta bt' pi`` (pi the
-    orthogonal projector onto that null space) over a geometric beta
-    grid until ``k bt + bt' k'`` is strictly negative definite.
+    The velocity weight p_d is the identity, as ``synthesize_gains``
+    records it, so ``lam`` is ``compute_Lambda(decomp, I)``. The base
+    solution is the minimum-norm k0 with ``k0 at = -bt' lam`` (at, bt:
+    dynamics/input in the decomposed coordinates). Adding rows from the
+    left null space of ``at`` preserves the equality; the search scales
+    ``-beta bt' pi`` (pi the orthogonal projector onto that null space)
+    over a geometric beta grid until ``k bt + bt' k'`` is strictly
+    negative definite.
     """
     q, m = decomp.q, decomp.m
-    if p_d is None:
-        p_d = np.eye(q)
-    lam = compute_Lambda(decomp, p_d)
+    lam = compute_Lambda(decomp, np.eye(q))
     at = _decomposed_a(decomp)
     bt = decomp.b_tilde
     rhs = -(bt.T @ lam)
@@ -454,7 +454,7 @@ def synthesize_gains(model, kind, rho=1.0):
     if kind in ("P5", "P6"):
         decomp = mixed_decompose(model.a, model.b, model.c)
         p_d = np.eye(decomp.q)
-        k = design_K_mixed(decomp, p_d)
+        k = design_K_mixed(decomp)
         lam = compute_Lambda(decomp, p_d)
         gamma_x = decomp.gamma_x
     if kind in ("P2", "P4", "P6"):

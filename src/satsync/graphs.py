@@ -196,6 +196,19 @@ def generate_graph(kind, n, roots, seed=0, extra_edge_prob=0.2):
     return graph
 
 
+# the largest weight a float holds; a larger JSON integer is rejected, not overflowed
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _index(value, path, n):
+    """``value`` if it is a JSON integer (never a bool) in 1..n; else rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    if not 1 <= value <= n:
+        raise ValidationError(f"{path}: index {value} outside 1..{n}")
+    return value
+
+
 def parse_graph(data, context="graph"):
     """Build a CommGraph from the dict form used in files and scenarios.
 
@@ -204,8 +217,9 @@ def parse_graph(data, context="graph"):
         {"n": 3, "edges": [{"from": 1, "to": 2, "weight": 1.0}, ...],
          "roots": [1]}
 
-    Indices are 1-based; ``"from"`` is the information source. ``weight``
-    defaults to 1. Unknown keys are rejected with their field path.
+    Indices are 1-based JSON integers, never coerced; ``"from"`` is the
+    information source. ``weight``, a positive number, defaults to 1.
+    Unknown keys and bad values are rejected with their field path.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{context}: expected a mapping, got {type(data).__name__}")
@@ -217,7 +231,7 @@ def parse_graph(data, context="graph"):
         if key not in data:
             raise ValidationError(f"{context}.{key}: missing")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"{context}.n: must be a positive integer, got {n!r}")
     weights = np.zeros((n, n))
     if not isinstance(data["edges"], list):
@@ -229,17 +243,11 @@ def parse_graph(data, context="graph"):
         unknown = set(edge) - {"from", "to", "weight"}
         if unknown:
             raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
-        try:
-            src = int(edge["from"])
-            dst = int(edge["to"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: needs integer 'from' and 'to'") from exc
+        src = _index(edge.get("from"), f"{where}.from", n)
+        dst = _index(edge.get("to"), f"{where}.to", n)
         weight = edge.get("weight", 1.0)
-        if not isinstance(weight, (int, float)) or not np.isfinite(weight) or weight <= 0:
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 < weight <= _FLOAT_MAX:
             raise ValidationError(f"{where}.weight: must be a positive number, got {weight!r}")
-        for name, idx in (("from", src), ("to", dst)):
-            if not 1 <= idx <= n:
-                raise ValidationError(f"{where}.{name}: index {idx} outside 1..{n}")
         if src == dst:
             raise ValidationError(f"{where}: self-loop on node {src}")
         weights[dst - 1, src - 1] = float(weight)
@@ -247,9 +255,7 @@ def parse_graph(data, context="graph"):
         raise ValidationError(f"{context}.roots: must be a list")
     flags = np.zeros(n, dtype=int)
     for k, r in enumerate(data["roots"]):
-        if not isinstance(r, int) or not 1 <= r <= n:
-            raise ValidationError(f"{context}.roots[{k}]: index {r!r} outside 1..{n}")
-        flags[r - 1] = 1
+        flags[_index(r, f"{context}.roots[{k}]", n) - 1] = 1
     return CommGraph(n=n, weights=weights, root_flags=flags)
 
 

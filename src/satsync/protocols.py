@@ -81,8 +81,9 @@ class ProtocolRealization:
                    (h_c x_c, sat(u))  (partial-state kinds)
 
     where iota is the agent's root flag. ``u_gain`` repeats f_c's
-    active block (the feedback applied to chi) for diagnostics, and
-    ``gains`` retains what the realization was built from.
+    active block (the feedback applied to chi) for diagnostics, ``gains``
+    retains what the realization was built from, and ``gain_report`` the
+    audit that admitted them, which every run reports, on any graph.
     """
 
     kind: str
@@ -97,6 +98,7 @@ class ProtocolRealization:
     root_input: np.ndarray
     u_gain: np.ndarray
     gains: object
+    gain_report: object
 
     @property
     def uses_observer(self):
@@ -179,4 +181,5 @@ def build_protocol(kind, model, gains):
         root_input=root_input,
         u_gain=u_gain,
         gains=gains,
+        gain_report=report,
     )

@@ -227,6 +227,9 @@ def _parse_graph_section(doc, base_dir):
         roots = spec.get("roots", [1])
         if not isinstance(roots, list):
             raise ValidationError("graph.generate.roots: expected a list")
+        for k, r in enumerate(roots):
+            if isinstance(r, bool) or not isinstance(r, int):
+                raise ValidationError(f"graph.generate.roots[{k}]: expected an integer, got {r!r}")
         kwargs = {}
         if "extra_edge_prob" in spec:
             kwargs["extra_edge_prob"] = _number(

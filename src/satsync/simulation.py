@@ -15,19 +15,17 @@ Kronecker-product operator the equations factor into,
     dz/dt = M z + G sat(U z),
 
 multiplies each Laplacian entry by a whole block of the realization.
-Below ``PER_AGENT_MIN_DIM`` state components ``assemble`` materializes
-M, G and U from the same equations. ``sat`` is applied componentwise to
-the stacked inputs inside every integrator stage -- the model is
-continuous time and the saturation lives inside the plant, so there is
-no zero-order hold anywhere.
+``sat`` is applied componentwise to the stacked inputs inside every
+integrator stage -- the model is continuous time and the saturation
+lives inside the plant, so there is no zero-order hold anywhere.
 
 Integration is classical fixed-step RK4. No adaptivity: the right-hand
 side is globally Lipschitz (saturation only flattens it), determinism
 and bitwise reproducibility matter more here than step-size cleverness.
-A per-agent loop takes RK4's four stages through ``rk4`` and
-``ClosedLoop.vector_field``. A materialized loop takes the same step in
-one piece: every stage is affine in z and in its own saturated input
-s_i, so
+From ``PER_AGENT_MIN_DIM`` state components up, ``integrate`` takes
+RK4's four stages through ``rk4`` and ``ClosedLoop.vector_field``.
+Below, it takes the same step in one piece: every stage of the dense
+M, G, U is affine in z and in its own saturated input s_i, so
 
     z+ = Phi z + Gamma [s1; s2; s3; s4],
     s_i = sat(A_i z + C_i [s1 .. s_{i-1}]),
@@ -77,8 +75,8 @@ DEFAULT_HORIZON = 30.0
 # oscillatory dynamics here, and the step count is capped outright.
 MAX_DT = 0.1
 MAX_STEPS = 10_000_000
-# Closed loops with at least this many state components apply the
-# per-agent equations; smaller ones are materialized and step through
+# ``integrate`` steps closed loops with at least this many state
+# components through the per-agent equations, smaller ones through their
 # ``step_operator``. Per step of 800 at dt 0.01, the materialized step
 # (its build included) against the per-agent RK4, example2's P6 on seeded
 # random graphs (min of 5 interleaved rounds, 2 BLAS threads, 2-vCPU
@@ -227,10 +225,8 @@ class ClosedLoop:
 
     The per-agent blocks are one product ``[X | Xc | S] @ gain``; the
     graph enters through one product each with ``lap`` (L) and ``lbar``
-    (Lbar), and through the root flags ``iota``. ``m_mat``, ``g_mat``
-    and ``u_mat``, when set (see ``assemble``), are the same equations
-    as dense matrices, dz/dt = m_mat z + g_mat sat(u_mat z), and
-    ``integrate`` steps such a loop through its ``step_operator``.
+    (Lbar), and through the root flags ``iota``. ``step_operator`` forms
+    the dense M, G, U of a small loop from ``rates`` and ``inputs``.
     """
 
     scenario: Scenario
@@ -240,9 +236,6 @@ class ClosedLoop:
     exo: np.ndarray  # x_r -> [dx_r | (c_c C) x_r]
     gain: np.ndarray  # [X | Xc | S] -> [dX | local | root | into L | into Lbar]
     f_t: np.ndarray  # f_c^T
-    m_mat: np.ndarray | None = None
-    g_mat: np.ndarray | None = None
-    u_mat: np.ndarray | None = None
 
     def inputs(self, z):
         """The controllers' unsaturated inputs U: N x m after z's leading axes."""
@@ -263,7 +256,7 @@ class ClosedLoop:
         out[..., :n] = r[..., :n]
         dx[...] = w[..., :n]
         # summed as (local + iota root) + L (.) + Lbar (.), so that each
-        # entry of a materialized M or G is rounded as its Kronecker sum
+        # entry of the dense M or G is rounded as its Kronecker sum
         np.multiply(self.iota, w[..., n + n_c: n + 2 * n_c] - r[..., None, n:], out=dxc)
         dxc += w[..., n: n + n_c]
         dxc += self.lap @ w[..., n + 2 * n_c: n + 3 * n_c]
@@ -301,15 +294,7 @@ class ClosedLoop:
 
 
 def assemble(scenario):
-    """Build the closed loop of a scenario: its per-agent blocks and graph.
-
-    Below ``PER_AGENT_MIN_DIM`` state components the equations are also
-    materialized as dense M, G, U by applying them to identity columns.
-    Each entry is then a block entry or its product with a graph entry,
-    or a sum of those in the order ``(a_c - iota root_state) + L d_x h_c``,
-    so the matrices equal the ``np.kron`` products of the same blocks
-    entry for entry.
-    """
+    """Build the closed loop of a scenario: its per-agent blocks and graph."""
     sc = scenario
     model, graph, proto = sc.model, sc.graph, sc.protocol
     n, m, N = model.n, model.m, graph.n
@@ -328,7 +313,7 @@ def assemble(scenario):
             [model.b.T, proto.b_c.T, proto.root_input.T, d_input.T, zero((m, n_c))],
         ]
     )
-    loop = ClosedLoop(
+    return ClosedLoop(
         scenario=sc,
         lap=pair.L,
         lbar=pair.Lbar,
@@ -337,22 +322,10 @@ def assemble(scenario):
         gain=gain,
         f_t=proto.f_c.T,
     )
-    dim = loop.dim
-    if dim < PER_AGENT_MIN_DIM:
-        # row j of rates(e_j) is column j of M. The matrices are kept in
-        # C order: M z on a transposed view sums in another order, and
-        # the run directories' bytes would change with it
-        eye = np.eye(dim)
-        loop.m_mat = np.ascontiguousarray(loop.rates(eye, zero((dim, N, m))).T)
-        loop.g_mat = np.ascontiguousarray(
-            loop.rates(zero((N * m, dim)), np.eye(N * m).reshape(N * m, N, m)).T
-        )
-        loop.u_mat = np.ascontiguousarray(loop.inputs(eye).reshape(dim, N * m).T)
-    return loop
 
 
 class StepOperator(NamedTuple):
-    """One RK4 step of a materialized closed loop: z+ = p [z; s1; s2; s3; s4].
+    """One RK4 step of a closed loop's dense M, G, U: z+ = p [z; s1; s2; s3; s4].
 
     The saturated stage inputs are s1 = sat(w1 z) and, for i = 2, 3, 4,
     s_i = sat(w_i z + c[i - 2] [s1 .. s_{i-1}]), with w1 .. w4 the
@@ -367,16 +340,27 @@ class StepOperator(NamedTuple):
 
 
 def step_operator(loop):
-    """The RK4 step of a loop's materialized M, G, U at its scenario's dt.
+    """The RK4 step of a loop's dense M, G, U at its scenario's dt.
 
-    ``rk4``'s stage recurrence is applied to the identity columns of
-    [z; s1; s2; s3; s4], each stage's saturated input taken as an
-    unknown: every stage state is then affine in z and in the inputs of
-    the stages before it, and each row of ``u_mat`` times a stage state
-    is that stage's pre-activation.
+    M, G and U are the loop's equations on identity columns: each entry
+    a block entry, its product with a graph entry, or their sum in the
+    order ``(a_c - iota root_state) + L d_x h_c``, so they equal the
+    ``np.kron`` products of the same blocks entry for entry. ``rk4``'s
+    stage recurrence is then applied to the identity columns of
+    [z; s1; s2; s3; s4], each stage's saturated input an unknown: every
+    stage state is affine in z and in the inputs of the stages before
+    it, and U times a stage state is that stage's pre-activation.
     """
-    m_mat, g_mat, u_mat = loop.m_mat, loop.g_mat, loop.u_mat
-    dim, nm = m_mat.shape[0], u_mat.shape[0]
+    dim, N, m = loop.dim, loop.lap.shape[0], loop.f_t.shape[1]
+    nm = N * m
+    # row j of rates(e_j) is column j of M. In C order, as M z on a
+    # transposed view sums in another order and changes run directories
+    eye = np.eye(dim)
+    m_mat = np.ascontiguousarray(loop.rates(eye, np.zeros((dim, N, m))).T)
+    g_mat = np.ascontiguousarray(
+        loop.rates(np.zeros((nm, dim)), np.eye(nm).reshape(nm, N, m)).T
+    )
+    u_mat = np.ascontiguousarray(loop.inputs(eye).reshape(dim, nm).T)
     dt = loop.scenario.dt
     z = np.eye(dim, dim + 4 * nm)
     stage, ks, pre = z, [], []
@@ -551,14 +535,15 @@ class TrajectoryRecord:
 def integrate(loop, states=None):
     """Run a closed loop over its scenario horizon; wrap the recorded states.
 
-    A materialized loop steps through its ``step_operator``, built here;
-    any other through ``rk4`` of its ``vector_field``. ``states``, a
-    matrix of ``loop.record_shape``, receives the states in place when
-    given (see ``rk4``).
+    The one place the kernel is chosen: a loop of ``PER_AGENT_MIN_DIM``
+    state components or more steps through ``rk4`` of its
+    ``vector_field``, a smaller one through its ``step_operator``, built
+    here. ``states``, a matrix of ``loop.record_shape``, receives the
+    states in place when given (see ``rk4``).
     """
     sc = loop.scenario
     z0 = loop.initial_state()
-    if loop.m_mat is None:
+    if loop.dim >= PER_AGENT_MIN_DIM:
         times, states = rk4(loop.vector_field, z0, sc.dt, sc.steps, sc.record_every, states)
     else:
         trajectory = _operator_steps(step_operator(loop), z0, sc.steps)

@@ -25,10 +25,12 @@ from satsync.analysis import (
     sync_metrics,
     v_trace_violation,
 )
-from satsync.errors import ValidationError
-from satsync.gains import synthesize_gains
+from satsync import gains, protocols
+from satsync.errors import SynthesisError, ValidationError
+from satsync.gains import synthesize_gains, verify_gains
 from satsync.graphs import generate_graph
 from satsync.parallel import process_map
+from satsync.presets import example1_gains, example1_model, example2_gains, example2_model
 from satsync.protocols import build_protocol
 from satsync.simulation import _EXPORT_ROWS, Scenario, TrajectoryRecord, simulate
 
@@ -156,8 +158,10 @@ def test_gain_margin_sweep_scales_and_matches_serial():
     with process_map(2) as pmap:
         parallel = [run for _, run in gain_margin_runs(sc, [1.0, 4.0], pmap)]
     assert serial == parallel
-    reports = [run.report for _, run in gain_margin_runs(sc, [1.0, 4.0], keep_trajectories=False)]
-    assert [r.converged for r in reports] == [run.report.converged for run in serial]
+    # the pooled runs carry their records too, read from shared memory
+    for s, p in zip(serial, parallel):
+        for field in ("times", "x_r", "x", "xc"):
+            assert np.array_equal(getattr(s.trajectory, field), getattr(p.trajectory, field))
 
 
 def test_scale_free_sweep_reuses_one_controller():
@@ -169,9 +173,40 @@ def test_scale_free_sweep_reuses_one_controller():
         assert np.array_equal(
             getattr(cases[0].protocol, field), getattr(cases[1].protocol, field)
         )
-    thin = list(scale_free_runs(sc, [2, 5], keep_trajectories=False))
-    assert [run.trajectory for _, run in thin] == [None, None]
-    assert [run.report for _, run in thin] == [run.report for _, run in pairs]
+
+
+def _audited_scenario(kind, model, gain_set):
+    graph = generate_graph("random", 3, roots=[1], seed=0)
+    return Scenario(
+        name=kind, model=model, graph=graph, protocol=build_protocol(kind, model, gain_set),
+        x_r0=np.ones(model.n), x0=np.zeros((3, model.n)), dt=0.01, horizon=0.5,
+    )
+
+
+def test_gain_audit_is_the_realizations(monkeypatch):
+    cases = [
+        _audited_scenario("P4", example1_model(), example1_gains()),
+        _audited_scenario("P6", example2_model(), example2_gains()),
+    ]
+    for sc in cases:
+        fresh = verify_gains(sc.model, sc.protocol.gains, kind=sc.protocol.kind)
+        assert fresh.passed and sc.protocol.gain_report == fresh
+    # a run audits nothing of its own: it reports the realization's audit
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run verified its gains again")
+
+    monkeypatch.setattr(gains, "verify_gains", forbidden)
+    monkeypatch.setattr(protocols, "verify_gains", forbidden)
+    for sc in cases:
+        assert run_case(sc).gain_report is sc.protocol.gain_report
+    with process_map(2) as pmap:
+        pooled = [run.gain_report for _, run in run_cases(cases, pmap)]
+    assert pooled == [sc.protocol.gain_report for sc in cases]
+    monkeypatch.undo()
+    # failing gains still stop the build
+    broken = replace(example1_gains(), f=np.zeros_like(example1_gains().f))
+    with pytest.raises(SynthesisError, match="f_stabilizes_observer"):
+        build_protocol("P4", example1_model(), broken)
 
 
 def test_export_parse_round_trip(tmp_path):

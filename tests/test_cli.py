@@ -584,6 +584,16 @@ def test_missing_scenario_file_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_bool_node_count_without_traceback(tmp_path, capsys):
+    doc = json.loads(json.dumps(SHORT_SCENARIO))
+    doc["graph"] = {"n": True, "edges": [], "roots": [1]}
+    path = tmp_path / "bool-n.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: graph.n: must be a positive integer, got True\n"
+
+
 def test_invalid_scenario_content_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"model": {"preset": "example1"}, "sim": {"dt": -1}}))

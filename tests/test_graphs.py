@@ -133,6 +133,28 @@ def test_parse_graph_rejections():
         parse_graph({"n": 2, "edges": [{"from": 0, "to": 1}], "roots": [1]})  # 1-based
     with pytest.raises(ValidationError):
         parse_graph({"n": 2, "edges": [{"from": 1, "to": 1}], "roots": [1]})  # self-loop
+    # indices are JSON integers, never bools, floats or strings; weights
+    # are numbers, never bools: each rejected with its field path, none coerced
+    edge = "graph.edges[0]"
+    for bad, message in [
+        ({"n": True}, "graph.n: must be a positive integer, got True"),
+        ({"n": 2.0}, "graph.n: must be a positive integer, got 2.0"),
+        ({"edges": [{"from": 1.9, "to": 2}]}, f"{edge}.from: expected an integer, got 1.9"),
+        ({"edges": [{"from": 1, "to": "2"}]}, f"{edge}.to: expected an integer, got '2'"),
+        ({"edges": [{"from": True, "to": 2}]}, f"{edge}.from: expected an integer, got True"),
+        ({"edges": [{"to": 2}]}, f"{edge}.from: expected an integer, got None"),
+        ({"edges": [{"from": 1, "to": 2, "weight": True}]},
+         f"{edge}.weight: must be a positive number, got True"),
+        ({"edges": [{"from": 1, "to": 2, "weight": 10**400}]},
+         f"{edge}.weight: must be a positive number, got 1000"),
+        ({"roots": [True]}, "graph.roots[0]: expected an integer, got True"),
+        ({"roots": [1, 2.0]}, "graph.roots[1]: expected an integer, got 2.0"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            parse_graph(dict(base, **bad))
+        assert str(err.value).startswith(message)
+    weighted = parse_graph(dict(base, edges=[{"from": 1, "to": 2, "weight": 2}]))
+    assert weighted.weights[1, 0] == 2.0
 
 
 def test_save_load_round_trip(tmp_path):

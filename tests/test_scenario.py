@@ -74,6 +74,13 @@ def test_malformed_values_name_their_field():
         parse_scenario_doc(doc(model={"a": [[0, 1]], "b": [[1]]}))
     with pytest.raises(ValidationError, match="graph"):
         parse_scenario_doc(doc(graph={"n": 2, "edges": [], "roots": [5]}))
+    # generated roots are JSON integers, not coerced: [1.9, "3", true] was [1, 3]
+    for roots, where in (([1.9, 3], r"\[0\]: expected an integer, got 1\.9"),
+                         ([1, "3"], r"\[1\]: expected an integer, got '3'"),
+                         ([1, True], r"\[1\]: expected an integer, got True")):
+        spec = {"kind": "random", "n": 4, "seed": 2, "roots": roots}
+        with pytest.raises(ValidationError, match=r"^graph\.generate\.roots" + where + "$"):
+            parse_scenario_doc(doc(graph={"generate": spec}))
 
 
 def test_required_sections():

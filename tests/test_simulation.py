@@ -102,7 +102,7 @@ def test_stacked_dimensions():
     loop = assemble(sc)
     n, N = 2, 4
     dim = n + N * n + N * sc.protocol.controller_state_dim
-    assert loop.m_mat.shape == (dim, dim)
+    assert loop.dim == dim < PER_AGENT_MIN_DIM
     assert loop.initial_state().shape == (dim,)
 
 
@@ -360,7 +360,7 @@ def test_materialized_step_matches_stage_wise_rk4(
         dt=dt, horizon=steps * dt, record_every=record_every,
     )
     loop = assemble(sc)
-    assert loop.dim < PER_AGENT_MIN_DIM and loop.m_mat is not None
+    assert loop.dim < PER_AGENT_MIN_DIM
     rec = integrate(loop)
     times, ref = rk4(loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every)
     got = rec.x_r.base
@@ -389,7 +389,7 @@ def test_materialized_step_reports_time_of_blowup(kind):
         dt=0.01, horizon=1.0,
     )
     loop = assemble(sc)
-    assert loop.m_mat is not None
+    assert loop.dim < PER_AGENT_MIN_DIM
     with pytest.raises(IntegrationError) as err:
         integrate(loop)
     assert err.value.t is not None and 0.0 < err.value.t <= sc.horizon
@@ -454,6 +454,18 @@ def dense_kron_operators(sc):
     return m_mat, g_mat, u_mat
 
 
+def identity_columns(loop):
+    """M, G, U as the loop's ``rates`` and ``inputs`` give them on
+    identity columns, in the order ``step_operator`` forms them."""
+    dim, (N, m) = loop.dim, (loop.lap.shape[0], loop.f_t.shape[1])
+    eye = np.eye(dim)
+    return (
+        loop.rates(eye, np.zeros((dim, N, m))).T,
+        loop.rates(np.zeros((N * m, dim)), np.eye(N * m).reshape(N * m, N, m)).T,
+        loop.inputs(eye).reshape(dim, N * m).T,
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(sorted(EXAMPLE2_PROTOCOLS)),
@@ -474,10 +486,7 @@ def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roo
     loop = assemble(sc)
     want = dense_kron_operators(sc)
     dim = want[0].shape[0]
-    got = (loop.m_mat, loop.g_mat, loop.u_mat)
-    assert all((op is not None) == (dim < PER_AGENT_MIN_DIM) for op in got)
-    if dim < PER_AGENT_MIN_DIM:
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert all(np.array_equal(g, w) for g, w in zip(identity_columns(loop), want))
 
     # states large enough that some inputs saturate and some do not
     z = np.random.default_rng(seed).uniform(-2.0, 2.0, dim)
@@ -501,7 +510,7 @@ def test_operator_sums_each_entry_in_the_kron_order():
         x_r0=np.zeros(model.n), x0=np.zeros((2, model.n)),
     )
     loop = assemble(sc)
-    got = (loop.m_mat, loop.g_mat, loop.u_mat)
+    got = identity_columns(loop)
     assert all(np.array_equal(g, w) for g, w in zip(got, dense_kron_operators(sc)))
 
 
@@ -541,7 +550,7 @@ def test_vector_field_matches_per_agent_equations(kind, family, n_agents):
         x_r0=np.zeros(model.n), x0=np.zeros((n_agents, model.n)),
     )
     loop = assemble(sc)
-    assert loop.dim >= PER_AGENT_MIN_DIM and loop.m_mat is None
+    assert loop.dim >= PER_AGENT_MIN_DIM
     z = np.random.default_rng(n_agents).uniform(-2.0, 2.0, loop.dim)
     want = per_agent_field(sc, z)
     assert np.any(np.abs(loop.inputs(z)) > 1.0) and np.any(np.abs(loop.inputs(z)) < 1.0)
