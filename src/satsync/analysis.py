@@ -138,7 +138,8 @@ def sync_metrics(traj, tol=1e-2, window=None):
     -------
     SyncReport
     """
-    times = np.asarray(traj.times, dtype=float)
+    # a copy: the record's times are a column of its whole state matrix
+    times = np.array(traj.times, dtype=float)
     if times.size == 0:
         raise ValidationError("trajectory is empty")
     duration = float(times[-1] - times[0])
@@ -354,8 +355,9 @@ def _run_assembled(item):
 
 def _recorded(item, run):
     loop, states = item
-    record = TrajectoryRecord.of_states(loop.scenario, run.report.times, states.array)
-    return loop.scenario, replace(run, trajectory=record)
+    # the record holds the handle, so that its export blocks reach the
+    # workers as row ranges of the shared matrix
+    return loop.scenario, replace(run, trajectory=TrajectoryRecord(states, loop.scenario))
 
 
 def run_cases(cases, pmap=map):
@@ -365,7 +367,9 @@ def run_cases(cases, pmap=map):
     that has run no task yet. Each case is assembled in this process,
     and its states are recorded into a ``SharedMatrix`` made here; the run
     (``run_case``) sends back only its verdict and gain audit, and the
-    record is this process's view of the matrix. Through ``map`` each
+    record holds the matrix, which this process does not read: its
+    export's blocks reach the pool's workers as row ranges of it (see
+    ``simulation._time_blocks``). Through ``map`` each
     case is assembled just before it runs, so one case at a time holds
     its operator; a pool forks its workers at its first task, so every
     case is assembled before that.

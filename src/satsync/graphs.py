@@ -282,6 +282,8 @@ def load_graph(path):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # also text not in UTF-8, or an integer of more digits than int() reads
+        raise ValidationError(f"{path}: {exc}") from None
     return parse_graph(data, context=str(path))
 
 

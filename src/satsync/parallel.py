@@ -26,7 +26,10 @@ the caller.
 A ``SharedMatrix`` is a float matrix in an anonymous shared mapping.
 Made before a pool's first task, it is inherited by every worker: a
 worker writes a run's states into the caller's memory, and only the
-run's small results travel back by pickle.
+run's small results travel back by pickle. ``Rows`` is how some rows of
+a matrix reach a worker: a ``SharedMatrix``'s as its key and the row
+range, which the worker reads in its inherited mapping, so the caller
+neither reads nor copies them; an ordinary array's as their copy.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["FORKS", "SharedMatrix", "process_map", "usable_cpus"]
+__all__ = ["FORKS", "Rows", "SharedMatrix", "process_map", "usable_cpus"]
 
 # whether pool workers can be forked; elsewhere every map runs in process
 FORKS = sys.platform.startswith("linux")
@@ -95,6 +98,30 @@ def _inherited(key):
             "a SharedMatrix reaches only pool workers forked after it was made"
         ) from None
     return handle
+
+
+class Rows:
+    """Rows ``start:stop`` of ``matrix``, a ``SharedMatrix`` or an array.
+
+    ``array`` is the rows, a view. Pickled into a pool task, a
+    ``SharedMatrix``'s rows travel as its key and the range, a few
+    hundred bytes whatever their number, and a worker forked after the
+    matrix was made reads them in place; an array's rows travel as
+    their slice.
+    """
+
+    def __init__(self, matrix, start, stop):
+        self.matrix, self.start, self.stop = matrix, start, stop
+
+    @property
+    def array(self):
+        m = self.matrix
+        return (m.array if isinstance(m, SharedMatrix) else m)[self.start: self.stop]
+
+    def __reduce__(self):
+        if isinstance(self.matrix, SharedMatrix):
+            return Rows, (self.matrix, self.start, self.stop)
+        return Rows, (self.array, 0, None)
 
 
 def _exit_with_caller():

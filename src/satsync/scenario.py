@@ -31,7 +31,7 @@ import numpy as np
 from .agents import AgentModel
 from .errors import ValidationError
 from .gains import GainSet, synthesize_gains
-from .graphs import CommGraph, generate_graph, load_graph, parse_graph, serialize_graph
+from .graphs import _FLOAT_MAX, CommGraph, generate_graph, load_graph, parse_graph, serialize_graph
 from .presets import preset_scenario
 from .protocols import FULL_STATE_KINDS, KINDS, build_protocol
 from .simulation import DEFAULT_DT, DEFAULT_HORIZON, Scenario
@@ -87,11 +87,19 @@ def _require_mapping(value, path):
     return value
 
 
-def _number(value, path, *, positive=False, integer=False):
+def _finite(value, path):
+    """``value`` if it is a JSON number (never a bool) that a float holds
+    finitely; else rejected. Compared, not passed to ``np.isfinite``: a
+    JSON integer beyond the float range is no float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
-    if not np.isfinite(value):
+    if not abs(value) <= _FLOAT_MAX:
         raise ValidationError(f"{path}: must be finite, got {value!r}")
+    return value
+
+
+def _number(value, path, *, positive=False, integer=False):
+    value = _finite(value, path)
     if positive and not value > 0:
         raise ValidationError(f"{path}: must be positive, got {value!r}")
     if integer:
@@ -120,24 +128,16 @@ def _matrix(value, path):
                 f"{path}[{k}]: row length {len(row)} != {width} of the first row"
             )
         for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ValidationError(f"{path}[{k}][{j}]: expected a number, got {entry!r}")
-    mat = np.asarray(value, dtype=float)
-    if not np.isfinite(mat).all():
-        raise ValidationError(f"{path}: entries must be finite")
-    return mat
+            _finite(entry, f"{path}[{k}][{j}]")
+    return np.asarray(value, dtype=float)
 
 
 def _vector(value, path):
     if not isinstance(value, list):
         raise ValidationError(f"{path}: expected a list of numbers")
     for j, entry in enumerate(value):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ValidationError(f"{path}[{j}]: expected a number, got {entry!r}")
-    vec = np.asarray(value, dtype=float)
-    if not np.isfinite(vec).all():
-        raise ValidationError(f"{path}: entries must be finite")
-    return vec
+        _finite(entry, f"{path}[{j}]")
+    return np.asarray(value, dtype=float)
 
 
 def _merge(base, override):
@@ -280,13 +280,15 @@ def parse_scenario_doc(data, base_dir=None, overrides=None):
     maps dotted paths (``"sim.dt"``, ``"protocol.rho"``) onto values
     that replace the document's own, before validation.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
+    # ValueError: also bytes that are not UTF-8, or an integer of more
+    # digits than int() reads
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scenario document is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"scenario document is not valid JSON: {exc}") from None
     doc = _require_mapping(data, "scenario")
     doc = _expand_preset(doc)
     if overrides:

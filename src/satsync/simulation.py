@@ -50,6 +50,7 @@ import numpy as np
 from .agents import saturate
 from .errors import IntegrationError, ValidationError
 from .graphs import check_rootset, laplacian
+from .parallel import Rows
 
 __all__ = [
     "Scenario",
@@ -155,13 +156,14 @@ class Scenario:
             )
         if self.record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
-        # the state matrix a run records must fit in the machine
+        # the state matrix a run records, a time and the states per step,
+        # must fit in the machine
         dim = n + N * (n + n_c)
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if self.recorded_steps * dim * 8 > memory:
+        if self.recorded_steps * (1 + dim) * 8 > memory:
             raise ValidationError(
-                f"the recorded states would take {self.recorded_steps * dim * 8 / 1e9:.3g} GB "
-                f"({self.recorded_steps} steps of {dim} states), more than this "
+                f"the recorded states would take {self.recorded_steps * (1 + dim) * 8 / 1e9:.3g} GB "
+                f"({self.recorded_steps} steps of a time and {dim} states), more than this "
                 f"machine's {memory / 1e9:.3g} GB of memory: raise sim.record_every "
                 f"({self.record_every}), shorten sim.horizon ({self.horizon:g}) or "
                 f"lengthen sim.dt ({self.dt:g})"
@@ -289,8 +291,9 @@ class ClosedLoop:
 
     @property
     def record_shape(self):
-        """(recorded steps, state size) of the matrix ``integrate`` fills."""
-        return self.scenario.recorded_steps, self.dim
+        """(recorded steps, 1 + state size) of the matrix ``integrate``
+        fills: per step its time, then the state z."""
+        return self.scenario.recorded_steps, 1 + self.dim
 
 
 def assemble(scenario):
@@ -428,11 +431,15 @@ def _record(trajectory, z0, dt, steps, record_every, states):
         raise ValidationError(f"dt must be in (0, {MAX_DT}], got {dt}")
     if steps > MAX_STEPS:
         raise ValidationError(f"{steps} steps exceed the {MAX_STEPS} cap")
-    rec_idx = list(range(0, steps + 1, record_every))
-    if rec_idx[-1] != steps:
-        rec_idx.append(steps)
-    times = np.array([k * dt for k in rec_idx])
-    shape = (len(rec_idx), z0.size)
+    # row j holds step min(j record_every, steps): every record_every-th
+    # step, then the last. The product converts each step to a float as
+    # Python's k * dt does; a record_every beyond the last step keeps its
+    # ends only, and need not fit an int64
+    index = np.arange(-(-steps // record_every) + 1)
+    index *= min(record_every, steps)
+    np.minimum(index, steps, out=index)
+    times = index * dt
+    shape = (times.size, z0.size)
     if states is None:
         states = np.empty(shape)
     elif states.shape != shape:
@@ -442,7 +449,7 @@ def _record(trajectory, z0, dt, steps, record_every, states):
     for k, z in enumerate(trajectory, 1):
         if not np.isfinite(z).all():
             raise IntegrationError(f"state became non-finite at t = {k * dt:.6g}", t=k * dt)
-        if k == rec_idx[out]:
+        if k % record_every == 0 or k == steps:
             states[out] = z
             out += 1
     return times, states
@@ -475,34 +482,52 @@ def _u(protocol, xc):
     return np.einsum("kj,tij->tik", protocol.f_c, xc)
 
 
+def _columns(states, N, n):
+    """times, x_r, x and xc of some rows of a record's state matrix, as views."""
+    T = states.shape[0]
+    return (
+        states[:, 0],
+        states[:, 1: 1 + n],
+        states[:, 1 + n: 1 + n + N * n].reshape(T, N, n),
+        states[:, 1 + n + N * n:].reshape(T, N, -1),
+    )
+
+
 @dataclass
 class TrajectoryRecord:
     """The recorded states of one run; the controller signals derive from them.
 
-    ``x_r`` [time, component], ``x`` and ``xc`` [time, agent, component]
-    are views into the one state matrix ``rk4`` fills. ``chi``, ``xhat``,
-    ``u``, ``sat_u`` and the proof coordinates ``e`` (x_i - x_r - chi_i)
-    and ``ebar`` (partial-state kinds: the expanded-Laplacian mix of state
+    ``states`` is the matrix ``integrate`` fills, row k the time t_k and
+    the stacked state z at t_k, or the ``parallel.SharedMatrix`` that
+    holds it. ``times``, ``x_r`` [time, component], ``x`` and ``xc``
+    [time, agent, component] are views into it. ``chi``, ``xhat``, ``u``,
+    ``sat_u`` and the proof coordinates ``e`` (x_i - x_r - chi_i) and
+    ``ebar`` (partial-state kinds: the expanded-Laplacian mix of state
     errors minus xhat) are computed from them on every read.
     """
 
-    times: np.ndarray
-    x_r: np.ndarray
-    x: np.ndarray
-    xc: np.ndarray
+    states: object
     scenario: Scenario
 
-    @classmethod
-    def of_states(cls, scenario, times, states):
-        """The record whose states[k] (z at times[k]) ``states`` holds."""
-        n, N, T = scenario.model.n, scenario.graph.n, len(times)
-        return cls(
-            times=times,
-            x_r=states[:, :n],
-            x=states[:, n: n + N * n].reshape(T, N, n),
-            xc=states[:, n + N * n:].reshape(T, N, scenario.protocol.controller_state_dim),
-            scenario=scenario,
-        )
+    def _views(self):
+        sc = self.scenario
+        return _columns(Rows(self.states, 0, None).array, sc.graph.n, sc.model.n)
+
+    @property
+    def times(self):
+        return self._views()[0]
+
+    @property
+    def x_r(self):
+        return self._views()[1]
+
+    @property
+    def x(self):
+        return self._views()[2]
+
+    @property
+    def xc(self):
+        return self._views()[3]
 
     @property
     def chi(self):
@@ -538,17 +563,23 @@ def integrate(loop, states=None):
     The one place the kernel is chosen: a loop of ``PER_AGENT_MIN_DIM``
     state components or more steps through ``rk4`` of its
     ``vector_field``, a smaller one through its ``step_operator``, built
-    here. ``states``, a matrix of ``loop.record_shape``, receives the
-    states in place when given (see ``rk4``).
+    here. The record is one matrix of ``loop.record_shape``, per
+    recorded step its time and then its state (see ``rk4``); ``states``,
+    when given, is that matrix, filled in place.
     """
     sc = loop.scenario
     z0 = loop.initial_state()
+    if states is None:
+        states = np.empty(loop.record_shape)
+    elif states.shape != loop.record_shape:
+        raise ValidationError(f"state matrix must be {loop.record_shape}, got {states.shape}")
     if loop.dim >= PER_AGENT_MIN_DIM:
-        times, states = rk4(loop.vector_field, z0, sc.dt, sc.steps, sc.record_every, states)
+        times, _ = rk4(loop.vector_field, z0, sc.dt, sc.steps, sc.record_every, states[:, 1:])
     else:
         trajectory = _operator_steps(step_operator(loop), z0, sc.steps)
-        times, states = _record(trajectory, z0, sc.dt, sc.steps, sc.record_every, states)
-    return TrajectoryRecord.of_states(sc, times, states)
+        times, _ = _record(trajectory, z0, sc.dt, sc.steps, sc.record_every, states[:, 1:])
+    states[:, 0] = times
+    return TrajectoryRecord(states, sc)
 
 
 def simulate(scenario):
@@ -560,17 +591,18 @@ def _time_blocks(record, rows=_EXPORT_ROWS):
     """The record as consecutive blocks of whole time steps, about ``rows``
     CSV rows each; the last one may be shorter.
 
-    A block is ``(protocol, times, x_r, x, xc)``, the states as views:
-    all its rows read. The graph stays out, so a block pickled for a
-    worker process carries O(N) data, not the N x N weights.
+    A block is ``(protocol, N, n, rows)``, ``rows`` its time steps of the
+    record's state matrix as a ``parallel.Rows``; ``_format_block`` reads
+    them. The graph stays out, and so do the states of a record in a
+    ``SharedMatrix``: a block pickled for a worker process carries O(1)
+    data, the matrix's key and the row range, and the worker reads the
+    rows in its inherited mapping. A record in ordinary memory sends the
+    rows' slice, O(N) per time step.
     """
-    steps = max(1, rows // record.x.shape[1])
-    states = (record.times, record.x_r, record.x, record.xc)
+    T, N, n = record.x.shape
+    steps = max(1, rows // N)
     protocol = record.scenario.protocol
-    return (
-        (protocol, *(a[k: k + steps] for a in states))
-        for k in range(0, len(record.times), steps)
-    )
+    return ((protocol, N, n, Rows(record.states, k, k + steps)) for k in range(0, T, steps))
 
 
 def _signal_columns(protocol, x, xc):
@@ -589,8 +621,9 @@ def _format_block(block):
     # imported here: its tables are built at import, off the start-up path
     from ._g17 import format_rows
 
-    protocol, times, x_r, x, xc = block
-    T, N, n = x.shape
+    protocol, N, n, rows = block
+    times, x_r, x, xc = _columns(rows.array, N, n)
+    T = len(times)
     shape = (T, N)
     values = np.concatenate(
         [
@@ -615,10 +648,16 @@ def export_trajectory(record, path, pmap=map):
     bytes do not depend on where a block was formatted. Each value is
     exactly ``'%.17g' % v``, the same conversion as ``format(v, ".17g")``
     (see ``_g17``), and the agent index, a float here, prints as its
-    integer.
+    integer. A record whose states are in a ``parallel.SharedMatrix``
+    (``analysis.run_cases`` makes them) exports only through a pool whose
+    workers were forked after the matrix was made: one that ran no task
+    before it.
     """
-    n = record.x.shape[2]
-    first = _signal_columns(record.scenario.protocol, record.x[:1], record.xc[:1])
+    # the column names from zeros of the record's shape: this process
+    # reads none of its rows, which a pool's workers format
+    _, N, n = record.x.shape
+    zeros = np.zeros((1, N, n)), np.zeros((1, N, record.xc.shape[2]))
+    first = _signal_columns(record.scenario.protocol, *zeros)
     cols = ["t", "agent"]
     cols += [f"{name}{j}" for name, a in first.items() for j in range(a.shape[2])]
     cols += [f"xr{j}" for j in range(n)]

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 from dataclasses import replace
 from itertools import combinations
 from types import SimpleNamespace
@@ -32,7 +33,14 @@ from satsync.graphs import generate_graph
 from satsync.parallel import process_map
 from satsync.presets import example1_gains, example1_model, example2_gains, example2_model
 from satsync.protocols import build_protocol
-from satsync.simulation import _EXPORT_ROWS, Scenario, TrajectoryRecord, simulate
+from satsync.simulation import (
+    _EXPORT_ROWS,
+    Scenario,
+    TrajectoryRecord,
+    _time_blocks,
+    export_trajectory,
+    simulate,
+)
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DOUBLE_A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -72,10 +80,11 @@ def hand_record(x):
     """
     T, N, n = x.shape
     protocol = SimpleNamespace(uses_observer=False, f_c=np.zeros((1, 1)))
-    return TrajectoryRecord(
-        times=np.linspace(0.0, T - 1.0, T), x_r=np.zeros((T, n)), x=x,
-        xc=np.zeros((T, N, 1)), scenario=SimpleNamespace(protocol=protocol),
+    states = np.column_stack(
+        [np.linspace(0.0, T - 1.0, T), np.zeros((T, n)), x.reshape(T, -1), np.zeros((T, N))]
     )
+    scenario = SimpleNamespace(protocol=protocol, model=SimpleNamespace(n=n), graph=SimpleNamespace(n=N))
+    return TrajectoryRecord(states, scenario)
 
 
 def synthetic_record(errors):
@@ -271,6 +280,38 @@ def test_run_cases_record_into_shared_states_through_a_pool(monkeypatch):
         assert np.shares_memory(rec.x, states.array)
         for name in ("times", "x_r", "x", "xc"):
             assert np.array_equal(getattr(rec, name), getattr(alone.trajectory, name)), name
+
+
+def test_export_blocks_of_a_shared_record_carry_no_rows():
+    # a run_cases record holds its SharedMatrix: a block pickles to the
+    # same size whatever its rows, but for the bytes of its two row
+    # numbers (pickle writes an int in 1, 2 or 4 bytes), where a simulate
+    # record's carries them
+    sc = p1_scenario(horizon=4.0)
+    (_, run), = run_cases([sc])
+    assert isinstance(run.trajectory.states, analysis.SharedMatrix)
+
+    def size(rec, rows):
+        return len(pickle.dumps(next(_time_blocks(rec, rows))))
+
+    assert abs(size(run.trajectory, 100) - size(run.trajectory, _EXPORT_ROWS)) <= 6
+    plain = simulate(sc)
+    assert size(plain, _EXPORT_ROWS) > size(plain, 100) + 8 * (_EXPORT_ROWS - 100)
+
+
+@pytest.mark.needs_fork
+def test_pooled_export_of_shared_and_plain_records_matches_in_process(tmp_path):
+    sc = p1_scenario(horizon=4.0)
+    plain = simulate(sc)
+    assert len(plain.times) * sc.graph.n > _EXPORT_ROWS  # a block for each worker
+    with process_map(2) as pmap:
+        (_, run), = run_cases([sc], pmap)
+        export_trajectory(run.trajectory, tmp_path / "shared.csv", pmap)
+        export_trajectory(plain, tmp_path / "plain.csv", pmap)
+    export_trajectory(plain, tmp_path / "alone.csv")
+    want = (tmp_path / "alone.csv").read_bytes()
+    assert (tmp_path / "shared.csv").read_bytes() == want
+    assert (tmp_path / "plain.csv").read_bytes() == want
 
 
 @pytest.mark.needs_fork

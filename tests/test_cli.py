@@ -594,6 +594,16 @@ def test_verify_rejects_a_bool_node_count_without_traceback(tmp_path, capsys):
     assert err == "error: graph.n: must be a positive integer, got True\n"
 
 
+def test_verify_rejects_an_integer_beyond_floats_without_traceback(tmp_path, capsys):
+    doc = json.loads(json.dumps(SHORT_SCENARIO))
+    doc["protocol"] = {"rho": 10**400}  # over the preset's protocol
+    path = tmp_path / "huge-rho.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: protocol.rho: must be finite, got {10**400}\n"
+
+
 def test_invalid_scenario_content_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"model": {"preset": "example1"}, "sim": {"dt": -1}}))

@@ -165,3 +165,8 @@ def test_save_load_round_trip(tmp_path):
     # the file is plain JSON with the documented schema
     doc = json.loads(path.read_text())
     assert set(doc) == {"n", "edges", "roots"}
+    # an integer of more digits than Python's int() converts is rejected
+    # with the file's name, not raised from the JSON decoder
+    path.write_text('{"n": 1' + "0" * 5000 + ', "edges": [], "roots": [1]}')
+    with pytest.raises(ValidationError, match="g.json: Exceeds the limit"):
+        load_graph(path)

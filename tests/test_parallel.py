@@ -2,16 +2,18 @@
 
 import operator
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import satsync
 from satsync import parallel
-from satsync.parallel import SharedMatrix, process_map
+from satsync.parallel import Rows, SharedMatrix, process_map
 
 from procs import running
 
@@ -53,6 +55,26 @@ def test_shared_matrix_written_by_a_worker_is_read_by_its_caller():
     for handle, pid in zip(handles, pids):
         assert handle.array.shape in {(3, 4), (1, 2), (5, 1)}
         assert (handle.array == pid).all()
+
+
+def _fill_rows_with_pid(rows):
+    rows.array[:] = os.getpid()
+
+
+@pytest.mark.needs_fork
+def test_rows_of_a_shared_matrix_reach_a_worker_in_place():
+    # a SharedMatrix's rows travel as its key and range, and the worker
+    # writes them in the caller's memory; an array's rows travel as their
+    # copy
+    shared, plain = SharedMatrix(250, 3), np.zeros((250, 3))
+    ranges = [Rows(shared, 10, 20), Rows(shared, 20, 250), Rows(plain, 10, 20)]
+    sizes = [len(pickle.dumps(rows)) for rows in ranges]
+    assert sizes[0] == sizes[1] < sizes[2]
+    with process_map(2) as pmap:
+        list(pmap(_fill_rows_with_pid, ranges))
+    assert (shared.array[:10] == 0).all() and (shared.array[10:] != 0).all()
+    assert (plain == 0).all()
+    assert np.array_equal(pickle.loads(pickle.dumps(ranges[2])).array, plain[10:20])
 
 
 def test_shared_matrix_leaves_the_table_with_its_handle():

@@ -74,6 +74,16 @@ def test_malformed_values_name_their_field():
         parse_scenario_doc(doc(model={"a": [[0, 1]], "b": [[1]]}))
     with pytest.raises(ValidationError, match="graph"):
         parse_scenario_doc(doc(graph={"n": 2, "edges": [], "roots": [5]}))
+    # an integer beyond the float range is rejected at its field, as
+    # graph weights are, not left to np.isfinite or float conversion
+    huge = 10**400
+    for bad, where in ((doc(protocol={"kind": "P2", "rho": huge}), "protocol.rho"),
+                       (doc(sim={"horizon": huge}), "sim.horizon"),
+                       (doc(sim={"x_r0": [0.0, huge]}), r"sim.x_r0\[1\]"),
+                       (doc(sim={"x_r0": [-huge, 0.0]}), r"sim.x_r0\[0\]"),
+                       (doc(model={"a": [[0, huge], [-1, 0]], "b": [[0], [1]]}), r"model.a\[0\]\[1\]")):
+        with pytest.raises(ValidationError, match=f"^{where}: must be finite, got -?{huge}$"):
+            parse_scenario_doc(bad)
     # generated roots are JSON integers, not coerced: [1.9, "3", true] was [1, 3]
     for roots, where in (([1.9, 3], r"\[0\]: expected an integer, got 1\.9"),
                          ([1, "3"], r"\[1\]: expected an integer, got '3'"),
@@ -94,6 +104,12 @@ def test_required_sections():
 def test_bad_json_bytes():
     with pytest.raises(ValidationError, match="JSON"):
         parse_scenario_doc(b"{nope")
+    # nor are bytes that are not UTF-8, or an integer of more digits than
+    # Python's int() converts
+    with pytest.raises(ValidationError, match="JSON: 'utf-8' codec can't decode"):
+        parse_scenario_doc(b'{"name": "caf\xe9"}')
+    with pytest.raises(ValidationError, match="JSON: Exceeds the limit"):
+        parse_scenario_doc('{"protocol": {"rho": 1' + "0" * 5000 + "}}")
 
 
 def test_preset_expansion():

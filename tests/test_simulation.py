@@ -22,6 +22,7 @@ from satsync.simulation import (
     ClosedLoop,
     Scenario,
     TrajectoryRecord,
+    _columns,
     _signal_columns,
     _time_blocks,
     assemble,
@@ -95,6 +96,21 @@ def test_rk4_record_every_thins_consistently():
     t_thin, z_thin = rk4(f, np.array([1.0]), 0.1, 10, record_every=5)
     assert np.array_equal(t_thin, t_all[::5])
     assert np.array_equal(z_thin, z_all[::5])
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_recorded_times_are_the_steps_times_dt_bitwise(record_every):
+    # 1003 steps: thinned by 7, the last step is not a multiple of 7 and
+    # is recorded on its own
+    steps, dt = 1003, 0.013
+    idx = list(range(0, steps + 1, record_every))
+    if idx[-1] != steps:
+        idx.append(steps)
+    times, _ = rk4(lambda t, z: -z, np.array([1.0]), dt, steps, record_every)
+    assert times.tobytes() == np.array([k * dt for k in idx]).tobytes()
+    # a thinning beyond the last step, and beyond an int64, keeps the ends
+    times, _ = rk4(lambda t, z: -z, np.array([1.0]), dt, steps, 10**30)
+    assert times.tolist() == [0.0, steps * dt]
 
 
 def test_stacked_dimensions():
@@ -203,12 +219,13 @@ def _saturating_p1():
 def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
     sc = make()
     rec = simulate(sc)
-    assert [f.name for f in fields(TrajectoryRecord)] == ["times", "x_r", "x", "xc", "scenario"]
-    # x_r, x and xc are views into the one matrix the integrator filled
-    states = rec.x_r.base
+    assert [f.name for f in fields(TrajectoryRecord)] == ["states", "scenario"]
+    # times, x_r, x and xc are views into the one matrix the integrator
+    # filled, per row the time and then the state
+    states = rec.states
     dim = assemble(sc).initial_state().size
-    assert states.shape == (rec.times.size, dim)
-    for view in (rec.x_r, rec.x, rec.xc):
+    assert states.shape == (rec.times.size, 1 + dim)
+    for view in (rec.times, rec.x_r, rec.x, rec.xc):
         assert view.base is states and np.shares_memory(view, states)
     for name, want in eager_signals(rec).items():
         got = getattr(rec, name)
@@ -222,15 +239,17 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
     # the pickle round trip that carries it to a worker process, and it
     # carries the protocol but not the scenario and its graph
     names = [name for name in ("x", "chi", "xhat", "u", "sat_u") if getattr(rec, name) is not None]
+    N, n = sc.graph.n, sc.model.n
     for rows in (_EXPORT_ROWS, 100):
         blocks = list(_time_blocks(rec, rows))
-        assert len(blocks[-1][1]) < rows // sc.graph.n
+        assert len(blocks[-1][3].array) < rows // N
         start = 0
         for block in blocks:
-            assert block[0] is sc.protocol
-            stop = start + len(block[1])
+            assert block[0] is sc.protocol and block[1:3] == (N, n)
+            stop = start + len(block[3].array)
             for copy in (block, pickle.loads(pickle.dumps(block))):
-                protocol, times, x_r, x, xc = copy
+                protocol, _, _, block_rows = copy
+                times, x_r, x, xc = _columns(block_rows.array, N, n)
                 assert np.array_equal(times, rec.times[start:stop])
                 assert np.array_equal(x_r, rec.x_r[start:stop])
                 columns = _signal_columns(protocol, x, xc)
@@ -363,12 +382,12 @@ def test_materialized_step_matches_stage_wise_rk4(
     assert loop.dim < PER_AGENT_MIN_DIM
     rec = integrate(loop)
     times, ref = rk4(loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every)
-    got = rec.x_r.base
+    got = rec.states[:, 1:]
     assert np.array_equal(rec.times, times)
     assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * np.max(np.abs(ref)))
     # verdicts at the scenario's tolerance and at one set by a recorded
     # error of the reference run, with a window of the drawn length
-    want = TrajectoryRecord.of_states(sc, times, ref)
+    want = TrajectoryRecord(np.column_stack([times, ref]), sc)
     errors = sync_metrics(want).max_error
     drawn = errors[rng.integers(errors.size)] * (1 + 1e-6)
     window = rng.uniform(0.1, 1.0) * (times[-1] - times[0])
@@ -659,9 +678,10 @@ def test_block_export_matches_per_value_writer(
         h_c=np.eye(n_c)[n_c - n:],
         f_c=np.eye(n_c)[[k % n_c for k in range(m)]],
     )
+    times, x_r, x, xc = draw(T), draw(T, n), draw(T, n_agents, n), draw(T, n_agents, n_c)
     rec = TrajectoryRecord(
-        times=draw(T), x_r=draw(T, n), x=draw(T, n_agents, n), xc=draw(T, n_agents, n_c),
-        scenario=SimpleNamespace(protocol=protocol),
+        np.column_stack([times, x_r, x.reshape(T, -1), xc.reshape(T, -1)]),
+        SimpleNamespace(protocol=protocol, model=SimpleNamespace(n=n), graph=SimpleNamespace(n=n_agents)),
     )
     tmp = tmp_path_factory.mktemp("export")
     export_trajectory(rec, tmp / "block.csv")
