@@ -1,7 +1,8 @@
 """CSV rows of float64 values, each exactly as ``'%.17g' %`` prints it.
 
-``format_rows(values)`` turns a matrix into the bytes of its rows, values
-separated by commas and rows ended by newlines, equal byte for byte to
+``row_chunks(values)`` turns a matrix into the bytes of its rows, ``ROWS``
+rows a piece, values separated by commas and rows ended by newlines:
+joined, the pieces equal byte for byte
 ``(",".join(["%.17g"] * cols) + "\\n") * rows % tuple(values.flat)``.
 CPython reaches each value's 17 digits by a correctly rounded
 conversion (Gay, "Correctly rounded binary-decimal and decimal-binary
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["format_rows"]
+__all__ = ["row_chunks"]
 
 # rows formatted per pass: a pass holds about 20 temporaries of one word
 # per value and the template of 48 bytes per value. At 36 values per row
@@ -148,10 +149,11 @@ _LAYOUT = np.where(
 del _k, _quad, _last, _x
 
 
-def format_rows(values):
-    """The CSV text of a float matrix as bytes: each value as ``'%.17g' %``
-    prints it, comma separated, one newline-ended line per row."""
-    return b"".join(_format(values[k:k + ROWS]) for k in range(0, len(values), ROWS))
+def row_chunks(values):
+    """The CSV text of a float matrix as bytes, in consecutive pieces of
+    ``ROWS`` rows: each value as ``'%.17g' %`` prints it, comma
+    separated, one newline-ended line per row."""
+    return (_format(values[k:k + ROWS]) for k in range(0, len(values), ROWS))
 
 
 def _format(values):

@@ -36,7 +36,7 @@ from .errors import ValidationError
 from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral
 from .graphs import check_rootset, generate_graph, laplacian
 from .linalg import solve_lyapunov
-from .parallel import SharedMatrix, usable_cpus
+from .parallel import SharedMatrix, reaches, usable_cpus
 from .protocols import build_protocol
 from .simulation import _EXPORT_ROWS, ClosedLoop, TrajectoryRecord, export_trajectory
 
@@ -120,6 +120,27 @@ class LyapunovCertificate:
     v_trace: np.ndarray | None
 
 
+# time steps sync_metrics scores at a time (see _block_errors)
+_SCORE_ROWS = 512
+
+
+def _block_errors(x_r, x):
+    """The ``max_error`` and ``pairwise_error`` of some time steps.
+
+    ``x_r`` is their reference states [time, component], ``x`` their
+    agent states [time, agent, component]. Each row's errors depend on
+    that row alone, so a record scored block by block gives the same
+    bits as scored whole, and its temporaries are O(block).
+    """
+    deviation = x - x_r[:, None, :]
+    max_error = np.linalg.norm(deviation, axis=-1).max(axis=1)
+    pairwise = np.zeros_like(max_error)
+    for i in range(x.shape[1] - 1):
+        gaps = np.linalg.norm(x[:, i:i + 1, :] - x[:, i + 1:, :], axis=-1)
+        np.maximum(pairwise, gaps.max(axis=1), out=pairwise)
+    return max_error, pairwise
+
+
 def sync_metrics(traj, tol=1e-2, window=None):
     """Score a trajectory against a tolerance and a terminal window.
 
@@ -157,12 +178,18 @@ def sync_metrics(traj, tol=1e-2, window=None):
     if not tol > 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol:g}")
 
-    deviation = traj.x - traj.x_r[:, None, :]
-    max_error = np.linalg.norm(deviation, axis=-1).max(axis=1)
-    pairwise = np.zeros_like(max_error)
-    for i in range(traj.x.shape[1] - 1):
-        gaps = np.linalg.norm(traj.x[:, i:i + 1, :] - traj.x[:, i + 1:, :], axis=-1)
-        np.maximum(pairwise, gaps.max(axis=1), out=pairwise)
+    # scored _SCORE_ROWS time steps at a time: the temporaries are a few
+    # blocks of rows x N x n, not the whole record's. A last block of one
+    # row joins the one before: where the components are not a record's
+    # fastest axis (a Fortran-ordered matrix), numpy sums a lone row's
+    # norm in another order than the same row among others
+    x, x_r = traj.x, traj.x_r
+    T = times.size
+    max_error, pairwise = np.empty(T), np.empty(T)
+    edges = [*range(0, max(T - 1, 1), _SCORE_ROWS), T]
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        max_error[rows], pairwise[rows] = _block_errors(x_r[rows], x[rows])
 
     below = max_error < tol
     in_band = times >= times[-1] - window - 1e-12
@@ -364,15 +391,16 @@ def run_cases(cases, pmap=map):
     """Run case scenarios; yield (case, RunRecord) in order, each as soon as it has run.
 
     ``pmap`` is the builtin ``map`` or a ``parallel.process_map`` pool
-    that has run no task yet. Each case is assembled in this process,
-    and its states are recorded into a ``SharedMatrix`` made here; the run
-    (``run_case``) sends back only its verdict and gain audit, and the
-    record holds the matrix, which this process does not read: its
-    export's blocks reach the pool's workers as row ranges of it (see
-    ``simulation._time_blocks``). Through ``map`` each
-    case is assembled just before it runs, so one case at a time holds
-    its operator; a pool forks its workers at its first task, so every
-    case is assembled before that.
+    that has run no task yet (through another pool, the cases raise
+    ``ValidationError`` before any is sent). Each case is assembled in
+    this process, and its states are recorded into a ``SharedMatrix``
+    made here; the run (``run_case``) sends back only its verdict and
+    gain audit, and the record holds the matrix, which this process does
+    not read: its export's blocks reach the pool's workers as row ranges
+    of it (see ``simulation._time_blocks``). Through ``map`` each case is
+    assembled just before it runs, so one case at a time holds its
+    operator; a pool forks its workers at its first task, so every case
+    is assembled before that.
     """
     # no local name holds a finished case's operator while the next one
     # is assembled
@@ -381,6 +409,11 @@ def run_cases(cases, pmap=map):
     def assembled():
         for case in cases:
             ready.append(_assembled(case))
+            if not reaches(pmap, ready[-1][1]):
+                raise ValidationError(
+                    "this pool's workers were forked before the case's states were made, "
+                    "and cannot write them: run the cases through map or a new pool"
+                )
             yield ready[-1]
 
     items = assembled() if pmap is map else list(assembled())

@@ -30,6 +30,8 @@ run's small results travel back by pickle. ``Rows`` is how some rows of
 a matrix reach a worker: a ``SharedMatrix``'s as its key and the row
 range, which the worker reads in its inherited mapping, so the caller
 neither reads nor copies them; an ordinary array's as their copy.
+``reaches(pmap, matrix)`` tells whether a pool's workers can read a
+matrix, before anything is sent to them.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ import time
 import weakref
 from collections import deque
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
-__all__ = ["FORKS", "Rows", "SharedMatrix", "process_map", "usable_cpus"]
+__all__ = ["FORKS", "Rows", "SharedMatrix", "process_map", "reaches", "usable_cpus"]
 
 # whether pool workers can be forked; elsewhere every map runs in process
 FORKS = sys.platform.startswith("linux")
@@ -145,14 +146,38 @@ def _exit_with_caller():
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _bounded_map(pool, ahead, fn, items):
-    pending = deque()
-    for item in items:
-        if len(pending) == ahead:
+class _PoolMap:
+    """``pmap(fn, items)`` over a forking pool: results in input order, at
+    most ``ahead`` calls in flight.
+
+    ``forked`` is None until the first call is submitted, which forks
+    every worker; from then on it is a ``SharedMatrix`` key drawn at that
+    moment, above the key of every matrix the workers inherited and below
+    every later one (see ``reaches``).
+    """
+
+    def __init__(self, pool, ahead):
+        self.pool, self.ahead = pool, ahead
+        self.forked = None
+
+    def __call__(self, fn, items):
+        pending = deque()
+        for item in items:
+            if len(pending) == self.ahead:
+                yield pending.popleft().result()
+            if self.forked is None:
+                self.forked = next(_keys)
+            pending.append(self.pool.submit(fn, item))
+        while pending:
             yield pending.popleft().result()
-        pending.append(pool.submit(fn, item))
-    while pending:
-        yield pending.popleft().result()
+
+
+def reaches(pmap, matrix):
+    """Whether calls through ``pmap`` can read ``matrix``: an array, or a
+    ``SharedMatrix`` read in process, always; a ``SharedMatrix`` in a
+    ``process_map`` pool's workers, if it was made before they forked."""
+    forked = getattr(pmap, "forked", None)
+    return not isinstance(matrix, SharedMatrix) or forked is None or matrix._key < forked
 
 
 @contextmanager
@@ -172,7 +197,7 @@ def process_map(workers):
         initializer=_exit_with_caller,
     )
     try:
-        yield partial(_bounded_map, pool, 2 * workers)
+        yield _PoolMap(pool, 2 * workers)
     except BaseException as exc:
         pool.shutdown(wait=isinstance(exc, Exception), cancel_futures=True)
         raise

@@ -41,7 +41,10 @@ stage-wise sum: its states stay within about 1e-13 of max|z| of
 
 from __future__ import annotations
 
+import errno
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,7 +53,7 @@ import numpy as np
 from .agents import saturate
 from .errors import IntegrationError, ValidationError
 from .graphs import check_rootset, laplacian
-from .parallel import Rows
+from .parallel import Rows, reaches
 
 __all__ = [
     "Scenario",
@@ -102,12 +105,13 @@ MAX_STEPS = 10_000_000
 # replaced.
 PER_AGENT_MIN_DIM = 350
 # Trajectory export formats about this many CSV rows (whole time steps
-# of N rows each) per block, one pool task; a pooled export holds at most
-# two blocks per worker in flight, and the CSV kernel formats a block 128
-# rows at a time (``_g17.ROWS``). reproduce example2 --dt 0.01 in 2
-# workers (medians of 4, 2-vCPU x86-64 host), rows per block: wall s and
-# peak RSS MB: 256 2.30 58.3, 512 2.13 59.5, 1024 1.93 60.5, 2048 1.93
-# 64.0, 4096 2.01 70.8.
+# of N rows each) per block, one pool task; a pooled export has at most
+# two blocks per worker in flight, each a part file until it is appended,
+# and the CSV kernel formats a block 128 rows at a time (``_g17.ROWS``),
+# each piece written to the part file as it comes. reproduce example2
+# --dt 0.01 in 2 workers (medians of 4, 2-vCPU x86-64 host), rows per
+# block: wall s and peak RSS MB: 256 2.30 58.3, 512 2.13 59.5, 1024 1.93
+# 60.5, 2048 1.93 64.0, 4096 2.01 70.8.
 _EXPORT_ROWS = 1024
 
 
@@ -366,19 +370,30 @@ def step_operator(loop):
     u_mat = np.ascontiguousarray(loop.inputs(eye).reshape(dim, nm).T)
     dt = loop.scenario.dt
     z = np.eye(dim, dim + 4 * nm)
-    stage, ks, pre = z, [], []
-    for i, step in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
-        pre.append(u_mat @ stage)
-        k = m_mat @ stage
+    # k1 + 2 k2 + 2 k3 + k4 is summed into one array as the stages come,
+    # in that order, and the stage and k_i arrays are reused: four arrays
+    # of p's size, where keeping k1 .. k4 took nine
+    k, total, stage, pre = np.empty_like(z), np.empty_like(z), np.empty_like(z), []
+    now = z
+    for i, (step, weight) in enumerate(((0.5 * dt, 1.0), (0.5 * dt, 2.0), (dt, 2.0), (None, 1.0))):
+        pre.append(u_mat @ now)
+        np.matmul(m_mat, now, out=k)
         k[:, dim + i * nm: dim + (i + 1) * nm] += g_mat
-        ks.append(k)
         if step is not None:
-            stage = z + step * k
-    k1, k2, k3, k4 = ks
+            np.multiply(k, step, out=stage)
+            stage += z
+            now = stage
+        if i:
+            k *= weight  # exact: the weights are 1 and 2
+            total += k
+        else:
+            total[...] = k
+    total *= dt / 6.0
+    total += z
     return StepOperator(
         w=np.vstack([a[:, :dim] for a in pre]),
         c=tuple(a[:, dim: dim + i * nm] for i, a in enumerate(pre) if i),
-        p=z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+        p=total,
     )
 
 
@@ -587,22 +602,34 @@ def simulate(scenario):
     return integrate(assemble(scenario))
 
 
+class _Signals(NamedTuple):
+    """What the controller signals of a block derive from: the three
+    fields of a protocol realization that ``_chi``, ``_xhat`` and ``_u``
+    read."""
+
+    uses_observer: bool
+    h_c: np.ndarray
+    f_c: np.ndarray
+
+
 def _time_blocks(record, rows=_EXPORT_ROWS):
     """The record as consecutive blocks of whole time steps, about ``rows``
     CSV rows each; the last one may be shorter.
 
-    A block is ``(protocol, N, n, rows)``, ``rows`` its time steps of the
-    record's state matrix as a ``parallel.Rows``; ``_format_block`` reads
-    them. The graph stays out, and so do the states of a record in a
-    ``SharedMatrix``: a block pickled for a worker process carries O(1)
-    data, the matrix's key and the row range, and the worker reads the
-    rows in its inherited mapping. A record in ordinary memory sends the
-    rows' slice, O(N) per time step.
+    A block is ``(signals, N, n, rows)``, ``signals`` the protocol's
+    ``_Signals`` and ``rows`` its time steps of the record's state matrix
+    as a ``parallel.Rows``; ``_write_block`` reads them. The rest of the
+    realization and the graph stay out, and so do the states of a record
+    in a ``SharedMatrix``: a block pickled for a worker process carries
+    O(1) data, the matrix's key and the row range, and the worker reads
+    the rows in its inherited mapping. A record in ordinary memory sends
+    the rows' slice, O(N) per time step.
     """
     T, N, n = record.x.shape
     steps = max(1, rows // N)
     protocol = record.scenario.protocol
-    return ((protocol, N, n, Rows(record.states, k, k + steps)) for k in range(0, T, steps))
+    signals = _Signals(protocol.uses_observer, protocol.h_c, protocol.f_c)
+    return ((signals, N, n, Rows(record.states, k, k + steps)) for k in range(0, T, steps))
 
 
 def _signal_columns(protocol, x, xc):
@@ -616,12 +643,18 @@ def _signal_columns(protocol, x, xc):
     return columns
 
 
-def _format_block(block):
-    """The CSV rows of a block from ``_time_blocks``, as bytes."""
-    # imported here: its tables are built at import, off the start-up path
-    from ._g17 import format_rows
+def _write_block(item):
+    """Write the CSV rows of a block from ``_time_blocks`` into its part
+    file; return their byte count.
 
-    protocol, N, n, rows = block
+    ``item`` is ``(part, block)``. The part file exists: it is opened
+    without ``O_CREAT``, so a call that runs after its export has
+    removed the file fails, and creates nothing.
+    """
+    # imported here: its tables are built at import, off the start-up path
+    from ._g17 import row_chunks
+
+    part, (protocol, N, n, rows) = item
     times, x_r, x, xc = _columns(rows.array, N, n)
     T = len(times)
     shape = (T, N)
@@ -635,7 +668,43 @@ def _format_block(block):
         axis=2,
         dtype=float,
     )
-    return format_rows(values.reshape(T * N, -1))
+    with open(part, "r+b") as fh:
+        for text in row_chunks(values.reshape(T * N, -1)):
+            fh.write(text)
+        return fh.tell()
+
+
+# the pread/write loop's buffer where os.copy_file_range cannot append
+_COPY_CHUNK = 1 << 20
+
+
+def _append(dst, part, size):
+    """Append the ``size`` bytes of file ``part`` to descriptor ``dst``,
+    in the kernel where ``os.copy_file_range`` can, else through a
+    buffer of at most ``_COPY_CHUNK`` bytes."""
+    src = os.open(part, os.O_RDONLY)
+    try:
+        done = 0
+        if hasattr(os, "copy_file_range"):
+            try:
+                while done < size:
+                    copied = os.copy_file_range(src, dst, size - done)
+                    if not copied:
+                        break
+                    done += copied
+            except OSError as exc:
+                if exc.errno not in (errno.EXDEV, errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP):
+                    raise
+        while done < size:
+            chunk = os.pread(src, min(size - done, _COPY_CHUNK), done)
+            if not chunk:
+                raise OSError(errno.EIO, f"{part} ends at byte {done} of {size}")
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(dst, view):]
+            done += len(chunk)
+    finally:
+        os.close(src)
 
 
 def export_trajectory(record, path, pmap=map):
@@ -643,16 +712,27 @@ def export_trajectory(record, path, pmap=map):
     sat_u, xr -- comma separated, header first, 17 significant digits.
 
     The rows are formatted in blocks of whole time steps (see
-    ``_format_block``) through ``pmap``, the builtin ``map`` or a
-    ``parallel.process_map`` pool, and written in block order, so the
-    bytes do not depend on where a block was formatted. Each value is
-    exactly ``'%.17g' % v``, the same conversion as ``format(v, ".17g")``
-    (see ``_g17``), and the agent index, a float here, prints as its
-    integer. A record whose states are in a ``parallel.SharedMatrix``
-    (``analysis.run_cases`` makes them) exports only through a pool whose
-    workers were forked after the matrix was made: one that ran no task
-    before it.
+    ``_write_block``) through ``pmap``, the builtin ``map`` or a
+    ``parallel.process_map`` pool. Each block is written to a part file
+    in a hidden directory next to ``path``, made here before the block
+    is sent, and only its byte count comes back: the file is then
+    appended to ``path`` in block order and deleted, so no CSV text
+    passes through this process, and the bytes do not depend on where a
+    block was formatted. The directory is removed on the way out, also
+    when the export fails. Each value is exactly ``'%.17g' % v``, the
+    same conversion as ``format(v, ".17g")`` (see ``_g17``), and the
+    agent index, a float here, prints as its integer. A record whose
+    states are in a ``parallel.SharedMatrix`` (``analysis.run_cases``
+    makes them) exports only through a pool whose workers were forked
+    after the matrix was made: one that ran no task before it. Through
+    another pool the export raises ``ValidationError`` before any block
+    is sent, and the pool stays usable.
     """
+    if not reaches(pmap, record.states):
+        raise ValidationError(
+            "the record's states are in a SharedMatrix made after this pool's workers "
+            "were forked, which cannot read it: export it through map or a new pool"
+        )
     # the column names from zeros of the record's shape: this process
     # reads none of its rows, which a pool's workers format
     _, N, n = record.x.shape
@@ -661,10 +741,22 @@ def export_trajectory(record, path, pmap=map):
     cols = ["t", "agent"]
     cols += [f"{name}{j}" for name, a in first.items() for j in range(a.shape[2])]
     cols += [f"xr{j}" for j in range(n)]
-    with open(path, "wb") as fh:
-        fh.write((",".join(cols) + "\n").encode())
-        for text in pmap(_format_block, _time_blocks(record)):
-            fh.write(text)
+    parts = tempfile.mkdtemp(prefix=".parts-", dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        def items():
+            for k, block in enumerate(_time_blocks(record)):
+                part = os.path.join(parts, str(k))
+                os.close(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600))
+                yield part, block
+
+        with open(path, "wb", buffering=0) as fh:
+            fh.write((",".join(cols) + "\n").encode())
+            for k, size in enumerate(pmap(_write_block, items())):
+                part = os.path.join(parts, str(k))
+                _append(fh.fileno(), part, size)
+                os.unlink(part)
+    finally:
+        shutil.rmtree(parts)
 
 
 def read_trajectory(path):

@@ -130,3 +130,37 @@ def random_graph_by_choice(n, roots, seed=0, extra_edge_prob=0.2):
             if rng.random() < extra_edge_prob:
                 weights[i, j] = float(rng.choice(_WEIGHT_GRID))
     return CommGraph(n=n, weights=weights, root_flags=flags)
+
+
+def sync_errors_whole(traj):
+    """``max_error`` and ``pairwise_error`` of a whole record at once, as
+    ``analysis.sync_metrics`` computed them before it scored in blocks:
+    temporaries of the record's full T x N x n."""
+    deviation = traj.x - traj.x_r[:, None, :]
+    max_error = np.linalg.norm(deviation, axis=-1).max(axis=1)
+    pairwise = np.zeros_like(max_error)
+    for i in range(traj.x.shape[1] - 1):
+        gaps = np.linalg.norm(traj.x[:, i:i + 1, :] - traj.x[:, i + 1:, :], axis=-1)
+        np.maximum(pairwise, gaps.max(axis=1), out=pairwise)
+    return max_error, pairwise
+
+
+def step_matrix_of_stages(loop):
+    """``simulation.step_operator(loop).p`` as it was first built: each
+    stage's k_i kept, then z + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    dim, N, m = loop.dim, loop.lap.shape[0], loop.f_t.shape[1]
+    nm = N * m
+    eye = np.eye(dim)
+    m_mat = np.ascontiguousarray(loop.rates(eye, np.zeros((dim, N, m))).T)
+    g_mat = np.ascontiguousarray(loop.rates(np.zeros((nm, dim)), np.eye(nm).reshape(nm, N, m)).T)
+    dt = loop.scenario.dt
+    z = np.eye(dim, dim + 4 * nm)
+    stage, ks = z, []
+    for i, step in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
+        k = m_mat @ stage
+        k[:, dim + i * nm: dim + (i + 1) * nm] += g_mat
+        ks.append(k)
+        if step is not None:
+            stage = z + step * k
+    k1, k2, k3, k4 = ks
+    return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

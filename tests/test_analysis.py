@@ -3,12 +3,15 @@
 import multiprocessing
 import os
 import pickle
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satsync.agents import AgentModel
 from satsync import analysis
@@ -33,6 +36,7 @@ from satsync.graphs import generate_graph
 from satsync.parallel import process_map
 from satsync.presets import example1_gains, example1_model, example2_gains, example2_model
 from satsync.protocols import build_protocol
+from oracles import sync_errors_whole
 from satsync.simulation import (
     _EXPORT_ROWS,
     Scenario,
@@ -113,6 +117,61 @@ def test_sync_metrics_pairwise_equals_pair_loop(n):
     for i, j in combinations(range(N), 2):
         np.maximum(want, np.linalg.norm(x[:, i, :] - x[:, j, :], axis=-1), out=want)
     assert np.array_equal(sync_metrics(rec, tol=0.5).pairwise_error, want)
+
+
+LAYOUTS = {
+    "C": lambda full, T, cols: full[:T, :cols].copy(),
+    "every other row": lambda full, T, cols: full[: 2 * T: 2, :cols],
+    "columns of a wider matrix": lambda full, T, cols: full[:T, 1: 1 + cols],
+    "Fortran": lambda full, T, cols: np.asfortranarray(full[:T, :cols]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.sampled_from(["few", "block - 1", "block", "block + 1", "two blocks + 1"]),
+    N=st.sampled_from([1, 2, 10]),
+    # numpy sums 8 or more components pairwise, fewer one by one
+    n=st.integers(1, 9),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    seed=st.integers(0, 2**16),
+)
+# a last block of one row, which numpy would sum in another order alone
+@example(steps="block + 1", N=1, n=8, layout="Fortran", seed=0)
+def test_block_scoring_is_bitwise_the_whole_record_form(steps, N, n, layout, seed):
+    B = analysis._SCORE_ROWS
+    T = {"few": 2, "block - 1": B - 1, "block": B, "block + 1": B + 1, "two blocks + 1": 2 * B + 1}[steps]
+    rng = np.random.default_rng(seed)
+    cols = 1 + n + N * (n + 1)
+    full = rng.normal(size=(2 * T, cols + 2)) * 10.0 ** rng.integers(-8, 8, size=(2 * T, cols + 2))
+    # the times, in the first column of every layout
+    full[:, 0] = full[:, 1] = np.arange(2 * T) * 0.01
+    states = LAYOUTS[layout](full, T, cols)
+    scenario = SimpleNamespace(model=SimpleNamespace(n=n), graph=SimpleNamespace(n=N))
+    rec = TrajectoryRecord(states, scenario)
+    tol = float(np.quantile(np.linalg.norm(rec.x - rec.x_r[:, None, :], axis=-1).max(axis=1), 0.3))
+    got = sync_metrics(rec, tol=tol)
+    max_error, pairwise = sync_errors_whole(rec)
+    assert got.max_error.tobytes() == max_error.tobytes()
+    assert got.pairwise_error.tobytes() == pairwise.tobytes()
+    assert got.times.tobytes() == np.array(rec.times).tobytes()
+
+
+def test_sync_metrics_holds_block_sized_temporaries():
+    # example2's larger network, every step of 60 s at dt 0.01: scoring it
+    # whole peaked at 10.4 MB of temporaries, in blocks at 1.0 MB
+    T, N, n = 6001, 10, 7
+    states = np.random.default_rng(0).normal(size=(T, 1 + n + N * (n + 14)))
+    states[:, 0] = np.arange(T) * 0.01
+    rec = TrajectoryRecord(states, SimpleNamespace(model=SimpleNamespace(n=n), graph=SimpleNamespace(n=N)))
+    sync_metrics(rec)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        sync_metrics(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_sync_metrics_rejects_late_excursion():
@@ -295,8 +354,29 @@ def test_export_blocks_of_a_shared_record_carry_no_rows():
         return len(pickle.dumps(next(_time_blocks(rec, rows))))
 
     assert abs(size(run.trajectory, 100) - size(run.trajectory, _EXPORT_ROWS)) <= 6
+    # nor the protocol realization: only the three fields the signals
+    # derive from travel
+    assert size(run.trajectory, _EXPORT_ROWS) < 1024
     plain = simulate(sc)
     assert size(plain, _EXPORT_ROWS) > size(plain, 100) + 8 * (_EXPORT_ROWS - 100)
+
+
+@pytest.mark.needs_fork
+def test_a_pool_forked_before_a_shared_record_refuses_it_and_stays_usable(tmp_path):
+    sc = p1_scenario(horizon=4.0)
+    with process_map(2) as pmap:
+        assert list(pmap(abs, [-1, -2])) == [1, 2]  # the workers fork here
+        (_, run), = run_cases([sc])  # its states are made after them
+        with pytest.raises(ValidationError, match="forked"):
+            export_trajectory(run.trajectory, tmp_path / "late.csv", pmap)
+        with pytest.raises(ValidationError, match="forked"):
+            list(run_cases([sc], pmap))
+        assert os.listdir(tmp_path) == []
+        # the pool still runs calls, and exports what its workers can read
+        assert list(pmap(abs, [-3])) == [3]
+        export_trajectory(simulate(sc), tmp_path / "plain.csv", pmap)
+    export_trajectory(run.trajectory, tmp_path / "alone.csv")
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 @pytest.mark.needs_fork

@@ -572,6 +572,8 @@ def test_reproduce_writes_both_networks(tmp_path, capsys):
         "example1-net3-scenario.json", "example1-net3.csv",
         "manifest.json", "summary.json",
     ]
+    # no part file of the CSVs' export is left or listed
+    assert read_json(out / "manifest.json")["run"]["outputs"] == [n for n in names if n != "manifest.json"]
     assert "NOT converged" in capsys.readouterr().out
     echo10 = read_json(out / "example1-net10-scenario.json")
     assert echo10["graph"]["n"] == 10

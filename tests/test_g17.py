@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satsync import _g17
-from satsync._g17 import format_rows
+from satsync._g17 import row_chunks
+
+
+def format_rows(values):
+    return b"".join(row_chunks(values))
 
 
 def per_value(values):

@@ -1,5 +1,6 @@
 """Closed-loop assembly, integration accuracy, trajectory round trips."""
 
+import os
 import pickle
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from satsync import simulation
 from satsync.agents import AgentModel, saturate
 from satsync.analysis import sync_metrics
 from satsync.errors import IntegrationError, ValidationError
@@ -34,7 +36,7 @@ from satsync.simulation import (
     step_operator,
 )
 
-from oracles import compute_network_signals, exosystem_reference
+from oracles import compute_network_signals, exosystem_reference, step_matrix_of_stages
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -237,7 +239,8 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
     # export derives the signals per block: each block, the ragged last
     # one included, gives the rows of the whole-run signals, also after
     # the pickle round trip that carries it to a worker process, and it
-    # carries the protocol but not the scenario and its graph
+    # carries the three protocol fields the signals derive from, not the
+    # rest of the realization, the scenario or its graph
     names = [name for name in ("x", "chi", "xhat", "u", "sat_u") if getattr(rec, name) is not None]
     N, n = sc.graph.n, sc.model.n
     for rows in (_EXPORT_ROWS, 100):
@@ -245,7 +248,10 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
         assert len(blocks[-1][3].array) < rows // N
         start = 0
         for block in blocks:
-            assert block[0] is sc.protocol and block[1:3] == (N, n)
+            proto = sc.protocol
+            fields_sent = (proto.uses_observer, proto.h_c, proto.f_c)
+            assert all(a is b for a, b in zip(block[0], fields_sent, strict=True))
+            assert block[1:3] == (N, n)
             stop = start + len(block[3].array)
             for copy in (block, pickle.loads(pickle.dumps(block))):
                 protocol, _, _, block_rows = copy
@@ -515,6 +521,23 @@ def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roo
     assert err <= 1e-12 * np.max(np.abs(field))
 
 
+@pytest.mark.parametrize("kind", sorted(KIND_PROTOCOLS))
+@pytest.mark.parametrize("n_agents", [1, 4, 10])
+def test_step_operator_is_bitwise_the_sum_of_kept_stages(kind, n_agents):
+    # summed in place into one array, the step matrix keeps every bit of
+    # the sum over the four kept k_i
+    model, proto = KIND_PROTOCOLS[kind]
+    rng = np.random.default_rng(n_agents)
+    sc = Scenario(
+        name="p", model=model, graph=generate_graph("random", n_agents, roots=[1], seed=n_agents),
+        protocol=proto, x_r0=np.zeros(model.n), x0=rng.uniform(-1, 1, (n_agents, model.n)),
+        dt=float(rng.uniform(0.001, 0.01)), horizon=1.0, window=0.5,
+    )
+    loop = assemble(sc)
+    got, want = step_operator(loop).p, step_matrix_of_stages(loop)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_operator_sums_each_entry_in_the_kron_order():
     # a diagonal entry of M's controller block is (a_c - iota root_state)
     # + L d_x h_c; at two rooted agents of in-degree 1 its terms are 0.3,
@@ -694,3 +717,43 @@ def test_block_export_matches_per_value_writer(
         assert len(got) == len(want), name
         for line, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"{name} line {line}"
+
+
+@pytest.mark.parametrize("append", ["copy_file_range", "pread and write"])
+@pytest.mark.parametrize("where", ["in process", "pooled"])
+def test_export_appends_each_part_file_and_leaves_none(tmp_path, pooled_map, monkeypatch, append, where):
+    # blocks are formatted into part files next to the CSV; without
+    # os.copy_file_range the caller appends them through a buffer
+    if append != "copy_file_range":
+        monkeypatch.delattr(os, "copy_file_range", raising=False)
+    rec = simulate(p6_scenario(horizon=4.0))
+    assert len(list(_time_blocks(rec))) > 1
+    export_trajectory(rec, tmp_path / "run.csv", map if where == "in process" else pooled_map)
+    per_value_export(rec, tmp_path / "oracle.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["oracle.csv", "run.csv"]
+
+
+def test_a_failed_export_leaves_no_part_file(tmp_path, monkeypatch):
+    rec = simulate(p6_scenario(horizon=4.0))
+    real, written = simulation._write_block, []
+
+    def fail_on_the_second_block(item):
+        if written:
+            raise OSError("disk full")
+        written.append(real(item))
+        return written[-1]
+
+    monkeypatch.setattr(simulation, "_write_block", fail_on_the_second_block)
+    with pytest.raises(OSError, match="disk full"):
+        export_trajectory(rec, tmp_path / "run.csv")
+    assert written and os.listdir(tmp_path) == ["run.csv"]
+
+
+def test_a_block_whose_part_file_is_gone_creates_nothing(tmp_path):
+    # the caller makes each part file; the formatting call only opens it,
+    # so one that runs after its export was removed fails and adds no file
+    block = next(_time_blocks(simulate(p6_scenario(horizon=1.0))))
+    with pytest.raises(FileNotFoundError):
+        simulation._write_block((str(tmp_path / "gone"), block))
+    assert os.listdir(tmp_path) == []
