@@ -36,7 +36,7 @@ from .errors import ValidationError
 from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral
 from .graphs import check_rootset, generate_graph, laplacian
 from .linalg import solve_lyapunov
-from .parallel import SharedMatrix, reaches, usable_cpus
+from .parallel import SharedMatrix, usable_cpus
 from .protocols import build_protocol
 from .simulation import _EXPORT_ROWS, ClosedLoop, TrajectoryRecord, export_trajectory
 
@@ -392,7 +392,7 @@ def run_cases(cases, pmap=map):
 
     ``pmap`` is the builtin ``map`` or a ``parallel.process_map`` pool
     that has run no task yet (through another pool, the cases raise
-    ``ValidationError`` before any is sent). Each case is assembled in
+    ``ValidationError`` before any is assembled). Each case is assembled in
     this process, and its states are recorded into a ``SharedMatrix``
     made here; the run (``run_case``) sends back only its verdict and
     gain audit, and the record holds the matrix, which this process does
@@ -405,15 +405,15 @@ def run_cases(cases, pmap=map):
     # no local name holds a finished case's operator while the next one
     # is assembled
     ready = deque()
+    if getattr(pmap, "forked", None) is not None:
+        raise ValidationError(
+            "this pool's workers were forked before the cases' states would be made, "
+            "and cannot write them: run the cases through map or a new pool"
+        )
 
     def assembled():
         for case in cases:
             ready.append(_assembled(case))
-            if not reaches(pmap, ready[-1][1]):
-                raise ValidationError(
-                    "this pool's workers were forked before the case's states were made, "
-                    "and cannot write them: run the cases through map or a new pool"
-                )
             yield ready[-1]
 
     items = assembled() if pmap is map else list(assembled())

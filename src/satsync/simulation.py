@@ -674,37 +674,9 @@ def _write_block(item):
         return fh.tell()
 
 
-# the pread/write loop's buffer where os.copy_file_range cannot append
-_COPY_CHUNK = 1 << 20
-
-
-def _append(dst, part, size):
-    """Append the ``size`` bytes of file ``part`` to descriptor ``dst``,
-    in the kernel where ``os.copy_file_range`` can, else through a
-    buffer of at most ``_COPY_CHUNK`` bytes."""
-    src = os.open(part, os.O_RDONLY)
-    try:
-        done = 0
-        if hasattr(os, "copy_file_range"):
-            try:
-                while done < size:
-                    copied = os.copy_file_range(src, dst, size - done)
-                    if not copied:
-                        break
-                    done += copied
-            except OSError as exc:
-                if exc.errno not in (errno.EXDEV, errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP):
-                    raise
-        while done < size:
-            chunk = os.pread(src, min(size - done, _COPY_CHUNK), done)
-            if not chunk:
-                raise OSError(errno.EIO, f"{part} ends at byte {done} of {size}")
-            view = memoryview(chunk)
-            while view:
-                view = view[os.write(dst, view):]
-            done += len(chunk)
-    finally:
-        os.close(src)
+# the buffer through which a part file is appended to the CSV, well under
+# a block's text
+_COPY_CHUNK = 1 << 16
 
 
 def export_trajectory(record, path, pmap=map):
@@ -716,8 +688,9 @@ def export_trajectory(record, path, pmap=map):
     ``parallel.process_map`` pool. Each block is written to a part file
     in a hidden directory next to ``path``, made here before the block
     is sent, and only its byte count comes back: the file is then
-    appended to ``path`` in block order and deleted, so no CSV text
-    passes through this process, and the bytes do not depend on where a
+    appended to ``path`` in block order, through a buffer of
+    ``_COPY_CHUNK`` bytes, and deleted, so this process holds no more
+    than that of the CSV text, and the bytes do not depend on where a
     block was formatted. The directory is removed on the way out, also
     when the export fails. Each value is exactly ``'%.17g' % v``, the
     same conversion as ``format(v, ".17g")`` (see ``_g17``), and the
@@ -749,11 +722,14 @@ def export_trajectory(record, path, pmap=map):
                 os.close(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600))
                 yield part, block
 
-        with open(path, "wb", buffering=0) as fh:
+        with open(path, "wb") as fh:
             fh.write((",".join(cols) + "\n").encode())
             for k, size in enumerate(pmap(_write_block, items())):
                 part = os.path.join(parts, str(k))
-                _append(fh.fileno(), part, size)
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh, _COPY_CHUNK)
+                    if src.tell() != size:
+                        raise OSError(errno.EIO, f"{part} holds {src.tell()} of its {size} bytes")
                 os.unlink(part)
     finally:
         shutil.rmtree(parts)

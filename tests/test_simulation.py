@@ -719,13 +719,10 @@ def test_block_export_matches_per_value_writer(
             assert g == w, f"{name} line {line}"
 
 
-@pytest.mark.parametrize("append", ["copy_file_range", "pread and write"])
 @pytest.mark.parametrize("where", ["in process", "pooled"])
-def test_export_appends_each_part_file_and_leaves_none(tmp_path, pooled_map, monkeypatch, append, where):
-    # blocks are formatted into part files next to the CSV; without
-    # os.copy_file_range the caller appends them through a buffer
-    if append != "copy_file_range":
-        monkeypatch.delattr(os, "copy_file_range", raising=False)
+def test_export_appends_each_part_file_and_leaves_none(tmp_path, pooled_map, where):
+    # blocks are formatted into part files next to the CSV, which the
+    # caller appends to it
     rec = simulate(p6_scenario(horizon=4.0))
     assert len(list(_time_blocks(rec))) > 1
     export_trajectory(rec, tmp_path / "run.csv", map if where == "in process" else pooled_map)
