@@ -3,7 +3,7 @@
 Synthesizes observer-based coupling controllers from a single agent
 model -- never from the network -- simulates the resulting closed loop
 over arbitrary directed graphs with a well-connected root set, and
-checks convergence and energy-decrease certificates numerically.
+judges convergence numerically.
 """
 
 from .agents import (
@@ -15,21 +15,16 @@ from .agents import (
     classify,
     mixed_decompose,
     saturate,
-    saturation_potential,
 )
 from .analysis import (
-    LyapunovCertificate,
     RunRecord,
     SyncReport,
     export_report,
     gain_margin_runs,
-    lyapunov_certificate_P1,
-    lyapunov_trace_P3,
     parse_report,
     run_case,
     scale_free_runs,
     sync_metrics,
-    v_trace_violation,
 )
 from .errors import IntegrationError, SynthesisError, ValidationError
 from .gains import (
@@ -50,7 +45,6 @@ from .graphs import (
     laplacian,
     load_graph,
     parse_graph,
-    save_graph,
     serialize_graph,
 )
 from .presets import preset_names, preset_scenario
@@ -60,14 +54,8 @@ from .protocols import (
     build_protocol,
     compatible_classes,
 )
-from .scenario import build_scenario, parse_scenario, parse_scenario_doc, scenario_echo
-from .simulation import (
-    Scenario,
-    TrajectoryRecord,
-    export_trajectory,
-    read_trajectory,
-    simulate,
-)
+from .scenario import build_scenario, parse_scenario_doc, scenario_echo
+from .simulation import Scenario, TrajectoryRecord, export_trajectory
 
 __version__ = "0.1.0"
 
@@ -81,7 +69,6 @@ __all__ = [
     "GainSet",
     "IntegrationError",
     "KINDS",
-    "LyapunovCertificate",
     "MixedDecomposition",
     "ModelClass",
     "ProtocolRealization",
@@ -105,27 +92,19 @@ __all__ = [
     "generate_graph",
     "laplacian",
     "load_graph",
-    "lyapunov_certificate_P1",
-    "lyapunov_trace_P3",
     "mixed_decompose",
     "parse_graph",
     "parse_report",
-    "parse_scenario",
     "parse_scenario_doc",
     "preset_names",
     "preset_scenario",
-    "read_trajectory",
     "run_case",
-    "save_graph",
     "saturate",
-    "saturation_potential",
     "scale_free_runs",
     "scenario_echo",
     "serialize_graph",
-    "simulate",
     "solve_P_neutral",
     "synthesize_gains",
     "sync_metrics",
-    "v_trace_violation",
     "verify_gains",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "Classification",
     "MixedDecomposition",
     "saturate",
-    "saturation_potential",
     "classify",
     "check_controllable_observable",
     "mixed_decompose",
@@ -60,19 +59,6 @@ def saturate(v, out=None):
     into ``out`` when given (a float array of ``v``'s shape)."""
     # the array method is np.clip without its dispatch layer
     return np.asarray(v, dtype=float).clip(-1.0, 1.0, out=out)
-
-
-def saturation_potential(u):
-    """Energy stored in the saturated input: 2 * sum_k int_0^{u_k} sat(s) ds.
-
-    Quadratic inside the linear band, linear outside; nonnegative and
-    zero only at u = 0. Its gradient is 2*sat(u), which is what makes it
-    the right potential term for Lyapunov bookkeeping of saturated
-    inputs.
-    """
-    u = np.abs(np.asarray(u, dtype=float))
-    psi = np.where(u <= 1.0, 0.5 * u * u, u - 0.5)
-    return float(2.0 * psi.sum())
 
 
 @dataclass(frozen=True)
@@ -136,15 +122,15 @@ class AgentModel:
 
     ``coupling`` records what neighbors exchange: "full" means full
     state (requires c to be the identity), "partial" means outputs only.
-    ``model_class`` may be given (it is then checked) or left None to be
-    computed.
+    ``classification`` is what :func:`classify` finds for (a, b, c), and
+    ``model_class`` its class.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     coupling: str = "partial"
-    model_class: ModelClass | None = None
+    model_class: ModelClass = field(init=False)
     classification: Classification = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -158,13 +144,7 @@ class AgentModel:
         ):
             raise ValidationError("full coupling requires c to be the identity")
         self.classification = classify(self.a, self.b, self.c)
-        if self.model_class is None:
-            self.model_class = self.classification.model_class
-        elif ModelClass(self.model_class) != self.classification.model_class:
-            raise ValidationError(
-                f"declared class {ModelClass(self.model_class).value!r} but "
-                f"(a, b, c) classifies as {self.classification.model_class.value!r}"
-            )
+        self.model_class = self.classification.model_class
 
     @property
     def n(self):

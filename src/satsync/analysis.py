@@ -1,20 +1,11 @@
-"""Trajectory diagnostics: error metrics, energy certificates, sweeps.
+"""Trajectory diagnostics: error metrics, case runs, sweeps, reports.
 
 This module answers the questions a simulation run raises. Did the
-agents actually synchronize, and when? Does the closed loop admit a
-decreasing energy function along the recorded trajectory, computed from
-the same matrices the synthesis produced? Does the same controller keep
+agents actually synchronize, and when? Does the same controller keep
 working when the loop gain is scaled, or when the network is swapped
 for a bigger one? Reports are plain data and round-trip through a JSON
 summary so downstream tooling never has to re-run a simulation to read
 the verdict.
-
-Energy certificates exist for the two families where the function is an
-explicit quadratic (plus an input potential for the chained
-integrators). The mixed family is deliberately left without one: its
-energy argument needs auxiliary solves on a transformed state that the
-toolkit does not carry, so mixed runs are judged by metrics and gain
-checks alone.
 """
 
 from __future__ import annotations
@@ -31,23 +22,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simulation
-from .agents import ModelClass
 from .errors import ValidationError
-from .gains import GainCheck, GainReport, design_K_double, solve_P_neutral
-from .graphs import check_rootset, generate_graph, laplacian
-from .linalg import solve_lyapunov
+from .gains import GainCheck, GainReport
+from .graphs import _require_dense_fit, generate_graph
 from .parallel import SharedMatrix, usable_cpus
 from .protocols import build_protocol
 from .simulation import _EXPORT_ROWS, ClosedLoop, TrajectoryRecord, export_trajectory
 
 __all__ = [
     "SyncReport",
-    "LyapunovCertificate",
     "RunRecord",
     "sync_metrics",
-    "v_trace_violation",
-    "lyapunov_certificate_P1",
-    "lyapunov_trace_P3",
     "run_case",
     "run_cases",
     "case_workers",
@@ -58,9 +43,6 @@ __all__ = [
     "export_report",
     "parse_report",
 ]
-
-# Energy growth per step, relative to 1 + V, that v_trace_violation forgives
-V_TRACE_SLACK = 1e-9
 
 
 @dataclass(eq=False)
@@ -99,25 +81,6 @@ class SyncReport:
             and np.array_equal(self.max_error, other.max_error)
             and np.array_equal(self.pairwise_error, other.pairwise_error)
         )
-
-
-@dataclass(eq=False)
-class LyapunovCertificate:
-    """Numerically solved energy certificate for the static full-state loop.
-
-    ``p`` weights the agent deviations, ``p_bar`` the tracking-error
-    block; ``gamma_term`` is the scalar driving the ``p_bar`` equation
-    and ``residual`` the largest eigenvalue of that equation's defect
-    (certificate is valid when residual <= 1e-8 * gamma_term).
-    ``v_trace`` is the energy sampled along a trajectory, or None when
-    no trajectory was supplied.
-    """
-
-    p: np.ndarray
-    p_bar: np.ndarray
-    gamma_term: float
-    residual: float
-    v_trace: np.ndarray | None
 
 
 # time steps sync_metrics scores at a time (see _block_errors)
@@ -208,142 +171,6 @@ def sync_metrics(traj, tol=1e-2, window=None):
         tol=tol,
         window=window,
     )
-
-
-def v_trace_violation(v_trace):
-    """Worst step-to-step energy growth beyond the integration allowance.
-
-    Returns max_k of V[k+1] - V[k] - V_TRACE_SLACK*(1 + V[k]); a nonpositive
-    value means the trace is nonincreasing up to the allowance. Traces
-    with fewer than two samples trivially return 0.0.
-    """
-    v = np.asarray(v_trace, dtype=float)
-    if v.size < 2:
-        return 0.0
-    growth = v[1:] - v[:-1] - V_TRACE_SLACK * (1.0 + v[:-1])
-    return float(growth.max())
-
-
-def _require_certificate_setup(model, graph, rho, wanted, label):
-    if model.classification.model_class is not wanted:
-        raise ValidationError(f"certificate requires a {label} model")
-    if model.coupling != "full":
-        raise ValidationError("certificate requires full-state coupling")
-    if not rho > 0.0:
-        raise ValidationError(f"rho must be positive, got {rho:g}")
-    if not check_rootset(graph):
-        raise ValidationError("every node must be reachable from the root set")
-
-
-def _tracking_block(model, graph):
-    """The stable matrix governing the stacked tracking error."""
-    eye_n = np.eye(model.n)
-    return np.kron(np.eye(graph.n), model.a) - np.kron(laplacian(graph).Lbar, eye_n)
-
-
-def lyapunov_certificate_P1(model, graph, rho, traj=None):
-    """Energy certificate for the static protocol on neutrally stable agents.
-
-    Solves the tracking-error weight ``p_bar`` from the stacked-error
-    equation with right-hand side -(1 + rho*||b' p||^2) I — an equality
-    version of the inequality the stability argument needs, valid
-    because the stacked error matrix is Hurwitz whenever the root set
-    reaches every node. When ``traj`` is given, the energy
-
-        V = sum_i (x_i - x_r)' p (x_i - x_r)  +  e' p_bar e
-
-    is sampled at every recorded time.
-    """
-    rho = float(rho)
-    _require_certificate_setup(
-        model, graph, rho, ModelClass.NEUTRALLY_STABLE, "neutrally stable"
-    )
-    p = solve_P_neutral(model.a)
-    gamma = 1.0 + rho * np.linalg.norm(model.b.T @ p, 2) ** 2
-    track = _tracking_block(model, graph)
-    total = track.shape[0]
-    p_bar = solve_lyapunov(track, gamma * np.eye(total))
-    defect = track.T @ p_bar + p_bar @ track + gamma * np.eye(total)
-    residual = float(np.linalg.eigvalsh(0.5 * (defect + defect.T)).max())
-    v_trace = None
-    if traj is not None:
-        dev = traj.x - traj.x_r[:, None, :]
-        agent_term = np.einsum("tia,ab,tib->t", dev, p, dev)
-        e_flat = traj.e.reshape(len(traj.times), -1)
-        error_term = np.einsum("ta,ab,tb->t", e_flat, p_bar, e_flat)
-        v_trace = agent_term + error_term
-    return LyapunovCertificate(
-        p=p,
-        p_bar=p_bar,
-        gamma_term=float(gamma),
-        residual=residual,
-        v_trace=v_trace,
-    )
-
-
-def _chain_split(a, b):
-    """Index the integrator chains: vel[j] is driven by input j, pos[j] by vel[j].
-
-    Only meaningful after the model classified as a chained-integrator
-    structure, where b columns and the coupling columns of a are exact
-    unit vectors.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    vel = np.array([int(np.argmax(b[:, j])) for j in range(b.shape[1])])
-    pos = np.array([int(np.argmax(a[:, v])) for v in vel])
-    return pos, vel
-
-
-def lyapunov_trace_P3(model, graph, rho, traj, k=None):
-    """Energy trace for the static protocol on chained integrators.
-
-    The energy combines a velocity-weighted quadratic, a tracking-error
-    quadratic, and the stored saturation potential of the inputs:
-
-        V = rho * sum_i v_i' p_d v_i  +  e' p_D e  +  2 sum int_0^u sat
-
-    with p_d read off the position block of ``k`` and p_D solved from
-    the stacked-error equation. ``k`` defaults to the canonical
-    (-I  -I) feedback; pass the gain actually used by the run when it
-    differs. Returns the sampled energy as an array aligned with
-    ``traj.times``.
-    """
-    rho = float(rho)
-    _require_certificate_setup(
-        model, graph, rho, ModelClass.DOUBLE_INTEGRATOR, "chained-integrator"
-    )
-    m = model.m
-    if k is None:
-        k = design_K_double(m)
-    k = np.asarray(k, dtype=float)
-    if k.shape != (m, 2 * m):
-        raise ValidationError(f"gain must have shape {(m, 2 * m)}, got {k.shape}")
-
-    pos, vel = _chain_split(model.a, model.b)
-    k_pos = k[:, pos]
-    k_vel = k[:, vel]
-    p_d = -k_pos
-    if np.linalg.eigvalsh(0.5 * (p_d + p_d.T)).min() <= 0.0:
-        raise ValidationError("position-block gain must be negative definite")
-    eps = -float(np.linalg.eigvalsh(k_vel + k_vel.T).max()) / 2.0
-    if eps <= 0.0:
-        raise ValidationError("velocity-block gain must be negative definite")
-
-    track = _tracking_block(model, graph)
-    gamma = 1.0 + rho / eps * np.linalg.norm(k, 2) ** 2 * np.linalg.norm(track, 2) ** 2
-    p_big = solve_lyapunov(track, gamma * np.eye(track.shape[0]))
-
-    dev = traj.x - traj.x_r[:, None, :]
-    vel_dev = dev[:, :, vel]
-    agent_term = rho * np.einsum("tia,ab,tib->t", vel_dev, p_d, vel_dev)
-    e_flat = traj.e.reshape(len(traj.times), -1)
-    error_term = np.einsum("ta,ab,tb->t", e_flat, p_big, e_flat)
-    # batched form of saturation_potential, one scalar per sample
-    mag = np.abs(traj.u)
-    psi = np.where(mag <= 1.0, 0.5 * mag * mag, mag - 0.5)
-    input_term = 2.0 * psi.sum(axis=(1, 2))
-    return agent_term + error_term + input_term
 
 
 def run_case(case, states=None):
@@ -457,7 +284,7 @@ def _rho_case(scenario, rho):
     )
 
 
-def _size_case(scenario, index, size, ic_scale=1.0):
+def _size_case(scenario, index, size):
     model, protocol = scenario.model, scenario.protocol
     seed = scenario.seed or 0
     realization = build_protocol(protocol.kind, model, protocol.gains)
@@ -469,7 +296,7 @@ def _size_case(scenario, index, size, ic_scale=1.0):
         graph=graph,
         protocol=realization,
         x_r0=np.zeros(model.n),
-        x0=rng.uniform(-ic_scale, ic_scale, size=(size, model.n)),
+        x0=rng.uniform(-1.0, 1.0, size=(size, model.n)),
         controller0=None,
     )
 
@@ -495,26 +322,28 @@ def gain_margin_runs(scenario, rhos, pmap=map):
 
 
 def network_sizes(scenario, sizes):
-    """``sizes`` as ints, each a whole number >= 1 that names a case of
-    ``scenario``'s size sweep no other size names; else rejected."""
+    """``sizes`` as ints, each a whole number >= 1 whose graph fits in
+    memory and that names a case of ``scenario``'s size sweep no other
+    size names; else rejected."""
     for n in sizes:
         if not (float(n).is_integer() and n >= 1):
             raise ValidationError(f"network size must be a whole number >= 1, got {n:g}")
     sizes = [int(n) for n in sizes]
+    for n in sizes:
+        _require_dense_fit(n, "network size")
     _require_distinct_names(scenario, "network sizes", sizes, _size_name)
     return sizes
 
 
-def scale_free_runs(scenario, sizes, pmap=map, *, ic_scale=1.0):
+def scale_free_runs(scenario, sizes, pmap=map):
     """Run one scenario's protocol over random networks of growing size.
 
     Case ``index`` (named ``<name>-n<size>``) gets a random graph rooted
     at node 1, seeded ``seed + index``, and initial states drawn
-    uniformly in [-ic_scale, ic_scale] from ``default_rng([seed, index,
-    1])``, where ``seed`` is the scenario's (0 when unset); the
-    reference starts at zero and the controllers at rest. Step size,
-    horizon, thinning and the verdict's tolerance and window come from
-    the scenario. The realization is rebuilt per case from the same
+    uniformly in [-1, 1] from ``default_rng([seed, index, 1])``, where
+    ``seed`` is the scenario's (0 when unset); the reference starts at
+    zero and the controllers at rest. Step size, horizon, thinning and
+    the verdict's tolerance and window come from the scenario. The realization is rebuilt per case from the same
     model and gains, which makes the build determinism checkable: the
     controller matrices must come out bit-identical for every size.
     The sizes are checked at once (``network_sizes``); the cases run
@@ -522,7 +351,7 @@ def scale_free_runs(scenario, sizes, pmap=map, *, ic_scale=1.0):
     read, yielding (case scenario, RunRecord) pairs in the input order.
     """
     sizes = network_sizes(scenario, sizes)
-    cases = (_size_case(scenario, i, n, ic_scale) for i, n in enumerate(sizes))
+    cases = (_size_case(scenario, i, n) for i, n in enumerate(sizes))
     return run_cases(cases, pmap)
 
 

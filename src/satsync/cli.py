@@ -277,7 +277,11 @@ def cmd_sweep(args):
         sizes = [scenario.graph.n] * len(rhos)
         sweep = partial(gain_margin_runs, scenario, rhos)
     else:
-        sizes = network_sizes(scenario, _parse_float_list(args.n, "--n"))
+        values = _parse_float_list(args.n, "--n")
+        try:
+            sizes = network_sizes(scenario, values)
+        except ValidationError as exc:
+            raise ValidationError(f"--n: {exc}") from None
         sweep = partial(scale_free_runs, scenario, sizes)
     digests = {}
 

@@ -26,7 +26,6 @@ from .errors import SynthesisError, ValidationError
 from .linalg import (
     EIG_TOL,
     eigenvalues,
-    is_hurwitz,
     realify_eigenvector,
     solve_filter_riccati,
     solve_lyapunov,
@@ -76,15 +75,14 @@ class GainSet:
     Only the fields a protocol kind consumes need to be present.
     ``gamma_x`` optionally pins the decomposed coordinates a mixed-case
     ``k`` was designed in; without it the canonical decomposition is
-    used. ``lam`` and ``p_d`` record the weighting used when ``k`` came
-    from the mixed-case construction.
+    used. ``p_d`` records the velocity weight used when ``k`` came from
+    the mixed-case construction.
     """
 
     rho: float = 1.0
     p: np.ndarray | None = None
     f: np.ndarray | None = None
     k: np.ndarray | None = None
-    lam: np.ndarray | None = None
     p_d: np.ndarray | None = None
     gamma_x: np.ndarray | None = None
 
@@ -92,7 +90,7 @@ class GainSet:
         if not np.isfinite(self.rho):
             raise ValidationError("rho must be finite")
         self.rho = float(self.rho)
-        for name in ("p", "f", "k", "lam", "p_d", "gamma_x"):
+        for name in ("p", "f", "k", "p_d", "gamma_x"):
             val = getattr(self, name)
             if val is None:
                 continue
@@ -344,11 +342,11 @@ def verify_K_double(k, m):
     return ok, worst[1], detail
 
 
-def verify_K_mixed(decomp, k, p_d=None):
+def verify_K_mixed(decomp, k, p_d):
     """Check the mixed-case equality and strict inequality for k.
 
-    With ``p_d`` given, the equality is checked against it. Without it,
-    the velocity weight that minimizes the equality residual is
+    The equality is checked against the velocity weight ``p_d``. Where
+    ``p_d`` is None, the weight that minimizes the equality residual is
     recovered by least squares (the equality is linear in p_d) and must
     itself be positive definite.
     """
@@ -446,7 +444,7 @@ def synthesize_gains(model, kind, rho=1.0):
     """Produce the full GainSet a protocol kind needs for this model."""
     if kind not in _REQUIRED:
         raise ValidationError(f"unknown protocol kind {kind!r}")
-    p = f = k = lam = p_d = gamma_x = None
+    p = f = k = p_d = gamma_x = None
     if kind in ("P1", "P2"):
         p = solve_P_neutral(model.a)
     if kind in ("P3", "P4"):
@@ -455,8 +453,7 @@ def synthesize_gains(model, kind, rho=1.0):
         decomp = mixed_decompose(model.a, model.b, model.c)
         p_d = np.eye(decomp.q)
         k = design_K_mixed(decomp)
-        lam = compute_Lambda(decomp, p_d)
         gamma_x = decomp.gamma_x
     if kind in ("P2", "P4", "P6"):
         f = design_F(model.a, model.c)
-    return GainSet(rho=rho, p=p, f=f, k=k, lam=lam, p_d=p_d, gamma_x=gamma_x)
+    return GainSet(rho=rho, p=p, f=f, k=k, p_d=p_d, gamma_x=gamma_x)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,7 +40,6 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "load_graph",
-    "save_graph",
 ]
 
 
@@ -121,6 +122,24 @@ def check_rootset(graph):
     return bool(reached.all())
 
 
+def _physical_memory():
+    """This machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_dense_fit(n, path):
+    """Reject a graph of ``n`` nodes whose dense weights, L and Lbar (see
+    ``laplacian``) would not fit in physical memory, before any of them
+    is allocated; ``path`` names the field that gave ``n``."""
+    memory = _physical_memory()
+    if 3 * 8 * n * n > memory:
+        raise ValidationError(
+            f"{path}: {n} nodes are too many for this machine: the dense weights, L and "
+            f"Lbar take 24 n^2 bytes, more than its {memory / 1e9:.3g} GB of memory "
+            f"(at most {math.isqrt(memory // 24)} nodes fit)"
+        )
+
+
 # Random edge weights are drawn from this dyadic grid in [0.5, 2]: bounded
 # away from zero (keeps Lbar well conditioned) and exactly representable,
 # so Laplacian row sums cancel to exactly 0 in floating point.
@@ -152,6 +171,7 @@ def generate_graph(kind, n, roots, seed=0, extra_edge_prob=0.2):
     roots = sorted(set(int(r) for r in roots))
     if n < 1:
         raise ValidationError(f"graph needs at least one node, got n={n}")
+    _require_dense_fit(n, "n")
     if not roots:
         raise ValidationError("root set must not be empty")
     for r in roots:
@@ -233,6 +253,7 @@ def parse_graph(data, context="graph"):
     n = data["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"{context}.n: must be a positive integer, got {n!r}")
+    _require_dense_fit(n, f"{context}.n")
     weights = np.zeros((n, n))
     if not isinstance(data["edges"], list):
         raise ValidationError(f"{context}.edges: must be a list")
@@ -286,8 +307,3 @@ def load_graph(path):
         raise ValidationError(f"{path}: {exc}") from None
     return parse_graph(data, context=str(path))
 
-
-def save_graph(graph, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_graph(graph), fh, indent=2)
-        fh.write("\n")

@@ -1,6 +1,6 @@
-"""Dense linear-algebra kernel: spectra, definiteness
-tests, and the two matrix-equation solvers (Lyapunov, filter Riccati) that
-the gain synthesis and certificate machinery sit on.
+"""Dense linear-algebra kernel: spectra, the Hurwitz test, and the two
+matrix-equation solvers (Lyapunov, filter Riccati) that the gain
+synthesis sits on.
 
 Everything works on plain ``numpy.ndarray`` values. The tolerances
 below are fixed and shared package-wide, so that classification,
@@ -24,7 +24,6 @@ __all__ = [
     "CLUSTER_TOL",
     "eigenvalues",
     "is_hurwitz",
-    "is_negative_definite",
     "solve_lyapunov",
     "solve_filter_riccati",
     "realify_eigenvector",
@@ -72,17 +71,6 @@ def eigenvalues(a):
 def is_hurwitz(a):
     """True iff every eigenvalue of ``a`` has real part < -EIG_TOL."""
     return bool(eigenvalues(a).real.max() < -EIG_TOL)
-
-
-def is_negative_definite(a):
-    """True iff the symmetric part of ``a`` has all eigenvalues < -EIG_TOL.
-
-    Definiteness of a non-symmetric matrix is judged through its
-    symmetric part, which is what quadratic-form arguments see.
-    """
-    a = _square(a)
-    sym = 0.5 * (a + a.T)
-    return bool(np.linalg.eigvalsh(sym).max() < -EIG_TOL)
 
 
 def solve_lyapunov(a, q):

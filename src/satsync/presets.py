@@ -18,24 +18,9 @@ from __future__ import annotations
 
 import copy
 
-import numpy as np
-
-from .agents import AgentModel
 from .errors import ValidationError
-from .gains import GainSet
-from .graphs import parse_graph
 
-__all__ = [
-    "GRAPH_A",
-    "GRAPH_B",
-    "graph_a",
-    "preset_names",
-    "preset_scenario",
-    "example1_model",
-    "example1_gains",
-    "example2_model",
-    "example2_gains",
-]
+__all__ = ["GRAPH_A", "GRAPH_B", "preset_names", "preset_scenario"]
 
 # Three nodes in a line, information flowing 1 -> 2 -> 3, rooted at 1.
 GRAPH_A = {
@@ -166,42 +151,3 @@ def preset_scenario(name):
         )
     return copy.deepcopy(_PRESETS[name])
 
-
-def graph_a():
-    """The three-node path network, rooted at node 1."""
-    return parse_graph(GRAPH_A)
-
-
-def example1_model():
-    return AgentModel(
-        a=np.asarray(_EXAMPLE1_A, dtype=float),
-        b=np.asarray(_EXAMPLE1_B, dtype=float),
-        c=np.asarray(_EXAMPLE1_C, dtype=float),
-        coupling="partial",
-    )
-
-
-def example1_gains(rho=1.0):
-    return GainSet(
-        rho=rho,
-        k=np.asarray(_EXAMPLE1_K, dtype=float),
-        f=np.asarray(_EXAMPLE1_F, dtype=float),
-    )
-
-
-def example2_model():
-    return AgentModel(
-        a=np.asarray(_EXAMPLE2_A, dtype=float),
-        b=np.asarray(_EXAMPLE2_B, dtype=float),
-        c=np.asarray(_EXAMPLE2_C, dtype=float),
-        coupling="partial",
-    )
-
-
-def example2_gains(rho=1.0):
-    return GainSet(
-        rho=rho,
-        k=np.asarray(_EXAMPLE2_K, dtype=float),
-        f=np.asarray(_EXAMPLE2_F, dtype=float),
-        gamma_x=np.asarray(_EXAMPLE2_GAMMA_X, dtype=float),
-    )

@@ -15,8 +15,7 @@ reproduces the original run byte for byte.
 Parsing is split in two stages. :func:`parse_scenario_doc` resolves the
 document into plain ingredients without building the controller, which
 lets the verifier report margins for gains that would be rejected at
-build time; :func:`build_scenario` performs the build. Use
-:func:`parse_scenario` for the common both-stages path.
+build time; :func:`build_scenario` performs the build.
 """
 
 from __future__ import annotations
@@ -31,14 +30,21 @@ import numpy as np
 from .agents import AgentModel
 from .errors import ValidationError
 from .gains import GainSet, synthesize_gains
-from .graphs import _FLOAT_MAX, CommGraph, generate_graph, load_graph, parse_graph, serialize_graph
+from .graphs import (
+    _FLOAT_MAX,
+    CommGraph,
+    _require_dense_fit,
+    generate_graph,
+    load_graph,
+    parse_graph,
+    serialize_graph,
+)
 from .presets import preset_scenario
 from .protocols import FULL_STATE_KINDS, KINDS, build_protocol
 from .simulation import DEFAULT_DT, DEFAULT_HORIZON, Scenario
 
 __all__ = [
     "ScenarioParts",
-    "parse_scenario",
     "parse_scenario_doc",
     "build_scenario",
     "scenario_echo",
@@ -223,6 +229,7 @@ def _parse_graph_section(doc, base_dir):
         if not isinstance(kind, str):
             raise ValidationError(f"graph.generate.kind: expected a string, got {kind!r}")
         n = _number(spec["n"], "graph.generate.n", positive=True, integer=True)
+        _require_dense_fit(n, "graph.generate.n")
         seed = _seed(spec["seed"], "graph.generate.seed")
         roots = spec.get("roots", [1])
         if not isinstance(roots, list):
@@ -374,11 +381,6 @@ def build_scenario(parts):
         tol=parts.tol,
         window=parts.window,
     )
-
-
-def parse_scenario(data, base_dir=None, overrides=None):
-    """Parse a scenario document and build it into a runnable Scenario."""
-    return build_scenario(parse_scenario_doc(data, base_dir, overrides))
 
 
 def _matrix_doc(mat):

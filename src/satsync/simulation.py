@@ -52,7 +52,7 @@ import numpy as np
 
 from .agents import saturate
 from .errors import IntegrationError, ValidationError
-from .graphs import check_rootset, laplacian
+from .graphs import _physical_memory, check_rootset, laplacian
 from .parallel import Rows, reaches
 
 __all__ = [
@@ -64,9 +64,7 @@ __all__ = [
     "StepOperator",
     "step_operator",
     "integrate",
-    "simulate",
     "export_trajectory",
-    "read_trajectory",
     "DEFAULT_DT",
     "DEFAULT_HORIZON",
     "MAX_STEPS",
@@ -163,7 +161,7 @@ class Scenario:
         # the state matrix a run records, a time and the states per step,
         # must fit in the machine
         dim = n + N * (n + n_c)
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = _physical_memory()
         if self.recorded_steps * (1 + dim) * 8 > memory:
             raise ValidationError(
                 f"the recorded states would take {self.recorded_steps * (1 + dim) * 8 / 1e9:.3g} GB "
@@ -483,20 +481,6 @@ def rk4(f, z0, dt, steps, record_every=1, states=None):
     return _record(_stage_steps(f, z, dt, steps), z, dt, steps, record_every, states)
 
 
-# The controller signals of any span of time steps: TrajectoryRecord's
-# properties and the export's blocks evaluate the same expressions.
-def _chi(protocol, xc):
-    return np.einsum("kj,tij->tik", protocol.h_c, xc) if protocol.uses_observer else xc
-
-
-def _xhat(protocol, x, xc):
-    return xc[:, :, : x.shape[2]] if protocol.uses_observer else None
-
-
-def _u(protocol, xc):
-    return np.einsum("kj,tij->tik", protocol.f_c, xc)
-
-
 def _columns(states, N, n):
     """times, x_r, x and xc of some rows of a record's state matrix, as views."""
     T = states.shape[0]
@@ -510,15 +494,13 @@ def _columns(states, N, n):
 
 @dataclass
 class TrajectoryRecord:
-    """The recorded states of one run; the controller signals derive from them.
+    """The recorded states of one run.
 
     ``states`` is the matrix ``integrate`` fills, row k the time t_k and
     the stacked state z at t_k, or the ``parallel.SharedMatrix`` that
     holds it. ``times``, ``x_r`` [time, component], ``x`` and ``xc``
-    [time, agent, component] are views into it. ``chi``, ``xhat``, ``u``,
-    ``sat_u`` and the proof coordinates ``e`` (x_i - x_r - chi_i) and
-    ``ebar`` (partial-state kinds: the expanded-Laplacian mix of state
-    errors minus xhat) are computed from them on every read.
+    [time, agent, component] are views into it; the controller signals
+    derive from ``x`` and ``xc`` through ``_signal_columns``.
     """
 
     states: object
@@ -543,33 +525,6 @@ class TrajectoryRecord:
     @property
     def xc(self):
         return self._views()[3]
-
-    @property
-    def chi(self):
-        return _chi(self.scenario.protocol, self.xc)
-
-    @property
-    def xhat(self):
-        return _xhat(self.scenario.protocol, self.x, self.xc)
-
-    @property
-    def u(self):
-        return _u(self.scenario.protocol, self.xc)
-
-    @property
-    def sat_u(self):
-        return saturate(self.u)
-
-    @property
-    def e(self):
-        return self.x - self.x_r[:, None, :] - self.chi
-
-    @property
-    def ebar(self):
-        if not self.scenario.protocol.uses_observer:
-            return None
-        lbar = laplacian(self.scenario.graph).Lbar
-        return np.einsum("ij,tjk->tik", lbar, self.x - self.x_r[:, None, :]) - self.xhat
 
 
 def integrate(loop, states=None):
@@ -597,15 +552,9 @@ def integrate(loop, states=None):
     return TrajectoryRecord(states, sc)
 
 
-def simulate(scenario):
-    """assemble + integrate in one call."""
-    return integrate(assemble(scenario))
-
-
 class _Signals(NamedTuple):
     """What the controller signals of a block derive from: the three
-    fields of a protocol realization that ``_chi``, ``_xhat`` and ``_u``
-    read."""
+    fields of a protocol realization that ``_signal_columns`` reads."""
 
     uses_observer: bool
     h_c: np.ndarray
@@ -633,12 +582,22 @@ def _time_blocks(record, rows=_EXPORT_ROWS):
 
 
 def _signal_columns(protocol, x, xc):
-    """The CSV's per-agent column groups of some time steps, in order."""
-    columns = {"x": x, "chi": _chi(protocol, xc)}
-    xhat = _xhat(protocol, x, xc)
-    if xhat is not None:
-        columns["xhat"] = xhat
-    u = _u(protocol, xc)
+    """The controller signals of some time steps, as the CSV's per-agent
+    column groups in order: ``x``, ``chi``, ``xhat`` (observer kinds
+    only), ``u`` and ``sat_u``, each [time, agent, component].
+
+    ``x`` and ``xc`` are the steps' agent and controller states;
+    ``protocol`` is a realization, or a block's ``_Signals``.
+    """
+    if protocol.uses_observer:
+        columns = {
+            "x": x,
+            "chi": np.einsum("kj,tij->tik", protocol.h_c, xc),
+            "xhat": xc[:, :, : x.shape[2]],
+        }
+    else:
+        columns = {"x": x, "chi": xc}
+    u = np.einsum("kj,tij->tik", protocol.f_c, xc)
     columns.update(u=u, sat_u=saturate(u))
     return columns
 
@@ -734,14 +693,3 @@ def export_trajectory(record, path, pmap=map):
     finally:
         shutil.rmtree(parts)
 
-
-def read_trajectory(path):
-    """Read an exported trajectory back as {column name: 1-D array}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValidationError(
-            f"{path}: {len(header)} columns in header, {data.shape[1]} in data"
-        )
-    return {name: data[:, j] for j, name in enumerate(header)}

@@ -1,23 +1,37 @@
-"""Reference implementations the tests compare the package against.
+"""Reference implementations the tests compare the package against,
+and the code that only the tests use.
 
-Each one computes a quantity the package computes another way (or no
-longer computes at all), in the plainest form: the two diffusive network
-signals from the Laplacians, the reference trajectory integrated alone,
-the expanded-Laplacian spectrum test, and the random graph generator as
-it drew with ``Generator.choice``.
+Each reference computes a quantity the package computes another way
+(or no longer computes at all), in the plainest form: the two diffusive
+network signals from the Laplacians, the reference trajectory
+integrated alone, the expanded-Laplacian spectrum test, the random
+graph generator as it drew with ``Generator.choice``, and whole-record
+scoring and step building.
+
+The code only the tests use is kept out of the package: the
+presets' parsed models and gains, a record's controller signals and
+proof coordinates, the energy certificates of the full-state static
+protocols (P1 on neutrally stable agents, P3 on chained integrators)
+and their step-to-step check, the saturation potential, a definiteness
+test, and reading a trajectory CSV or writing a graph file back.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from satsync.agents import ModelClass
 from satsync.errors import ValidationError
-from satsync.graphs import _WEIGHT_GRID, CommGraph, laplacian
-from satsync.linalg import EIG_TOL
+from satsync.gains import design_K_double, solve_P_neutral
+from satsync.graphs import _WEIGHT_GRID, CommGraph, check_rootset, laplacian, serialize_graph
+from satsync.linalg import EIG_TOL, _square, solve_lyapunov
+from satsync.presets import preset_scenario
 from satsync.protocols import FULL_STATE_KINDS, KINDS
-from satsync.simulation import rk4
+from satsync.scenario import parse_scenario_doc
+from satsync.simulation import _signal_columns, rk4
 
 
 @dataclass(frozen=True)
@@ -164,3 +178,231 @@ def step_matrix_of_stages(loop):
             stage = z + step * k
     k1, k2, k3, k4 = ks
     return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def preset_parts(name):
+    """The bundled preset ``name`` parsed: its model, gains and graph
+    are those of ``preset_parts(name).model`` and so on."""
+    return parse_scenario_doc(preset_scenario(name))
+
+
+def signals(traj):
+    """A record's controller signals, [time, agent, component] each, as
+    the trajectory export derives them: x, chi, xhat (observer kinds
+    only), u and sat_u."""
+    return _signal_columns(traj.scenario.protocol, traj.x, traj.xc)
+
+
+def proof_coordinates(traj):
+    """A record's proof coordinates (e, ebar): e = x_i - x_r - chi_i, and
+    for partial-state kinds ebar, the expanded-Laplacian mix of the state
+    errors minus xhat (None for full-state kinds)."""
+    sig = signals(traj)
+    deviation = traj.x - traj.x_r[:, None, :]
+    e = deviation - sig["chi"]
+    if "xhat" not in sig:
+        return e, None
+    lbar = laplacian(traj.scenario.graph).Lbar
+    return e, np.einsum("ij,tjk->tik", lbar, deviation) - sig["xhat"]
+
+
+# Energy growth per step, relative to 1 + V, that v_trace_violation forgives
+V_TRACE_SLACK = 1e-9
+
+
+@dataclass(eq=False)
+class LyapunovCertificate:
+    """Numerically solved energy certificate for the static full-state loop.
+
+    ``p`` weights the agent deviations, ``p_bar`` the tracking-error
+    block; ``gamma_term`` is the scalar driving the ``p_bar`` equation
+    and ``residual`` the largest eigenvalue of that equation's defect
+    (certificate is valid when residual <= 1e-8 * gamma_term).
+    ``v_trace`` is the energy sampled along a trajectory, or None when
+    no trajectory was supplied.
+    """
+
+    p: np.ndarray
+    p_bar: np.ndarray
+    gamma_term: float
+    residual: float
+    v_trace: np.ndarray | None
+
+
+def v_trace_violation(v_trace):
+    """Worst step-to-step energy growth beyond the integration allowance.
+
+    Returns max_k of V[k+1] - V[k] - V_TRACE_SLACK*(1 + V[k]); a nonpositive
+    value means the trace is nonincreasing up to the allowance. Traces
+    with fewer than two samples trivially return 0.0.
+    """
+    v = np.asarray(v_trace, dtype=float)
+    if v.size < 2:
+        return 0.0
+    growth = v[1:] - v[:-1] - V_TRACE_SLACK * (1.0 + v[:-1])
+    return float(growth.max())
+
+
+def _require_certificate_setup(model, graph, rho, wanted, label):
+    if model.classification.model_class is not wanted:
+        raise ValidationError(f"certificate requires a {label} model")
+    if model.coupling != "full":
+        raise ValidationError("certificate requires full-state coupling")
+    if not rho > 0.0:
+        raise ValidationError(f"rho must be positive, got {rho:g}")
+    if not check_rootset(graph):
+        raise ValidationError("every node must be reachable from the root set")
+
+
+def _tracking_block(model, graph):
+    """The stable matrix governing the stacked tracking error."""
+    eye_n = np.eye(model.n)
+    return np.kron(np.eye(graph.n), model.a) - np.kron(laplacian(graph).Lbar, eye_n)
+
+
+def lyapunov_certificate_P1(model, graph, rho, traj=None):
+    """Energy certificate for the static protocol on neutrally stable agents.
+
+    Solves the tracking-error weight ``p_bar`` from the stacked-error
+    equation with right-hand side -(1 + rho*||b' p||^2) I — an equality
+    version of the inequality the stability argument needs, valid
+    because the stacked error matrix is Hurwitz whenever the root set
+    reaches every node. When ``traj`` is given, the energy
+
+        V = sum_i (x_i - x_r)' p (x_i - x_r)  +  e' p_bar e
+
+    is sampled at every recorded time.
+    """
+    rho = float(rho)
+    _require_certificate_setup(
+        model, graph, rho, ModelClass.NEUTRALLY_STABLE, "neutrally stable"
+    )
+    p = solve_P_neutral(model.a)
+    gamma = 1.0 + rho * np.linalg.norm(model.b.T @ p, 2) ** 2
+    track = _tracking_block(model, graph)
+    total = track.shape[0]
+    p_bar = solve_lyapunov(track, gamma * np.eye(total))
+    defect = track.T @ p_bar + p_bar @ track + gamma * np.eye(total)
+    residual = float(np.linalg.eigvalsh(0.5 * (defect + defect.T)).max())
+    v_trace = None
+    if traj is not None:
+        dev = traj.x - traj.x_r[:, None, :]
+        agent_term = np.einsum("tia,ab,tib->t", dev, p, dev)
+        e_flat = proof_coordinates(traj)[0].reshape(len(traj.times), -1)
+        error_term = np.einsum("ta,ab,tb->t", e_flat, p_bar, e_flat)
+        v_trace = agent_term + error_term
+    return LyapunovCertificate(
+        p=p,
+        p_bar=p_bar,
+        gamma_term=float(gamma),
+        residual=residual,
+        v_trace=v_trace,
+    )
+
+
+def _chain_split(a, b):
+    """Index the integrator chains: vel[j] is driven by input j, pos[j] by vel[j].
+
+    Only meaningful after the model classified as a chained-integrator
+    structure, where b columns and the coupling columns of a are exact
+    unit vectors.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    vel = np.array([int(np.argmax(b[:, j])) for j in range(b.shape[1])])
+    pos = np.array([int(np.argmax(a[:, v])) for v in vel])
+    return pos, vel
+
+
+def lyapunov_trace_P3(model, graph, rho, traj, k=None):
+    """Energy trace for the static protocol on chained integrators.
+
+    The energy combines a velocity-weighted quadratic, a tracking-error
+    quadratic, and the stored saturation potential of the inputs:
+
+        V = rho * sum_i v_i' p_d v_i  +  e' p_D e  +  2 sum int_0^u sat
+
+    with p_d read off the position block of ``k`` and p_D solved from
+    the stacked-error equation. ``k`` defaults to the canonical
+    (-I  -I) feedback; pass the gain actually used by the run when it
+    differs. Returns the sampled energy as an array aligned with
+    ``traj.times``.
+    """
+    rho = float(rho)
+    _require_certificate_setup(
+        model, graph, rho, ModelClass.DOUBLE_INTEGRATOR, "chained-integrator"
+    )
+    m = model.m
+    if k is None:
+        k = design_K_double(m)
+    k = np.asarray(k, dtype=float)
+    if k.shape != (m, 2 * m):
+        raise ValidationError(f"gain must have shape {(m, 2 * m)}, got {k.shape}")
+
+    pos, vel = _chain_split(model.a, model.b)
+    k_pos = k[:, pos]
+    k_vel = k[:, vel]
+    p_d = -k_pos
+    if np.linalg.eigvalsh(0.5 * (p_d + p_d.T)).min() <= 0.0:
+        raise ValidationError("position-block gain must be negative definite")
+    eps = -float(np.linalg.eigvalsh(k_vel + k_vel.T).max()) / 2.0
+    if eps <= 0.0:
+        raise ValidationError("velocity-block gain must be negative definite")
+
+    track = _tracking_block(model, graph)
+    gamma = 1.0 + rho / eps * np.linalg.norm(k, 2) ** 2 * np.linalg.norm(track, 2) ** 2
+    p_big = solve_lyapunov(track, gamma * np.eye(track.shape[0]))
+
+    dev = traj.x - traj.x_r[:, None, :]
+    vel_dev = dev[:, :, vel]
+    agent_term = rho * np.einsum("tia,ab,tib->t", vel_dev, p_d, vel_dev)
+    e_flat = proof_coordinates(traj)[0].reshape(len(traj.times), -1)
+    error_term = np.einsum("ta,ab,tb->t", e_flat, p_big, e_flat)
+    # batched form of saturation_potential, one scalar per sample
+    mag = np.abs(signals(traj)["u"])
+    psi = np.where(mag <= 1.0, 0.5 * mag * mag, mag - 0.5)
+    input_term = 2.0 * psi.sum(axis=(1, 2))
+    return agent_term + error_term + input_term
+
+
+def saturation_potential(u):
+    """Energy stored in the saturated input: 2 * sum_k int_0^{u_k} sat(s) ds.
+
+    Quadratic inside the linear band, linear outside; nonnegative and
+    zero only at u = 0. Its gradient is 2*sat(u), which is what makes it
+    the right potential term for Lyapunov bookkeeping of saturated
+    inputs.
+    """
+    u = np.abs(np.asarray(u, dtype=float))
+    psi = np.where(u <= 1.0, 0.5 * u * u, u - 0.5)
+    return float(2.0 * psi.sum())
+
+
+def is_negative_definite(a):
+    """True iff the symmetric part of ``a`` has all eigenvalues < -EIG_TOL.
+
+    Definiteness of a non-symmetric matrix is judged through its
+    symmetric part, which is what quadratic-form arguments see.
+    """
+    a = _square(a)
+    sym = 0.5 * (a + a.T)
+    return bool(np.linalg.eigvalsh(sym).max() < -EIG_TOL)
+
+
+def read_trajectory(path):
+    """Read an exported trajectory back as {column name: 1-D array}."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValidationError(
+            f"{path}: {len(header)} columns in header, {data.shape[1]} in data"
+        )
+    return {name: data[:, j] for j, name in enumerate(header)}
+
+
+def save_graph(graph, path):
+    """Write a graph file that ``graphs.load_graph`` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(serialize_graph(graph), fh, indent=2)
+        fh.write("\n")

@@ -18,32 +18,26 @@ import time
 
 import numpy as np
 
-from satsync.agents import AgentModel, mixed_decompose, saturate, saturation_potential
-from satsync.analysis import (
-    gain_margin_runs,
-    lyapunov_certificate_P1,
-    lyapunov_trace_P3,
-    scale_free_runs,
-    sync_metrics,
-    v_trace_violation,
-)
+from satsync.agents import AgentModel, mixed_decompose, saturate
+from satsync.analysis import gain_margin_runs, scale_free_runs, sync_metrics
 from satsync.cli import main
 from satsync.gains import compute_Lambda, design_K_mixed, solve_P_neutral
-from satsync.graphs import check_rootset, generate_graph, laplacian
-from satsync.presets import (
-    GRAPH_A,
-    GRAPH_B,
-    example1_gains,
-    example1_model,
-    example2_model,
-    graph_a,
-    preset_scenario,
-)
+from satsync.graphs import check_rootset, generate_graph, laplacian, parse_graph
+from satsync.presets import GRAPH_A, GRAPH_B, preset_scenario
 from satsync.protocols import build_protocol
-from satsync.scenario import parse_scenario
-from satsync.simulation import Scenario, rk4, simulate
+from satsync.scenario import build_scenario, parse_scenario_doc
+from satsync.simulation import Scenario, assemble, integrate, rk4
 
-from oracles import compute_network_signals
+from oracles import (
+    compute_network_signals,
+    lyapunov_certificate_P1,
+    lyapunov_trace_P3,
+    preset_parts,
+    proof_coordinates,
+    saturation_potential,
+    signals,
+    v_trace_violation,
+)
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DOUBLE_A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -60,9 +54,9 @@ def _preset_run(name, graph_doc, **sim_overrides):
     doc["graph"] = graph_doc
     if sim_overrides:
         doc["sim"] = {**doc["sim"], **sim_overrides}
-    sc = parse_scenario(json.dumps(doc).encode())
+    sc = build_scenario(parse_scenario_doc(json.dumps(doc).encode()))
     started = time.perf_counter()
-    rec = simulate(sc)
+    rec = integrate(assemble(sc))
     wall = time.perf_counter() - started
     return sync_metrics(rec, tol=sc.tol, window=sc.window), wall
 
@@ -85,7 +79,7 @@ def _scenario(model, kind, graph, seed=1, ic_scale=1.0, rho=1.0, **sim):
     }
     if model.coupling == "partial":
         doc["model"]["c"] = model.c.tolist()
-    return parse_scenario(json.dumps(doc).encode())
+    return build_scenario(parse_scenario_doc(json.dumps(doc).encode()))
 
 
 def test_c01_example1_tracking_at_bundled_settings(acceptance_log):
@@ -152,15 +146,16 @@ CONTROLLER_FIELDS = (
 
 
 def test_c03_one_controller_fits_every_network_size(acceptance_log):
-    model = example1_model()
+    example1 = preset_parts("example1")
+    model = example1.model
     # the sweep replaces the graph and the initial states case by case
     base = Scenario(
-        name="c03", model=model, graph=graph_a(),
-        protocol=build_protocol("P4", model, example1_gains()),
+        name="c03", model=model, graph=parse_graph(GRAPH_A),
+        protocol=build_protocol("P4", model, example1.gains),
         x_r0=np.zeros(model.n), x0=np.zeros((3, model.n)),
         dt=1e-3, horizon=120.0, seed=1, record_every=10,
     )
-    pairs = list(scale_free_runs(base, [3, 10, 25], ic_scale=1.0))
+    pairs = list(scale_free_runs(base, [3, 10, 25]))
     cases = [case for case, _ in pairs]
     reports = [run.report for _, run in pairs]
     bit_identical = all(
@@ -185,7 +180,7 @@ def test_c03_one_controller_fits_every_network_size(acceptance_log):
 def test_c04_loop_gain_margin_is_unbounded(acceptance_log):
     rhos = [1.0, 10.0, 100.0]
 
-    ex1 = _scenario(example1_model(), "P4", GRAPH_A, horizon=60.0)
+    ex1 = _scenario(preset_parts("example1").model, "P4", GRAPH_A, horizon=60.0)
     ex1_runs = gain_margin_runs(ex1, rhos)
 
     p1 = _scenario(
@@ -208,14 +203,14 @@ def test_c04_loop_gain_margin_is_unbounded(acceptance_log):
 
 
 def test_c05_energy_certificates_decrease_stepwise(acceptance_log):
-    # v_trace_violation forgives 1e-9 (1 + V) per step (analysis.V_TRACE_SLACK)
+    # v_trace_violation forgives 1e-9 (1 + V) per step (oracles.V_TRACE_SLACK)
     p1 = _scenario(rotation_full_model(), "P1", GRAPH_A, ic_scale=0.5, horizon=30.0)
-    rec1 = simulate(p1)
+    rec1 = integrate(assemble(p1))
     cert = lyapunov_certificate_P1(p1.model, p1.graph, 1.0, traj=rec1)
     viol1 = v_trace_violation(cert.v_trace)
 
     p3 = _scenario(double_full_model(), "P3", GRAPH_A, ic_scale=0.5, horizon=40.0)
-    rec3 = simulate(p3)
+    rec3 = integrate(assemble(p3))
     v3 = lyapunov_trace_P3(p3.model, p3.graph, 1.0, rec3)
     viol3 = v_trace_violation(v3)
 
@@ -235,24 +230,26 @@ def test_c06_recorded_proof_coordinates_match_their_dynamics(acceptance_log):
     # controller-error coordinates of a full-state run decouple into
     # a block dynamics driven by the expanded Laplacian
     p3 = _scenario(double_full_model(), "P3", GRAPH_A, ic_scale=0.5, horizon=10.0)
-    rec = simulate(p3)
+    rec = integrate(assemble(p3))
+    e, _ = proof_coordinates(rec)
     lbar = laplacian(p3.graph).Lbar
     n, N = 2, p3.graph.n
     m_e = np.kron(np.eye(N), p3.model.a) - np.kron(lbar, np.eye(n))
-    e0 = rec.e[0].reshape(-1)
+    e0 = e[0].reshape(-1)
     _, e_ref = rk4(lambda t, e: m_e @ e, e0, p3.dt, len(rec.times) - 1)
-    dev_e = np.max(np.abs(rec.e.reshape(len(rec.times), -1) - e_ref))
+    dev_e = np.max(np.abs(e.reshape(len(rec.times), -1) - e_ref))
 
     # observer errors of a partial-state run evolve agent-by-agent under
     # the output-injection matrix
-    ex1 = _scenario(example1_model(), "P4", GRAPH_A, ic_scale=1.0, horizon=10.0)
-    rec4 = simulate(ex1)
+    ex1 = _scenario(preset_parts("example1").model, "P4", GRAPH_A, ic_scale=1.0, horizon=10.0)
+    rec4 = integrate(assemble(ex1))
+    _, ebar = proof_coordinates(rec4)
     f = ex1.protocol.gains.f
     a_obs = ex1.model.a - f @ ex1.model.c
     m_eb = np.kron(np.eye(ex1.graph.n), a_obs)
-    eb0 = rec4.ebar[0].reshape(-1)
+    eb0 = ebar[0].reshape(-1)
     _, eb_ref = rk4(lambda t, e: m_eb @ e, eb0, ex1.dt, len(rec4.times) - 1)
-    dev_eb = np.max(np.abs(rec4.ebar.reshape(len(rec4.times), -1) - eb_ref))
+    dev_eb = np.max(np.abs(ebar.reshape(len(rec4.times), -1) - eb_ref))
 
     ok = dev_e <= tol and dev_eb <= tol
     _verdict(
@@ -324,7 +321,7 @@ def test_c07_gain_conditions_hold_over_seeded_families(acceptance_log):
         worst_p = max(worst_p, lam / max(np.linalg.norm(a, 2), 1e-30))
     p_ok = worst_p <= 1e-8
 
-    model2 = example2_model()
+    model2 = preset_parts("example2").model
     worst_res, worst_lam = 0.0, -np.inf
     d2 = mixed_decompose(model2.a, model2.b, model2.c, gamma_x=np.eye(7))
     k2 = design_K_mixed(d2)
@@ -399,11 +396,11 @@ def test_c08_rooted_graphs_give_stable_couplings(acceptance_log):
 
 
 def test_c09_saturation_behaves_and_is_respected(acceptance_log):
-    sc = parse_scenario(json.dumps(
+    sc = build_scenario(parse_scenario_doc(json.dumps(
         {"model": {"preset": "example1"}, "sim": {"horizon": 6.0, "dt": 0.01}}
-    ).encode())
-    rec = simulate(sc)
-    bounds_ok = bool(np.all(rec.sat_u >= -1.0) and np.all(rec.sat_u <= 1.0))
+    ).encode()))
+    sat_u = signals(integrate(assemble(sc)))["sat_u"]
+    bounds_ok = bool(np.all(sat_u >= -1.0) and np.all(sat_u <= 1.0))
 
     rng = np.random.default_rng(13)
     u = rng.uniform(-5, 5, size=(500, 3))

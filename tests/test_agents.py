@@ -9,9 +9,10 @@ from satsync.agents import (
     classify,
     mixed_decompose,
     saturate,
-    saturation_potential,
 )
 from satsync.errors import SynthesisError, ValidationError
+
+from oracles import saturation_potential
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DOUBLE_A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -95,16 +96,6 @@ def test_agent_model_full_coupling_needs_identity_c():
     with pytest.raises(ValidationError, match="identity"):
         AgentModel(
             a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.array([[1.0, 0.0]]), coupling="full"
-        )
-
-
-def test_agent_model_declared_class_checked():
-    with pytest.raises(ValidationError, match="classifies as"):
-        AgentModel(
-            a=DOUBLE_A,
-            b=DOUBLE_B,
-            c=np.array([[1.0, 0.0]]),
-            model_class=ModelClass.NEUTRALLY_STABLE,
         )
 
 

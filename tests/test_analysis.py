@@ -1,4 +1,5 @@
-"""Diagnostics: metrics, energy certificates, sweeps, report round trips."""
+"""Diagnostics: metrics, sweeps, report round trips, and the test-side
+energy certificates."""
 
 import multiprocessing
 import os
@@ -20,30 +21,34 @@ from satsync.analysis import (
     case_workers,
     export_report,
     gain_margin_runs,
-    lyapunov_certificate_P1,
-    lyapunov_trace_P3,
     parse_report,
     run_case,
     run_cases,
     scale_free_runs,
     sync_metrics,
-    v_trace_violation,
 )
 from satsync import gains, protocols
 from satsync.errors import SynthesisError, ValidationError
 from satsync.gains import synthesize_gains, verify_gains
 from satsync.graphs import generate_graph
 from satsync.parallel import process_map
-from satsync.presets import example1_gains, example1_model, example2_gains, example2_model
 from satsync.protocols import build_protocol
-from oracles import sync_errors_whole
 from satsync.simulation import (
     _EXPORT_ROWS,
     Scenario,
     TrajectoryRecord,
     _time_blocks,
+    assemble,
     export_trajectory,
-    simulate,
+    integrate,
+)
+
+from oracles import (
+    lyapunov_certificate_P1,
+    lyapunov_trace_P3,
+    preset_parts,
+    sync_errors_whole,
+    v_trace_violation,
 )
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -197,7 +202,7 @@ def test_v_trace_violation_signs():
 
 def test_p1_certificate_decreases_along_run():
     sc = p1_scenario()
-    rec = simulate(sc)
+    rec = integrate(assemble(sc))
     cert = lyapunov_certificate_P1(sc.model, sc.graph, 1.0, traj=rec)
     assert np.linalg.eigvalsh(cert.p_bar).min() > 0
     assert cert.residual <= 1e-8 * cert.gamma_term
@@ -214,7 +219,7 @@ def test_p1_certificate_requires_full_coupling():
 
 def test_p3_energy_trace_decreases():
     sc = p3_scenario(horizon=40.0)
-    rec = simulate(sc)
+    rec = integrate(assemble(sc))
     v = lyapunov_trace_P3(sc.model, sc.graph, 1.0, rec)
     assert v_trace_violation(v) <= 0.0
     assert v[-1] < 1e-3 * v[0]
@@ -252,9 +257,10 @@ def _audited_scenario(kind, model, gain_set):
 
 
 def test_gain_audit_is_the_realizations(monkeypatch):
+    example1, example2 = preset_parts("example1"), preset_parts("example2")
     cases = [
-        _audited_scenario("P4", example1_model(), example1_gains()),
-        _audited_scenario("P6", example2_model(), example2_gains()),
+        _audited_scenario("P4", example1.model, example1.gains),
+        _audited_scenario("P6", example2.model, example2.gains),
     ]
     for sc in cases:
         fresh = verify_gains(sc.model, sc.protocol.gains, kind=sc.protocol.kind)
@@ -272,14 +278,14 @@ def test_gain_audit_is_the_realizations(monkeypatch):
     assert pooled == [sc.protocol.gain_report for sc in cases]
     monkeypatch.undo()
     # failing gains still stop the build
-    broken = replace(example1_gains(), f=np.zeros_like(example1_gains().f))
+    broken = replace(example1.gains, f=np.zeros_like(example1.gains.f))
     with pytest.raises(SynthesisError, match="f_stabilizes_observer"):
-        build_protocol("P4", example1_model(), broken)
+        build_protocol("P4", example1.model, broken)
 
 
 def test_export_parse_round_trip(tmp_path):
     sc = p1_scenario(horizon=4.0)
-    rec = simulate(sc)
+    rec = integrate(assemble(sc))
     rep = sync_metrics(rec, tol=1e-2)
     runs = [RunRecord(name="case-a", report=rep, trajectory=rec)]
     written = export_report(runs, tmp_path)
@@ -302,7 +308,7 @@ def test_export_report_rejects_duplicate_names(tmp_path):
 
 
 def test_export_report_rejects_names_that_make_one_file(tmp_path):
-    rec = simulate(p1_scenario(horizon=0.5))
+    rec = integrate(assemble(p1_scenario(horizon=0.5)))
     rep = sync_metrics(rec, tol=1e-2)
     runs = [RunRecord(name=name, report=rep, trajectory=rec) for name in ("case a", "case-a")]
     out = tmp_path / "out"
@@ -344,7 +350,7 @@ def test_run_cases_record_into_shared_states_through_a_pool(monkeypatch):
 def test_export_blocks_of_a_shared_record_carry_no_rows():
     # a run_cases record holds its SharedMatrix: a block pickles to the
     # same size whatever its rows, but for the bytes of its two row
-    # numbers (pickle writes an int in 1, 2 or 4 bytes), where a simulate
+    # numbers (pickle writes an int in 1, 2 or 4 bytes), where an integrate
     # record's carries them
     sc = p1_scenario(horizon=4.0)
     (_, run), = run_cases([sc])
@@ -357,7 +363,7 @@ def test_export_blocks_of_a_shared_record_carry_no_rows():
     # nor the protocol realization: only the three fields the signals
     # derive from travel
     assert size(run.trajectory, _EXPORT_ROWS) < 1024
-    plain = simulate(sc)
+    plain = integrate(assemble(sc))
     assert size(plain, _EXPORT_ROWS) > size(plain, 100) + 8 * (_EXPORT_ROWS - 100)
 
 
@@ -374,7 +380,7 @@ def test_a_pool_forked_before_a_shared_record_refuses_it_and_stays_usable(tmp_pa
         assert os.listdir(tmp_path) == []
         # the pool still runs calls, and exports what its workers can read
         assert list(pmap(abs, [-3])) == [3]
-        export_trajectory(simulate(sc), tmp_path / "plain.csv", pmap)
+        export_trajectory(integrate(assemble(sc)), tmp_path / "plain.csv", pmap)
     export_trajectory(run.trajectory, tmp_path / "alone.csv")
     assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
@@ -382,7 +388,7 @@ def test_a_pool_forked_before_a_shared_record_refuses_it_and_stays_usable(tmp_pa
 @pytest.mark.needs_fork
 def test_pooled_export_of_shared_and_plain_records_matches_in_process(tmp_path):
     sc = p1_scenario(horizon=4.0)
-    plain = simulate(sc)
+    plain = integrate(assemble(sc))
     assert len(plain.times) * sc.graph.n > _EXPORT_ROWS  # a block for each worker
     with process_map(2) as pmap:
         (_, run), = run_cases([sc], pmap)
@@ -397,7 +403,7 @@ def test_pooled_export_of_shared_and_plain_records_matches_in_process(tmp_path):
 @pytest.mark.needs_fork
 def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
     # the second record's CSV path turns into a directory once the pool runs
-    rec = simulate(p1_scenario(horizon=4.0))
+    rec = integrate(assemble(p1_scenario(horizon=4.0)))
     rep = sync_metrics(rec, tol=1e-2)
     runs = [RunRecord(name=name, report=rep, trajectory=rec) for name in ("a", "b")]
     real = analysis.export_trajectory

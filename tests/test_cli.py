@@ -7,9 +7,9 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 import satsync
@@ -274,6 +274,36 @@ def test_sweep_rejects_bad_case_lists_before_any_case_runs(
     out = tmp_path / "sw"
     assert main(["sweep", "--scenario", scenario_file, axis, values, "--out", str(out)]) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [10**6, 10**400], ids=["1e6", "1e400"])
+@pytest.mark.parametrize("route", ["graph.n", "graph.generate.n", "--n"])
+def test_a_network_too_large_for_memory_is_rejected_before_allocating(
+    tmp_path, capsys, route, n
+):
+    # its dense n x n weights, L and Lbar would take 24 TB at n = 10^6
+    doc = dict(SHORT_SCENARIO)
+    if route == "graph.n":
+        doc["graph"] = {"n": n, "edges": [], "roots": [1]}
+    elif route == "graph.generate.n":
+        doc["graph"] = {"generate": {"kind": "path", "n": n, "seed": 0}}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "d"
+    if route == "--n":
+        argv = ["sweep", "--scenario", str(path), "--n", str(n), "--out", str(out)]
+    else:
+        argv = ["verify", "--scenario", str(path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {route}: ") and "Traceback" not in err
     assert not out.exists()
 
 

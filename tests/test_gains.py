@@ -20,7 +20,8 @@ from satsync.gains import (
     verify_gains,
 )
 from satsync.linalg import is_hurwitz
-from satsync.presets import example1_model, example2_model
+
+from oracles import preset_parts
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -74,7 +75,7 @@ def test_solve_P_neutral_rejects_unstable():
 
 
 def test_design_F_stabilizes_both_demo_models():
-    for model in (example1_model(), example2_model()):
+    for model in (preset_parts("example1").model, preset_parts("example2").model):
         f = design_F(model.a, model.c)
         assert f.shape == (model.n, model.q_out)
         assert is_hurwitz(model.a - f @ model.c)
@@ -86,7 +87,7 @@ def test_design_K_double_blocks():
 
 
 def test_compute_Lambda_layout():
-    model = example2_model()
+    model = preset_parts("example2").model
     d = mixed_decompose(model.a, model.b, model.c)
     p_d = 2.0 * np.eye(d.q)
     lam = compute_Lambda(d, p_d)
@@ -97,14 +98,14 @@ def test_compute_Lambda_layout():
 
 
 def test_compute_Lambda_rejects_indefinite_p_d():
-    model = example2_model()
+    model = preset_parts("example2").model
     d = mixed_decompose(model.a, model.b, model.c)
     with pytest.raises(ValidationError, match="positive definite"):
         compute_Lambda(d, -np.eye(d.q))
 
 
 def test_design_K_mixed_satisfies_both_conditions():
-    model = example2_model()
+    model = preset_parts("example2").model
     d = mixed_decompose(model.a, model.b, model.c)
     k = design_K_mixed(d)
     at = np.zeros_like(model.a)
@@ -153,8 +154,8 @@ def test_numpy_lstsq_matches_scipy_default_cutoff(problem):
 def test_verify_gains_passes_on_synthesized():
     for model, kind in [
         (rotation_model(), "P1"),
-        (example1_model(), "P4"),
-        (example2_model(), "P6"),
+        (preset_parts("example1").model, "P4"),
+        (preset_parts("example2").model, "P6"),
     ]:
         gains = synthesize_gains(model, kind)
         report = verify_gains(model, gains, kind=kind)
@@ -162,7 +163,7 @@ def test_verify_gains_passes_on_synthesized():
 
 
 def test_verify_gains_fails_on_zero_F():
-    model = example1_model()
+    model = preset_parts("example1").model
     gains = synthesize_gains(model, "P4")
     broken = GainSet(rho=gains.rho, f=np.zeros_like(gains.f), k=gains.k)
     report = verify_gains(model, broken, kind="P4")
@@ -171,7 +172,7 @@ def test_verify_gains_fails_on_zero_F():
 
 
 def test_verify_gains_fails_on_zero_velocity_block():
-    model = example1_model()
+    model = preset_parts("example1").model
     gains = synthesize_gains(model, "P4")
     k = gains.k.copy()
     k[:, model.m:] = 0.0  # no velocity damping
@@ -181,7 +182,7 @@ def test_verify_gains_fails_on_zero_velocity_block():
 
 
 def test_verify_gains_fails_on_nonpositive_rho():
-    model = example1_model()
+    model = preset_parts("example1").model
     gains = synthesize_gains(model, "P4")
     for rho in (0.0, -1.0):
         report = verify_gains(
@@ -192,7 +193,7 @@ def test_verify_gains_fails_on_nonpositive_rho():
 
 def test_verify_gains_requires_kind_gains():
     with pytest.raises(ValidationError, match="needs gains"):
-        verify_gains(example1_model(), GainSet(rho=1.0), kind="P4")
+        verify_gains(preset_parts("example1").model, GainSet(rho=1.0), kind="P4")
 
 
 def test_synthesize_gains_field_coverage():
@@ -201,7 +202,7 @@ def test_synthesize_gains_field_coverage():
         "P2": {"p", "f"},
         "P3": {"k"},
         "P4": {"k", "f"},
-        "P6": {"k", "f", "p_d", "gamma_x", "lam"},
+        "P6": {"k", "f", "p_d", "gamma_x"},
     }
     models = {
         "P1": rotation_model(),
@@ -212,8 +213,8 @@ def test_synthesize_gains_field_coverage():
             c=np.eye(2),
             coupling="full",
         ),
-        "P4": example1_model(),
-        "P6": example2_model(),
+        "P4": preset_parts("example1").model,
+        "P6": preset_parts("example2").model,
     }
     for kind, fields in wanted.items():
         gains = synthesize_gains(models[kind], kind)

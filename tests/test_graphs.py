@@ -13,11 +13,10 @@ from satsync.graphs import (
     laplacian,
     load_graph,
     parse_graph,
-    save_graph,
     serialize_graph,
 )
 
-from oracles import expanded_spectrum_check, random_graph_by_choice
+from oracles import expanded_spectrum_check, random_graph_by_choice, save_graph
 
 
 def chain3():

@@ -7,11 +7,12 @@ from satsync.errors import SynthesisError
 from satsync.linalg import (
     eigenvalues,
     is_hurwitz,
-    is_negative_definite,
     realify_eigenvector,
     solve_filter_riccati,
     solve_lyapunov,
 )
+
+from oracles import is_negative_definite
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

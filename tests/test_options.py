@@ -1,8 +1,11 @@
-"""The package's options: every defaulted parameter of a public function.
+"""The package's options: every defaulted parameter of a public
+function, and every defaulted field of a public class.
 
 An option is a parameter with a default on a public module-level function
-of a public ``satsync`` module. Each one is a behaviour a caller can
-switch, to be documented and tested, so the set is spelled out here: a
+of a public ``satsync`` module, or a field with a default on a public
+class defined at the top of one (a ``field(init=False)`` is computed,
+not passed, and is no option). Each one is a behaviour a caller can
+switch, to be documented and tested, so the sets are spelled out here: a
 new option, or one removed, changes this file's diff.
 """
 
@@ -16,25 +19,17 @@ OPTIONS = {
     "agents.saturate(out)",
     "analysis.export_report(pmap)",
     "analysis.gain_margin_runs(pmap)",
-    "analysis.lyapunov_certificate_P1(traj)",
-    "analysis.lyapunov_trace_P3(k)",
     "analysis.run_case(states)",
     "analysis.run_cases(pmap)",
-    "analysis.scale_free_runs(ic_scale)",
     "analysis.scale_free_runs(pmap)",
     "analysis.sync_metrics(tol)",
     "analysis.sync_metrics(window)",
     "cli.main(argv)",
     "gains.synthesize_gains(rho)",
-    "gains.verify_K_mixed(p_d)",
     "gains.verify_gains(decomp)",
     "graphs.generate_graph(extra_edge_prob)",
     "graphs.generate_graph(seed)",
     "graphs.parse_graph(context)",
-    "presets.example1_gains(rho)",
-    "presets.example2_gains(rho)",
-    "scenario.parse_scenario(base_dir)",
-    "scenario.parse_scenario(overrides)",
     "scenario.parse_scenario_doc(base_dir)",
     "scenario.parse_scenario_doc(overrides)",
     "simulation.export_trajectory(pmap)",
@@ -44,16 +39,41 @@ OPTIONS = {
 }
 
 
-def defaulted_parameters(package_dir):
-    """``module.function(parameter)`` for every defaulted parameter of a
-    public function defined at the top of a public module."""
-    found = set()
+FIELDS = {
+    "agents.AgentModel(coupling)",
+    "analysis.RunRecord(gain_report)",
+    "analysis.RunRecord(trajectory)",
+    "gains.GainSet(f)",
+    "gains.GainSet(gamma_x)",
+    "gains.GainSet(k)",
+    "gains.GainSet(p)",
+    "gains.GainSet(p_d)",
+    "gains.GainSet(rho)",
+    "simulation.Scenario(controller0)",
+    "simulation.Scenario(dt)",
+    "simulation.Scenario(horizon)",
+    "simulation.Scenario(record_every)",
+    "simulation.Scenario(seed)",
+    "simulation.Scenario(tol)",
+    "simulation.Scenario(window)",
+}
+
+
+def _public_modules(package_dir):
+    """(module name, top-level statements) of every public module."""
     for name in sorted(os.listdir(package_dir)):
         if not name.endswith(".py") or name.startswith("_"):
             continue
         with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        for node in tree.body:
+            yield name[:-3], ast.parse(fh.read()).body
+
+
+def defaulted_parameters(package_dir):
+    """``module.function(parameter)`` for every defaulted parameter of a
+    public function defined at the top of a public module."""
+    found = set()
+    for module, body in _public_modules(package_dir):
+        for node in body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if node.name.startswith("_"):
@@ -62,7 +82,36 @@ def defaulted_parameters(package_dir):
             positional = args.posonlyargs + args.args
             defaulted = positional[len(positional) - len(args.defaults):]
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            found |= {f"{name[:-3]}.{node.name}({a.arg})" for a in defaulted}
+            found |= {f"{module}.{node.name}({a.arg})" for a in defaulted}
+    return found
+
+
+def _computed(value):
+    """Whether a field's default is ``field(init=False, ...)``."""
+    return (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) == "field"
+        and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords
+        )
+    )
+
+
+def defaulted_fields(package_dir):
+    """``module.Class(field)`` for every annotated field with a default,
+    not computed, of a public class defined at the top of a public module."""
+    found = set()
+    for module, body in _public_modules(package_dir):
+        for node in body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            found |= {
+                f"{module}.{node.name}({item.target.id})"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and item.value is not None
+                and not _computed(item.value)
+            }
     return found
 
 
@@ -71,4 +120,12 @@ def test_the_option_set_is_spelled_out():
     assert found == OPTIONS, (
         f"new: {sorted(found - OPTIONS)}, gone: {sorted(OPTIONS - found)}"
     )
-    assert len(OPTIONS) == 29
+    assert len(OPTIONS) == 21
+
+
+def test_the_class_field_options_are_spelled_out():
+    found = defaulted_fields(os.path.dirname(satsync.__file__))
+    assert found == FIELDS, (
+        f"new: {sorted(found - FIELDS)}, gone: {sorted(FIELDS - found)}"
+    )
+    assert len(FIELDS) == 16

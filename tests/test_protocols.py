@@ -7,10 +7,9 @@ from satsync.agents import AgentModel, ModelClass
 from satsync.errors import ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
-from satsync.presets import example1_model, example2_model
 from satsync.protocols import FULL_STATE_KINDS, KINDS, build_protocol, compatible_classes
 
-from oracles import compute_network_signals
+from oracles import compute_network_signals, preset_parts
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -53,7 +52,7 @@ def test_full_state_realization_matrices():
 
 
 def test_partial_state_realization_blocks():
-    model = example1_model()
+    model = preset_parts("example1").model
     gains = synthesize_gains(model, "P4")
     proto = build_protocol("P4", model, gains)
     n, m = model.n, model.m
@@ -72,8 +71,8 @@ def test_partial_state_realization_blocks():
 
 
 def test_rho_scales_u_gain_linearly():
-    model = example1_model()
-    for kind, mdl in (("P4", model), ("P6", example2_model())):
+    model = preset_parts("example1").model
+    for kind, mdl in (("P4", model), ("P6", preset_parts("example2").model)):
         g1 = synthesize_gains(mdl, kind, rho=1.0)
         g5 = synthesize_gains(mdl, kind, rho=5.0)
         p1 = build_protocol(kind, mdl, g1)
@@ -120,7 +119,7 @@ def test_network_signals_neighbor_sum_equivalence():
 
 
 def test_network_signals_partial_split():
-    model = example1_model()
+    model = preset_parts("example1").model
     g = generate_graph("random", 4, roots=[1], seed=2)
     n = model.n
     xi = np.arange(4 * (n + model.m), dtype=float).reshape(4, n + model.m)

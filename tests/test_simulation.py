@@ -16,7 +16,6 @@ from satsync.analysis import sync_metrics
 from satsync.errors import IntegrationError, ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
-from satsync.presets import example1_gains, example1_model, example2_gains, example2_model
 from satsync.protocols import build_protocol
 from satsync.simulation import (
     _EXPORT_ROWS,
@@ -30,13 +29,19 @@ from satsync.simulation import (
     assemble,
     export_trajectory,
     integrate,
-    read_trajectory,
     rk4,
-    simulate,
     step_operator,
 )
 
-from oracles import compute_network_signals, exosystem_reference, step_matrix_of_stages
+from oracles import (
+    compute_network_signals,
+    exosystem_reference,
+    preset_parts,
+    proof_coordinates,
+    read_trajectory,
+    signals,
+    step_matrix_of_stages,
+)
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -60,11 +65,12 @@ def rotation_scenario(n_agents=3, horizon=2.0, dt=0.01, seed=0, **kw):
 
 
 def _example2_protocols():
-    model = example2_model()
+    example2 = preset_parts("example2")
+    model = example2.model
     full = AgentModel(a=model.a, b=model.b, c=np.eye(model.n), coupling="full")
     return {
-        "P6": (model, build_protocol("P6", model, example2_gains())),
-        "P5": (full, build_protocol("P5", full, example2_gains())),
+        "P6": (model, build_protocol("P6", model, example2.gains)),
+        "P5": (full, build_protocol("P5", full, example2.gains)),
     }
 
 
@@ -139,7 +145,7 @@ def test_equilibrium_stays_put():
     )
     rec = integrate(assemble(sc))
     assert np.max(np.abs(rec.x - rec.x_r[:, None, :])) < 1e-12
-    assert np.max(np.abs(rec.u)) < 1e-12
+    assert np.max(np.abs(signals(rec)["u"])) < 1e-12
 
 
 @pytest.mark.parametrize("record_every", [1, 3, 7, 1000])
@@ -148,7 +154,7 @@ def test_integrate_fills_a_given_state_matrix(record_every):
     loop = assemble(sc)
     states = np.full(loop.record_shape, np.nan)
     rec = integrate(loop, states)
-    alone = simulate(sc)
+    alone = integrate(assemble(sc))
     assert len(alone.times) == sc.recorded_steps == states.shape[0]
     for view in (rec.x_r, rec.x, rec.xc):
         assert np.shares_memory(view, states)
@@ -173,26 +179,29 @@ def test_exosystem_reference_matches_stacked_run():
 
 
 def test_simulate_deterministic():
-    a = simulate(rotation_scenario(seed=5))
-    b = simulate(rotation_scenario(seed=5))
-    for field in ("times", "x_r", "x", "chi", "u", "sat_u", "e"):
+    a = integrate(assemble(rotation_scenario(seed=5)))
+    b = integrate(assemble(rotation_scenario(seed=5)))
+    for field in ("times", "x_r", "x"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+    for name, got in signals(a).items():
+        assert np.array_equal(got, signals(b)[name]), name
+    assert np.array_equal(proof_coordinates(a)[0], proof_coordinates(b)[0])
 
 
 def test_recorded_inputs_respect_saturation_bounds():
-    rec = simulate(rotation_scenario(seed=3))
-    assert np.all(rec.sat_u >= -1.0) and np.all(rec.sat_u <= 1.0)
-    assert np.max(np.abs(rec.sat_u - np.clip(rec.u, -1, 1))) == 0.0
+    sig = signals(integrate(assemble(rotation_scenario(seed=3))))
+    assert np.all(sig["sat_u"] >= -1.0) and np.all(sig["sat_u"] <= 1.0)
+    assert np.max(np.abs(sig["sat_u"] - np.clip(sig["u"], -1, 1))) == 0.0
 
 
 def test_full_state_error_dynamics_oracle():
     # single rooted agent: e = x - x_r - chi obeys de/dt = (a - iota) e
     sc = rotation_scenario(n_agents=1, dt=0.002, horizon=1.0)
-    rec = simulate(sc)
+    rec = integrate(assemble(sc))
     a_cl = sc.model.a - np.eye(2)
-    e0 = rec.e[0, 0]
-    _, e_ref = rk4(lambda t, e: a_cl @ e, e0, sc.dt, len(rec.times) - 1)
-    assert np.max(np.abs(rec.e[:, 0, :] - e_ref)) < 1e-9
+    e, _ = proof_coordinates(rec)
+    _, e_ref = rk4(lambda t, e: a_cl @ e, e[0, 0], sc.dt, len(rec.times) - 1)
+    assert np.max(np.abs(e[:, 0, :] - e_ref)) < 1e-9
 
 
 def eager_signals(rec):
@@ -220,7 +229,7 @@ def _saturating_p1():
 @pytest.mark.parametrize("make", [_saturating_p1, lambda: p6_scenario(horizon=4.0)], ids=["P1", "P6"])
 def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
     sc = make()
-    rec = simulate(sc)
+    rec = integrate(assemble(sc))
     assert [f.name for f in fields(TrajectoryRecord)] == ["states", "scenario"]
     # times, x_r, x and xc are views into the one matrix the integrator
     # filled, per row the time and then the state
@@ -229,19 +238,23 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
     assert states.shape == (rec.times.size, 1 + dim)
     for view in (rec.times, rec.x_r, rec.x, rec.xc):
         assert view.base is states and np.shares_memory(view, states)
+    # the whole record's signals (_signal_columns) and proof coordinates
+    sig = signals(rec)
+    e, ebar = proof_coordinates(rec)
+    derived = {**sig, "e": e, "ebar": ebar}
     for name, want in eager_signals(rec).items():
-        got = getattr(rec, name)
+        got = derived.get(name)
         if want is None:
             assert got is None, name
         else:
             assert np.array_equal(got, want), name
-    assert np.any(np.abs(rec.u) > 1.0)  # the clip is exercised
+    assert np.any(np.abs(sig["u"]) > 1.0)  # the clip is exercised
     # export derives the signals per block: each block, the ragged last
     # one included, gives the rows of the whole-run signals, also after
     # the pickle round trip that carries it to a worker process, and it
     # carries the three protocol fields the signals derive from, not the
     # rest of the realization, the scenario or its graph
-    names = [name for name in ("x", "chi", "xhat", "u", "sat_u") if getattr(rec, name) is not None]
+    names = [name for name in ("x", "chi", "xhat", "u", "sat_u") if name in sig]
     N, n = sc.graph.n, sc.model.n
     for rows in (_EXPORT_ROWS, 100):
         blocks = list(_time_blocks(rec, rows))
@@ -261,7 +274,7 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
                 columns = _signal_columns(protocol, x, xc)
                 assert list(columns) == names
                 for name, got in columns.items():
-                    assert np.array_equal(got, getattr(rec, name)[start:stop]), (name, start)
+                    assert np.array_equal(got, sig[name][start:stop]), (name, start)
             start = stop
         assert start == len(rec.times)
 
@@ -271,9 +284,10 @@ def test_trajectory_round_trip(tmp_path):
     # one export block
     sc = p6_scenario()
     N, n = sc.graph.n, sc.model.n
-    rec = simulate(sc)
+    rec = integrate(assemble(sc))
+    sig = signals(rec)
     T = rec.times.shape[0]
-    assert rec.xhat is not None and T > _EXPORT_ROWS // N
+    assert "xhat" in sig and T > _EXPORT_ROWS // N
     path = tmp_path / "traj.csv"
     export_trajectory(rec, path)
     cols = read_trajectory(path)
@@ -282,7 +296,7 @@ def test_trajectory_round_trip(tmp_path):
         "agent": np.tile(np.arange(1.0, N + 1.0), T),
     }
     for name in ("x", "chi", "xhat", "u", "sat_u"):
-        arr = getattr(rec, name)
+        arr = sig[name]
         want.update({f"{name}{j}": arr[:, :, j].reshape(-1) for j in range(arr.shape[2])})
     want.update({f"xr{j}": np.repeat(rec.x_r[:, j], N) for j in range(n)})
     # every column comes back bit-exact through the 17-digit format
@@ -321,7 +335,7 @@ def test_scenario_validation():
     assert replace(sc, dt=0.08, horizon=5.0, window=4.96).steps == 62
     # 10 steps of 0.09 s record 0.8999999999999999 s: a 0.9 s window is
     # inside the allowance that sync_metrics grants
-    rec = simulate(replace(sc, dt=0.09, horizon=0.9, window=None))
+    rec = integrate(assemble(replace(sc, dt=0.09, horizon=0.9, window=None)))
     assert rec.times[-1] - rec.times[0] < 0.9
     assert sync_metrics(rec, window=0.9).window == 0.9
 
@@ -342,13 +356,14 @@ def _kind_protocols():
     b = np.array([[0.0], [1.0]])
     rot_full = AgentModel(a=ROTATION, b=b, c=np.eye(2), coupling="full")
     rot_partial = AgentModel(a=ROTATION, b=b, c=np.array([[1.0, 0.0]]))
-    di = example1_model()
+    example1 = preset_parts("example1")
+    di = example1.model
     di_full = AgentModel(a=di.a, b=di.b, c=np.eye(di.n), coupling="full")
     kinds = {
         "P1": (rot_full, build_protocol("P1", rot_full, synthesize_gains(rot_full, "P1"))),
         "P2": (rot_partial, build_protocol("P2", rot_partial, synthesize_gains(rot_partial, "P2"))),
-        "P3": (di_full, build_protocol("P3", di_full, example1_gains())),
-        "P4": (di, build_protocol("P4", di, example1_gains())),
+        "P3": (di_full, build_protocol("P3", di_full, example1.gains)),
+        "P4": (di, build_protocol("P4", di, example1.gains)),
     }
     return {**kinds, **EXAMPLE2_PROTOCOLS}
 
@@ -636,11 +651,7 @@ def test_scenario_rejects_a_record_larger_than_memory():
 def per_value_export(record, path):
     """The CSV writer's byte contract, spelled out one value at a time."""
     T, N, n = record.x.shape
-    m = record.u.shape[2]
-    blocks = [("x", record.x, n), ("chi", record.chi, n)]
-    if record.xhat is not None:
-        blocks.append(("xhat", record.xhat, n))
-    blocks += [("u", record.u, m), ("sat_u", record.sat_u, m)]
+    blocks = [(name, a, a.shape[2]) for name, a in signals(record).items()]
     cols = ["t", "agent"] + [f"{nm}{j}" for nm, _, w in blocks for j in range(w)]
     cols += [f"xr{j}" for j in range(n)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -723,7 +734,7 @@ def test_block_export_matches_per_value_writer(
 def test_export_appends_each_part_file_and_leaves_none(tmp_path, pooled_map, where):
     # blocks are formatted into part files next to the CSV, which the
     # caller appends to it
-    rec = simulate(p6_scenario(horizon=4.0))
+    rec = integrate(assemble(p6_scenario(horizon=4.0)))
     assert len(list(_time_blocks(rec))) > 1
     export_trajectory(rec, tmp_path / "run.csv", map if where == "in process" else pooled_map)
     per_value_export(rec, tmp_path / "oracle.csv")
@@ -732,7 +743,7 @@ def test_export_appends_each_part_file_and_leaves_none(tmp_path, pooled_map, whe
 
 
 def test_a_failed_export_leaves_no_part_file(tmp_path, monkeypatch):
-    rec = simulate(p6_scenario(horizon=4.0))
+    rec = integrate(assemble(p6_scenario(horizon=4.0)))
     real, written = simulation._write_block, []
 
     def fail_on_the_second_block(item):
@@ -750,7 +761,7 @@ def test_a_failed_export_leaves_no_part_file(tmp_path, monkeypatch):
 def test_a_block_whose_part_file_is_gone_creates_nothing(tmp_path):
     # the caller makes each part file; the formatting call only opens it,
     # so one that runs after its export was removed fails and adds no file
-    block = next(_time_blocks(simulate(p6_scenario(horizon=1.0))))
+    block = next(_time_blocks(integrate(assemble(p6_scenario(horizon=1.0)))))
     with pytest.raises(FileNotFoundError):
         simulation._write_block((str(tmp_path / "gone"), block))
     assert os.listdir(tmp_path) == []
