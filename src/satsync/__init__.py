@@ -20,10 +20,11 @@ from .analysis import (
     RunRecord,
     SyncReport,
     export_report,
-    gain_margin_runs,
     parse_report,
+    rho_cases,
     run_case,
-    scale_free_runs,
+    run_cases,
+    size_cases,
     sync_metrics,
 )
 from .errors import IntegrationError, SynthesisError, ValidationError
@@ -88,7 +89,6 @@ __all__ = [
     "design_K_mixed",
     "export_report",
     "export_trajectory",
-    "gain_margin_runs",
     "generate_graph",
     "laplacian",
     "load_graph",
@@ -98,9 +98,11 @@ __all__ = [
     "parse_scenario_doc",
     "preset_names",
     "preset_scenario",
+    "rho_cases",
     "run_case",
+    "run_cases",
     "saturate",
-    "scale_free_runs",
+    "size_cases",
     "scenario_echo",
     "serialize_graph",
     "solve_P_neutral",

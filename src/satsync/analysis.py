@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import shutil
 import tempfile
-from collections import deque
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 
@@ -25,7 +25,7 @@ from . import simulation
 from .errors import ValidationError
 from .gains import GainCheck, GainReport
 from .graphs import _require_dense_fit, generate_graph
-from .parallel import SharedMatrix, usable_cpus
+from .parallel import SharedMatrix, process_map, usable_cpus
 from .protocols import build_protocol
 from .simulation import _EXPORT_ROWS, ClosedLoop, TrajectoryRecord, export_trajectory
 
@@ -35,10 +35,8 @@ __all__ = [
     "sync_metrics",
     "run_case",
     "run_cases",
-    "case_workers",
-    "gain_margin_runs",
-    "network_sizes",
-    "scale_free_runs",
+    "rho_cases",
+    "size_cases",
     "staged",
     "export_report",
     "parse_report",
@@ -207,51 +205,47 @@ def _run_assembled(item):
     return replace(run_case(loop, states.array), trajectory=None)
 
 
+def _case_workers(rows):
+    """Workers for one pool that runs cases and exports their ``rows``
+    CSV rows: one per usable CPU, no more than the CSVs have blocks."""
+    return min(usable_cpus(), -(-rows // _EXPORT_ROWS))
+
+
+@contextmanager
+def run_cases(cases):
+    """Run case scenarios in one pool; yield the (case, RunRecord) pairs.
+
+    Each case is built (read from ``cases``) and assembled in this
+    process, one after another, and its states get a ``SharedMatrix``
+    made here. Then one ``parallel.process_map`` pool opens, of a worker
+    per usable CPU but no more than the cases' CSVs have export blocks,
+    and the block receives an iterator of the pairs, in order, each as
+    soon as its run has finished. A run (``run_case``) sends back only
+    its verdict and gain audit; its record holds the matrix, which this
+    process does not read. While the block is open, a record exports
+    (``export_trajectory``) through the pool, whose workers inherited
+    the matrix, as row ranges of it (see ``simulation._time_blocks``);
+    after it closes, in process. Leaving the block shuts the pool down
+    (see ``process_map``).
+    """
+    items = [_assembled(case) for case in cases]
+    rows = sum(loop.scenario.recorded_steps * loop.scenario.graph.n for loop, _ in items)
+    with process_map(_case_workers(rows)) as pmap:
+        for _, states in items:
+            states.pmap = pmap
+        try:
+            runs = pmap(_run_assembled, items)
+            yield (_recorded(item, run) for item, run in zip(items, runs))
+        finally:
+            for _, states in items:
+                states.pmap = map
+
+
 def _recorded(item, run):
     loop, states = item
     # the record holds the handle, so that its export blocks reach the
     # workers as row ranges of the shared matrix
     return loop.scenario, replace(run, trajectory=TrajectoryRecord(states, loop.scenario))
-
-
-def run_cases(cases, pmap=map):
-    """Run case scenarios; yield (case, RunRecord) in order, each as soon as it has run.
-
-    ``pmap`` is the builtin ``map`` or a ``parallel.process_map`` pool
-    that has run no task yet (through another pool, the cases raise
-    ``ValidationError`` before any is assembled). Each case is assembled in
-    this process, and its states are recorded into a ``SharedMatrix``
-    made here; the run (``run_case``) sends back only its verdict and
-    gain audit, and the record holds the matrix, which this process does
-    not read: its export's blocks reach the pool's workers as row ranges
-    of it (see ``simulation._time_blocks``). Through ``map`` each case is
-    assembled just before it runs, so one case at a time holds its
-    operator; a pool forks its workers at its first task, so every case
-    is assembled before that.
-    """
-    # no local name holds a finished case's operator while the next one
-    # is assembled
-    ready = deque()
-    if getattr(pmap, "forked", None) is not None:
-        raise ValidationError(
-            "this pool's workers were forked before the cases' states would be made, "
-            "and cannot write them: run the cases through map or a new pool"
-        )
-
-    def assembled():
-        for case in cases:
-            ready.append(_assembled(case))
-            yield ready[-1]
-
-    items = assembled() if pmap is map else list(assembled())
-    for run in pmap(_run_assembled, items):
-        yield _recorded(ready.popleft(), run)
-
-
-def case_workers(rows):
-    """Workers for one pool that runs cases and exports their ``rows``
-    CSV rows: one per usable CPU, no more than the CSVs have blocks."""
-    return min(usable_cpus(), -(-rows // _EXPORT_ROWS))
 
 
 def _rho_name(scenario, rho):
@@ -301,58 +295,49 @@ def _size_case(scenario, index, size):
     )
 
 
-def gain_margin_runs(scenario, rhos, pmap=map):
-    """Re-run one scenario across loop gains.
+def rho_cases(scenario, rhos):
+    """One scenario's cases across loop gains, for ``run_cases``.
 
     Every other ingredient -- graph, initial conditions, step size -- is
     held fixed; only the scalar gain changes, which re-synthesizes the
     realization per case (named ``<name>-rho<rho>``, ``rho`` printed
     with ``%g``; gains that print alike are rejected). The gains are
-    checked at once; the cases run through ``pmap`` (see ``run_cases``)
-    as the returned iterator is read, yielding (case scenario,
-    RunRecord) pairs in the input order.
+    checked at once; the returned generator builds each case as it is
+    read, in the input order.
     """
     rhos = [float(r) for r in rhos]
     for r in rhos:
-        if not r > 0.0:
-            raise ValidationError(f"rho must be positive, got {r:g}")
+        if not 0.0 < r < math.inf:
+            raise ValidationError(f"rho must be positive and finite, got {r:g}")
     _require_distinct_names(scenario, "rho values", rhos, _rho_name)
-    cases = (_rho_case(scenario, rho) for rho in rhos)
-    return run_cases(cases, pmap)
+    return (_rho_case(scenario, rho) for rho in rhos)
 
 
-def network_sizes(scenario, sizes):
-    """``sizes`` as ints, each a whole number >= 1 whose graph fits in
-    memory and that names a case of ``scenario``'s size sweep no other
-    size names; else rejected."""
-    for n in sizes:
-        if not (float(n).is_integer() and n >= 1):
-            raise ValidationError(f"network size must be a whole number >= 1, got {n:g}")
-    sizes = [int(n) for n in sizes]
-    for n in sizes:
-        _require_dense_fit(n, "network size")
-    _require_distinct_names(scenario, "network sizes", sizes, _size_name)
-    return sizes
-
-
-def scale_free_runs(scenario, sizes, pmap=map):
-    """Run one scenario's protocol over random networks of growing size.
+def size_cases(scenario, sizes):
+    """One scenario's cases over random networks of growing size, for
+    ``run_cases``.
 
     Case ``index`` (named ``<name>-n<size>``) gets a random graph rooted
     at node 1, seeded ``seed + index``, and initial states drawn
     uniformly in [-1, 1] from ``default_rng([seed, index, 1])``, where
     ``seed`` is the scenario's (0 when unset); the reference starts at
     zero and the controllers at rest. Step size, horizon, thinning and
-    the verdict's tolerance and window come from the scenario. The realization is rebuilt per case from the same
-    model and gains, which makes the build determinism checkable: the
-    controller matrices must come out bit-identical for every size.
-    The sizes are checked at once (``network_sizes``); the cases run
-    through ``pmap`` (see ``run_cases``) as the returned iterator is
-    read, yielding (case scenario, RunRecord) pairs in the input order.
+    the verdict's tolerance and window come from the scenario. The
+    realization is rebuilt per case from the same model and gains, which
+    makes the build determinism checkable: the controller matrices must
+    come out bit-identical for every size. The sizes are checked at
+    once: each a whole number >= 1 whose graph fits in memory and that
+    names a case no other size names. The returned generator builds each
+    case as it is read, in the input order.
     """
-    sizes = network_sizes(scenario, sizes)
-    cases = (_size_case(scenario, i, n) for i, n in enumerate(sizes))
-    return run_cases(cases, pmap)
+    for n in sizes:
+        if not (n % 1 == 0 and n >= 1):
+            raise ValidationError(f"network size must be a whole number >= 1, got {n}")
+    sizes = [int(n) for n in sizes]
+    for n in sizes:
+        _require_dense_fit(n, None)
+    _require_distinct_names(scenario, "network sizes", sizes, _size_name)
+    return (_size_case(scenario, i, n) for i, n in enumerate(sizes))
 
 
 @dataclass(eq=False)
@@ -443,7 +428,7 @@ def staged(path):
     os.rmdir(staging)
 
 
-def export_report(records, path, pmap=map):
+def export_report(records, path):
     """Write a machine-readable summary plus per-run trajectory files.
 
     ``path`` is a directory (created if missing). The summary lands in
@@ -453,13 +438,12 @@ def export_report(records, path, pmap=map):
     trip exactly.
 
     ``records`` is a sequence of RunRecord, or an iterable yielding them
-    as their runs finish; each record's CSV is written when it arrives,
-    its rows formatted through ``pmap`` (the builtin ``map`` or a
-    caller's ``parallel.process_map``; the bytes are the same either
-    way). A run that would write the same file as an earlier one is
-    rejected when it arrives. The files are written through ``staged``,
-    so an export that fails, a run in ``records`` raising included,
-    leaves ``path`` as it was.
+    as their runs finish; each record's CSV is written when it arrives
+    (``export_trajectory``: through the pool of the ``run_cases`` block
+    it comes from, while that is open). A run that would write the same
+    file as an earlier one is rejected when it arrives. The files are
+    written through ``staged``, so an export that fails, a run in
+    ``records`` raising included, leaves ``path`` as it was.
     """
     claimed = {}
     runs = []
@@ -468,7 +452,7 @@ def export_report(records, path, pmap=map):
             file_name = _claim_file(claimed, record.name)
             entry = _summary_entry(record)
             if record.trajectory is not None:
-                export_trajectory(record.trajectory, os.path.join(staging, file_name), pmap)
+                export_trajectory(record.trajectory, os.path.join(staging, file_name))
                 entry["trajectory_file"] = file_name
             runs.append(entry)
         doc = {"format": "satsync-report", "version": 1, "runs": runs}

@@ -26,21 +26,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import signal
 import sys
 import time
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .analysis import case_workers, export_report, gain_margin_runs, network_sizes, run_cases, scale_free_runs, staged
+from .analysis import export_report, rho_cases, run_cases, size_cases, staged
 from .errors import IntegrationError, SynthesisError, ValidationError
 from .gains import synthesize_gains, verify_gains
 from .graphs import check_rootset
-from .parallel import process_map
 from .presets import GRAPH_A, GRAPH_B, preset_names, preset_scenario
 from .protocols import compatible_classes
 from .scenario import build_scenario, parse_scenario_doc, scenario_echo
@@ -133,20 +132,17 @@ def _print_outcome(case, run):
               f"(final max error {report.max_error[-1]:.4g}, tol {report.tol:g})")
 
 
-def _write_run(out, pairs, rows, on_run, echoes, second):
+def _write_run(out, cases, on_run, echoes, second):
     """Run a command's cases and write its whole run directory at once.
 
-    The cases run through one pool of ``analysis.case_workers(rows)``
-    workers, ``rows`` being the CSV rows they record. ``pairs(pmap)``
-    returns the (case, RunRecord) pairs, each as its run finishes;
-    ``on_run(case, run)`` reports each one, and its CSV is then
-    formatted in the same pool while later cases still run. ``echoes``
-    maps each echo file name to its scenario; the manifest's
-    ``scenario`` is that echo, or the list of them where there are
-    several, and ``second(runs)`` gives the manifest's next (key,
-    value). Every file, manifest included, is written through
-    ``analysis.staged``, so nothing reaches ``out`` unless all of them
-    do. Returns the runs, in order.
+    The cases run through ``analysis.run_cases``, and each run's CSV is
+    formatted in its pool while later cases still run; ``on_run(case,
+    run)`` reports each run as it finishes. ``echoes`` maps each echo
+    file name to its scenario; the manifest's ``scenario`` is that echo,
+    or the list of them where there are several, and ``second(runs)``
+    gives the manifest's next (key, value). Every file, manifest
+    included, is written through ``analysis.staged``, so nothing reaches
+    ``out`` unless all of them do. Returns the runs, in order.
     """
     started = time.perf_counter()
     runs = []
@@ -157,30 +153,26 @@ def _write_run(out, pairs, rows, on_run, echoes, second):
             runs.append(run)
             yield run
 
-    with process_map(case_workers(rows)) as pmap:
-        # pairs(pmap) is called before anything is written, so a sweep's
-        # case list is checked first
-        cases = pairs(pmap)
-        with staged(out) as staging:
-            export_report(reported(cases), staging, pmap)
-            docs = [scenario_echo(scenario) for scenario in echoes.values()]
-            for name, doc in zip(echoes, docs):
-                _write_json(os.path.join(staging, name), doc)
-            wall = time.perf_counter() - started
-            key, value = second(runs)
-            run_section = {
-                "scenario": docs[0] if len(docs) == 1 else docs,
-                key: value,
-                "outputs": sorted(os.listdir(staging)),
-                "results": {run.name: _result_doc(run.report) for run in runs},
-            }
-            _write_json(os.path.join(staging, "manifest.json"), {
-                "format": "satsync-manifest",
-                "version": 1,
-                "artifact_version": __version__,
-                "run": run_section,
-                "wall_clock_s": wall,
-            })
+    with run_cases(cases) as pairs, staged(out) as staging:
+        export_report(reported(pairs), staging)
+        docs = [scenario_echo(scenario) for scenario in echoes.values()]
+        for name, doc in zip(echoes, docs):
+            _write_json(os.path.join(staging, name), doc)
+        wall = time.perf_counter() - started
+        key, value = second(runs)
+        run_section = {
+            "scenario": docs[0] if len(docs) == 1 else docs,
+            key: value,
+            "outputs": sorted(os.listdir(staging)),
+            "results": {run.name: _result_doc(run.report) for run in runs},
+        }
+        _write_json(os.path.join(staging, "manifest.json"), {
+            "format": "satsync-manifest",
+            "version": 1,
+            "artifact_version": __version__,
+            "run": run_section,
+            "wall_clock_s": wall,
+        })
     print(f"run directory: {out}")
     return runs
 
@@ -193,8 +185,7 @@ def cmd_simulate(args):
     scenario = build_scenario(_load_parts(args))
     _write_run(
         args.out,
-        lambda pmap: run_cases([scenario], pmap),
-        scenario.recorded_steps * scenario.graph.n,
+        [scenario],
         _print_outcome,
         {"scenario.json": scenario},
         _gain_checks,
@@ -244,8 +235,7 @@ def cmd_reproduce(args):
         scenarios.append(build_scenario(parse_scenario_doc(doc, overrides=overrides)))
     runs = _write_run(
         args.out,
-        lambda pmap: run_cases(scenarios, pmap),
-        sum(sc.recorded_steps * sc.graph.n for sc in scenarios),
+        scenarios,
         _print_outcome,
         {f"{sc.name}-scenario.json": sc for sc in scenarios},
         _gain_checks,
@@ -256,14 +246,30 @@ def cmd_reproduce(args):
     return 0 if all_converged else 1
 
 
-def _parse_float_list(text, flag):
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValidationError(f"{flag}: expected a comma-separated number list, got {text!r}") from None
+def _parse_list(text, flag, number):
+    """The comma-separated entries of ``flag``'s ``text``, each read by
+    ``number``; an entry that is no number, or not a finite one, is
+    rejected as typed."""
+    values = []
+    for entry in filter(None, (v.strip() for v in text.split(","))):
+        try:
+            value = number(entry)
+        except ValueError:
+            raise ValidationError(f"{flag}: expected a comma-separated number list, got {text!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{flag}: must be finite, got {entry!r}")
+        values.append(value)
     if not values:
         raise ValidationError(f"{flag}: empty list")
     return values
+
+
+def _size(entry):
+    """A ``--n`` entry: an integer exactly as written, else a float."""
+    try:
+        return int(entry)
+    except ValueError:
+        return float(entry)
 
 
 def cmd_sweep(args):
@@ -273,16 +279,13 @@ def cmd_sweep(args):
         # sweeps thin their trajectories by default; full runs stay opt-in
         scenario = replace(scenario, record_every=_SWEEP_RECORD_EVERY)
     if args.rho is not None:
-        rhos = _parse_float_list(args.rho, "--rho")
-        sizes = [scenario.graph.n] * len(rhos)
-        sweep = partial(gain_margin_runs, scenario, rhos)
+        cases = rho_cases(scenario, _parse_list(args.rho, "--rho", float))
     else:
-        values = _parse_float_list(args.n, "--n")
+        sizes = _parse_list(args.n, "--n", _size)
         try:
-            sizes = network_sizes(scenario, values)
+            cases = size_cases(scenario, sizes)
         except ValidationError as exc:
             raise ValidationError(f"--n: {exc}") from None
-        sweep = partial(scale_free_runs, scenario, sizes)
     digests = {}
 
     def table_row(case, run):
@@ -296,8 +299,7 @@ def cmd_sweep(args):
 
     _write_run(
         args.out,
-        sweep,
-        scenario.recorded_steps * sum(sizes),
+        cases,
         table_row,
         {"scenario.json": scenario},
         lambda runs: ("sweep", digests),

@@ -130,11 +130,13 @@ def _physical_memory():
 def _require_dense_fit(n, path):
     """Reject a graph of ``n`` nodes whose dense weights, L and Lbar (see
     ``laplacian``) would not fit in physical memory, before any of them
-    is allocated; ``path`` names the field that gave ``n``."""
+    is allocated; ``path`` names the field that gave ``n``, or is None
+    where the caller names it."""
     memory = _physical_memory()
     if 3 * 8 * n * n > memory:
+        field = "" if path is None else f"{path}: "
         raise ValidationError(
-            f"{path}: {n} nodes are too many for this machine: the dense weights, L and "
+            f"{field}{n} nodes are too many for this machine: the dense weights, L and "
             f"Lbar take 24 n^2 bytes, more than its {memory / 1e9:.3g} GB of memory "
             f"(at most {math.isqrt(memory // 24)} nodes fit)"
         )

@@ -27,11 +27,9 @@ A ``SharedMatrix`` is a float matrix in an anonymous shared mapping.
 Made before a pool's first task, it is inherited by every worker: a
 worker writes a run's states into the caller's memory, and only the
 run's small results travel back by pickle. ``Rows`` is how some rows of
-a matrix reach a worker: a ``SharedMatrix``'s as its key and the row
-range, which the worker reads in its inherited mapping, so the caller
-neither reads nor copies them; an ordinary array's as their copy.
-``reaches(pmap, matrix)`` tells whether a pool's workers can read a
-matrix, before anything is sent to them.
+a matrix are read: a ``SharedMatrix``'s reach a worker as its key and
+the row range, which the worker reads in its inherited mapping, so the
+caller neither reads nor copies them.
 """
 
 from __future__ import annotations
@@ -46,10 +44,11 @@ import time
 import weakref
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
-__all__ = ["FORKS", "Rows", "SharedMatrix", "process_map", "reaches", "usable_cpus"]
+__all__ = ["FORKS", "Rows", "SharedMatrix", "process_map", "usable_cpus"]
 
 # whether pool workers can be forked; elsewhere every map runs in process
 FORKS = sys.platform.startswith("linux")
@@ -75,12 +74,16 @@ class SharedMatrix:
     ``array`` is the matrix, zero until written. A handle pickled into a
     pool task travels as its key, and a worker forked after the handle
     was made resolves the key to the same memory, so what the worker
-    writes there the caller reads, and nothing is copied.
+    writes there the caller reads, and nothing is copied. ``pmap`` is
+    the map through which calls read it: the builtin ``map`` (in
+    process), or that of a pool whose workers were forked after it was
+    made (``analysis.run_cases`` sets it while its pool is open).
     """
 
     def __init__(self, rows, cols):
         buf = mmap.mmap(-1, max(rows * cols * 8, 1))
         self.array = np.frombuffer(buf, dtype=float, count=rows * cols).reshape(rows, cols)
+        self.pmap = map
         self._key = next(_keys)
         _shared[self._key] = self.array
         weakref.finalize(self, _shared.pop, self._key, None)
@@ -91,7 +94,7 @@ class SharedMatrix:
 
 def _inherited(key):
     handle = SharedMatrix.__new__(SharedMatrix)
-    handle._key = key
+    handle._key, handle.pmap = key, map
     try:
         handle.array = _shared[key]
     except KeyError:
@@ -107,8 +110,7 @@ class Rows:
     ``array`` is the rows, a view. Pickled into a pool task, a
     ``SharedMatrix``'s rows travel as its key and the range, a few
     hundred bytes whatever their number, and a worker forked after the
-    matrix was made reads them in place; an array's rows travel as
-    their slice.
+    matrix was made reads them in place.
     """
 
     def __init__(self, matrix, start, stop):
@@ -118,11 +120,6 @@ class Rows:
     def array(self):
         m = self.matrix
         return (m.array if isinstance(m, SharedMatrix) else m)[self.start: self.stop]
-
-    def __reduce__(self):
-        if isinstance(self.matrix, SharedMatrix):
-            return Rows, (self.matrix, self.start, self.stop)
-        return Rows, (self.array, 0, None)
 
 
 def _exit_with_caller():
@@ -146,38 +143,16 @@ def _exit_with_caller():
     threading.Thread(target=watch, daemon=True).start()
 
 
-class _PoolMap:
-    """``pmap(fn, items)`` over a forking pool: results in input order, at
-    most ``ahead`` calls in flight.
-
-    ``forked`` is None until the first call is submitted, which forks
-    every worker; from then on it is a ``SharedMatrix`` key drawn at that
-    moment, above the key of every matrix the workers inherited and below
-    every later one (see ``reaches``).
-    """
-
-    def __init__(self, pool, ahead):
-        self.pool, self.ahead = pool, ahead
-        self.forked = None
-
-    def __call__(self, fn, items):
-        pending = deque()
-        for item in items:
-            if len(pending) == self.ahead:
-                yield pending.popleft().result()
-            if self.forked is None:
-                self.forked = next(_keys)
-            pending.append(self.pool.submit(fn, item))
-        while pending:
+def _pool_map(pool, ahead, fn, items):
+    """``fn`` over ``items`` in ``pool``: results in input order, at most
+    ``ahead`` calls in flight."""
+    pending = deque()
+    for item in items:
+        if len(pending) == ahead:
             yield pending.popleft().result()
-
-
-def reaches(pmap, matrix):
-    """Whether calls through ``pmap`` can read ``matrix``: an array, or a
-    ``SharedMatrix`` read in process, always; a ``SharedMatrix`` in a
-    ``process_map`` pool's workers, if it was made before they forked."""
-    forked = getattr(pmap, "forked", None)
-    return not isinstance(matrix, SharedMatrix) or forked is None or matrix._key < forked
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 @contextmanager
@@ -197,7 +172,7 @@ def process_map(workers):
         initializer=_exit_with_caller,
     )
     try:
-        yield _PoolMap(pool, 2 * workers)
+        yield partial(_pool_map, pool, 2 * workers)
     except BaseException as exc:
         pool.shutdown(wait=isinstance(exc, Exception), cancel_futures=True)
         raise

@@ -53,7 +53,7 @@ import numpy as np
 from .agents import saturate
 from .errors import IntegrationError, ValidationError
 from .graphs import _physical_memory, check_rootset, laplacian
-from .parallel import Rows, reaches
+from .parallel import Rows, SharedMatrix
 
 __all__ = [
     "Scenario",
@@ -571,8 +571,7 @@ def _time_blocks(record, rows=_EXPORT_ROWS):
     realization and the graph stay out, and so do the states of a record
     in a ``SharedMatrix``: a block pickled for a worker process carries
     O(1) data, the matrix's key and the row range, and the worker reads
-    the rows in its inherited mapping. A record in ordinary memory sends
-    the rows' slice, O(N) per time step.
+    the rows in its inherited mapping.
     """
     T, N, n = record.x.shape
     steps = max(1, rows // N)
@@ -638,33 +637,27 @@ def _write_block(item):
 _COPY_CHUNK = 1 << 16
 
 
-def export_trajectory(record, path, pmap=map):
+def export_trajectory(record, path):
     """Write one row per (time, agent): t, agent, x, chi, xhat?, u,
     sat_u, xr -- comma separated, header first, 17 significant digits.
 
     The rows are formatted in blocks of whole time steps (see
-    ``_write_block``) through ``pmap``, the builtin ``map`` or a
-    ``parallel.process_map`` pool. Each block is written to a part file
-    in a hidden directory next to ``path``, made here before the block
-    is sent, and only its byte count comes back: the file is then
-    appended to ``path`` in block order, through a buffer of
+    ``_write_block``): a record whose states are in a
+    ``parallel.SharedMatrix`` formats them through the matrix's
+    ``pmap``, the pool ``analysis.run_cases`` opened for it while that
+    is open, any other record in process. Each block is written to a
+    part file in a hidden directory next to ``path``, made here before
+    the block is sent, and only its byte count comes back: the file is
+    then appended to ``path`` in block order, through a buffer of
     ``_COPY_CHUNK`` bytes, and deleted, so this process holds no more
     than that of the CSV text, and the bytes do not depend on where a
     block was formatted. The directory is removed on the way out, also
     when the export fails. Each value is exactly ``'%.17g' % v``, the
     same conversion as ``format(v, ".17g")`` (see ``_g17``), and the
-    agent index, a float here, prints as its integer. A record whose
-    states are in a ``parallel.SharedMatrix`` (``analysis.run_cases``
-    makes them) exports only through a pool whose workers were forked
-    after the matrix was made: one that ran no task before it. Through
-    another pool the export raises ``ValidationError`` before any block
-    is sent, and the pool stays usable.
+    agent index, a float here, prints as its integer.
     """
-    if not reaches(pmap, record.states):
-        raise ValidationError(
-            "the record's states are in a SharedMatrix made after this pool's workers "
-            "were forked, which cannot read it: export it through map or a new pool"
-        )
+    states = record.states
+    pmap = states.pmap if isinstance(states, SharedMatrix) else map
     # the column names from zeros of the record's shape: this process
     # reads none of its rows, which a pool's workers format
     _, N, n = record.x.shape

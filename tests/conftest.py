@@ -4,7 +4,7 @@ verdict lines for the final summary."""
 import pytest
 from hypothesis import settings
 
-from satsync.parallel import FORKS, process_map
+from satsync.parallel import FORKS
 
 # Property tests draw the same examples on every run and never read or
 # write the local example database (derandomize implies database=None);
@@ -22,13 +22,6 @@ def pytest_configure(config):
 def pytest_runtest_setup(item):
     if item.get_closest_marker("needs_fork") and not FORKS:
         pytest.skip("pool workers are not forked here")
-
-
-@pytest.fixture(scope="module")
-def pooled_map():
-    """A real two-worker process pool, started once per test module."""
-    with process_map(2) as pmap:
-        yield pmap
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from satsync.agents import AgentModel, mixed_decompose, saturate
-from satsync.analysis import gain_margin_runs, scale_free_runs, sync_metrics
+from satsync.analysis import rho_cases, run_cases, size_cases, sync_metrics
 from satsync.cli import main
 from satsync.gains import compute_Lambda, design_K_mixed, solve_P_neutral
 from satsync.graphs import check_rootset, generate_graph, laplacian, parse_graph
@@ -155,7 +155,8 @@ def test_c03_one_controller_fits_every_network_size(acceptance_log):
         x_r0=np.zeros(model.n), x0=np.zeros((3, model.n)),
         dt=1e-3, horizon=120.0, seed=1, record_every=10,
     )
-    pairs = list(scale_free_runs(base, [3, 10, 25]))
+    with run_cases(size_cases(base, [3, 10, 25])) as runs:
+        pairs = list(runs)
     cases = [case for case, _ in pairs]
     reports = [run.report for _, run in pairs]
     bit_identical = all(
@@ -181,12 +182,14 @@ def test_c04_loop_gain_margin_is_unbounded(acceptance_log):
     rhos = [1.0, 10.0, 100.0]
 
     ex1 = _scenario(preset_parts("example1").model, "P4", GRAPH_A, horizon=60.0)
-    ex1_runs = gain_margin_runs(ex1, rhos)
+    with run_cases(rho_cases(ex1, rhos)) as runs:
+        ex1_runs = list(runs)
 
     p1 = _scenario(
         rotation_full_model(), "P1", GRAPH_A, horizon=400.0, record_every=10
     )
-    p1_runs = gain_margin_runs(p1, rhos)
+    with run_cases(rho_cases(p1, rhos)) as runs:
+        p1_runs = list(runs)
 
     details = []
     ok = True

@@ -18,20 +18,18 @@ from satsync.agents import AgentModel
 from satsync import analysis
 from satsync.analysis import (
     RunRecord,
-    case_workers,
     export_report,
-    gain_margin_runs,
     parse_report,
+    rho_cases,
     run_case,
     run_cases,
-    scale_free_runs,
+    size_cases,
     sync_metrics,
 )
-from satsync import gains, protocols
+from satsync import gains, protocols, simulation
 from satsync.errors import SynthesisError, ValidationError
 from satsync.gains import synthesize_gains, verify_gains
 from satsync.graphs import generate_graph
-from satsync.parallel import process_map
 from satsync.protocols import build_protocol
 from satsync.simulation import (
     _EXPORT_ROWS,
@@ -225,11 +223,14 @@ def test_p3_energy_trace_decreases():
     assert v[-1] < 1e-3 * v[0]
 
 
-def test_gain_margin_sweep_scales_and_matches_serial():
+def test_gain_margin_sweep_scales_and_matches_serial(monkeypatch):
     sc = p1_scenario(horizon=6.0)
-    serial = [run for _, run in gain_margin_runs(sc, [1.0, 4.0])]
-    with process_map(2) as pmap:
-        parallel = [run for _, run in gain_margin_runs(sc, [1.0, 4.0], pmap)]
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
+        with run_cases(rho_cases(sc, [1.0, 4.0])) as pairs:
+            runs[cpus] = [run for _, run in pairs]
+    serial, parallel = runs[1], runs[2]
     assert serial == parallel
     # the pooled runs carry their records too, read from shared memory
     for s, p in zip(serial, parallel):
@@ -239,13 +240,31 @@ def test_gain_margin_sweep_scales_and_matches_serial():
 
 def test_scale_free_sweep_reuses_one_controller():
     sc = replace(p1_scenario(horizon=6.0), seed=3)
-    pairs = list(scale_free_runs(sc, [2, 5]))
+    with run_cases(size_cases(sc, [2, 5])) as runs:
+        pairs = list(runs)
     cases = [case for case, _ in pairs]
     assert [c.graph.n for c in cases] == [2, 5]
     for field in ("a_c", "b_c", "f_c", "u_gain"):
         assert np.array_equal(
             getattr(cases[0].protocol, field), getattr(cases[1].protocol, field)
         )
+
+
+@pytest.mark.parametrize("cases, values, said", [
+    (rho_cases, [1.0, float("inf")], "rho must be positive and finite, got inf"),
+    (rho_cases, [0.0], "rho must be positive and finite, got 0"),
+    (size_cases, [3, 2.5], "network size must be a whole number >= 1, got 2.5"),
+    (size_cases, [float("inf")], "network size must be a whole number >= 1, got inf"),
+    (size_cases, [10**17 + 1], f"{10**17 + 1} nodes are too many"),
+])
+def test_case_lists_are_checked_when_called(cases, values, said):
+    with pytest.raises(ValidationError, match=said):
+        cases(p1_scenario(), values)
+
+
+def test_a_whole_float_size_names_the_same_case_as_its_int():
+    sc = p1_scenario()
+    assert [case.name for case in size_cases(sc, [3.0, 4])] == [f"{sc.name}-n3", f"{sc.name}-n4"]
 
 
 def _audited_scenario(kind, model, gain_set):
@@ -273,8 +292,9 @@ def test_gain_audit_is_the_realizations(monkeypatch):
     monkeypatch.setattr(protocols, "verify_gains", forbidden)
     for sc in cases:
         assert run_case(sc).gain_report is sc.protocol.gain_report
-    with process_map(2) as pmap:
-        pooled = [run.gain_report for _, run in run_cases(cases, pmap)]
+    monkeypatch.setattr(analysis, "_case_workers", lambda rows: 2)
+    with run_cases(cases) as pairs:
+        pooled = [run.gain_report for _, run in pairs]
     assert pooled == [sc.protocol.gain_report for sc in cases]
     monkeypatch.undo()
     # failing gains still stop the build
@@ -317,7 +337,7 @@ def test_export_report_rejects_names_that_make_one_file(tmp_path):
     assert not out.exists()  # rejected before anything was written
     # an iterable's records are checked as they arrive, and nothing moves into place
     with pytest.raises(ValidationError, match="'case a' and 'case-a'"):
-        export_report(iter(runs), out, map)
+        export_report(iter(runs), out)
     assert not out.exists()
 
 
@@ -331,10 +351,11 @@ def test_run_cases_record_into_shared_states_through_a_pool(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(analysis, "SharedMatrix", Recorded)
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
     cases = [p1_scenario(n_agents=n, horizon=2.0, seed=n) for n in (3, 5)]
     cases = [replace(sc, name=f"p1-{sc.graph.n}") for sc in cases]
-    with process_map(2) as pmap:
-        pairs = list(run_cases(cases, pmap))
+    with run_cases(cases) as runs:
+        pairs = list(runs)
     assert [case for case, _ in pairs] == cases and len(made) == 2
     for (case, run), states in zip(pairs, made):
         alone = run_case(case)
@@ -350,10 +371,10 @@ def test_run_cases_record_into_shared_states_through_a_pool(monkeypatch):
 def test_export_blocks_of_a_shared_record_carry_no_rows():
     # a run_cases record holds its SharedMatrix: a block pickles to the
     # same size whatever its rows, but for the bytes of its two row
-    # numbers (pickle writes an int in 1, 2 or 4 bytes), where an integrate
-    # record's carries them
+    # numbers (pickle writes an int in 1, 2 or 4 bytes)
     sc = p1_scenario(horizon=4.0)
-    (_, run), = run_cases([sc])
+    with run_cases([sc]) as pairs:
+        (_, run), = pairs
     assert isinstance(run.trajectory.states, analysis.SharedMatrix)
 
     def size(rec, rows):
@@ -363,65 +384,77 @@ def test_export_blocks_of_a_shared_record_carry_no_rows():
     # nor the protocol realization: only the three fields the signals
     # derive from travel
     assert size(run.trajectory, _EXPORT_ROWS) < 1024
-    plain = integrate(assemble(sc))
-    assert size(plain, _EXPORT_ROWS) > size(plain, 100) + 8 * (_EXPORT_ROWS - 100)
+
+
+# the test process, in which _write_block_in_a_worker refuses to run
+_CALLER = os.getpid()
+_write_block = simulation._write_block
+
+
+def _write_block_in_a_worker(item):
+    assert os.getpid() != _CALLER, "a block was formatted in the calling process"
+    return _write_block(item)
+
+
+def _no_process(self):
+    raise AssertionError("a process was started")
 
 
 @pytest.mark.needs_fork
-def test_a_pool_forked_before_a_shared_record_refuses_it_and_stays_usable(tmp_path):
+def test_a_run_cases_record_exports_through_its_pool_and_after_it_in_process(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
     sc = p1_scenario(horizon=4.0)
-    with process_map(2) as pmap:
-        assert list(pmap(abs, [-1, -2])) == [1, 2]  # the workers fork here
-        (_, run), = run_cases([sc])  # its states are made after them
-        with pytest.raises(ValidationError, match="forked"):
-            export_trajectory(run.trajectory, tmp_path / "late.csv", pmap)
-        with pytest.raises(ValidationError, match="forked"):
-            list(run_cases([sc], pmap))
-        assert os.listdir(tmp_path) == []
-        # the pool still runs calls, and exports what its workers can read
-        assert list(pmap(abs, [-3])) == [3]
-        export_trajectory(integrate(assemble(sc)), tmp_path / "plain.csv", pmap)
-    export_trajectory(run.trajectory, tmp_path / "alone.csv")
-    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
-
-
-@pytest.mark.needs_fork
-def test_pooled_export_of_shared_and_plain_records_matches_in_process(tmp_path):
-    sc = p1_scenario(horizon=4.0)
-    plain = integrate(assemble(sc))
-    assert len(plain.times) * sc.graph.n > _EXPORT_ROWS  # a block for each worker
-    with process_map(2) as pmap:
-        (_, run), = run_cases([sc], pmap)
-        export_trajectory(run.trajectory, tmp_path / "shared.csv", pmap)
-        export_trajectory(plain, tmp_path / "plain.csv", pmap)
-    export_trajectory(plain, tmp_path / "alone.csv")
+    alone = run_case(sc).trajectory
+    assert len(alone.times) * sc.graph.n > _EXPORT_ROWS  # a block for each worker
+    export_trajectory(alone, tmp_path / "alone.csv")
     want = (tmp_path / "alone.csv").read_bytes()
-    assert (tmp_path / "shared.csv").read_bytes() == want
-    assert (tmp_path / "plain.csv").read_bytes() == want
+    with run_cases([sc]) as pairs:
+        (_, run), = pairs
+        with monkeypatch.context() as m:
+            m.setattr(simulation, "_write_block", _write_block_in_a_worker)
+            export_trajectory(run.trajectory, tmp_path / "pooled.csv")
+    assert (tmp_path / "pooled.csv").read_bytes() == want
+    assert multiprocessing.active_children() == []
+    # the pool is gone: the same record exports in process
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_process)
+    export_trajectory(run.trajectory, tmp_path / "after.csv")
+    assert (tmp_path / "after.csv").read_bytes() == want
+    assert multiprocessing.active_children() == []
+
+
+def test_a_run_case_record_exports_in_process(tmp_path, monkeypatch):
+    sc = p1_scenario(horizon=4.0)
+    rec = run_case(sc).trajectory
+    assert len(list(_time_blocks(rec))) > 1
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_process)
+    export_trajectory(rec, tmp_path / "run.csv")
+    assert multiprocessing.active_children() == []
+    assert len((tmp_path / "run.csv").read_bytes().splitlines()) == 1 + rec.x.shape[0] * rec.x.shape[1]
 
 
 @pytest.mark.needs_fork
 def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
     # the second record's CSV path turns into a directory once the pool runs
-    rec = integrate(assemble(p1_scenario(horizon=4.0)))
-    rep = sync_metrics(rec, tol=1e-2)
-    runs = [RunRecord(name=name, report=rep, trajectory=rec) for name in ("a", "b")]
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+    cases = [replace(p1_scenario(horizon=4.0), name=name) for name in ("a", "b")]
     real = analysis.export_trajectory
     blocked = []
 
-    def export_then_block(record, path, pmap):
-        real(record, path, pmap)
+    def export_then_block(record, path):
+        real(record, path)
         assert multiprocessing.active_children()  # the pool is running
         if os.path.basename(path) == "a.csv" and blocked:
             os.mkdir(blocked[0])
 
     monkeypatch.setattr(analysis, "export_trajectory", export_then_block)
-    with process_map(2) as pmap:
-        export_report(runs, tmp_path / "ok", pmap)
+    with run_cases(cases) as pairs:
+        export_report((run for _, run in pairs), tmp_path / "ok")
     assert multiprocessing.active_children() == []
     blocked.append(tmp_path / "fail" / "b.csv")
-    with pytest.raises(IsADirectoryError), process_map(2) as pmap:
-        export_report(runs, tmp_path / "fail", pmap)
+    with pytest.raises(IsADirectoryError), run_cases(cases) as pairs:
+        export_report((run for _, run in pairs), tmp_path / "fail")
     assert multiprocessing.active_children() == []
     # the failure moved nothing into the run directory
     assert os.listdir(tmp_path / "fail") == ["b.csv"]
@@ -429,9 +462,9 @@ def test_export_report_leaves_no_worker_processes(tmp_path, monkeypatch):
 
 def test_case_workers_are_no_more_than_blocks_or_usable_cpus(monkeypatch):
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 64)
-    assert case_workers(401 * 3) == 2  # 1203 rows make two blocks
-    assert case_workers(_EXPORT_ROWS) == 1
+    assert analysis._case_workers(401 * 3) == 2  # 1203 rows make two blocks
+    assert analysis._case_workers(_EXPORT_ROWS) == 1
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
-    assert case_workers(100 * _EXPORT_ROWS) == 2
+    assert analysis._case_workers(100 * _EXPORT_ROWS) == 2
     monkeypatch.setattr(analysis, "usable_cpus", lambda: 1)
-    assert case_workers(100 * _EXPORT_ROWS) == 1
+    assert analysis._case_workers(100 * _EXPORT_ROWS) == 1

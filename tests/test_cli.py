@@ -277,6 +277,20 @@ def test_sweep_rejects_bad_case_lists_before_any_case_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values, said", [
+    ("--n", "100000000000000001", "error: --n: 100000000000000001 nodes are too many"),
+    ("--n", "3,1e400", "error: --n: must be finite, got '1e400'\n"),
+    ("--rho", "inf", "error: --rho: must be finite, got 'inf'\n"),
+    ("--rho", "1e400", "error: --rho: must be finite, got '1e400'\n"),
+])
+def test_sweep_reports_a_bad_list_entry_as_typed(scenario_file, tmp_path, capsys, axis, values, said):
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", scenario_file, axis, values, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(said) and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [10**6, 10**400], ids=["1e6", "1e400"])
 @pytest.mark.parametrize("route", ["graph.n", "graph.generate.n", "--n"])
 def test_a_network_too_large_for_memory_is_rejected_before_allocating(
@@ -370,7 +384,7 @@ def same_for_one_and_two_cpus(argv, code, tmp_path, capsys, monkeypatch):
             opened.append((workers, pmap is not map))
             yield pmap
 
-    monkeypatch.setattr(cli, "process_map", one_pool)
+    monkeypatch.setattr(analysis, "process_map", one_pool)
     for cpus in (1, 2):
         monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
         outs[cpus] = tmp_path / f"cpus{cpus}"
@@ -500,9 +514,9 @@ def test_reproduce_exports_the_first_case_while_the_second_runs(tmp_path, monkey
                 time.sleep(0.01)
         return real_integrate(loop, states)
 
-    def export(record, path, pmap):
+    def export(record, path):
         started.touch()
-        real_export(record, path, pmap)
+        real_export(record, path)
 
     monkeypatch.setattr(simulation, "integrate", net10_waits_for_net3_export)
     monkeypatch.setattr(analysis, "export_trajectory", export)

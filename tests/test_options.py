@@ -17,11 +17,7 @@ import satsync
 OPTIONS = {
     "agents.mixed_decompose(gamma_x)",
     "agents.saturate(out)",
-    "analysis.export_report(pmap)",
-    "analysis.gain_margin_runs(pmap)",
     "analysis.run_case(states)",
-    "analysis.run_cases(pmap)",
-    "analysis.scale_free_runs(pmap)",
     "analysis.sync_metrics(tol)",
     "analysis.sync_metrics(window)",
     "cli.main(argv)",
@@ -32,7 +28,6 @@ OPTIONS = {
     "graphs.parse_graph(context)",
     "scenario.parse_scenario_doc(base_dir)",
     "scenario.parse_scenario_doc(overrides)",
-    "simulation.export_trajectory(pmap)",
     "simulation.integrate(states)",
     "simulation.rk4(record_every)",
     "simulation.rk4(states)",
@@ -120,7 +115,7 @@ def test_the_option_set_is_spelled_out():
     assert found == OPTIONS, (
         f"new: {sorted(found - OPTIONS)}, gone: {sorted(OPTIONS - found)}"
     )
-    assert len(OPTIONS) == 21
+    assert len(OPTIONS) == 16
 
 
 def test_the_class_field_options_are_spelled_out():

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 import satsync
@@ -18,7 +17,7 @@ from satsync.parallel import Rows, SharedMatrix, process_map
 from procs import running
 
 
-def test_process_map_keeps_order_and_bounds_work_in_flight(pooled_map):
+def test_process_map_keeps_order_and_bounds_work_in_flight():
     pulled = []
 
     def items():
@@ -26,11 +25,12 @@ def test_process_map_keeps_order_and_bounds_work_in_flight(pooled_map):
             pulled.append(k)
             yield k
 
-    results = pooled_map(operator.neg, items())
-    first = next(results)
-    # two workers keep at most four calls ahead of the caller
-    assert len(pulled) <= 5
-    assert [first, *results] == [-k for k in range(40)]
+    with process_map(2) as pmap:
+        results = pmap(operator.neg, items())
+        first = next(results)
+        # two workers keep at most four calls ahead of the caller
+        assert len(pulled) <= 5
+        assert [first, *results] == [-k for k in range(40)]
 
 
 @pytest.mark.needs_fork
@@ -63,18 +63,15 @@ def _fill_rows_with_pid(rows):
 
 @pytest.mark.needs_fork
 def test_rows_of_a_shared_matrix_reach_a_worker_in_place():
-    # a SharedMatrix's rows travel as its key and range, and the worker
-    # writes them in the caller's memory; an array's rows travel as their
-    # copy
-    shared, plain = SharedMatrix(250, 3), np.zeros((250, 3))
-    ranges = [Rows(shared, 10, 20), Rows(shared, 20, 250), Rows(plain, 10, 20)]
+    # a SharedMatrix's rows travel as its key and range, whatever their
+    # number, and the worker writes them in the caller's memory
+    shared = SharedMatrix(250, 3)
+    ranges = [Rows(shared, 10, 20), Rows(shared, 20, 250)]
     sizes = [len(pickle.dumps(rows)) for rows in ranges]
-    assert sizes[0] == sizes[1] < sizes[2]
+    assert sizes[0] == sizes[1]
     with process_map(2) as pmap:
         list(pmap(_fill_rows_with_pid, ranges))
     assert (shared.array[:10] == 0).all() and (shared.array[10:] != 0).all()
-    assert (plain == 0).all()
-    assert np.array_equal(pickle.loads(pickle.dumps(ranges[2])).array, plain[10:20])
 
 
 def test_shared_matrix_leaves_the_table_with_its_handle():

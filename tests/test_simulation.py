@@ -2,6 +2,7 @@
 
 import os
 import pickle
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from satsync.analysis import sync_metrics
 from satsync.errors import IntegrationError, ValidationError
 from satsync.gains import synthesize_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
+from satsync.parallel import SharedMatrix, process_map
 from satsync.protocols import build_protocol
 from satsync.simulation import (
     _EXPORT_ROWS,
@@ -664,6 +666,18 @@ def per_value_export(record, path):
                 fh.write(",".join(row + xr) + "\n")
 
 
+@contextmanager
+def through_a_pool(rec):
+    """``rec`` with its states copied into a ``SharedMatrix`` whose export
+    a fresh two-worker pool, forked after it, formats, as it does for a
+    record of an open ``run_cases`` block."""
+    shared = SharedMatrix(*rec.states.shape)
+    shared.array[:] = rec.states
+    with process_map(2) as pmap:
+        shared.pmap = pmap
+        yield replace(rec, states=shared)
+
+
 SPECIAL_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e16, 1e17,
     1.0, -1.0, 0.1, 1 / 3, 2.0**53, -(2.0**53) - 2.0, 123456789012345.0,
@@ -691,7 +705,7 @@ SPECIAL_VALUES = [
     seed=st.integers(0, 2**16),
 )
 def test_block_export_matches_per_value_writer(
-    tmp_path_factory, pooled_map, n_agents, boundary, n, m, with_xhat, pool, seed
+    tmp_path_factory, n_agents, boundary, n, m, with_xhat, pool, seed
 ):
     # T sits on either side of the writer's block boundary; the largest
     # network fits only two time steps in a block
@@ -719,7 +733,8 @@ def test_block_export_matches_per_value_writer(
     )
     tmp = tmp_path_factory.mktemp("export")
     export_trajectory(rec, tmp / "block.csv")
-    export_trajectory(rec, tmp / "pooled.csv", pooled_map)
+    with through_a_pool(rec) as shared:
+        export_trajectory(shared, tmp / "pooled.csv")
     per_value_export(rec, tmp / "oracle.csv")
     want = (tmp / "oracle.csv").read_bytes().splitlines(keepends=True)
     # in process and in worker processes, the same bytes as the oracle
@@ -731,12 +746,16 @@ def test_block_export_matches_per_value_writer(
 
 
 @pytest.mark.parametrize("where", ["in process", "pooled"])
-def test_export_appends_each_part_file_and_leaves_none(tmp_path, pooled_map, where):
+def test_export_appends_each_part_file_and_leaves_none(tmp_path, where):
     # blocks are formatted into part files next to the CSV, which the
     # caller appends to it
     rec = integrate(assemble(p6_scenario(horizon=4.0)))
     assert len(list(_time_blocks(rec))) > 1
-    export_trajectory(rec, tmp_path / "run.csv", map if where == "in process" else pooled_map)
+    if where == "in process":
+        export_trajectory(rec, tmp_path / "run.csv")
+    else:
+        with through_a_pool(rec) as shared:
+            export_trajectory(shared, tmp_path / "run.csv")
     per_value_export(rec, tmp_path / "oracle.csv")
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["oracle.csv", "run.csv"]

@@ -104,3 +104,36 @@ def test_every_exported_name_has_a_caller_in_the_program():
     used = program_references()
     unused = sorted(full for full in exported_names() if full.rpartition(".")[2] not in used)
     assert not unused, f"exported but used only outside the program: {unused}"
+
+
+# the tracer's targets that name a lookup the program does not have
+UNTRACED = {
+    "satsync.analysis.verify_gains",
+    "satsync.cli.build_protocol",
+    "satsync.cli.simulate",
+    "satsync.analysis.simulate",
+    "satsync.cli.sync_metrics",
+}
+
+
+def tracer_targets():
+    """``module.name`` of every lookup in ``bench/tracer.py``'s ``TARGETS``."""
+    for node in _tree(os.path.join(BENCH_DIR, "tracer.py")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [f"{e.elts[0].value}.{e.elts[1].value}" for e in node.value.elts]
+    raise AssertionError("bench/tracer.py has no TARGETS")
+
+
+def test_the_tracer_wraps_every_lookup_it_measures_by():
+    # a refactor that moves a call away from the module the tracer wraps
+    # it in would leave its span, and the layer metric it feeds, empty
+    targets = tracer_targets()
+    resolved = set()
+    for target in targets:
+        module, _, name = target.rpartition(".")
+        if callable(getattr(importlib.import_module(module), name, None)):
+            resolved.add(target)
+    assert set(targets) - resolved == UNTRACED
+    assert len(targets) == 21 and len(resolved) == 16
