@@ -118,10 +118,8 @@ def classify(a, b, c):
 
 @dataclass
 class AgentModel:
-    """Shared agent triple plus the coupling mode the network provides.
+    """Shared agent triple (a, b, c).
 
-    ``coupling`` records what neighbors exchange: "full" means full
-    state (requires c to be the identity), "partial" means outputs only.
     ``classification`` is what :func:`classify` finds for (a, b, c), and
     ``model_class`` its class.
     """
@@ -129,20 +127,11 @@ class AgentModel:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    coupling: str = "partial"
     model_class: ModelClass = field(init=False)
     classification: Classification = field(init=False, repr=False)
 
     def __post_init__(self):
         self.a, self.b, self.c = _check_dims(self.a, self.b, self.c)
-        if self.coupling not in ("full", "partial"):
-            raise ValidationError(
-                f"coupling must be 'full' or 'partial', got {self.coupling!r}"
-            )
-        if self.coupling == "full" and not (
-            self.c.shape == self.a.shape and np.array_equal(self.c, np.eye(self.n))
-        ):
-            raise ValidationError("full coupling requires c to be the identity")
         self.classification = classify(self.a, self.b, self.c)
         self.model_class = self.classification.model_class
 

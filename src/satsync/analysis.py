@@ -463,6 +463,33 @@ def export_report(records, path):
     return [os.path.join(path, name) for name in written]
 
 
+def _read_run(entry):
+    """One summary run entry as a RunRecord, without its trajectory."""
+    report = SyncReport(
+        times=np.asarray(entry["times"], dtype=float),
+        max_error=np.asarray(entry["max_error"], dtype=float),
+        pairwise_error=np.asarray(entry["pairwise_error"], dtype=float),
+        converged=bool(entry["converged"]),
+        convergence_time=entry["convergence_time"],
+        tol=float(entry["tolerance"]),
+        window=float(entry["window"]),
+    )
+    gain_report = None
+    if entry.get("gain_checks") is not None:
+        gain_report = GainReport(
+            tuple(
+                GainCheck(
+                    name=check["name"],
+                    passed=bool(check["passed"]),
+                    margin=float(check["margin"]),
+                    detail=check["detail"],
+                )
+                for check in entry["gain_checks"]
+            )
+        )
+    return RunRecord(name=entry["name"], report=report, gain_report=gain_report)
+
+
 def parse_report(path):
     """Read back an exported summary; trajectories stay on disk.
 
@@ -479,31 +506,15 @@ def parse_report(path):
             raise ValidationError(f"{summary_path}: invalid summary: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != "satsync-report":
         raise ValidationError(f"{summary_path}: not a report summary")
+    runs = doc.get("runs", [])
+    if not isinstance(runs, list):
+        raise ValidationError(f"{summary_path}: runs: expected a list, got {type(runs).__name__}")
     records = []
-    for entry in doc.get("runs", []):
-        report = SyncReport(
-            times=np.asarray(entry["times"], dtype=float),
-            max_error=np.asarray(entry["max_error"], dtype=float),
-            pairwise_error=np.asarray(entry["pairwise_error"], dtype=float),
-            converged=bool(entry["converged"]),
-            convergence_time=entry["convergence_time"],
-            tol=float(entry["tolerance"]),
-            window=float(entry["window"]),
-        )
-        gain_report = None
-        if entry.get("gain_checks") is not None:
-            gain_report = GainReport(
-                tuple(
-                    GainCheck(
-                        name=check["name"],
-                        passed=bool(check["passed"]),
-                        margin=float(check["margin"]),
-                        detail=check["detail"],
-                    )
-                    for check in entry["gain_checks"]
-                )
-            )
-        records.append(
-            RunRecord(name=entry["name"], report=report, gain_report=gain_report)
-        )
+    for k, entry in enumerate(runs):
+        try:
+            records.append(_read_run(entry))
+        except KeyError as exc:
+            raise ValidationError(f"{summary_path}: runs[{k}]: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{summary_path}: runs[{k}]: malformed run: {exc}") from None
     return records

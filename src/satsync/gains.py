@@ -10,6 +10,8 @@ small set of matrices, all computable from the agent triple alone:
   equality tied to the block structure and a strict dissipation
   inequality on the input directions.
 
+Which kind needs which gain follows from the one table of kinds, ``_KINDS``.
+
 Synthesis is deterministic. Verification is separate from synthesis on
 purpose: scenario files may carry hand-picked gains, and those are
 admitted only after passing the same checks the synthesized ones do.
@@ -18,10 +20,11 @@ admitted only after passing the same checks the synthesized ones do.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from .agents import mixed_decompose
+from .agents import ModelClass, mixed_decompose
 from .errors import SynthesisError, ValidationError
 from .linalg import (
     EIG_TOL,
@@ -40,10 +43,7 @@ __all__ = [
     "design_K_double",
     "compute_Lambda",
     "design_K_mixed",
-    "verify_P",
-    "verify_F",
-    "verify_K_double",
-    "verify_K_mixed",
+    "kind_spec",
     "verify_gains",
     "synthesize_gains",
 ]
@@ -57,15 +57,24 @@ RESIDUAL_TOL = 1e-8
 # gelsd in both libraries) keeps the same effective rank.
 _LSTSQ_RCOND = np.finfo(float).eps
 
-# Which gains each protocol kind consumes.
-_REQUIRED = {
-    "P1": ("p",),
-    "P2": ("p", "f"),
-    "P3": ("k",),
-    "P4": ("k", "f"),
-    "P5": ("k",),
-    "P6": ("k", "f"),
+# Each protocol kind: the agent class its feedback is designed for, and
+# whether neighbours exchange full states (else outputs only).
+_KINDS = {
+    "P1": (ModelClass.NEUTRALLY_STABLE, True),
+    "P2": (ModelClass.NEUTRALLY_STABLE, False),
+    "P3": (ModelClass.DOUBLE_INTEGRATOR, True),
+    "P4": (ModelClass.DOUBLE_INTEGRATOR, False),
+    "P5": (ModelClass.MIXED, True),
+    "P6": (ModelClass.MIXED, False),
 }
+
+
+def kind_spec(kind):
+    """(agent class, whether neighbours exchange full states) of a kind."""
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValidationError(f"unknown protocol kind {kind!r}") from None
 
 
 @dataclass
@@ -166,9 +175,9 @@ def solve_P_neutral(a):
     g_inv = np.linalg.inv(g)
     p = g_inv.T @ blocks @ g_inv
     p = 0.5 * (p + p.T)
-    ok, margin, detail = verify_P(a, p)
-    if not ok:
-        raise SynthesisError(f"constructed p fails verification: {detail}")
+    check = _verify_P(a, p)
+    if not check.passed:
+        raise SynthesisError(f"constructed p fails verification: {check.detail}")
     return p
 
 
@@ -208,9 +217,9 @@ def design_F(a, c):
     """
     y = solve_filter_riccati(a, c)
     f = y @ np.asarray(c, dtype=float).T
-    ok, margin, detail = verify_F(a, c, f)
-    if not ok:
-        raise SynthesisError(f"constructed f fails verification: {detail}")
+    check = _verify_F(a, c, f)
+    if not check.passed:
+        raise SynthesisError(f"constructed f fails verification: {check.detail}")
     return f
 
 
@@ -290,29 +299,33 @@ def _decomposed_a(decomp):
 # -- verification ------------------------------------------------------------
 
 
-def verify_P(a, p):
+def _verify_P(a, p):
     """Check p > 0 symmetric and ``p a + a' p <= RESIDUAL_TOL*||a||``."""
     a = np.asarray(a, dtype=float)
     p = np.asarray(p, dtype=float)
     if p.shape != a.shape:
         raise ValidationError(f"p must match a's shape {a.shape}, got {p.shape}")
+    check = partial(GainCheck, "p_neutral_weight")
     sym_err = np.linalg.norm(p - p.T)
     if sym_err > RESIDUAL_TOL * max(1.0, np.linalg.norm(p)):
-        return False, -sym_err, f"p is not symmetric (asymmetry {sym_err:.3e})"
+        return check(False, -sym_err, f"p is not symmetric (asymmetry {sym_err:.3e})")
     min_eig = float(np.linalg.eigvalsh(0.5 * (p + p.T)).min())
     if min_eig <= DEFINITE_TOL:
-        return False, min_eig, f"p is not positive definite (min eig {min_eig:.3e})"
+        return check(False, min_eig, f"p is not positive definite (min eig {min_eig:.3e})")
     resid = p @ a + a.T @ p
     max_eig = float(np.linalg.eigvalsh(0.5 * (resid + resid.T)).max())
     bound = RESIDUAL_TOL * max(1.0, np.linalg.norm(a))
     if max_eig > bound:
-        return False, -max_eig, (
-            f"p a + a' p has positive eigenvalue {max_eig:.3e} (bound {bound:.3e})"
+        return check(
+            False, -max_eig,
+            f"p a + a' p has positive eigenvalue {max_eig:.3e} (bound {bound:.3e})",
         )
-    return True, min_eig, f"min eig(p) = {min_eig:.3e}, max eig(pa+a'p) = {max_eig:.3e}"
+    return check(
+        True, min_eig, f"min eig(p) = {min_eig:.3e}, max eig(pa+a'p) = {max_eig:.3e}"
+    )
 
 
-def verify_F(a, c, f):
+def _verify_F(a, c, f):
     """Check that a - f c is Hurwitz; margin is the stability gap."""
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -322,11 +335,13 @@ def verify_F(a, c, f):
             f"f must have shape ({a.shape[0]}, {c.shape[0]}), got {f.shape}"
         )
     margin = -float(eigenvalues(a - f @ c).real.max())
-    ok = margin > EIG_TOL
-    return ok, margin, f"slowest observer mode at {-margin:.6g}"
+    return GainCheck(
+        "f_stabilizes_observer", margin > EIG_TOL, margin,
+        f"slowest observer mode at {-margin:.6g}",
+    )
 
 
-def verify_K_double(k, m):
+def _verify_K_double(k, m):
     """Check k = (k1 k2) with both m x m blocks negative definite."""
     k = np.asarray(k, dtype=float)
     if k.shape != (m, 2 * m):
@@ -337,12 +352,11 @@ def verify_K_double(k, m):
         top = float(np.linalg.eigvalsh(0.5 * (blk + blk.T)).max())
         margins.append((name, -top))
     worst = min(margins, key=lambda nm: nm[1])
-    ok = worst[1] > DEFINITE_TOL
     detail = ", ".join(f"{nm}: definiteness margin {mg:.3e}" for nm, mg in margins)
-    return ok, worst[1], detail
+    return GainCheck("k_blocks_negative_definite", worst[1] > DEFINITE_TOL, worst[1], detail)
 
 
-def verify_K_mixed(decomp, k, p_d):
+def _verify_K_mixed(decomp, k, p_d):
     """Check the mixed-case equality and strict inequality for k.
 
     The equality is checked against the velocity weight ``p_d``. Where
@@ -359,25 +373,25 @@ def verify_K_mixed(decomp, k, p_d):
         p_d = _best_p_d(decomp, k)
     p_d = np.asarray(p_d, dtype=float)
     pd_min = float(np.linalg.eigvalsh(0.5 * (p_d + p_d.T)).min()) if q else 1.0
-    lam = None
-    if pd_min > DEFINITE_TOL:
-        lam = compute_Lambda(decomp, p_d)
-    if lam is None:
-        return False, pd_min, (
+    if pd_min <= DEFINITE_TOL:
+        return GainCheck(
+            "k_mixed_conditions", False, pd_min,
             f"no positive definite velocity weight fits the equality "
-            f"(best min eig {pd_min:.3e})"
-        ), p_d
+            f"(best min eig {pd_min:.3e})",
+        )
+    lam = compute_Lambda(decomp, p_d)
     at = _decomposed_a(decomp)
     resid = float(np.linalg.norm(k @ at + decomp.b_tilde.T @ lam))
     scale = max(1.0, np.linalg.norm(decomp.b_tilde.T @ lam))
     gram = k @ decomp.b_tilde + decomp.b_tilde.T @ k.T
     ineq_margin = -float(np.linalg.eigvalsh(0.5 * (gram + gram.T)).max())
-    ok = resid <= RESIDUAL_TOL * scale and ineq_margin > DEFINITE_TOL
-    detail = (
+    return GainCheck(
+        "k_mixed_conditions",
+        resid <= RESIDUAL_TOL * scale and ineq_margin > DEFINITE_TOL,
+        min(ineq_margin, RESIDUAL_TOL * scale - resid),
         f"equality residual {resid:.3e} (scale {scale:.3g}), "
-        f"input dissipation margin {ineq_margin:.3e}"
+        f"input dissipation margin {ineq_margin:.3e}",
     )
-    return ok, min(ineq_margin, RESIDUAL_TOL * scale - resid), detail, p_d
 
 
 def _best_p_d(decomp, k):
@@ -396,13 +410,16 @@ def _best_p_d(decomp, k):
     return 0.5 * (p_d + p_d.T)
 
 
-def verify_gains(model, gains, kind, decomp=None):
+def verify_gains(model, gains, kind):
     """Run every verification the protocol kind requires.
 
     Report-only: each condition contributes a :class:`GainCheck` with a
     numerical margin; nothing raises for a failed condition. The gains
-    the kind consumes must be present (missing ones raise).
+    the kind consumes must be present (missing ones raise): ``p`` for
+    the neutrally stable class, ``k`` for the others, and ``f`` where
+    neighbours exchange outputs.
     """
+    model_class, full_state = kind_spec(kind)
     checks = [
         GainCheck(
             name="rho_positive",
@@ -413,47 +430,37 @@ def verify_gains(model, gains, kind, decomp=None):
             else "rho must be positive",
         )
     ]
-    if kind not in _REQUIRED:
-        raise ValidationError(f"unknown protocol kind {kind!r}")
-    wanted = _REQUIRED[kind]
+    neutral = model_class is ModelClass.NEUTRALLY_STABLE
+    wanted = ("p" if neutral else "k",) + (() if full_state else ("f",))
     missing = [g for g in wanted if getattr(gains, g) is None]
     if missing:
         raise ValidationError(f"kind {kind} needs gains {missing}")
 
-    if "p" in wanted:
-        ok, margin, detail = verify_P(model.a, gains.p)
-        checks.append(GainCheck("p_neutral_weight", ok, margin, detail))
-    if "f" in wanted:
-        ok, margin, detail = verify_F(model.a, model.c, gains.f)
-        checks.append(GainCheck("f_stabilizes_observer", ok, margin, detail))
-    if "k" in wanted:
-        if kind in ("P5", "P6"):
-            if decomp is None:
-                decomp = mixed_decompose(
-                    model.a, model.b, model.c, gamma_x=gains.gamma_x
-                )
-            ok, margin, detail, p_d = verify_K_mixed(decomp, gains.k, gains.p_d)
-            checks.append(GainCheck("k_mixed_conditions", ok, margin, detail))
-        else:
-            ok, margin, detail = verify_K_double(gains.k, model.m)
-            checks.append(GainCheck("k_blocks_negative_definite", ok, margin, detail))
+    if neutral:
+        checks.append(_verify_P(model.a, gains.p))
+    if not full_state:
+        checks.append(_verify_F(model.a, model.c, gains.f))
+    if model_class is ModelClass.MIXED:
+        decomp = mixed_decompose(model.a, model.b, model.c, gamma_x=gains.gamma_x)
+        checks.append(_verify_K_mixed(decomp, gains.k, gains.p_d))
+    elif model_class is ModelClass.DOUBLE_INTEGRATOR:
+        checks.append(_verify_K_double(gains.k, model.m))
     return GainReport(checks=tuple(checks))
 
 
 def synthesize_gains(model, kind, rho=1.0):
     """Produce the full GainSet a protocol kind needs for this model."""
-    if kind not in _REQUIRED:
-        raise ValidationError(f"unknown protocol kind {kind!r}")
+    model_class, full_state = kind_spec(kind)
     p = f = k = p_d = gamma_x = None
-    if kind in ("P1", "P2"):
+    if model_class is ModelClass.NEUTRALLY_STABLE:
         p = solve_P_neutral(model.a)
-    if kind in ("P3", "P4"):
+    elif model_class is ModelClass.DOUBLE_INTEGRATOR:
         k = design_K_double(model.m)
-    if kind in ("P5", "P6"):
+    else:
         decomp = mixed_decompose(model.a, model.b, model.c)
         p_d = np.eye(decomp.q)
         k = design_K_mixed(decomp)
         gamma_x = decomp.gamma_x
-    if kind in ("P2", "P4", "P6"):
+    if not full_state:
         f = design_F(model.a, model.c)
     return GainSet(rho=rho, p=p, f=f, k=k, p_d=p_d, gamma_x=gamma_x)

@@ -241,7 +241,8 @@ def parse_graph(data, context="graph"):
 
     Indices are 1-based JSON integers, never coerced; ``"from"`` is the
     information source. ``weight``, a positive number, defaults to 1.
-    Unknown keys and bad values are rejected with their field path.
+    Unknown keys, bad values and a second edge between the same ordered
+    pair are rejected with their field path.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{context}: expected a mapping, got {type(data).__name__}")
@@ -259,6 +260,7 @@ def parse_graph(data, context="graph"):
     weights = np.zeros((n, n))
     if not isinstance(data["edges"], list):
         raise ValidationError(f"{context}.edges: must be a list")
+    first = {}
     for k, edge in enumerate(data["edges"]):
         where = f"{context}.edges[{k}]"
         if not isinstance(edge, dict):
@@ -273,6 +275,11 @@ def parse_graph(data, context="graph"):
             raise ValidationError(f"{where}.weight: must be a positive number, got {weight!r}")
         if src == dst:
             raise ValidationError(f"{where}: self-loop on node {src}")
+        if (src, dst) in first:
+            raise ValidationError(
+                f"{where}: duplicate of edges[{first[src, dst]}] (from {src} to {dst})"
+            )
+        first[src, dst] = k
         weights[dst - 1, src - 1] = float(weight)
     if not isinstance(data["roots"], list):
         raise ValidationError(f"{context}.roots: must be a list")

@@ -1,16 +1,18 @@
 """Per-agent controller realizations for the six protocol kinds.
 
-The kinds pair one controller structure with one agent class:
+The kinds pair one controller structure with one agent class; the kind
+alone fixes whether neighbours exchange full states or outputs only
+(``gains.kind_spec``):
 
 ========  ==================  ==========  =======================
-kind      agent class         coupling    controller state
+kind      agent class         exchange    controller state
 ========  ==================  ==========  =======================
-P1        neutrally stable    full        chi (n)
-P2        neutrally stable    partial     (xhat, chi) (2n)
-P3        double integrator   full        chi (n)
-P4        double integrator   partial     (xhat, chi) (2n)
-P5        mixed               full        chi (n)
-P6        mixed               partial     (xhat, chi) (2n)
+P1        neutrally stable    full state  chi (n)
+P2        neutrally stable    outputs     (xhat, chi) (2n)
+P3        double integrator   full state  chi (n)
+P4        double integrator   outputs     (xhat, chi) (2n)
+P5        mixed               full state  chi (n)
+P6        mixed               outputs     (xhat, chi) (2n)
 ========  ==================  ==========  =======================
 
 ``chi`` is a local synchronizer state, ``xhat`` a local observer for
@@ -36,38 +38,26 @@ import numpy as np
 
 from .agents import ModelClass, mixed_decompose
 from .errors import SynthesisError, ValidationError
-from .gains import verify_gains
+from .gains import _KINDS, kind_spec, verify_gains
 
 __all__ = [
     "KINDS",
-    "FULL_STATE_KINDS",
-    "PARTIAL_STATE_KINDS",
     "ProtocolRealization",
     "build_protocol",
     "compatible_classes",
 ]
 
-KINDS = ("P1", "P2", "P3", "P4", "P5", "P6")
-FULL_STATE_KINDS = ("P1", "P3", "P5")
-PARTIAL_STATE_KINDS = ("P2", "P4", "P6")
-
-_COMPATIBLE = {
-    "P1": (ModelClass.NEUTRALLY_STABLE,),
-    "P2": (ModelClass.NEUTRALLY_STABLE,),
-    "P3": (ModelClass.DOUBLE_INTEGRATOR,),
-    "P4": (ModelClass.DOUBLE_INTEGRATOR,),
-    # The double-integrator class has the mixed structure (every chain
-    # has length two), so the mixed-case kinds accept it as well.
-    "P5": (ModelClass.MIXED, ModelClass.DOUBLE_INTEGRATOR),
-    "P6": (ModelClass.MIXED, ModelClass.DOUBLE_INTEGRATOR),
-}
+KINDS = tuple(_KINDS)
 
 
 def compatible_classes(kind):
-    """The model classes a protocol kind accepts."""
-    if kind not in _COMPATIBLE:
-        raise ValidationError(f"unknown protocol kind {kind!r}")
-    return _COMPATIBLE[kind]
+    """The model classes a protocol kind accepts: the class it is
+    designed for, and for the mixed kinds also the double-integrator
+    class, which has the mixed structure (every chain has length two)."""
+    model_class, _ = kind_spec(kind)
+    if model_class is ModelClass.MIXED:
+        return (ModelClass.MIXED, ModelClass.DOUBLE_INTEGRATOR)
+    return (model_class,)
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,7 @@ class ProtocolRealization:
 
     @property
     def uses_observer(self):
-        return self.kind in PARTIAL_STATE_KINDS
+        return not kind_spec(self.kind)[1]
 
 
 def build_protocol(kind, model, gains):
@@ -111,32 +101,30 @@ def build_protocol(kind, model, gains):
     Verifies the gains first and refuses incompatible pairings; the
     result depends only on (kind, model, gains), never on the graph.
     """
-    if kind not in KINDS:
-        raise ValidationError(f"unknown protocol kind {kind!r}")
-    if model.model_class not in _COMPATIBLE[kind]:
-        names = "/".join(m.value for m in _COMPATIBLE[kind])
+    model_class, full_state = kind_spec(kind)
+    accepted = compatible_classes(kind)
+    if model.model_class not in accepted:
+        names = "/".join(m.value for m in accepted)
         raise ValidationError(
             f"kind {kind} needs a {names} model, got {model.model_class.value!r}"
         )
-    if kind in FULL_STATE_KINDS and model.coupling != "full":
-        raise ValidationError(f"kind {kind} needs full-state coupling")
-    decomp = None
-    if kind in ("P5", "P6"):
-        decomp = mixed_decompose(model.a, model.b, model.c, gamma_x=gains.gamma_x)
-    report = verify_gains(model, gains, kind=kind, decomp=decomp)
+    if full_state and not np.array_equal(model.c, np.eye(model.n)):
+        raise ValidationError(f"kind {kind} exchanges full states and needs c = I")
+    report = verify_gains(model, gains, kind=kind)
     if not report.passed:
         failed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
         raise SynthesisError(f"gains fail verification for {kind}: {failed}")
 
     n, m, q_out = model.n, model.m, model.q_out
-    if kind in ("P1", "P2"):
+    if model_class is ModelClass.NEUTRALLY_STABLE:
         u_gain = -gains.rho * model.b.T @ gains.p
-    elif kind in ("P3", "P4"):
+    elif model_class is ModelClass.DOUBLE_INTEGRATOR:
         u_gain = gains.rho * gains.k
     else:
+        decomp = mixed_decompose(model.a, model.b, model.c, gamma_x=gains.gamma_x)
         u_gain = gains.rho * gains.k @ decomp.gamma_x
 
-    if kind in FULL_STATE_KINDS:
+    if full_state:
         a_c = model.a.copy()
         b_c = model.b.copy()
         c_c = np.eye(n)

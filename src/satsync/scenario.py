@@ -29,7 +29,7 @@ import numpy as np
 
 from .agents import AgentModel
 from .errors import ValidationError
-from .gains import GainSet, synthesize_gains
+from .gains import GainSet, kind_spec, synthesize_gains
 from .graphs import (
     _FLOAT_MAX,
     CommGraph,
@@ -40,7 +40,7 @@ from .graphs import (
     serialize_graph,
 )
 from .presets import preset_scenario
-from .protocols import FULL_STATE_KINDS, KINDS, build_protocol
+from .protocols import KINDS, build_protocol
 from .simulation import DEFAULT_DT, DEFAULT_HORIZON, Scenario
 
 __all__ = [
@@ -191,7 +191,7 @@ def _overrides_patch(overrides):
     return patch
 
 
-def _parse_model(doc, kind):
+def _parse_model(doc):
     model = _require_mapping(doc.get("model"), "model")
     _reject_unknown(model, _MODEL_KEYS, "model")
     for key in ("a", "b"):
@@ -200,9 +200,8 @@ def _parse_model(doc, kind):
     a = _matrix(model["a"], "model.a")
     b = _matrix(model["b"], "model.b")
     c = _matrix(model["c"], "model.c") if "c" in model else np.eye(a.shape[0])
-    coupling = "full" if kind in FULL_STATE_KINDS else "partial"
     try:
-        return AgentModel(a=a, b=b, c=c, coupling=coupling)
+        return AgentModel(a=a, b=b, c=c)
     except ValidationError as exc:
         raise ValidationError(f"model: {exc}") from None
 
@@ -259,6 +258,8 @@ def _parse_protocol(doc, model):
         raise ValidationError(
             f"protocol.kind: unknown kind {kind!r} (expected one of {', '.join(KINDS)})"
         )
+    if kind_spec(kind)[1] and not np.array_equal(model.c, np.eye(model.n)):
+        raise ValidationError("model: full coupling requires c to be the identity")
     rho = 1.0
     if "rho" in protocol:
         rho = _number(protocol["rho"], "protocol.rho")
@@ -305,11 +306,7 @@ def parse_scenario_doc(data, base_dir=None, overrides=None):
         if key not in doc:
             raise ValidationError(f"{key}: missing section")
 
-    protocol_section = _require_mapping(doc.get("protocol"), "protocol")
-    kind = protocol_section.get("kind")
-    if kind is None:
-        raise ValidationError("protocol.kind: missing")
-    model = _parse_model(doc, kind)
+    model = _parse_model(doc)
     graph = _parse_graph_section(doc, base_dir)
     kind, gains = _parse_protocol(doc, model)
 

@@ -29,7 +29,7 @@ from satsync.gains import design_K_double, solve_P_neutral
 from satsync.graphs import _WEIGHT_GRID, CommGraph, check_rootset, laplacian, serialize_graph
 from satsync.linalg import EIG_TOL, _square, solve_lyapunov
 from satsync.presets import preset_scenario
-from satsync.protocols import FULL_STATE_KINDS, KINDS
+from satsync.protocols import KINDS
 from satsync.scenario import parse_scenario_doc
 from satsync.simulation import _signal_columns, rk4
 
@@ -83,7 +83,7 @@ def compute_network_signals(kind, graph, y, y_r, xi, state_dim=None):
     pair = laplacian(graph)
     zeta_bar = pair.Lbar @ (y - y_r)
     zeta_hat = pair.L @ xi
-    if kind in FULL_STATE_KINDS:
+    if kind in ("P1", "P3", "P5"):  # the full-state kinds
         return NetworkSignals(zeta_bar=zeta_bar, zeta_hat_1=zeta_hat, zeta_hat_2=None)
     if state_dim is None:
         raise ValidationError("partial-state kinds need state_dim to split zeta_hat")
@@ -246,7 +246,7 @@ def v_trace_violation(v_trace):
 def _require_certificate_setup(model, graph, rho, wanted, label):
     if model.classification.model_class is not wanted:
         raise ValidationError(f"certificate requires a {label} model")
-    if model.coupling != "full":
+    if not np.array_equal(model.c, np.eye(model.n)):
         raise ValidationError("certificate requires full-state coupling")
     if not rho > 0.0:
         raise ValidationError(f"rho must be positive, got {rho:g}")

@@ -62,23 +62,21 @@ def _preset_run(name, graph_doc, **sim_overrides):
 
 
 def rotation_full_model():
-    return AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2), coupling="full")
+    return AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2))
 
 
 def double_full_model():
-    return AgentModel(a=DOUBLE_A, b=DOUBLE_B, c=np.eye(2), coupling="full")
+    return AgentModel(a=DOUBLE_A, b=DOUBLE_B, c=np.eye(2))
 
 
 def _scenario(model, kind, graph, seed=1, ic_scale=1.0, rho=1.0, **sim):
     doc = {
         "name": f"{kind.lower()}-case",
-        "model": {"a": model.a.tolist(), "b": model.b.tolist()},
+        "model": {"a": model.a.tolist(), "b": model.b.tolist(), "c": model.c.tolist()},
         "graph": graph,
         "protocol": {"kind": kind, "rho": rho},
         "sim": {"seed": seed, "ic_scale": ic_scale, **sim},
     }
-    if model.coupling == "partial":
-        doc["model"]["c"] = model.c.tolist()
     return build_scenario(parse_scenario_doc(json.dumps(doc).encode()))
 
 

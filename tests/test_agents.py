@@ -11,6 +11,8 @@ from satsync.agents import (
     saturate,
 )
 from satsync.errors import SynthesisError, ValidationError
+from satsync.gains import synthesize_gains
+from satsync.protocols import build_protocol
 
 from oracles import saturation_potential
 
@@ -92,11 +94,15 @@ def test_classify_reports_uncontrollable():
 
 
 def test_agent_model_full_coupling_needs_identity_c():
-    AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2), coupling="full")
-    with pytest.raises(ValidationError, match="identity"):
-        AgentModel(
-            a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.array([[1.0, 0.0]]), coupling="full"
-        )
+    # the model is the triple alone; a full-state kind checks c = I where
+    # it is built (the parse check is in test_scenario)
+    with pytest.raises(TypeError):
+        AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2), coupling="full")
+    model = AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.array([[1.0, 0.0]]))
+    gains = synthesize_gains(model, "P1")
+    with pytest.raises(ValidationError, match="exchanges full states and needs c = I"):
+        build_protocol("P1", model, gains)
+    build_protocol("P2", model, synthesize_gains(model, "P2"))
 
 
 def mixed_canonical():

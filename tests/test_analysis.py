@@ -1,6 +1,7 @@
 """Diagnostics: metrics, sweeps, report round trips, and the test-side
 energy certificates."""
 
+import json
 import multiprocessing
 import os
 import pickle
@@ -55,7 +56,7 @@ DOUBLE_B = np.array([[0.0], [1.0]])
 
 
 def p1_scenario(n_agents=3, horizon=8.0, dt=0.01, seed=0):
-    model = AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2), coupling="full")
+    model = AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2))
     graph = generate_graph("random", n_agents, roots=[1], seed=seed)
     proto = build_protocol("P1", model, synthesize_gains(model, "P1"))
     rng = np.random.default_rng(seed)
@@ -67,7 +68,7 @@ def p1_scenario(n_agents=3, horizon=8.0, dt=0.01, seed=0):
 
 
 def p3_scenario(n_agents=3, horizon=12.0, dt=0.01, seed=1):
-    model = AgentModel(a=DOUBLE_A, b=DOUBLE_B, c=np.eye(2), coupling="full")
+    model = AgentModel(a=DOUBLE_A, b=DOUBLE_B, c=np.eye(2))
     graph = generate_graph("random", n_agents, roots=[1], seed=seed)
     proto = build_protocol("P3", model, synthesize_gains(model, "P3"))
     rng = np.random.default_rng(seed)
@@ -312,6 +313,18 @@ def test_export_parse_round_trip(tmp_path):
     assert sorted(p.name for p in map(_as_path, written)) == ["case-a.csv", "summary.json"]
     back = parse_report(tmp_path)
     assert back == runs  # reports and floats round-trip exactly
+
+
+@pytest.mark.parametrize("runs, named", [
+    ([{"name": "a"}], "runs[0]: missing field 'times'"),
+    ({"a": 1}, "runs: expected a list, got dict"),
+])
+def test_parse_report_names_a_malformed_run(tmp_path, runs, named):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps({"format": "satsync-report", "runs": runs}))
+    with pytest.raises(ValidationError) as err:
+        parse_report(path)
+    assert str(err.value) == f"{path}: {named}"
 
 
 def _as_path(p):

@@ -650,6 +650,24 @@ def test_verify_rejects_an_integer_beyond_floats_without_traceback(tmp_path, cap
     assert err == f"error: protocol.rho: must be finite, got {10**400}\n"
 
 
+@pytest.mark.parametrize("route", ["inline", "file"])
+def test_verify_rejects_a_duplicate_edge_without_traceback(tmp_path, capsys, route):
+    graph = {"n": 2, "roots": [1], "edges": [
+        {"from": 1, "to": 2, "weight": 1.0}, {"from": 1, "to": 2, "weight": 3.0},
+    ]}
+    doc = json.loads(json.dumps(SHORT_SCENARIO))
+    where = "graph"
+    if route == "file":
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        graph, where = {"file": "g.json"}, str(tmp_path / "g.json")
+    doc["graph"] = graph
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {where}.edges[1]: duplicate of edges[0] (from 1 to 2)\n"
+
+
 def test_invalid_scenario_content_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"model": {"preset": "example1"}, "sim": {"dt": -1}}))

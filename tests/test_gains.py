@@ -27,7 +27,7 @@ ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def rotation_model():
-    return AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2), coupling="full")
+    return AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2))
 
 
 def random_neutral(rng, max_pairs=2):
@@ -211,7 +211,6 @@ def test_synthesize_gains_field_coverage():
             a=np.array([[0.0, 1.0], [0.0, 0.0]]),
             b=np.array([[0.0], [1.0]]),
             c=np.eye(2),
-            coupling="full",
         ),
         "P4": preset_parts("example1").model,
         "P6": preset_parts("example2").model,

@@ -148,6 +148,8 @@ def test_parse_graph_rejections():
          f"{edge}.weight: must be a positive number, got 1000"),
         ({"roots": [True]}, "graph.roots[0]: expected an integer, got True"),
         ({"roots": [1, 2.0]}, "graph.roots[1]: expected an integer, got 2.0"),
+        ({"edges": [{"from": 1, "to": 2, "weight": 1.0}, {"from": 1, "to": 2, "weight": 3.0}]},
+         "graph.edges[1]: duplicate of edges[0] (from 1 to 2)"),
     ]:
         with pytest.raises(ValidationError) as err:
             parse_graph(dict(base, **bad))

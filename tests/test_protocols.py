@@ -1,13 +1,17 @@
 """Protocol realizations and the diffusive network signals."""
 
+import ast
+import os
+
 import numpy as np
 import pytest
 
+import satsync
 from satsync.agents import AgentModel, ModelClass
 from satsync.errors import ValidationError
-from satsync.gains import synthesize_gains
+from satsync.gains import GainSet, kind_spec, synthesize_gains, verify_gains
 from satsync.graphs import CommGraph, generate_graph, laplacian
-from satsync.protocols import FULL_STATE_KINDS, KINDS, build_protocol, compatible_classes
+from satsync.protocols import KINDS, build_protocol, compatible_classes
 
 from oracles import compute_network_signals, preset_parts
 
@@ -15,7 +19,7 @@ ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def full_rotation_model():
-    return AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2), coupling="full")
+    return AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2))
 
 
 def test_compatible_classes_table():
@@ -137,4 +141,108 @@ def test_network_signals_partial_needs_state_dim():
 
 def test_kind_listing_is_stable():
     assert KINDS == ("P1", "P2", "P3", "P4", "P5", "P6")
-    assert FULL_STATE_KINDS == ("P1", "P3", "P5")
+    assert [kind for kind in KINDS if kind_spec(kind)[1]] == ["P1", "P3", "P5"]
+
+
+def class_models():
+    """One model of each class, all with c = I, so every kind can take them."""
+    ex2 = preset_parts("example2").model
+    return {
+        ModelClass.NEUTRALLY_STABLE: full_rotation_model(),
+        ModelClass.DOUBLE_INTEGRATOR: AgentModel(
+            a=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.array([[0.0], [1.0]]), c=np.eye(2)
+        ),
+        ModelClass.MIXED: AgentModel(a=ex2.a, b=ex2.b, c=np.eye(ex2.n)),
+    }
+
+
+# The checks each kind's gains report, in order: these names reach summary.json.
+KIND_CHECKS = {
+    "P1": ["rho_positive", "p_neutral_weight"],
+    "P2": ["rho_positive", "p_neutral_weight", "f_stabilizes_observer"],
+    "P3": ["rho_positive", "k_blocks_negative_definite"],
+    "P4": ["rho_positive", "f_stabilizes_observer", "k_blocks_negative_definite"],
+    "P5": ["rho_positive", "k_mixed_conditions"],
+    "P6": ["rho_positive", "f_stabilizes_observer", "k_mixed_conditions"],
+}
+
+KIND_CLASS = {
+    "P1": ModelClass.NEUTRALLY_STABLE,
+    "P2": ModelClass.NEUTRALLY_STABLE,
+    "P3": ModelClass.DOUBLE_INTEGRATOR,
+    "P4": ModelClass.DOUBLE_INTEGRATOR,
+    "P5": ModelClass.MIXED,
+    "P6": ModelClass.MIXED,
+}
+
+
+def test_each_kind_reports_its_checks_in_order():
+    models = class_models()
+    for kind, names in KIND_CHECKS.items():
+        model = models[KIND_CLASS[kind]]
+        gains = synthesize_gains(model, kind)
+        report = verify_gains(model, gains, kind=kind)
+        assert [c.name for c in report.checks] == names, kind
+        assert report.passed, kind
+        assert [c.name for c in build_protocol(kind, model, gains).gain_report.checks] == names
+
+
+def test_unknown_kind_is_one_message_everywhere():
+    model = full_rotation_model()
+    calls = (
+        lambda: verify_gains(model, GainSet(), kind="P7"),
+        lambda: synthesize_gains(model, "P7"),
+        lambda: compatible_classes("P7"),
+        lambda: build_protocol("P7", model, GainSet()),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="^unknown protocol kind 'P7'$"):
+            call()
+
+
+def test_build_protocol_accepts_exactly_the_compatible_pairs():
+    accepted = {
+        ("P1", ModelClass.NEUTRALLY_STABLE),
+        ("P2", ModelClass.NEUTRALLY_STABLE),
+        ("P3", ModelClass.DOUBLE_INTEGRATOR),
+        ("P4", ModelClass.DOUBLE_INTEGRATOR),
+        ("P5", ModelClass.MIXED),
+        ("P5", ModelClass.DOUBLE_INTEGRATOR),
+        ("P6", ModelClass.MIXED),
+        ("P6", ModelClass.DOUBLE_INTEGRATOR),
+    }
+    for model_class, model in class_models().items():
+        for kind in KINDS:
+            if (kind, model_class) in accepted:
+                proto = build_protocol(kind, model, synthesize_gains(model, kind))
+                assert proto.uses_observer == (kind in ("P2", "P4", "P6"))
+            else:
+                with pytest.raises(ValidationError, match=f"kind {kind} needs a"):
+                    build_protocol(kind, model, GainSet())
+
+
+def test_only_the_kind_table_names_a_kind():
+    # the scenario documents in presets name kinds as data; docstrings
+    # are longer strings and never match
+    package_dir = os.path.dirname(satsync.__file__)
+    tables, found = 0, []
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py") or name == "presets.py":
+            continue
+        with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        table = set()
+        for node in tree.body:
+            if name == "gains.py" and isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "_KINDS" for t in node.targets
+            ):
+                table = {id(n) for n in ast.walk(node.value)}
+                tables += 1
+        found += [
+            f"{name}:{node.lineno} {node.value}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in KIND_CHECKS
+            and id(node) not in table
+        ]
+    assert tables == 1, "gains._KINDS not found"
+    assert not found, f"kind names outside gains._KINDS: {found}"

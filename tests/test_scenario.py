@@ -39,12 +39,18 @@ def test_minimal_document_defaults():
 
 
 def test_full_state_kind_implies_full_coupling():
-    d = doc(protocol={"kind": "P1"})
-    d["model"] = {"a": [[0, 1], [-1, 0]], "b": [[0], [1]]}  # c defaults to identity
-    parts = parse_scenario_doc(d)
-    assert parts.model.coupling == "full"
-    parts2 = parse_scenario_doc(doc())
-    assert parts2.model.coupling == "partial"
+    d = doc(protocol={"kind": "P1"})  # c defaults to the identity
+    assert np.array_equal(parse_scenario_doc(d).model.c, np.eye(2))
+    for kind in ("P1", "P3", "P5"):
+        d = doc(protocol={"kind": kind})
+        d["model"]["c"] = [[1, 0]]
+        with pytest.raises(
+            ValidationError, match="^model: full coupling requires c to be the identity$"
+        ):
+            parse_scenario_doc(d)
+    d = doc()
+    d["model"]["c"] = [[1, 0]]
+    assert parse_scenario_doc(d).model.c.shape == (1, 2)
 
 
 def test_unknown_keys_rejected_with_paths():

@@ -49,7 +49,7 @@ ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def rotation_scenario(n_agents=3, horizon=2.0, dt=0.01, seed=0, **kw):
-    model = AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2), coupling="full")
+    model = AgentModel(a=ROTATION, b=np.array([[0.0], [1.0]]), c=np.eye(2))
     graph = generate_graph("random", n_agents, roots=[1], seed=seed)
     proto = build_protocol("P1", model, synthesize_gains(model, "P1"))
     rng = np.random.default_rng(seed)
@@ -69,7 +69,7 @@ def rotation_scenario(n_agents=3, horizon=2.0, dt=0.01, seed=0, **kw):
 def _example2_protocols():
     example2 = preset_parts("example2")
     model = example2.model
-    full = AgentModel(a=model.a, b=model.b, c=np.eye(model.n), coupling="full")
+    full = AgentModel(a=model.a, b=model.b, c=np.eye(model.n))
     return {
         "P6": (model, build_protocol("P6", model, example2.gains)),
         "P5": (full, build_protocol("P5", full, example2.gains)),
@@ -356,11 +356,11 @@ def _kind_protocols():
     neutrally stable kinds, example1's double integrator and example2's
     mixed model for the others."""
     b = np.array([[0.0], [1.0]])
-    rot_full = AgentModel(a=ROTATION, b=b, c=np.eye(2), coupling="full")
+    rot_full = AgentModel(a=ROTATION, b=b, c=np.eye(2))
     rot_partial = AgentModel(a=ROTATION, b=b, c=np.array([[1.0, 0.0]]))
     example1 = preset_parts("example1")
     di = example1.model
-    di_full = AgentModel(a=di.a, b=di.b, c=np.eye(di.n), coupling="full")
+    di_full = AgentModel(a=di.a, b=di.b, c=np.eye(di.n))
     kinds = {
         "P1": (rot_full, build_protocol("P1", rot_full, synthesize_gains(rot_full, "P1"))),
         "P2": (rot_partial, build_protocol("P2", rot_partial, synthesize_gains(rot_partial, "P2"))),
