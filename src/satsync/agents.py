@@ -11,8 +11,10 @@ Three structural classes are supported, checked in this order:
 * ``neutrally_stable`` -- (a, b, c) controllable and observable, all
   eigenvalues in the closed left half plane, and every imaginary-axis
   eigenvalue semisimple.
-* ``double_integrator`` -- (a, b) is exactly a stack of decoupled
-  position/velocity chains up to a relabeling of states (0/1 entries).
+* ``double_integrator`` -- (a, b) is exactly m decoupled
+  position/velocity chains in block order, a = [[0, I], [0, 0]] and
+  b = [0; I]: positions first, then velocities. Other state orders have
+  the mixed structure and are classified so.
 * ``mixed`` -- eigenvalue zero with geometric multiplicity equal to the
   input count, Jordan chains of length at most two, and all remaining
   eigenvalues simple and purely imaginary. This is the class where the
@@ -282,25 +284,18 @@ def _eigen_clusters(a):
 
 
 def _is_double_integrator(a, b):
-    """Exact test for a relabeled stack of position/velocity chains.
+    """Exact test for the block form a = [[0, I], [0, 0]], b = [0; I].
 
-    Requires 0/1 entries: b selects m distinct velocity states, one per
-    input, and a maps each velocity to a distinct position state with
-    no other coupling.
+    The double-integrator feedback k = [-I | -I]
+    (``gains.design_K_double``) reads the states in this order, so a
+    relabeling of the chains is not accepted here.
     """
     n, m = a.shape[0], b.shape[1]
     if n != 2 * m:
         return False
-    if not (np.isin(a, (0.0, 1.0)).all() and np.isin(b, (0.0, 1.0)).all()):
-        return False
-    if not (b.sum(axis=0) == 1).all() or not (b.sum(axis=1) <= 1).all():
-        return False
-    vel = np.flatnonzero(b.sum(axis=1) == 1)
-    pos = np.setdiff1d(np.arange(n), vel)
-    if np.any(a[vel, :] != 0) or np.any(a[:, pos] != 0):
-        return False
-    block = a[np.ix_(pos, vel)]
-    return bool((block.sum(axis=0) == 1).all() and (block.sum(axis=1) == 1).all())
+    zero, eye = np.zeros((m, m)), np.eye(m)
+    block_a = np.block([[zero, eye], [zero, zero]])
+    return np.array_equal(a, block_a) and np.array_equal(b, np.vstack([zero, eye]))
 
 
 def _kernel_dims(a):

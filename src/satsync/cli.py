@@ -53,8 +53,6 @@ _REALIZATION_FIELDS = (
     "d_c",
     "f_c",
     "h_c",
-    "root_state",
-    "root_input",
     "u_gain",
 )
 

@@ -19,15 +19,15 @@ P6        mixed               outputs     (xhat, chi) (2n)
 the network output error. Agents exchange ``xi = chi`` (full-state
 kinds) or ``xi = (chi, sat(u))`` (partial-state kinds) and consume two
 diffusive signals: ``zeta_bar``, the expanded-Laplacian combination of
-output errors relative to the reference, and ``zeta_hat``, the plain
-Laplacian combination of the exchanged xi.
+output errors relative to the reference, and ``zeta_hat``, the
+expanded-Laplacian combination of the exchanged xi. An agent that also
+sees the reference thus weighs its own xi once more: the extra ``-chi``
+leak and ``+B sat(u)`` feed of a root agent are ``d_c`` applied to its
+own xi.
 
 A realization is built from the agent triple and gains alone -- no
 graph data enters, which is what makes one controller serve any number
-of agents. The root-flag terms in the dynamics (an extra ``-chi`` leak
-and a ``+B sat(u)`` feed on agents that also see the reference) are
-stored as separate couplings scaled by each agent's flag at simulation
-time.
+of agents.
 """
 
 from __future__ import annotations
@@ -65,15 +65,15 @@ class ProtocolRealization:
     """One agent's controller, in the standard observer-protocol form:
 
         d/dt x_c = a_c x_c + b_c sat(u) + c_c zeta_bar + d_c zeta_hat
-                   + iota * (root_input @ sat(u) - root_state @ x_c)
         u        = f_c x_c
         xi       = h_c x_c            (full-state kinds)
                    (h_c x_c, sat(u))  (partial-state kinds)
 
-    where iota is the agent's root flag. ``u_gain`` repeats f_c's
-    active block (the feedback applied to chi) for diagnostics, ``gains``
-    retains what the realization was built from, and ``gain_report`` the
-    audit that admitted them, which every run reports, on any graph.
+    with both signals expanded-Laplacian combinations (see the module
+    docstring). ``u_gain`` repeats f_c's active block (the feedback
+    applied to chi) for diagnostics, ``gains`` retains what the
+    realization was built from, and ``gain_report`` the audit that
+    admitted them, which every run reports, on any graph.
     """
 
     kind: str
@@ -84,8 +84,6 @@ class ProtocolRealization:
     d_c: np.ndarray
     f_c: np.ndarray
     h_c: np.ndarray
-    root_state: np.ndarray
-    root_input: np.ndarray
     u_gain: np.ndarray
     gains: object
     gain_report: object
@@ -131,8 +129,6 @@ def build_protocol(kind, model, gains):
         d_c = -np.eye(n)
         f_c = u_gain
         h_c = np.eye(n)
-        root_state = np.eye(n)
-        root_input = np.zeros((n, m))
         n_c = n
     else:
         a_c = np.zeros((2 * n, 2 * n))
@@ -150,10 +146,6 @@ def build_protocol(kind, model, gains):
         f_c[:, n:] = u_gain
         h_c = np.zeros((n, 2 * n))
         h_c[:, n:] = np.eye(n)
-        root_state = np.zeros((2 * n, 2 * n))
-        root_state[n:, n:] = np.eye(n)
-        root_input = np.zeros((2 * n, m))
-        root_input[:n, :] = model.b
         n_c = 2 * n
 
     return ProtocolRealization(
@@ -165,8 +157,6 @@ def build_protocol(kind, model, gains):
         d_c=d_c,
         f_c=f_c,
         h_c=h_c,
-        root_state=root_state,
-        root_input=root_input,
         u_gain=u_gain,
         gains=gains,
         gain_report=report,

@@ -7,9 +7,9 @@ The full network state is one vector
 holding the reference exosystem, the agent states, and the controller
 states. Everything the agents exchange is diffusive, so the closed loop
 is the protocol's per-agent equations (see ``ClosedLoop``): one product
-of the stacked per-agent rows with the local and root blocks, and one
-product each with the Laplacian L and the expanded Laplacian Lbar, which
-is all the graph contributes: N x N times N x n_c per call, where the
+of the stacked per-agent rows with the local blocks, and one product
+with the expanded Laplacian Lbar and the root flags, which is all the
+graph contributes: N x (N + 1) times (N + 1) x n_c per call, where the
 Kronecker-product operator the equations factor into,
 
     dz/dt = M z + G sat(U z),
@@ -81,26 +81,28 @@ MAX_STEPS = 10_000_000
 # components through the per-agent equations, smaller ones through their
 # ``step_operator``. Per step of 800 at dt 0.01, the materialized step
 # (its build included) against the per-agent RK4, example2's P6 on seeded
-# random graphs (min of 5 interleaved rounds, 2 BLAS threads, 2-vCPU
+# random graphs (min of 2 x 10 interleaved rounds, 2 BLAS threads, 2-vCPU
 # x86-64 host; us):
 #
 #   dim   materialized (build)   per-agent
-#   217     42 (7 ms)              140
-#   280     65 (10 ms)             139
-#   322    102 (15 ms)             136
-#   343    118 (17 ms)             155
-#   364    153 (21 ms)             143
-#   532    354 (54 ms)             147
+#   217     34 (4 ms)              101
+#   280     62 (9 ms)               95
+#   322     93 (11 ms)              98
+#   343     96 (13 ms)              92
+#   364    115 (16 ms)              87
+#   532    297 (43 ms)              96
 #
-# The step's [Phi | Gamma] has dim x (dim + 4 N m) entries, so kinds with
-# more inputs per state cross over earlier: P1 on the rotation (m = 1,
-# n = 2) ties at dim 302 (168 vs 158 us), P4 on example1 loses at 362
-# (170 vs 152 us). The per-agent step costs about 140 us whatever N up to
-# here, most of it numpy call overhead; past here its dense Laplacians
-# cost O(N^2) whatever the edge count, so long sparse graphs lose: path
-# N = 150, 400, 1000 take 130, 555 and 2761 us per right-hand side,
-# against 52, 113 and 289 us for the sparse Kronecker operator it
-# replaced.
+# The two tie at dims 322 and 343, within the rounds' spread, and the
+# per-agent step wins from 364 on. The step's [Phi | Gamma] has
+# dim x (dim + 4 N m) entries, so kinds with more inputs per state cross
+# over earlier: P1 on the rotation (m = 1, n = 2) loses at dim 302 (138
+# vs 109 us), P4 on example1 at 362 (150 vs 111 us). The per-agent step
+# costs about 100 us whatever N up to here, most of it numpy call
+# overhead; past here its dense Lbar costs O(N^2) whatever the edge
+# count, so long sparse graphs lose: path N = 150, 400, 1000 take 55, 218
+# and 1393 us per right-hand side (89, 492 and 2946 us with one product
+# each with L and Lbar, min of 2 x 5), against 52, 113 and 289 us for
+# the sparse Kronecker operator it replaced.
 PER_AGENT_MIN_DIM = 350
 # Trajectory export formats about this many CSV rows (whole time steps
 # of N rows each) per block, one pool task; a pooled export has at most
@@ -223,22 +225,23 @@ class ClosedLoop:
         U       = Xc f_c^T
         dx_r/dt = a x_r
         dX/dt   = X a^T + S b^T
-        dXc/dt  = Xc a_c^T + S b_c^T + iota (S root_input^T - Xc root_state^T)
-                  + L (Xc h_c^T d_x^T + S d_u^T)              (d_c zeta_hat)
-                  + Lbar X (c_c C)^T - iota x_r^T (c_c C)^T   (c_c zeta_bar)
+        dXc/dt  = Xc a_c^T + S b_c^T
+                  + Lbar (X (c_c C)^T + Xc h_c^T d_x^T + S d_u^T)
+                  - iota x_r^T (c_c C)^T
 
-    The per-agent blocks are one product ``[X | Xc | S] @ gain``; the
-    graph enters through one product each with ``lap`` (L) and ``lbar``
-    (Lbar), and through the root flags ``iota``. ``step_operator`` forms
-    the dense M, G, U of a small loop from ``rates`` and ``inputs``.
+    that is, c_c zeta_bar + d_c zeta_hat with both signals Lbar
+    combinations. The reference joins the agent rows as one row more,
+    x_r with no controller state or input: the per-agent blocks are then
+    one product ``[X | Xc | S; x_r | 0 | 0] @ gain``, whose last row
+    holds dx_r and (c_c C) x_r, and the graph enters through one product
+    with ``lbar``, Lbar with the negated root flags as its last column.
+    ``step_operator`` forms the dense M, G, U of a small loop from
+    ``rates`` and ``inputs``.
     """
 
     scenario: Scenario
-    lap: np.ndarray
-    lbar: np.ndarray
-    iota: np.ndarray  # N x 1
-    exo: np.ndarray  # x_r -> [dx_r | (c_c C) x_r]
-    gain: np.ndarray  # [X | Xc | S] -> [dX | local | root | into L | into Lbar]
+    lbar: np.ndarray  # [Lbar | -iota], N x (N + 1)
+    gain: np.ndarray  # [X | Xc | S] -> [dX | local | into Lbar]
     f_t: np.ndarray  # f_c^T
 
     def inputs(self, z):
@@ -252,26 +255,30 @@ class ClosedLoop:
         its N x m.
         """
         x_r, x, xc = self._split(z)
-        n, n_c = x.shape[-1], xc.shape[-1]
-        w = np.concatenate([x, xc, s], axis=-1) @ self.gain
-        r = x_r @ self.exo
+        N, n = x.shape[-2:]
+        n_c = xc.shape[-1]
+        rows = np.zeros(z.shape[:-1] + (N + 1, self.gain.shape[0]))
+        rows[..., :N, :n] = x
+        rows[..., :N, n: n + n_c] = xc
+        rows[..., :N, n + n_c:] = s
+        rows[..., N, :n] = x_r
+        w = rows @ self.gain
         out = np.empty(z.shape)
         _, dx, dxc = self._split(out)
-        out[..., :n] = r[..., :n]
-        dx[...] = w[..., :n]
-        # summed as (local + iota root) + L (.) + Lbar (.), so that each
-        # entry of the dense M or G is rounded as its Kronecker sum
-        np.multiply(self.iota, w[..., n + n_c: n + 2 * n_c] - r[..., None, n:], out=dxc)
-        dxc += w[..., n: n + n_c]
-        dxc += self.lap @ w[..., n + 2 * n_c: n + 3 * n_c]
-        dxc += self.lbar @ w[..., n + 3 * n_c:]
+        out[..., :n] = w[..., N, :n]
+        dx[...] = w[..., :N, :n]
+        # summed as [Lbar | -iota] (.) + local: on identity columns each
+        # entry of the dense M or G is its Kronecker sum of at most two
+        # nonzero terms, a_c + Lbar_ij d_x h_c, rounded once
+        np.matmul(self.lbar, w[..., n + n_c:], out=dxc)
+        dxc += w[..., :N, n: n + n_c]
         return out
 
     def vector_field(self, t, z):
         return self.rates(z, saturate(self.inputs(z)))
 
     def _split(self, z):
-        n, N = self.exo.shape[0], self.lap.shape[0]
+        n, N = self.scenario.model.n, self.lbar.shape[0]
         lead = z.shape[:-1]
         return (
             z[..., :n],
@@ -288,7 +295,7 @@ class ClosedLoop:
     @property
     def dim(self):
         """Size of the stacked state z."""
-        n, N = self.exo.shape[0], self.lap.shape[0]
+        n, N = self.scenario.model.n, self.lbar.shape[0]
         return n + N * (n + self.f_t.shape[0])
 
     @property
@@ -304,7 +311,6 @@ def assemble(scenario):
     model, graph, proto = sc.model, sc.graph, sc.protocol
     n, m, N = model.n, model.m, graph.n
     n_c = proto.controller_state_dim
-    pair = laplacian(graph)
     q = proto.h_c.shape[0]  # state part of the exchanged xi
     d_state, d_input = proto.d_c[:, :q], proto.d_c[:, q:]
     if not d_input.size:
@@ -313,17 +319,14 @@ def assemble(scenario):
     zero = np.zeros
     gain = np.block(
         [
-            [model.a.T, zero((n, 3 * n_c)), cc_t],
-            [zero((n_c, n)), proto.a_c.T, -proto.root_state.T, (d_state @ proto.h_c).T, zero((n_c, n_c))],
-            [model.b.T, proto.b_c.T, proto.root_input.T, d_input.T, zero((m, n_c))],
+            [model.a.T, zero((n, n_c)), cc_t],
+            [zero((n_c, n)), proto.a_c.T, (d_state @ proto.h_c).T],
+            [model.b.T, proto.b_c.T, d_input.T],
         ]
     )
     return ClosedLoop(
         scenario=sc,
-        lap=pair.L,
-        lbar=pair.Lbar,
-        iota=graph.root_flags.astype(float).reshape(N, 1),
-        exo=np.hstack([model.a.T, cc_t]),
+        lbar=np.hstack([laplacian(graph).Lbar, -graph.root_flags.astype(float).reshape(N, 1)]),
         gain=gain,
         f_t=proto.f_c.T,
     )
@@ -348,15 +351,16 @@ def step_operator(loop):
     """The RK4 step of a loop's dense M, G, U at its scenario's dt.
 
     M, G and U are the loop's equations on identity columns: each entry
-    a block entry, its product with a graph entry, or their sum in the
-    order ``(a_c - iota root_state) + L d_x h_c``, so they equal the
-    ``np.kron`` products of the same blocks entry for entry. ``rk4``'s
+    a block entry, its product with a graph entry, or their sum
+    ``a_c + Lbar_ij d_x h_c`` (``b_c + Lbar_ij d_u`` in G), so they
+    equal the ``np.kron`` products of the same blocks, Lbar's among them,
+    entry for entry. ``rk4``'s
     stage recurrence is then applied to the identity columns of
     [z; s1; s2; s3; s4], each stage's saturated input an unknown: every
     stage state is affine in z and in the inputs of the stages before
     it, and U times a stage state is that stage's pre-activation.
     """
-    dim, N, m = loop.dim, loop.lap.shape[0], loop.f_t.shape[1]
+    dim, N, m = loop.dim, loop.lbar.shape[0], loop.f_t.shape[1]
     nm = N * m
     # row j of rates(e_j) is column j of M. In C order, as M z on a
     # transposed view sums in another order and changes run directories

@@ -3,7 +3,9 @@ and the code that only the tests use.
 
 Each reference computes a quantity the package computes another way
 (or no longer computes at all), in the plainest form: the two diffusive
-network signals from the Laplacians, the reference trajectory
+network signals from the Laplacians, the closed loop's right-hand side
+with one product each with L and Lbar and the root-flag couplings on
+their own, the reference trajectory
 integrated alone, the expanded-Laplacian spectrum test, the random
 graph generator as it drew with ``Generator.choice``, and whole-record
 scoring and step building.
@@ -98,6 +100,67 @@ def compute_network_signals(kind, graph, y, y_r, xi, state_dim=None):
     )
 
 
+def root_blocks(model, proto):
+    """The root-flag couplings ``(root_state, root_input)`` of a
+    realization, built per exchange kind as realizations once carried
+    them: a root agent adds ``root_input sat(u) - root_state x_c`` to
+    its controller's rate.
+
+    They are asserted to equal -d_x h_c and d_u (d_c = [d_x | d_u] split
+    at the state part of xi), which is what lets the package fold them
+    and the L terms into one product with Lbar = L + diag(iota).
+    """
+    n, m, n_c = model.n, model.m, proto.controller_state_dim
+    if proto.uses_observer:
+        root_state = np.zeros((n_c, n_c))
+        root_state[n:, n:] = np.eye(n)
+        root_input = np.zeros((n_c, m))
+        root_input[:n, :] = model.b
+    else:
+        root_state, root_input = np.eye(n_c), np.zeros((n_c, m))
+    q = proto.h_c.shape[0]
+    d_state, d_input = proto.d_c[:, :q], proto.d_c[:, q:]
+    if not d_input.size:
+        d_input = np.zeros((n_c, m))
+    assert np.array_equal(root_state, -(d_state @ proto.h_c))
+    assert np.array_equal(root_input, d_input)
+    return root_state, root_input
+
+
+def two_product_rates(sc, z, s):
+    """``ClosedLoop.rates(z, s)`` in its two-product form,
+
+        dXc/dt = Xc a_c^T + S b_c^T + iota (S root_input^T - Xc root_state^T)
+                 + L (Xc (d_x h_c)^T + S d_u^T) + Lbar X (c_c C)^T
+                 - iota x_r^T (c_c C)^T,
+
+    for scenario ``sc``; ``z`` and ``s`` may carry the same leading
+    batch axes."""
+    model, graph, proto = sc.model, sc.graph, sc.protocol
+    n, N, n_c = model.n, graph.n, proto.controller_state_dim
+    root_state, root_input = root_blocks(model, proto)
+    q = proto.h_c.shape[0]
+    d_state, d_input = proto.d_c[:, :q], root_input  # d_u, asserted above
+    pair = laplacian(graph)
+    iota = graph.root_flags.astype(float)[:, None]
+    lead = z.shape[:-1]
+    x_r = z[..., :n]
+    x = z[..., n: n + N * n].reshape(lead + (N, n))
+    xc = z[..., n + N * n:].reshape(lead + (N, n_c))
+    cc = proto.c_c @ model.c
+    dx = x @ model.a.T + s @ model.b.T
+    dxc = (
+        xc @ proto.a_c.T + s @ proto.b_c.T
+        + iota * (s @ root_input.T - xc @ root_state.T)
+        + pair.L @ (xc @ (d_state @ proto.h_c).T + s @ d_input.T)
+        + pair.Lbar @ (x @ cc.T)
+        - iota * (x_r @ cc.T)[..., None, :]
+    )
+    return np.concatenate(
+        [x_r @ model.a.T, dx.reshape(lead + (-1,)), dxc.reshape(lead + (-1,))], axis=-1
+    )
+
+
 def exosystem_reference(a, x_r0, times):
     """Reference trajectory on the same grid the stacked run uses.
 
@@ -162,7 +225,7 @@ def sync_errors_whole(traj):
 def step_matrix_of_stages(loop):
     """``simulation.step_operator(loop).p`` as it was first built: each
     stage's k_i kept, then z + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
-    dim, N, m = loop.dim, loop.lap.shape[0], loop.f_t.shape[1]
+    dim, N, m = loop.dim, loop.lbar.shape[0], loop.f_t.shape[1]
     nm = N * m
     eye = np.eye(dim)
     m_mat = np.ascontiguousarray(loop.rates(eye, np.zeros((dim, N, m))).T)

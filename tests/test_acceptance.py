@@ -139,7 +139,7 @@ def test_c02_example2_tracking_on_both_networks(acceptance_log):
 
 
 CONTROLLER_FIELDS = (
-    "a_c", "b_c", "c_c", "d_c", "f_c", "h_c", "root_state", "root_input", "u_gain",
+    "a_c", "b_c", "c_c", "d_c", "f_c", "h_c", "u_gain",
 )
 
 

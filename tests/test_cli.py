@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 import satsync
@@ -110,6 +111,40 @@ def test_verify_fails_empty_rootset(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scenario", str(path)]) == 1
     assert "[FAIL] rootset_reachable" in capsys.readouterr().out
+
+
+def test_double_integrator_kinds_need_the_block_order(tmp_path, capsys):
+    # k = [-I | -I] reads the states as (p1, p2, v1, v2); on the chains
+    # listed (p1, v1, p2, v2) it fed back -p1 - p2, and P3 on this
+    # scenario ended 162 from the reference after 40 s. That order is
+    # mixed, not double_integrator, so P3 refuses it
+    e = np.eye(4)
+    orders = {
+        "interleaved": (np.outer(e[0], e[1]) + np.outer(e[2], e[3]), e[:, [1, 3]]),
+        "block": (np.eye(4, k=2), e[:, [2, 3]]),
+    }
+    paths = {}
+    for name, (a, b) in orders.items():
+        doc = {
+            "name": name,
+            "model": {"a": a.tolist(), "b": b.tolist(), "c": e.tolist()},
+            "graph": {"n": 3, "edges": [{"from": 1, "to": 2}, {"from": 2, "to": 3}], "roots": [1]},
+            "protocol": {"kind": "P3", "rho": 1.0},
+            "sim": {"seed": 0, "ic_scale": 1.0, "dt": 0.01, "horizon": 40.0, "record_every": 100},
+        }
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", str(paths["interleaved"])]) == 1
+    out = capsys.readouterr().out
+    assert "model class: mixed" in out
+    assert "[FAIL] kind_compatible: P3 accepts double_integrator" in out
+    assert main(["simulate", "--scenario", str(paths["interleaved"]), "--out", str(tmp_path / "i")]) == 1
+    assert "kind P3 needs a double_integrator model, got 'mixed'" in capsys.readouterr().err
+    assert main(["verify", "--scenario", str(paths["block"])]) == 0
+    assert "model class: double_integrator" in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(paths["block"]), "--out", str(tmp_path / "b")]) == 0
+    run, = read_json(tmp_path / "b" / "summary.json")["runs"]
+    assert run["converged"] and run["convergence_time"] == 14.0
 
 
 def test_synthesize_prints_gains(scenario_file, capsys):

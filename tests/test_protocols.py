@@ -48,8 +48,6 @@ def test_full_state_realization_matrices():
     assert np.array_equal(proto.c_c, np.eye(n))
     assert np.array_equal(proto.d_c, -np.eye(n))
     assert np.array_equal(proto.h_c, np.eye(n))
-    assert np.array_equal(proto.root_state, np.eye(n))
-    assert np.array_equal(proto.root_input, np.zeros((n, model.m)))
     # the input gain carries the loop gain: u = -rho b' p chi
     assert np.allclose(proto.u_gain, -2.0 * model.b.T @ gains.p)
     assert np.array_equal(proto.f_c, proto.u_gain)
