@@ -4,7 +4,25 @@ Synthesizes observer-based coupling controllers from a single agent
 model -- never from the network -- simulates the resulting closed loop
 over arbitrary directed graphs with a well-connected root set, and
 judges convergence numerically.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
+``MKL_NUM_THREADS`` and ``BLIS_NUM_THREADS`` to 1, whatever they were,
+before numpy loads. Every satsync process then runs BLAS on one thread,
+the caller and each pool worker it forks alike, so
+``parallel.process_map`` (one worker per usable CPU) is the only
+parallelism. satsync's products are at most a few thousand rows wide,
+where a second BLAS thread gains little, and OpenBLAS's helper thread
+busy-waits after it starts, costing start-up time and CPU beside the
+pool's workers. Child processes inherit the variables. A process that
+imported numpy before satsync keeps the BLAS threads it started with.
 """
+
+import os
+
+# before the first import below: each submodule loads numpy
+os.environ.update(
+    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"), "1")
+)
 
 from .agents import (
     AgentModel,

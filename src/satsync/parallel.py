@@ -17,7 +17,9 @@ interpreter would import numpy and the package first, about 0.5 s on a
 2-vCPU x86-64 host, most of what pooling example2's export saves, and
 could not reach a ``SharedMatrix``. A forking pool starts all its
 workers before its own manager thread, so they copy a process running
-only the caller's thread and native library threads. A worker exits
+only the caller's thread: importing satsync pins BLAS to one thread
+(see the package docstring), so no native helper thread exists, and
+this pool is satsync's only parallelism. A worker exits
 once its caller has died, and SIGTERM ends it whatever handler its
 caller installed. A worker ignores SIGINT, which Ctrl-C sends to the
 whole process group: the caller handles it, and the worker exits with

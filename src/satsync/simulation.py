@@ -22,10 +22,11 @@ lives inside the plant, so there is no zero-order hold anywhere.
 Integration is classical fixed-step RK4. No adaptivity: the right-hand
 side is globally Lipschitz (saturation only flattens it), determinism
 and bitwise reproducibility matter more here than step-size cleverness.
-From ``PER_AGENT_MIN_DIM`` state components up, ``integrate`` takes
-RK4's four stages through ``rk4`` and ``ClosedLoop.vector_field``.
-Below, it takes the same step in one piece: every stage of the dense
-M, G, U is affine in z and in its own saturated input s_i, so
+Once the [Phi | Gamma] below has ``PER_AGENT_MIN_ENTRIES`` entries,
+``integrate`` takes RK4's four stages through ``rk4`` and
+``ClosedLoop.vector_field``. Below that, it takes the same step in one
+piece: every stage of the dense M, G, U is affine in z and in its own
+saturated input s_i, so
 
     z+ = Phi z + Gamma [s1; s2; s3; s4],
     s_i = sat(A_i z + C_i [s1 .. s_{i-1}]),
@@ -68,7 +69,7 @@ __all__ = [
     "DEFAULT_DT",
     "DEFAULT_HORIZON",
     "MAX_STEPS",
-    "PER_AGENT_MIN_DIM",
+    "PER_AGENT_MIN_ENTRIES",
 ]
 
 DEFAULT_DT = 1e-3
@@ -77,33 +78,38 @@ DEFAULT_HORIZON = 30.0
 # oscillatory dynamics here, and the step count is capped outright.
 MAX_DT = 0.1
 MAX_STEPS = 10_000_000
-# ``integrate`` steps closed loops with at least this many state
-# components through the per-agent equations, smaller ones through their
-# ``step_operator``. Per step of 800 at dt 0.01, the materialized step
-# (its build included) against the per-agent RK4, example2's P6 on seeded
-# random graphs (min of 2 x 10 interleaved rounds, 2 BLAS threads, 2-vCPU
-# x86-64 host; us):
+# ``integrate`` steps a closed loop through its ``step_operator`` while
+# the step's [Phi | Gamma], dim x (dim + 4 N m) entries, has fewer than
+# this many, and through the per-agent equations from here up. Per step
+# of 800 at dt 0.01, the materialized step (its build included) against
+# the per-agent RK4, on seeded random graphs (min of 12 interleaved
+# rounds, 1 BLAS thread, 2-vCPU x86-64 host; us):
 #
-#   dim   materialized (build)   per-agent
-#   217     34 (4 ms)              101
-#   280     62 (9 ms)               95
-#   322     93 (11 ms)              98
-#   343     96 (13 ms)              92
-#   364    115 (16 ms)              87
-#   532    297 (43 ms)              96
+#   kind  N   dim   entries   materialized (build)   per-agent
+#   P6   10   217     73129     36 (5 ms)               87
+#   P6   13   280    122080     45 (8 ms)               84
+#   P6   15   322    161644     70 (11 ms)              85
+#   P6   16   343    183505     89 (13 ms)              85
+#   P6   20   427    284809    196 (22 ms)              93
+#   P6   25   532    442624    312 (41 ms)             102
+#   P1   65   262    136764     72 (10 ms)              89
+#   P1   70   282    158484     95 (11 ms)              89
+#   P1   75   302    181804    119 (13 ms)              87
+#   P4   50   302    151604     69 (11 ms)              91
+#   P4   55   332    183264     99 (14 ms)              90
+#   P4   60   362    217924    136 (18 ms)              95
 #
-# The two tie at dims 322 and 343, within the rounds' spread, and the
-# per-agent step wins from 364 on. The step's [Phi | Gamma] has
-# dim x (dim + 4 N m) entries, so kinds with more inputs per state cross
-# over earlier: P1 on the rotation (m = 1, n = 2) loses at dim 302 (138
-# vs 109 us), P4 on example1 at 362 (150 vs 111 us). The per-agent step
-# costs about 100 us whatever N up to here, most of it numpy call
-# overhead; past here its dense Lbar costs O(N^2) whatever the edge
-# count, so long sparse graphs lose: path N = 150, 400, 1000 take 55, 218
-# and 1393 us per right-hand side (89, 492 and 2946 us with one product
-# each with L and Lbar, min of 2 x 5), against 52, 113 and 289 us for
-# the sparse Kronecker operator it replaced.
-PER_AGENT_MIN_DIM = 350
+# (P6 is example2's, P1 the rotation's, P4 example1's.) The per-agent
+# step costs about 90 us whatever N up to here, most of it numpy call
+# overhead, while the materialized one grows with its entries: a kind
+# with more inputs per state crosses over at a smaller dim, at about the
+# same entries. The bound splits the table with the least loss: P1 at
+# N = 70 is its one wrong choice, 6 us a step. Past here the per-agent dense Lbar costs O(N^2) whatever
+# the edge count, so long sparse graphs lose: path N = 150, 400, 1000
+# take 55, 218 and 1393 us per right-hand side (2 BLAS threads, min of
+# 2 x 5), against 52, 113 and 289 us for the sparse Kronecker operator
+# it replaced.
+PER_AGENT_MIN_ENTRIES = 170_000
 # Trajectory export formats about this many CSV rows (whole time steps
 # of N rows each) per block, one pool task; a pooled export has at most
 # two blocks per worker in flight, each a part file until it is appended,
@@ -531,13 +537,19 @@ class TrajectoryRecord:
         return self._views()[3]
 
 
+def _step_entries(dim, inputs):
+    """Entries of the RK4 step matrix [Phi | Gamma] of a loop of ``dim``
+    states and ``inputs`` (N m) stacked inputs."""
+    return dim * (dim + 4 * inputs)
+
+
 def integrate(loop, states=None):
     """Run a closed loop over its scenario horizon; wrap the recorded states.
 
-    The one place the kernel is chosen: a loop of ``PER_AGENT_MIN_DIM``
-    state components or more steps through ``rk4`` of its
-    ``vector_field``, a smaller one through its ``step_operator``, built
-    here. The record is one matrix of ``loop.record_shape``, per
+    The one place the kernel is chosen: a loop whose step matrix has
+    ``PER_AGENT_MIN_ENTRIES`` entries or more steps through ``rk4`` of
+    its ``vector_field``, a smaller one through its ``step_operator``,
+    built here. The record is one matrix of ``loop.record_shape``, per
     recorded step its time and then its state (see ``rk4``); ``states``,
     when given, is that matrix, filled in place.
     """
@@ -547,7 +559,7 @@ def integrate(loop, states=None):
         states = np.empty(loop.record_shape)
     elif states.shape != loop.record_shape:
         raise ValidationError(f"state matrix must be {loop.record_shape}, got {states.shape}")
-    if loop.dim >= PER_AGENT_MIN_DIM:
+    if _step_entries(loop.dim, loop.lbar.shape[0] * loop.f_t.shape[1]) >= PER_AGENT_MIN_ENTRIES:
         times, _ = rk4(loop.vector_field, z0, sc.dt, sc.steps, sc.record_every, states[:, 1:])
     else:
         trajectory = _operator_steps(step_operator(loop), z0, sc.steps)

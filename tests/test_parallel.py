@@ -1,5 +1,6 @@
 """The ordered, bounded process map each command runs and exports through."""
 
+import ast
 import operator
 import os
 import pickle
@@ -158,3 +159,67 @@ def test_idle_workers_leave_a_group_sigint_to_their_caller():
     for pid in left:
         os.kill(pid, signal.SIGKILL)
     assert left == []
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def _loads_package_or_numpy(stmt):
+    """Whether a statement imports numpy or a satsync module anywhere in it."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] in ("numpy", "satsync")
+        ):
+            return True
+        if isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] in ("numpy", "satsync") for alias in node.names
+        ):
+            return True
+    return False
+
+
+def test_package_pins_blas_threads_before_it_loads_numpy(monkeypatch):
+    # the statements of satsync/__init__.py before its first import of
+    # numpy or of a satsync module, run alone, set all four variables to 1
+    with open(satsync.__file__, encoding="utf-8") as fh:
+        body = ast.parse(fh.read()).body
+    first = next(i for i, stmt in enumerate(body) if _loads_package_or_numpy(stmt))
+    environ = dict.fromkeys(BLAS_VARS, "4")
+    monkeypatch.setattr(os, "environ", environ)
+    exec(compile(ast.Module(body[:first], type_ignores=[]), satsync.__file__, "exec"), {})
+    assert environ == dict.fromkeys(BLAS_VARS, "1")
+
+
+THREADS = """
+import os
+import satsync
+import numpy as np
+from satsync.parallel import process_map
+
+def threads(_):
+    a = np.ones((300, 300))
+    a @ a
+    return len(os.listdir("/proc/self/task"))
+
+print(threads(None), flush=True)
+with process_map(2) as pmap:
+    print(*pmap(threads, [0]), flush=True)
+"""
+
+
+@pytest.mark.needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="counts threads in /proc")
+def test_caller_and_workers_run_one_blas_thread():
+    # asked for 4 BLAS threads, the caller runs only its own thread, and
+    # a worker only its own and the one that watches for its caller's death
+    src = os.path.dirname(os.path.dirname(satsync.__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        **dict.fromkeys(BLAS_VARS, "4"),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", THREADS], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    ).stdout.split()
+    assert out == ["1", "2"]

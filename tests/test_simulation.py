@@ -21,12 +21,13 @@ from satsync.parallel import SharedMatrix, process_map
 from satsync.protocols import build_protocol
 from satsync.simulation import (
     _EXPORT_ROWS,
-    PER_AGENT_MIN_DIM,
+    PER_AGENT_MIN_ENTRIES,
     ClosedLoop,
     Scenario,
     TrajectoryRecord,
     _columns,
     _signal_columns,
+    _step_entries,
     _time_blocks,
     assemble,
     export_trajectory,
@@ -92,6 +93,21 @@ def p6_scenario(n_agents=3, horizon=15.0, seed=2):
     )
 
 
+def step_entries(loop):
+    """Entries of a loop's RK4 step matrix [Phi | Gamma]."""
+    return _step_entries(loop.dim, loop.lbar.shape[0] * loop.f_t.shape[1])
+
+
+def materialized_agents(model, proto):
+    """The most agents a loop of ``model`` and realization ``proto`` can
+    have and still step through its ``step_operator``."""
+    n, width = model.n, model.n + proto.controller_state_dim
+    N = 1
+    while _step_entries(n + (N + 1) * width, (N + 1) * model.m) < PER_AGENT_MIN_ENTRIES:
+        N += 1
+    return N
+
+
 def test_rk4_fourth_order_on_exponential():
     f = lambda t, z: -z
     errs = []
@@ -130,7 +146,7 @@ def test_stacked_dimensions():
     loop = assemble(sc)
     n, N = 2, 4
     dim = n + N * n + N * sc.protocol.controller_state_dim
-    assert loop.dim == dim < PER_AGENT_MIN_DIM
+    assert loop.dim == dim
     assert loop.initial_state().shape == (dim,)
 
 
@@ -394,7 +410,7 @@ def test_materialized_step_matches_stage_wise_rk4(
 ):
     model, proto = KIND_PROTOCOLS[kind]
     n, n_c = model.n, proto.controller_state_dim
-    n_agents = 1 + int(size * ((PER_AGENT_MIN_DIM - 1 - n) // (n + n_c) - 1))
+    n_agents = 1 + int(size * (materialized_agents(model, proto) - 1))
     rng = np.random.default_rng(seed)
     sc = Scenario(
         name="eq", model=model, graph=generate_graph(family, n_agents, roots=[1], seed=seed),
@@ -404,7 +420,7 @@ def test_materialized_step_matches_stage_wise_rk4(
         dt=dt, horizon=steps * dt, record_every=record_every,
     )
     loop = assemble(sc)
-    assert loop.dim < PER_AGENT_MIN_DIM
+    assert step_entries(loop) < PER_AGENT_MIN_ENTRIES
     rec = integrate(loop)
     times, ref = rk4(loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every)
     got = rec.states[:, 1:]
@@ -433,7 +449,7 @@ def test_materialized_step_reports_time_of_blowup(kind):
         dt=0.01, horizon=1.0,
     )
     loop = assemble(sc)
-    assert loop.dim < PER_AGENT_MIN_DIM
+    assert step_entries(loop) < PER_AGENT_MIN_ENTRIES
     with pytest.raises(IntegrationError) as err:
         integrate(loop)
     assert err.value.t is not None and 0.0 < err.value.t <= sc.horizon
@@ -442,11 +458,10 @@ def test_materialized_step_reports_time_of_blowup(kind):
 def test_only_per_agent_loops_integrate_through_the_vector_field(monkeypatch):
     # the largest example2 P6 network below the threshold and the
     # smallest at or above it
-    model, proto = EXAMPLE2_PROTOCOLS["P6"]
-    below = (PER_AGENT_MIN_DIM - 1 - model.n) // (model.n + proto.controller_state_dim)
+    below = materialized_agents(*EXAMPLE2_PROTOCOLS["P6"])
     small = assemble(p6_scenario(n_agents=below, horizon=0.05))
     large = assemble(p6_scenario(n_agents=below + 1, horizon=0.05))
-    assert small.dim < PER_AGENT_MIN_DIM <= large.dim
+    assert step_entries(small) < PER_AGENT_MIN_ENTRIES <= step_entries(large)
     field = ClosedLoop.vector_field
     calls = []
 
@@ -462,6 +477,48 @@ def test_only_per_agent_loops_integrate_through_the_vector_field(monkeypatch):
     monkeypatch.setattr(ClosedLoop, "vector_field", counted)
     integrate(large)
     assert len(calls) == 4 * large.scenario.steps
+
+
+class _Kernel(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "kind, n_agents, dim, kernel",
+    [
+        # reproduce example2's two networks
+        ("P6", 3, 70, "step_operator"),
+        ("P6", 10, 217, "step_operator"),
+        # the rotation's P1 and example1's P4: past the crossover in
+        # entries (182k and 218k), below P6's in dim (322-343)
+        ("P1", 75, 302, "rk4"),
+        ("P4", 60, 362, "rk4"),
+        # the scale-n sweep's four sizes
+        ("P6", 25, 532, "rk4"),
+        ("P6", 50, 1057, "rk4"),
+        ("P6", 100, 2107, "rk4"),
+        ("P6", 150, 3157, "rk4"),
+    ],
+)
+def test_kernel_is_chosen_by_the_step_matrix_entries(monkeypatch, kind, n_agents, dim, kernel):
+    model, proto = KIND_PROTOCOLS[kind]
+    loop = assemble(Scenario(
+        name="kernel", model=model, graph=generate_graph("random", n_agents, roots=[1], seed=0),
+        protocol=proto, x_r0=np.zeros(model.n), x0=np.zeros((n_agents, model.n)),
+        dt=0.01, horizon=0.01,
+    ))
+    assert loop.dim == dim
+
+    def chosen(name):
+        def stop(*args):
+            raise _Kernel(name)
+        return stop
+
+    for name in ("rk4", "step_operator"):
+        monkeypatch.setattr(simulation, name, chosen(name))
+    with pytest.raises(_Kernel) as err:
+        integrate(loop)
+    assert err.value.args == (kernel,)
 
 
 def dense_kron_operators(sc):
@@ -659,7 +716,7 @@ def test_vector_field_matches_per_agent_equations(kind, family, n_agents):
         x_r0=np.zeros(model.n), x0=np.zeros((n_agents, model.n)),
     )
     loop = assemble(sc)
-    assert loop.dim >= PER_AGENT_MIN_DIM
+    assert step_entries(loop) >= PER_AGENT_MIN_ENTRIES
     z = np.random.default_rng(n_agents).uniform(-2.0, 2.0, loop.dim)
     want = per_agent_field(sc, z)
     assert np.any(np.abs(loop.inputs(z)) > 1.0) and np.any(np.abs(loop.inputs(z)) < 1.0)
