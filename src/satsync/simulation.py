@@ -23,10 +23,14 @@ Integration is classical fixed-step RK4. No adaptivity: the right-hand
 side is globally Lipschitz (saturation only flattens it), determinism
 and bitwise reproducibility matter more here than step-size cleverness.
 Once the [Phi | Gamma] below has ``PER_AGENT_MIN_ENTRIES`` entries,
-``integrate`` takes RK4's four stages through ``rk4`` and
-``ClosedLoop.vector_field``. Below that, it takes the same step in one
-piece: every stage of the dense M, G, U is affine in z and in its own
-saturated input s_i, so
+``integrate`` takes RK4's four stages through ``_agent_steps``: the
+per-agent equations on the stage rows held transposed, components as
+rows and agents as columns, in buffers made once per run, so a stage is
+three products, a saturation and a few elementwise sums in ``rk4``'s
+order (within about 1e-14 of max|z| of ``rk4`` of
+``ClosedLoop.vector_field``, which stays the stage-wise reference).
+Below that, it takes the same step in one piece: every stage of the
+dense M, G, U is affine in z and in its own saturated input s_i, so
 
     z+ = Phi z + Gamma [s1; s2; s3; s4],
     s_i = sat(A_i z + C_i [s1 .. s_{i-1}]),
@@ -80,36 +84,39 @@ MAX_DT = 0.1
 MAX_STEPS = 10_000_000
 # ``integrate`` steps a closed loop through its ``step_operator`` while
 # the step's [Phi | Gamma], dim x (dim + 4 N m) entries, has fewer than
-# this many, and through the per-agent equations from here up. Per step
-# of 800 at dt 0.01, the materialized step (its build included) against
-# the per-agent RK4, on seeded random graphs (min of 12 interleaved
-# rounds, 1 BLAS thread, 2-vCPU x86-64 host; us):
+# this many, and through ``_agent_steps`` from here up. Per step of 800
+# at dt 0.01, the materialized step (its build included) against the
+# per-agent one, on seeded random graphs (min of 12 interleaved rounds,
+# 1 BLAS thread, 2-vCPU x86-64 host; us):
 #
 #   kind  N   dim   entries   materialized (build)   per-agent
-#   P6   10   217     73129     36 (5 ms)               87
-#   P6   13   280    122080     45 (8 ms)               84
-#   P6   15   322    161644     70 (11 ms)              85
-#   P6   16   343    183505     89 (13 ms)              85
-#   P6   20   427    284809    196 (22 ms)              93
-#   P6   25   532    442624    312 (41 ms)             102
-#   P1   65   262    136764     72 (10 ms)              89
-#   P1   70   282    158484     95 (11 ms)              89
-#   P1   75   302    181804    119 (13 ms)              87
-#   P4   50   302    151604     69 (11 ms)              91
-#   P4   55   332    183264     99 (14 ms)              90
-#   P4   60   362    217924    136 (18 ms)              95
+#   P6    9   196     59584     23 (3 ms)               28
+#   P6   10   217     73129     29 (4 ms)               29
+#   P6   11   238     88060     31 (4 ms)               28
+#   P6   13   280    122080     41 (6 ms)               27
+#   P6   16   343    183505     75 (11 ms)              29
+#   P1   40   162     52164     22 (2 ms)               26
+#   P1   45   182     65884     26 (3 ms)               27
+#   P1   48   194     74884     31 (4 ms)               28
+#   P1   50   202     81204     32 (4 ms)               28
+#   P4   30   182     54964     22 (3 ms)               27
+#   P4   33   200     66400     28 (3 ms)               27
+#   P4   35   212     74624     27 (4 ms)               28
+#   P4   38   230     87860     32 (5 ms)               27
 #
 # (P6 is example2's, P1 the rotation's, P4 example1's.) The per-agent
-# step costs about 90 us whatever N up to here, most of it numpy call
+# step costs about 28 us whatever N up to here, most of it numpy call
 # overhead, while the materialized one grows with its entries: a kind
 # with more inputs per state crosses over at a smaller dim, at about the
-# same entries. The bound splits the table with the least loss: P1 at
-# N = 70 is its one wrong choice, 6 us a step. Past here the per-agent dense Lbar costs O(N^2) whatever
-# the edge count, so long sparse graphs lose: path N = 150, 400, 1000
-# take 55, 218 and 1393 us per right-hand side (2 BLAS threads, min of
-# 2 x 5), against 52, 113 and 289 us for the sparse Kronecker operator
-# it replaced.
-PER_AGENT_MIN_ENTRIES = 170_000
+# same entries. The two tie from about 65k entries to 75k; the bound sits
+# just above reproduce example2's N = 10 (73129), whose run keeps its
+# materialized bytes, and P4 at N = 33 and 35 are its wrong choices,
+# about 1 us a step each. Past here the per-agent dense Lbar costs
+# O(N^2) whatever the edge count, so long sparse graphs lose: path
+# N = 150, 400, 1000 take 55, 218 and 1393 us per right-hand side (2
+# BLAS threads, min of 2 x 5), against 52, 113 and 289 us for the
+# sparse Kronecker operator it replaced.
+PER_AGENT_MIN_ENTRIES = 74_000
 # Trajectory export formats about this many CSV rows (whole time steps
 # of N rows each) per block, one pool task; a pooled export has at most
 # two blocks per worker in flight, each a part file until it is appended,
@@ -447,6 +454,60 @@ def _operator_steps(op, z, steps):
         yield now[1]
 
 
+def _agent_steps(loop, z0, dt, steps):
+    """The state after each classical RK4 step of a loop's per-agent
+    equations from z0, as a view into one buffer the steps reuse.
+
+    The stage rows [X | Xc | S; x_r | 0 | 0] of ``ClosedLoop.rates`` are
+    held transposed, components as rows and the agents then the
+    reference as columns, in buffers made once: a stage is the products
+    with f_c, with gain^T (its first n + n_c rows are dz/dt, its last
+    n_c the input into Lbar) and with lbar^T, which has a zero column
+    for the reference, and the same elementwise sums as ``rk4``.
+    """
+    n, N = loop.scenario.model.n, loop.lbar.shape[0]
+    n_c = loop.f_t.shape[0]
+    f_c = np.ascontiguousarray(loop.f_t.T)
+    gain_t = np.ascontiguousarray(loop.gain.T)
+    lbar_t = np.zeros((N + 1, N + 1))
+    lbar_t[:, :N] = loop.lbar.T
+    width = n + n_c
+    rows = np.zeros((width + f_c.shape[0], N + 1))  # [X | Xc | S]^T of a stage
+    stage, xc, s = rows[:width], rows[n:width], rows[width:]
+    w = np.empty((width + n_c, N + 1))  # gain^T rows: [dX | local] then into Lbar
+    k, into = w[:width], w[width:]
+    coupled = np.empty((n_c, N + 1))
+    z, total, scaled = (np.zeros((width, N + 1)) for _ in range(3))
+    z[:n, N] = z0[:n]
+    z[:n, :N] = z0[n: n + N * n].reshape(N, n).T
+    z[n:, :N] = z0[n + N * n:].reshape(N, n_c).T
+    out = np.empty(z0.size)
+    out_x = out[n: n + N * n].reshape(N, n).T
+    out_xc = out[n + N * n:].reshape(N, n_c).T
+    half, sixth = 0.5 * dt, dt / 6.0
+    for _ in range(steps):
+        stage[...] = z
+        for i, (step, weight) in enumerate(((half, 1.0), (half, 2.0), (dt, 2.0), (None, 1.0))):
+            saturate(np.dot(f_c, xc, out=s), out=s)
+            np.dot(gain_t, rows, out=w)
+            np.dot(into, lbar_t, out=coupled)
+            k[n:] += coupled
+            if step is not None:
+                np.multiply(k, step, out=scaled)
+                np.add(z, scaled, out=stage)
+            if i:
+                k *= weight  # exact: the weights are 1 and 2
+                total += k
+            else:
+                total[...] = k
+        np.multiply(total, sixth, out=scaled)
+        z += scaled
+        out[:n] = z[:n, N]
+        out_x[...] = z[:n, :N]
+        out_xc[...] = z[n:, :N]
+        yield out
+
+
 def _record(trajectory, z0, dt, steps, record_every, states):
     """Record z0 and the states ``trajectory`` yields, one per step of
     dt, as ``rk4`` returns them."""
@@ -547,11 +608,14 @@ def integrate(loop, states=None):
     """Run a closed loop over its scenario horizon; wrap the recorded states.
 
     The one place the kernel is chosen: a loop whose step matrix has
-    ``PER_AGENT_MIN_ENTRIES`` entries or more steps through ``rk4`` of
-    its ``vector_field``, a smaller one through its ``step_operator``,
-    built here. The record is one matrix of ``loop.record_shape``, per
-    recorded step its time and then its state (see ``rk4``); ``states``,
-    when given, is that matrix, filled in place.
+    ``PER_AGENT_MIN_ENTRIES`` entries or more steps through
+    ``_agent_steps``, its per-agent equations in a component-major
+    layout, a smaller one through its ``step_operator``, built here.
+    Either yields its states to ``_record``, which thins them and stops
+    at the first non-finite one with its step's time. The record is one
+    matrix of ``loop.record_shape``, per recorded step its time and then
+    its state (see ``rk4``); ``states``, when given, is that matrix,
+    filled in place.
     """
     sc = loop.scenario
     z0 = loop.initial_state()
@@ -560,10 +624,10 @@ def integrate(loop, states=None):
     elif states.shape != loop.record_shape:
         raise ValidationError(f"state matrix must be {loop.record_shape}, got {states.shape}")
     if _step_entries(loop.dim, loop.lbar.shape[0] * loop.f_t.shape[1]) >= PER_AGENT_MIN_ENTRIES:
-        times, _ = rk4(loop.vector_field, z0, sc.dt, sc.steps, sc.record_every, states[:, 1:])
+        trajectory = _agent_steps(loop, z0, sc.dt, sc.steps)
     else:
         trajectory = _operator_steps(step_operator(loop), z0, sc.steps)
-        times, _ = _record(trajectory, z0, sc.dt, sc.steps, sc.record_every, states[:, 1:])
+    times, _ = _record(trajectory, z0, sc.dt, sc.steps, sc.record_every, states[:, 1:])
     states[:, 0] = times
     return TrajectoryRecord(states, sc)
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from satsync import simulation
@@ -391,6 +391,42 @@ def _kind_protocols():
 KIND_PROTOCOLS = _kind_protocols()
 
 
+def drawn_scenario(kind, family, n_agents, dt, steps, record_every, scale, seed):
+    """A run of ``kind`` on a seeded ``family`` graph from states drawn in
+    [-scale, scale]; the generator that drew them, for the caller's draws."""
+    model, proto = KIND_PROTOCOLS[kind]
+    n, n_c = model.n, proto.controller_state_dim
+    rng = np.random.default_rng(seed)
+    sc = Scenario(
+        name="eq", model=model, graph=generate_graph(family, n_agents, roots=[1], seed=seed),
+        protocol=proto, x_r0=rng.uniform(-scale, scale, n),
+        x0=rng.uniform(-scale, scale, (n_agents, n)),
+        controller0=rng.uniform(-scale, scale, (n_agents, n_c)),
+        dt=dt, horizon=steps * dt, record_every=record_every,
+    )
+    return sc, rng
+
+
+def assert_matches_stage_wise_rk4(loop, times, got, rng):
+    """The recorded ``times`` and states ``got`` of a run of ``loop`` are
+    ``rk4``'s times, its states within 1e-12 of max|z|, and score the same
+    verdicts and convergence times."""
+    sc = loop.scenario
+    want_times, ref = rk4(loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every)
+    assert np.array_equal(times, want_times)
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * np.max(np.abs(ref)))
+    # verdicts at the scenario's tolerance and at one set by a recorded
+    # error of the reference run, with a window of the drawn length
+    rec = TrajectoryRecord(np.column_stack([times, got]), sc)
+    want = TrajectoryRecord(np.column_stack([times, ref]), sc)
+    errors = sync_metrics(want).max_error
+    drawn = errors[rng.integers(errors.size)] * (1 + 1e-6)
+    window = rng.uniform(0.1, 1.0) * (times[-1] - times[0])
+    for tol, window in ((sc.tol, None), (drawn, window)):
+        a, b = sync_metrics(rec, tol=tol, window=window), sync_metrics(want, tol=tol, window=window)
+        assert (a.converged, a.convergence_time) == (b.converged, b.convergence_time)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     kind=st.sampled_from(sorted(KIND_PROTOCOLS)),
@@ -408,75 +444,96 @@ KIND_PROTOCOLS = _kind_protocols()
 def test_materialized_step_matches_stage_wise_rk4(
     kind, family, size, dt, steps, record_every, scale, seed
 ):
-    model, proto = KIND_PROTOCOLS[kind]
-    n, n_c = model.n, proto.controller_state_dim
-    n_agents = 1 + int(size * (materialized_agents(model, proto) - 1))
-    rng = np.random.default_rng(seed)
-    sc = Scenario(
-        name="eq", model=model, graph=generate_graph(family, n_agents, roots=[1], seed=seed),
-        protocol=proto, x_r0=rng.uniform(-scale, scale, n),
-        x0=rng.uniform(-scale, scale, (n_agents, n)),
-        controller0=rng.uniform(-scale, scale, (n_agents, n_c)),
-        dt=dt, horizon=steps * dt, record_every=record_every,
-    )
+    n_agents = 1 + int(size * (materialized_agents(*KIND_PROTOCOLS[kind]) - 1))
+    sc, rng = drawn_scenario(kind, family, n_agents, dt, steps, record_every, scale, seed)
     loop = assemble(sc)
     assert step_entries(loop) < PER_AGENT_MIN_ENTRIES
     rec = integrate(loop)
-    times, ref = rk4(loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every)
-    got = rec.states[:, 1:]
-    assert np.array_equal(rec.times, times)
-    assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * np.max(np.abs(ref)))
-    # verdicts at the scenario's tolerance and at one set by a recorded
-    # error of the reference run, with a window of the drawn length
-    want = TrajectoryRecord(np.column_stack([times, ref]), sc)
-    errors = sync_metrics(want).max_error
-    drawn = errors[rng.integers(errors.size)] * (1 + 1e-6)
-    window = rng.uniform(0.1, 1.0) * (times[-1] - times[0])
-    for tol, window in ((sc.tol, None), (drawn, window)):
-        a, b = sync_metrics(rec, tol=tol, window=window), sync_metrics(want, tol=tol, window=window)
-        assert (a.converged, a.convergence_time) == (b.converged, b.convergence_time)
+    assert_matches_stage_wise_rk4(loop, rec.times, rec.states[:, 1:], rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_PROTOCOLS)),
+    family=st.sampled_from(["random", "path", "star"]),
+    size=st.floats(0.0, 1.0),
+    dt=st.floats(0.001, 0.01),
+    steps=st.integers(1, 100),
+    record_every=st.sampled_from([1, 7]),
+    scale=st.floats(0.1, 5.0),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="P6", family="star", size=0.0, dt=0.01, steps=30, record_every=7, scale=1.0, seed=0)
+@example(kind="P1", family="path", size=1.0, dt=0.001, steps=20, record_every=1, scale=5.0, seed=1)
+def test_per_agent_steps_match_stage_wise_rk4(
+    kind, family, size, dt, steps, record_every, scale, seed
+):
+    # from one agent to twice the most the materialized step takes: below
+    # the threshold the kernel is called here, as integrate would not
+    n_agents = 1 + int(size * (2 * materialized_agents(*KIND_PROTOCOLS[kind]) - 1))
+    sc, rng = drawn_scenario(kind, family, n_agents, dt, steps, record_every, scale, seed)
+    loop = assemble(sc)
+    z0 = loop.initial_state()
+    trajectory = simulation._agent_steps(loop, z0, dt, steps)
+    times, got = simulation._record(trajectory, z0, dt, steps, record_every, None)
+    assert_matches_stage_wise_rk4(loop, times, got, rng)
+
+
+def blowup_loop(kind, n_agents):
+    """A loop of ``kind`` on a seeded random graph started near the float
+    ceiling, where its products overflow."""
+    model, proto = KIND_PROTOCOLS[kind]
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], (n_agents, model.n))
+    return assemble(Scenario(
+        name="blowup", model=model, graph=generate_graph("random", n_agents, roots=[1], seed=0),
+        protocol=proto, x_r0=np.full(model.n, -1e308), x0=1e308 * signs,
+        dt=0.01, horizon=1.0,
+    ))
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize("kind", ["P1", "P6"])
 def test_materialized_step_reports_time_of_blowup(kind):
-    # a start near the float ceiling overflows in the step's products
-    model, proto = KIND_PROTOCOLS[kind]
-    signs = np.random.default_rng(0).choice([-1.0, 1.0], (3, model.n))
-    sc = Scenario(
-        name="blowup", model=model, graph=generate_graph("random", 3, roots=[1], seed=0),
-        protocol=proto, x_r0=np.full(model.n, -1e308), x0=1e308 * signs,
-        dt=0.01, horizon=1.0,
-    )
-    loop = assemble(sc)
+    loop = blowup_loop(kind, 3)
     assert step_entries(loop) < PER_AGENT_MIN_ENTRIES
     with pytest.raises(IntegrationError) as err:
         integrate(loop)
-    assert err.value.t is not None and 0.0 < err.value.t <= sc.horizon
+    assert err.value.t is not None and 0.0 < err.value.t <= loop.scenario.horizon
 
 
-def test_only_per_agent_loops_integrate_through_the_vector_field(monkeypatch):
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_per_agent_step_reports_time_of_blowup():
+    loop = blowup_loop("P6", materialized_agents(*KIND_PROTOCOLS["P6"]) + 1)
+    assert step_entries(loop) >= PER_AGENT_MIN_ENTRIES
+    with pytest.raises(IntegrationError) as err:
+        integrate(loop)
+    assert err.value.t is not None and 0.0 < err.value.t <= loop.scenario.horizon
+
+
+def test_no_loop_integrates_through_rk4_or_the_vector_field(monkeypatch):
     # the largest example2 P6 network below the threshold and the
     # smallest at or above it
     below = materialized_agents(*EXAMPLE2_PROTOCOLS["P6"])
     small = assemble(p6_scenario(n_agents=below, horizon=0.05))
     large = assemble(p6_scenario(n_agents=below + 1, horizon=0.05))
     assert step_entries(small) < PER_AGENT_MIN_ENTRIES <= step_entries(large)
-    field = ClosedLoop.vector_field
+    kernel = simulation._agent_steps
     calls = []
 
-    def counted(self, t, z):
-        calls.append(t)
-        return field(self, t, z)
+    def counted(loop, *args):
+        calls.append(loop)
+        return kernel(loop, *args)
 
-    def forbidden(self, t, z):
-        raise AssertionError("a materialized loop called vector_field")
+    def forbidden(*args):
+        raise AssertionError("a loop integrated through rk4 or vector_field")
 
     monkeypatch.setattr(ClosedLoop, "vector_field", forbidden)
+    monkeypatch.setattr(simulation, "rk4", forbidden)
+    monkeypatch.setattr(simulation, "_stage_steps", forbidden)
+    monkeypatch.setattr(simulation, "_agent_steps", counted)
     integrate(small)
-    monkeypatch.setattr(ClosedLoop, "vector_field", counted)
     integrate(large)
-    assert len(calls) == 4 * large.scenario.steps
+    assert calls == [large]
 
 
 class _Kernel(Exception):
@@ -489,15 +546,19 @@ class _Kernel(Exception):
         # reproduce example2's two networks
         ("P6", 3, 70, "step_operator"),
         ("P6", 10, 217, "step_operator"),
-        # the rotation's P1 and example1's P4: past the crossover in
-        # entries (182k and 218k), below P6's in dim (322-343)
-        ("P1", 75, 302, "rk4"),
-        ("P4", 60, 362, "rk4"),
+        # the rotation's P1 and example1's P4: past the bound in entries
+        # (74.9k and 74.6k) at a smaller dim than P6's N = 10, and below
+        # it (65.9k)
+        ("P1", 45, 182, "step_operator"),
+        ("P1", 48, 194, "_agent_steps"),
+        ("P4", 35, 212, "_agent_steps"),
+        ("P1", 75, 302, "_agent_steps"),
+        ("P4", 60, 362, "_agent_steps"),
         # the scale-n sweep's four sizes
-        ("P6", 25, 532, "rk4"),
-        ("P6", 50, 1057, "rk4"),
-        ("P6", 100, 2107, "rk4"),
-        ("P6", 150, 3157, "rk4"),
+        ("P6", 25, 532, "_agent_steps"),
+        ("P6", 50, 1057, "_agent_steps"),
+        ("P6", 100, 2107, "_agent_steps"),
+        ("P6", 150, 3157, "_agent_steps"),
     ],
 )
 def test_kernel_is_chosen_by_the_step_matrix_entries(monkeypatch, kind, n_agents, dim, kernel):
@@ -514,7 +575,7 @@ def test_kernel_is_chosen_by_the_step_matrix_entries(monkeypatch, kind, n_agents
             raise _Kernel(name)
         return stop
 
-    for name in ("rk4", "step_operator"):
+    for name in ("_agent_steps", "step_operator"):
         monkeypatch.setattr(simulation, name, chosen(name))
     with pytest.raises(_Kernel) as err:
         integrate(loop)
