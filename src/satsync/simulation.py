@@ -7,10 +7,9 @@ The full network state is one vector
 holding the reference exosystem, the agent states, and the controller
 states. Everything the agents exchange is diffusive, so the closed loop
 is the protocol's per-agent equations (see ``ClosedLoop``): one product
-of the stacked per-agent rows with the local blocks, and one product
-with the expanded Laplacian Lbar and the root flags, which is all the
-graph contributes: N x (N + 1) times (N + 1) x n_c per call, where the
-Kronecker-product operator the equations factor into,
+of the local blocks with the per-agent columns, and one product with
+the expanded Laplacian Lbar and the root flags, which is all the graph
+contributes, where the Kronecker-product operator they factor into,
 
     dz/dt = M z + G sat(U z),
 
@@ -22,26 +21,24 @@ lives inside the plant, so there is no zero-order hold anywhere.
 Integration is classical fixed-step RK4. No adaptivity: the right-hand
 side is globally Lipschitz (saturation only flattens it), determinism
 and bitwise reproducibility matter more here than step-size cleverness.
-Once the [Phi | Gamma] below has ``PER_AGENT_MIN_ENTRIES`` entries,
-``integrate`` takes RK4's four stages through ``_agent_steps``: the
-per-agent equations on the stage rows held transposed, components as
-rows and agents as columns, in buffers made once per run, so a stage is
-three products, a saturation and a few elementwise sums in ``rk4``'s
-order (within about 1e-14 of max|z| of ``rk4`` of
-``ClosedLoop.vector_field``, which stays the stage-wise reference).
-Below that, it takes the same step in one piece: every stage of the
-dense M, G, U is affine in z and in its own saturated input s_i, so
+Its stages are stated once, as in-place steps of a ``_Block`` of states
+held components by agents in buffers made once. From
+``PER_AGENT_MIN_ENTRIES`` entries of the [Phi | Gamma] below up,
+``integrate`` steps the loop's state so (``_agent_steps``). Below, it
+takes the same step in one piece: every stage is affine in z and in its
+own saturated input s_i, so
 
     z+ = Phi z + Gamma [s1; s2; s3; s4],
     s_i = sat(A_i z + C_i [s1 .. s_{i-1}]),
 
 with Phi RK4's stability polynomial of dt M (Hairer, Norsett & Wanner,
-*Solving ODEs I*, section IV.2). ``integrate`` builds this
-``step_operator`` once per run and then spends one product with the
-stacked A_i, four saturations with three small products, and one
-product with [Phi | Gamma] per step. It rounds differently from the
-stage-wise sum: its states stay within about 1e-13 of max|z| of
-``rk4``'s on stable steps, and reruns are still bitwise identical.
+*Solving ODEs I*, section IV.2), read off one step of the block on the
+identity columns of [z; s1; s2; s3; s4] (``step_operator``). A step is
+then one product with the stacked A_i, four saturations with three
+small products, and one product with [Phi | Gamma]. It rounds
+differently from the stage-wise sum: its states stay within about 1e-13
+of max|z| of a stage-wise RK4's on stable steps, and reruns are still
+bitwise identical.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ __all__ = [
     "ClosedLoop",
     "TrajectoryRecord",
     "assemble",
-    "rk4",
     "StepOperator",
     "step_operator",
     "integrate",
@@ -90,28 +86,28 @@ MAX_STEPS = 10_000_000
 # 1 BLAS thread, 2-vCPU x86-64 host; us):
 #
 #   kind  N   dim   entries   materialized (build)   per-agent
-#   P6    9   196     59584     23 (3 ms)               28
-#   P6   10   217     73129     29 (4 ms)               29
-#   P6   11   238     88060     31 (4 ms)               28
-#   P6   13   280    122080     41 (6 ms)               27
-#   P6   16   343    183505     75 (11 ms)              29
-#   P1   40   162     52164     22 (2 ms)               26
-#   P1   45   182     65884     26 (3 ms)               27
-#   P1   48   194     74884     31 (4 ms)               28
-#   P1   50   202     81204     32 (4 ms)               28
-#   P4   30   182     54964     22 (3 ms)               27
-#   P4   33   200     66400     28 (3 ms)               27
-#   P4   35   212     74624     27 (4 ms)               28
-#   P4   38   230     87860     32 (5 ms)               27
+#   P6    9   196     59584     16 (1.5 ms)             21
+#   P6   10   217     73129     21 (1.8 ms)             21
+#   P6   11   238     88060     23 (2.2 ms)             21
+#   P6   13   280    122080     31 (4.2 ms)             22
+#   P6   16   343    183505     60 (7.0 ms)             22
+#   P1   40   162     52164     18 (1.1 ms)             21
+#   P1   45   182     65884     20 (1.6 ms)             20
+#   P1   48   194     74884     22 (1.6 ms)             21
+#   P1   50   202     81204     23 (1.7 ms)             21
+#   P4   30   182     54964     16 (1.1 ms)             20
+#   P4   33   200     66400     20 (1.4 ms)             20
+#   P4   35   212     74624     19 (1.7 ms)             20
+#   P4   38   230     87860     23 (2.0 ms)             21
 #
 # (P6 is example2's, P1 the rotation's, P4 example1's.) The per-agent
-# step costs about 28 us whatever N up to here, most of it numpy call
+# step costs about 21 us whatever N up to here, most of it numpy call
 # overhead, while the materialized one grows with its entries: a kind
 # with more inputs per state crosses over at a smaller dim, at about the
 # same entries. The two tie from about 65k entries to 75k; the bound sits
 # just above reproduce example2's N = 10 (73129), whose run keeps its
-# materialized bytes, and P4 at N = 33 and 35 are its wrong choices,
-# about 1 us a step each. Past here the per-agent dense Lbar costs
+# materialized bytes, and P4 at N = 35 is its wrong choice, about 1 us
+# a step. Past here the per-agent dense Lbar costs
 # O(N^2) whatever the edge count, so long sparse graphs lose: path
 # N = 150, 400, 1000 take 55, 218 and 1393 us per right-hand side (2
 # BLAS threads, min of 2 x 5), against 52, 113 and 289 us for the
@@ -231,73 +227,30 @@ class Scenario:
 class ClosedLoop:
     """The stacked closed loop as the protocol's per-agent equations.
 
-    With the agent states ``X`` (N x n), the controller states ``Xc``
-    (N x n_c) and the saturated inputs ``S`` (N x m) as rows per agent,
-    and ``d_c = [d_x | d_u]`` split at the state part of xi,
+    With the agent states ``X`` (n x N), the controller states ``Xc``
+    (n_c x N) and the saturated inputs ``S`` (m x N) as columns per
+    agent, and ``d_c = [d_x | d_u]`` split at the state part of xi,
 
-        U       = Xc f_c^T
+        U       = f_c Xc
         dx_r/dt = a x_r
-        dX/dt   = X a^T + S b^T
-        dXc/dt  = Xc a_c^T + S b_c^T
-                  + Lbar (X (c_c C)^T + Xc h_c^T d_x^T + S d_u^T)
-                  - iota x_r^T (c_c C)^T
+        dX/dt   = a X + b S
+        dXc/dt  = a_c Xc + b_c S
+                  + ((c_c C) X + d_x h_c Xc + d_u S) Lbar^T
+                  - (c_c C) x_r iota^T
 
     that is, c_c zeta_bar + d_c zeta_hat with both signals Lbar
-    combinations. The reference joins the agent rows as one row more,
-    x_r with no controller state or input: the per-agent blocks are then
-    one product ``[X | Xc | S; x_r | 0 | 0] @ gain``, whose last row
-    holds dx_r and (c_c C) x_r, and the graph enters through one product
-    with ``lbar``, Lbar with the negated root flags as its last column.
-    ``step_operator`` forms the dense M, G, U of a small loop from
-    ``rates`` and ``inputs``.
+    combinations. The reference joins the agent columns as one column
+    more, x_r with no controller state or input: the per-agent blocks are
+    then one product ``gain_t @ [X | x_r; Xc | 0; S | 0]``, whose last
+    column holds dx_r and (c_c C) x_r, and the graph enters through one
+    product with ``lbar_t``, [Lbar | -iota]^T with a zero column for the
+    reference. ``_Block`` evaluates them.
     """
 
     scenario: Scenario
-    lbar: np.ndarray  # [Lbar | -iota], N x (N + 1)
-    gain: np.ndarray  # [X | Xc | S] -> [dX | local | into Lbar]
-    f_t: np.ndarray  # f_c^T
-
-    def inputs(self, z):
-        """The controllers' unsaturated inputs U: N x m after z's leading axes."""
-        return self._split(z)[2] @ self.f_t
-
-    def rates(self, z, s):
-        """dz/dt at states ``z`` and saturated inputs ``s``; linear in both.
-
-        ``z`` may carry leading batch axes, ``s`` the same ones before
-        its N x m.
-        """
-        x_r, x, xc = self._split(z)
-        N, n = x.shape[-2:]
-        n_c = xc.shape[-1]
-        rows = np.zeros(z.shape[:-1] + (N + 1, self.gain.shape[0]))
-        rows[..., :N, :n] = x
-        rows[..., :N, n: n + n_c] = xc
-        rows[..., :N, n + n_c:] = s
-        rows[..., N, :n] = x_r
-        w = rows @ self.gain
-        out = np.empty(z.shape)
-        _, dx, dxc = self._split(out)
-        out[..., :n] = w[..., N, :n]
-        dx[...] = w[..., :N, :n]
-        # summed as [Lbar | -iota] (.) + local: on identity columns each
-        # entry of the dense M or G is its Kronecker sum of at most two
-        # nonzero terms, a_c + Lbar_ij d_x h_c, rounded once
-        np.matmul(self.lbar, w[..., n + n_c:], out=dxc)
-        dxc += w[..., :N, n: n + n_c]
-        return out
-
-    def vector_field(self, t, z):
-        return self.rates(z, saturate(self.inputs(z)))
-
-    def _split(self, z):
-        n, N = self.scenario.model.n, self.lbar.shape[0]
-        lead = z.shape[:-1]
-        return (
-            z[..., :n],
-            z[..., n: n + N * n].reshape(lead + (N, n)),
-            z[..., n + N * n:].reshape(lead + (N, -1)),
-        )
+    gain_t: np.ndarray  # [X; Xc; S] -> [dX; local; into Lbar]
+    f_c: np.ndarray
+    lbar_t: np.ndarray  # [[Lbar | -iota]^T | 0], (N + 1) x (N + 1)
 
     def initial_state(self):
         sc = self.scenario
@@ -308,8 +261,8 @@ class ClosedLoop:
     @property
     def dim(self):
         """Size of the stacked state z."""
-        n, N = self.scenario.model.n, self.lbar.shape[0]
-        return n + N * (n + self.f_t.shape[0])
+        n, N = self.scenario.model.n, self.scenario.graph.n
+        return n + N * (n + self.f_c.shape[1])
 
     @property
     def record_shape(self):
@@ -328,25 +281,93 @@ def assemble(scenario):
     d_state, d_input = proto.d_c[:, :q], proto.d_c[:, q:]
     if not d_input.size:
         d_input = np.zeros((n_c, m))
-    cc_t = (proto.c_c @ model.c).T
     zero = np.zeros
-    gain = np.block(
+    gain_t = np.block(
         [
-            [model.a.T, zero((n, n_c)), cc_t],
-            [zero((n_c, n)), proto.a_c.T, (d_state @ proto.h_c).T],
-            [model.b.T, proto.b_c.T, d_input.T],
+            [model.a, zero((n, n_c)), model.b],
+            [zero((n_c, n)), proto.a_c, proto.b_c],
+            [proto.c_c @ model.c, d_state @ proto.h_c, d_input],
         ]
     )
-    return ClosedLoop(
-        scenario=sc,
-        lbar=np.hstack([laplacian(graph).Lbar, -graph.root_flags.astype(float).reshape(N, 1)]),
-        gain=gain,
-        f_t=proto.f_c.T,
+    lbar_t = np.zeros((N + 1, N + 1))
+    lbar_t[:N, :N] = laplacian(graph).Lbar.T
+    lbar_t[N, :N] = -graph.root_flags.astype(float)
+    return ClosedLoop(scenario=sc, gain_t=gain_t, f_c=np.ascontiguousarray(proto.f_c), lbar_t=lbar_t)
+
+
+def _views(block, stacked, n):
+    """(block view, stacked view) pairs of x_r, X and Xc of B states: in
+    ``block`` component-major, [X | x_r; Xc | 0] per state, and in
+    ``stacked`` (dim x B) as z, one per column."""
+    width, B = block.shape[0], stacked.shape[1]
+    N = block.shape[1] // B - 1
+    cols = block.reshape(width, B, N + 1)
+    return (
+        (cols[:n, :, N], stacked[:n]),
+        (cols[:n, :, :N], stacked[n: n + N * n].reshape(N, n, B).transpose(1, 2, 0)),
+        (cols[n:, :, :N], stacked[n + N * n:].reshape(N, -1, B).transpose(1, 2, 0)),
     )
+
+
+def _load(block, stacked, n):
+    """Copy the states ``stacked`` into ``block`` (see ``_views``)."""
+    for part, value in _views(block, stacked, n):
+        part[...] = value
+
+
+class _Block:
+    """A loop's per-agent equations on ``members`` states at once (see
+    ``_views``), in buffers made once: ``rows`` is a stage, its ``stage``
+    states over its saturated inputs ``s`` (m rows, zero at the
+    references), and ``rates`` puts its dz/dt in ``k``."""
+
+    def __init__(self, loop, members):
+        n, (m, n_c) = loop.scenario.model.n, loop.f_c.shape
+        width, N1 = n + n_c, loop.lbar_t.shape[0]
+        self.loop = loop
+        self.rows = np.zeros((width + m, members * N1))
+        self.stage, self.xc, self.s = self.rows[:width], self.rows[n:width], self.rows[width:]
+        # gain^T rows: dz/dt, its controller rows local only, then the
+        # input into Lbar, as one row of N + 1 per member and component
+        self.w = np.empty((width + n_c, members * N1))
+        self.k, self.local = self.w[:width], self.w[n:width].reshape(-1, N1)
+        self.into = self.w[width:].reshape(-1, N1)
+        self.coupled = np.empty_like(self.into)
+
+    def rates(self):
+        np.dot(self.loop.gain_t, self.rows, out=self.w)
+        np.dot(self.into, self.loop.lbar_t, out=self.coupled)
+        np.add(self.local, self.coupled, out=self.local)
+        return self.k
+
+    def steps(self, z, dt, count, inputs):
+        """Take ``count`` classical RK4 steps of the states ``z`` in
+        place, yielding after each. Stage i's inputs are ``inputs(i, s)``,
+        given ``s`` holding its pre-activations f_c Xc."""
+        f_c, xc, s, stage, rates = self.loop.f_c, self.xc, self.s, self.stage, self.rates
+        total = np.empty_like(z)  # k1 + 2 k2 + 2 k3 + k4, summed as they come
+        stages = ((0.5 * dt, 1.0), (0.5 * dt, 2.0), (dt, 2.0), (None, 1.0))
+        sixth = dt / 6.0
+        for _ in range(count):
+            stage[...] = z
+            for i, (step, weight) in enumerate(stages):
+                inputs(i, np.dot(f_c, xc, out=s))
+                k = rates()
+                if step is not None:
+                    np.multiply(k, step, out=stage)
+                    stage += z
+                if i:
+                    k *= weight  # exact: the weights are 1 and 2
+                    total += k
+                else:
+                    total[...] = k
+            total *= sixth
+            z += total
+            yield
 
 
 class StepOperator(NamedTuple):
-    """One RK4 step of a closed loop's dense M, G, U: z+ = p [z; s1; s2; s3; s4].
+    """One RK4 step of a closed loop: z+ = p [z; s1; s2; s3; s4].
 
     The saturated stage inputs are s1 = sat(w1 z) and, for i = 2, 3, 4,
     s_i = sat(w_i z + c[i - 2] [s1 .. s_{i-1}]), with w1 .. w4 the
@@ -361,69 +382,39 @@ class StepOperator(NamedTuple):
 
 
 def step_operator(loop):
-    """The RK4 step of a loop's dense M, G, U at its scenario's dt.
+    """The RK4 step of a loop at its scenario's dt.
 
-    M, G and U are the loop's equations on identity columns: each entry
-    a block entry, its product with a graph entry, or their sum
-    ``a_c + Lbar_ij d_x h_c`` (``b_c + Lbar_ij d_u`` in G), so they
-    equal the ``np.kron`` products of the same blocks, Lbar's among them,
-    entry for entry. ``rk4``'s
-    stage recurrence is then applied to the identity columns of
-    [z; s1; s2; s3; s4], each stage's saturated input an unknown: every
-    stage state is affine in z and in the inputs of the stages before
-    it, and U times a stage state is that stage's pre-activation.
+    Every stage state is affine in z and in the inputs of the stages
+    before it, so ``p`` is one step of a ``_Block`` from the identity
+    columns of [z; s1; s2; s3; s4], stage i's inputs the identity on its
+    own slots; the stages' pre-activations at the agents are ``w`` and
+    ``c``.
     """
-    dim, N, m = loop.dim, loop.lbar.shape[0], loop.f_t.shape[1]
+    sc = loop.scenario
+    n, N, (m, n_c), dim = sc.model.n, sc.graph.n, loop.f_c.shape, loop.dim
     nm = N * m
-    # row j of rates(e_j) is column j of M. In C order, as M z on a
-    # transposed view sums in another order and changes run directories
-    eye = np.eye(dim)
-    m_mat = np.ascontiguousarray(loop.rates(eye, np.zeros((dim, N, m))).T)
-    g_mat = np.ascontiguousarray(
-        loop.rates(np.zeros((nm, dim)), np.eye(nm).reshape(nm, N, m)).T
-    )
-    u_mat = np.ascontiguousarray(loop.inputs(eye).reshape(dim, nm).T)
-    dt = loop.scenario.dt
-    z = np.eye(dim, dim + 4 * nm)
-    # k1 + 2 k2 + 2 k3 + k4 is summed into one array as the stages come,
-    # in that order, and the stage and k_i arrays are reused: four arrays
-    # of p's size, where keeping k1 .. k4 took nine
-    k, total, stage, pre = np.empty_like(z), np.empty_like(z), np.empty_like(z), []
-    now = z
-    for i, (step, weight) in enumerate(((0.5 * dt, 1.0), (0.5 * dt, 2.0), (dt, 2.0), (None, 1.0))):
-        pre.append(u_mat @ now)
-        np.matmul(m_mat, now, out=k)
-        k[:, dim + i * nm: dim + (i + 1) * nm] += g_mat
-        if step is not None:
-            np.multiply(k, step, out=stage)
-            stage += z
-            now = stage
-        if i:
-            k *= weight  # exact: the weights are 1 and 2
-            total += k
-        else:
-            total[...] = k
-    total *= dt / 6.0
-    total += z
-    return StepOperator(
-        w=np.vstack([a[:, :dim] for a in pre]),
-        c=tuple(a[:, dim: dim + i * nm] for i, a in enumerate(pre) if i),
-        p=total,
-    )
+    members = dim + 4 * nm
+    z = np.zeros((n + n_c, members * (N + 1)))
+    _load(z, np.eye(dim, members), n)
+    pre = np.empty((4, N, m, members))
+    # input j of agent a in stage i is member dim + i N m + a m + j
+    agent, j = np.divmod(np.arange(nm), m)
 
+    def inputs(i, s):
+        s = s.reshape(m, members, N + 1)
+        pre[i] = s[:, :, :N].transpose(2, 0, 1)
+        s[...] = 0.0
+        s[j, dim + i * nm + np.arange(nm), agent] = 1.0
 
-def _stage_steps(f, z, dt, steps):
-    """The state after each classical RK4 step of dz/dt = f(t, z)."""
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(steps):
-        t = k * dt
-        k1 = f(t, z)
-        k2 = f(t + half, z + half * k1)
-        k3 = f(t + half, z + half * k2)
-        k4 = f(t + dt, z + dt * k3)
-        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield z
+    # the block's buffers go with its steps, before p is made
+    for _ in _Block(loop, members).steps(z, sc.dt, 1, inputs):
+        pass
+    p = np.empty((dim, members))
+    for part, value in _views(z, p, n):
+        value[...] = part
+    pre = pre.reshape(4 * nm, members)
+    c = tuple(pre[i * nm: (i + 1) * nm, dim: dim + i * nm] for i in (1, 2, 3))
+    return StepOperator(w=np.ascontiguousarray(pre[:, :dim]), c=c, p=p)
 
 
 def _operator_steps(op, z, steps):
@@ -456,61 +447,24 @@ def _operator_steps(op, z, steps):
 
 def _agent_steps(loop, z0, dt, steps):
     """The state after each classical RK4 step of a loop's per-agent
-    equations from z0, as a view into one buffer the steps reuse.
-
-    The stage rows [X | Xc | S; x_r | 0 | 0] of ``ClosedLoop.rates`` are
-    held transposed, components as rows and the agents then the
-    reference as columns, in buffers made once: a stage is the products
-    with f_c, with gain^T (its first n + n_c rows are dz/dt, its last
-    n_c the input into Lbar) and with lbar^T, which has a zero column
-    for the reference, and the same elementwise sums as ``rk4``.
-    """
-    n, N = loop.scenario.model.n, loop.lbar.shape[0]
-    n_c = loop.f_t.shape[0]
-    f_c = np.ascontiguousarray(loop.f_t.T)
-    gain_t = np.ascontiguousarray(loop.gain.T)
-    lbar_t = np.zeros((N + 1, N + 1))
-    lbar_t[:, :N] = loop.lbar.T
-    width = n + n_c
-    rows = np.zeros((width + f_c.shape[0], N + 1))  # [X | Xc | S]^T of a stage
-    stage, xc, s = rows[:width], rows[n:width], rows[width:]
-    w = np.empty((width + n_c, N + 1))  # gain^T rows: [dX | local] then into Lbar
-    k, into = w[:width], w[width:]
-    coupled = np.empty((n_c, N + 1))
-    z, total, scaled = (np.zeros((width, N + 1)) for _ in range(3))
-    z[:n, N] = z0[:n]
-    z[:n, :N] = z0[n: n + N * n].reshape(N, n).T
-    z[n:, :N] = z0[n + N * n:].reshape(N, n_c).T
+    equations from z0, as a view into one buffer the steps reuse: the
+    steps of a ``_Block`` of one member, each stage's inputs saturated."""
+    n = loop.scenario.model.n
+    block = _Block(loop, 1)
+    z = np.zeros(block.stage.shape)
+    _load(z, z0.reshape(-1, 1), n)
     out = np.empty(z0.size)
-    out_x = out[n: n + N * n].reshape(N, n).T
-    out_xc = out[n + N * n:].reshape(N, n_c).T
-    half, sixth = 0.5 * dt, dt / 6.0
-    for _ in range(steps):
-        stage[...] = z
-        for i, (step, weight) in enumerate(((half, 1.0), (half, 2.0), (dt, 2.0), (None, 1.0))):
-            saturate(np.dot(f_c, xc, out=s), out=s)
-            np.dot(gain_t, rows, out=w)
-            np.dot(into, lbar_t, out=coupled)
-            k[n:] += coupled
-            if step is not None:
-                np.multiply(k, step, out=scaled)
-                np.add(z, scaled, out=stage)
-            if i:
-                k *= weight  # exact: the weights are 1 and 2
-                total += k
-            else:
-                total[...] = k
-        np.multiply(total, sixth, out=scaled)
-        z += scaled
-        out[:n] = z[:n, N]
-        out_x[...] = z[:n, :N]
-        out_xc[...] = z[n:, :N]
+    views = _views(z, out.reshape(-1, 1), n)
+    for _ in block.steps(z, dt, steps, lambda i, s: saturate(s, out=s)):
+        for part, value in views:
+            value[...] = part
         yield out
 
 
 def _record(trajectory, z0, dt, steps, record_every, states):
     """Record z0 and the states ``trajectory`` yields, one per step of
-    dt, as ``rk4`` returns them."""
+    dt, into the rows of ``states``: every ``record_every``-th step and
+    the last. Returns (times, states)."""
     if not 0 < dt <= MAX_DT:
         raise ValidationError(f"dt must be in (0, {MAX_DT}], got {dt}")
     if steps > MAX_STEPS:
@@ -523,11 +477,6 @@ def _record(trajectory, z0, dt, steps, record_every, states):
     index *= min(record_every, steps)
     np.minimum(index, steps, out=index)
     times = index * dt
-    shape = (times.size, z0.size)
-    if states is None:
-        states = np.empty(shape)
-    elif states.shape != shape:
-        raise ValidationError(f"state matrix must be {shape}, got {states.shape}")
     states[0] = z0
     out = 1
     for k, z in enumerate(trajectory, 1):
@@ -537,19 +486,6 @@ def _record(trajectory, z0, dt, steps, record_every, states):
             states[out] = z
             out += 1
     return times, states
-
-
-def rk4(f, z0, dt, steps, record_every=1, states=None):
-    """Classical 4th-order fixed-step integration of dz/dt = f(t, z).
-
-    Returns (times, states) with states[k] the state at times[k]; the
-    initial and final states are always recorded, intermediates every
-    ``record_every`` steps. A ``states`` matrix given is filled in
-    place; else a new one is made. Aborts with the offending time if
-    the state stops being finite.
-    """
-    z = np.asarray(z0, dtype=float).copy()
-    return _record(_stage_steps(f, z, dt, steps), z, dt, steps, record_every, states)
 
 
 def _columns(states, N, n):
@@ -609,13 +545,13 @@ def integrate(loop, states=None):
 
     The one place the kernel is chosen: a loop whose step matrix has
     ``PER_AGENT_MIN_ENTRIES`` entries or more steps through
-    ``_agent_steps``, its per-agent equations in a component-major
-    layout, a smaller one through its ``step_operator``, built here.
-    Either yields its states to ``_record``, which thins them and stops
-    at the first non-finite one with its step's time. The record is one
-    matrix of ``loop.record_shape``, per recorded step its time and then
-    its state (see ``rk4``); ``states``, when given, is that matrix,
-    filled in place.
+    ``_agent_steps``, its per-agent equations on a block of one state, a
+    smaller one through its ``step_operator``, built here. Either yields
+    its states to ``_record``, which thins them and stops at the first
+    non-finite one with its step's time. The record is one matrix of
+    ``loop.record_shape``, per recorded step its time and then its state:
+    every ``scenario.record_every``-th step and the last. ``states``,
+    when given, is that matrix, filled in place.
     """
     sc = loop.scenario
     z0 = loop.initial_state()
@@ -623,7 +559,7 @@ def integrate(loop, states=None):
         states = np.empty(loop.record_shape)
     elif states.shape != loop.record_shape:
         raise ValidationError(f"state matrix must be {loop.record_shape}, got {states.shape}")
-    if _step_entries(loop.dim, loop.lbar.shape[0] * loop.f_t.shape[1]) >= PER_AGENT_MIN_ENTRIES:
+    if _step_entries(loop.dim, sc.graph.n * sc.model.m) >= PER_AGENT_MIN_ENTRIES:
         trajectory = _agent_steps(loop, z0, sc.dt, sc.steps)
     else:
         trajectory = _operator_steps(step_operator(loop), z0, sc.steps)

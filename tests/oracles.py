@@ -4,11 +4,11 @@ and the code that only the tests use.
 Each reference computes a quantity the package computes another way
 (or no longer computes at all), in the plainest form: the two diffusive
 network signals from the Laplacians, the closed loop's right-hand side
-with one product each with L and Lbar and the root-flag couplings on
-their own, the reference trajectory
-integrated alone, the expanded-Laplacian spectrum test, the random
-graph generator as it drew with ``Generator.choice``, and whole-record
-scoring and step building.
+row-major, and with one product each with L and Lbar and the root-flag
+couplings on their own, stage-wise RK4 on any right-hand side, the
+reference trajectory integrated alone, the expanded-Laplacian spectrum
+test, the random graph generator as it drew with ``Generator.choice``,
+and whole-record scoring and step building.
 
 The code only the tests use is kept out of the package: the
 presets' parsed models and gains, a record's controller signals and
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from satsync.agents import ModelClass
+from satsync import simulation
+from satsync.agents import ModelClass, saturate
 from satsync.errors import ValidationError
 from satsync.gains import design_K_double, solve_P_neutral
 from satsync.graphs import _WEIGHT_GRID, CommGraph, check_rootset, laplacian, serialize_graph
@@ -33,7 +34,7 @@ from satsync.linalg import EIG_TOL, _square, solve_lyapunov
 from satsync.presets import preset_scenario
 from satsync.protocols import KINDS
 from satsync.scenario import parse_scenario_doc
-from satsync.simulation import _signal_columns, rk4
+from satsync.simulation import _signal_columns
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,113 @@ def root_blocks(model, proto):
     return root_state, root_input
 
 
+def _stage_steps(f, z, dt, steps):
+    """The state after each classical RK4 step of dz/dt = f(t, z)."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for k in range(steps):
+        t = k * dt
+        k1 = f(t, z)
+        k2 = f(t + half, z + half * k1)
+        k3 = f(t + half, z + half * k2)
+        k4 = f(t + dt, z + dt * k3)
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield z
+
+
+def rk4(f, z0, dt, steps, record_every=1):
+    """Classical 4th-order fixed-step integration of dz/dt = f(t, z),
+    stage by stage.
+
+    Returns (times, states) with states[k] the state at times[k]; the
+    initial and final states are always recorded, intermediates every
+    ``record_every`` steps, through ``simulation._record``, which aborts
+    with the offending time if the state stops being finite.
+    """
+    z = np.asarray(z0, dtype=float).copy()
+    states = np.empty((-(-steps // record_every) + 1, z.size))
+    return simulation._record(_stage_steps(f, z, dt, steps), z, dt, steps, record_every, states)
+
+
+def _split(loop, z):
+    """x_r, the agent rows X and the controller rows Xc of states z."""
+    n, N = loop.scenario.model.n, loop.scenario.graph.n
+    lead = z.shape[:-1]
+    return (
+        z[..., :n],
+        z[..., n: n + N * n].reshape(lead + (N, n)),
+        z[..., n + N * n:].reshape(lead + (N, -1)),
+    )
+
+
+def inputs(loop, z):
+    """The controllers' unsaturated inputs U: N x m after z's leading axes."""
+    return _split(loop, z)[2] @ loop.f_c.T
+
+
+def rates(loop, z, s):
+    """dz/dt at states ``z`` and saturated inputs ``s``, row-major: the
+    stage rows [X | Xc | S; x_r | 0 | 0] times the loop's gain, and
+    [Lbar | -iota] times their input into Lbar.
+
+    ``z`` may carry leading batch axes, ``s`` the same ones before its
+    N x m.
+    """
+    N = loop.scenario.graph.n
+    gain = np.ascontiguousarray(loop.gain_t.T)
+    lbar = np.ascontiguousarray(loop.lbar_t[:, :N].T)
+    x_r, x, xc = _split(loop, z)
+    n = x.shape[-1]
+    n_c = xc.shape[-1]
+    rows = np.zeros(z.shape[:-1] + (N + 1, gain.shape[0]))
+    rows[..., :N, :n] = x
+    rows[..., :N, n: n + n_c] = xc
+    rows[..., :N, n + n_c:] = s
+    rows[..., N, :n] = x_r
+    w = rows @ gain
+    out = np.empty(z.shape)
+    _, dx, dxc = _split(loop, out)
+    out[..., :n] = w[..., N, :n]
+    dx[...] = w[..., :N, :n]
+    # summed as [Lbar | -iota] (.) + local: on identity columns each
+    # entry of the dense M or G is its Kronecker sum of at most two
+    # nonzero terms, a_c + Lbar_ij d_x h_c, rounded once
+    np.matmul(lbar, w[..., n + n_c:], out=dxc)
+    dxc += w[..., :N, n: n + n_c]
+    return out
+
+
+def vector_field(loop):
+    """dz/dt = f(t, z) of a loop, row-major (``rates`` at saturated
+    ``inputs``), for ``rk4``."""
+    return lambda t, z: rates(loop, z, saturate(inputs(loop, z)))
+
+
+def block_rates(loop, z, s=None):
+    """dz/dt of the package's per-agent stage (``simulation._Block``) at
+    states ``z`` and saturated inputs ``s``, which may carry the same
+    leading batch axes before their dim and N x m. Without ``s`` the
+    inputs are the saturated pre-activations f_c Xc, as ``_agent_steps``
+    sets them."""
+    n, N = loop.scenario.model.n, loop.scenario.graph.n
+    lead, dim = z.shape[:-1], z.shape[-1]
+    B = int(np.prod(lead, dtype=int))
+    block = simulation._Block(loop, B)
+    simulation._load(block.stage, np.ascontiguousarray(z.reshape(B, dim).T), n)
+    if s is None:
+        saturate(np.dot(loop.f_c, block.xc, out=block.s), out=block.s)
+    else:
+        m = s.shape[-1]
+        block.s.reshape(m, B, N + 1)[:, :, :N] = s.reshape(B, N, m).transpose(2, 0, 1)
+    out = np.empty((dim, B))
+    for part, value in simulation._views(block.rates(), out, n):
+        value[...] = part
+    return out.T.reshape(lead + (dim,))
+
+
 def two_product_rates(sc, z, s):
-    """``ClosedLoop.rates(z, s)`` in its two-product form,
+    """The closed loop's dz/dt at states ``z`` and saturated inputs
+    ``s`` in its two-product form,
 
         dXc/dt = Xc a_c^T + S b_c^T + iota (S root_input^T - Xc root_state^T)
                  + L (Xc (d_x h_c)^T + S d_u^T) + Lbar X (c_c C)^T
@@ -222,25 +328,67 @@ def sync_errors_whole(traj):
     return max_error, pairwise
 
 
-def step_matrix_of_stages(loop):
-    """``simulation.step_operator(loop).p`` as it was first built: each
-    stage's k_i kept, then z + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
-    dim, N, m = loop.dim, loop.lbar.shape[0], loop.f_t.shape[1]
-    nm = N * m
-    eye = np.eye(dim)
-    m_mat = np.ascontiguousarray(loop.rates(eye, np.zeros((dim, N, m))).T)
-    g_mat = np.ascontiguousarray(loop.rates(np.zeros((nm, dim)), np.eye(nm).reshape(nm, N, m)).T)
+def step_matrix_of_stages(loop, stage_rates):
+    """``simulation.step_operator(loop).p`` summed from kept stages: each
+    stage's k_i kept, then z + dt/6 (k1 + 2 k2 + 2 k3 + k4), on the
+    identity columns z of [z; s1; s2; s3; s4].
+
+    ``stage_rates(i, stage)`` is k_i at the stage states (columns), with
+    stage i's inputs the identity on its own slots: that of
+    ``dense_stage_rates`` or of ``block_stage_rates``.
+    """
+    nm = loop.scenario.graph.n * loop.scenario.model.m
     dt = loop.scenario.dt
-    z = np.eye(dim, dim + 4 * nm)
+    z = np.eye(loop.dim, loop.dim + 4 * nm)
     stage, ks = z, []
     for i, step in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
-        k = m_mat @ stage
-        k[:, dim + i * nm: dim + (i + 1) * nm] += g_mat
+        k = stage_rates(i, stage)
         ks.append(k)
         if step is not None:
             stage = z + step * k
     k1, k2, k3, k4 = ks
     return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def dense_operators(loop):
+    """M, G and U of ``dz/dt = M z + G sat(U z)``: the row-major
+    ``rates`` and ``inputs`` on identity columns."""
+    dim, N, m = loop.dim, loop.scenario.graph.n, loop.scenario.model.m
+    nm = N * m
+    eye = np.eye(dim)
+    return (
+        np.ascontiguousarray(rates(loop, eye, np.zeros((dim, N, m))).T),
+        np.ascontiguousarray(rates(loop, np.zeros((nm, dim)), np.eye(nm).reshape(nm, N, m)).T),
+        np.ascontiguousarray(inputs(loop, eye).reshape(dim, nm).T),
+    )
+
+
+def dense_stage_rates(loop):
+    """k_i = M stage + G on stage i's slots, with the dense M and G: the
+    step's polynomial as ``step_operator`` once formed it."""
+    m_mat, g_mat, _ = dense_operators(loop)
+    dim, nm = g_mat.shape
+
+    def stage_rates(i, stage):
+        k = m_mat @ stage
+        k[:, dim + i * nm: dim + (i + 1) * nm] += g_mat
+        return k
+
+    return stage_rates
+
+
+def block_stage_rates(loop):
+    """k_i by the package's per-agent stage, one block member per column."""
+    N, m = loop.scenario.graph.n, loop.scenario.model.m
+    nm = N * m
+
+    def stage_rates(i, stage):
+        dim, members = stage.shape
+        s = np.zeros((members, nm))
+        s[dim + i * nm: dim + (i + 1) * nm] = np.eye(nm)
+        return np.ascontiguousarray(block_rates(loop, stage.T, s.reshape(members, N, m)).T)
+
+    return stage_rates
 
 
 def preset_parts(name):

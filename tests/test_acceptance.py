@@ -26,7 +26,7 @@ from satsync.graphs import check_rootset, generate_graph, laplacian, parse_graph
 from satsync.presets import GRAPH_A, GRAPH_B, preset_scenario
 from satsync.protocols import build_protocol
 from satsync.scenario import build_scenario, parse_scenario_doc
-from satsync.simulation import Scenario, assemble, integrate, rk4
+from satsync.simulation import Scenario, assemble, integrate
 
 from oracles import (
     compute_network_signals,
@@ -34,6 +34,7 @@ from oracles import (
     lyapunov_trace_P3,
     preset_parts,
     proof_coordinates,
+    rk4,
     saturation_potential,
     signals,
     v_trace_violation,

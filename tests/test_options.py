@@ -28,8 +28,6 @@ OPTIONS = {
     "scenario.parse_scenario_doc(base_dir)",
     "scenario.parse_scenario_doc(overrides)",
     "simulation.integrate(states)",
-    "simulation.rk4(record_every)",
-    "simulation.rk4(states)",
 }
 
 
@@ -113,7 +111,7 @@ def test_the_option_set_is_spelled_out():
     assert found == OPTIONS, (
         f"new: {sorted(found - OPTIONS)}, gone: {sorted(OPTIONS - found)}"
     )
-    assert len(OPTIONS) == 15
+    assert len(OPTIONS) == 13
 
 
 def test_the_class_field_options_are_spelled_out():

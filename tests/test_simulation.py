@@ -32,20 +32,25 @@ from satsync.simulation import (
     assemble,
     export_trajectory,
     integrate,
-    rk4,
     step_operator,
 )
 
 from oracles import (
+    block_rates,
+    block_stage_rates,
     compute_network_signals,
+    dense_operators,
+    dense_stage_rates,
     exosystem_reference,
     preset_parts,
     proof_coordinates,
     read_trajectory,
+    rk4,
     root_blocks,
     signals,
     step_matrix_of_stages,
     two_product_rates,
+    vector_field,
 )
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -95,7 +100,7 @@ def p6_scenario(n_agents=3, horizon=15.0, seed=2):
 
 def step_entries(loop):
     """Entries of a loop's RK4 step matrix [Phi | Gamma]."""
-    return _step_entries(loop.dim, loop.lbar.shape[0] * loop.f_t.shape[1])
+    return _step_entries(loop.dim, loop.scenario.graph.n * loop.scenario.model.m)
 
 
 def materialized_agents(model, proto):
@@ -412,7 +417,7 @@ def assert_matches_stage_wise_rk4(loop, times, got, rng):
     ``rk4``'s times, its states within 1e-12 of max|z|, and score the same
     verdicts and convergence times."""
     sc = loop.scenario
-    want_times, ref = rk4(loop.vector_field, loop.initial_state(), sc.dt, sc.steps, sc.record_every)
+    want_times, ref = rk4(vector_field(loop), loop.initial_state(), sc.dt, sc.steps, sc.record_every)
     assert np.array_equal(times, want_times)
     assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * np.max(np.abs(ref)))
     # verdicts at the scenario's tolerance and at one set by a recorded
@@ -475,7 +480,8 @@ def test_per_agent_steps_match_stage_wise_rk4(
     loop = assemble(sc)
     z0 = loop.initial_state()
     trajectory = simulation._agent_steps(loop, z0, dt, steps)
-    times, got = simulation._record(trajectory, z0, dt, steps, record_every, None)
+    states = np.empty((-(-steps // record_every) + 1, z0.size))
+    times, got = simulation._record(trajectory, z0, dt, steps, record_every, states)
     assert_matches_stage_wise_rk4(loop, times, got, rng)
 
 
@@ -511,6 +517,12 @@ def test_per_agent_step_reports_time_of_blowup():
 
 
 def test_no_loop_integrates_through_rk4_or_the_vector_field(monkeypatch):
+    # the stage-wise RK4 and the row-major vector field are the tests'
+    # references, not the package's
+    for name in ("rk4", "_stage_steps"):
+        assert not hasattr(simulation, name), name
+    for name in ("vector_field", "rates", "inputs", "_split"):
+        assert not hasattr(ClosedLoop, name), name
     # the largest example2 P6 network below the threshold and the
     # smallest at or above it
     below = materialized_agents(*EXAMPLE2_PROTOCOLS["P6"])
@@ -524,12 +536,6 @@ def test_no_loop_integrates_through_rk4_or_the_vector_field(monkeypatch):
         calls.append(loop)
         return kernel(loop, *args)
 
-    def forbidden(*args):
-        raise AssertionError("a loop integrated through rk4 or vector_field")
-
-    monkeypatch.setattr(ClosedLoop, "vector_field", forbidden)
-    monkeypatch.setattr(simulation, "rk4", forbidden)
-    monkeypatch.setattr(simulation, "_stage_steps", forbidden)
     monkeypatch.setattr(simulation, "_agent_steps", counted)
     integrate(small)
     integrate(large)
@@ -613,14 +619,16 @@ def dense_kron_operators(sc):
 
 
 def identity_columns(loop):
-    """M, G, U as the loop's ``rates`` and ``inputs`` give them on
-    identity columns, in the order ``step_operator`` forms them."""
-    dim, (N, m) = loop.dim, (loop.lbar.shape[0], loop.f_t.shape[1])
-    eye = np.eye(dim)
+    """M, G, U as the package's per-agent stage gives them on identity
+    columns: its rates of the identity states at zero inputs and of zero
+    states at the identity inputs, and the first pre-activations of
+    ``step_operator``, which steps that stage from the identity."""
+    dim, N, m = loop.dim, loop.scenario.graph.n, loop.scenario.model.m
+    nm = N * m
     return (
-        loop.rates(eye, np.zeros((dim, N, m))).T,
-        loop.rates(np.zeros((N * m, dim)), np.eye(N * m).reshape(N * m, N, m)).T,
-        loop.inputs(eye).reshape(dim, N * m).T,
+        block_rates(loop, np.eye(dim), np.zeros((dim, N, m))).T,
+        block_rates(loop, np.zeros((nm, dim)), np.eye(nm).reshape(nm, N, m)).T,
+        step_operator(loop).w[:nm],
     )
 
 
@@ -650,7 +658,7 @@ def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roo
     z = np.random.default_rng(seed).uniform(-2.0, 2.0, dim)
     m_mat, g_mat, u_mat = want
     field = m_mat @ z + g_mat @ np.clip(u_mat @ z, -1.0, 1.0)
-    err = np.max(np.abs(loop.vector_field(0.0, z) - field))
+    err = np.max(np.abs(block_rates(loop, z) - field))
     assert err <= 1e-12 * np.max(np.abs(field))
 
 
@@ -658,7 +666,7 @@ def test_operator_matches_dense_kron_reference(kind, family, n_agents, extra_roo
 @pytest.mark.parametrize("n_agents", [1, 4, 10])
 def test_step_operator_is_bitwise_the_sum_of_kept_stages(kind, n_agents):
     # summed in place into one array, the step matrix keeps every bit of
-    # the sum over the four kept k_i
+    # the sum over the four kept k_i of the per-agent stage
     model, proto = KIND_PROTOCOLS[kind]
     rng = np.random.default_rng(n_agents)
     sc = Scenario(
@@ -667,8 +675,33 @@ def test_step_operator_is_bitwise_the_sum_of_kept_stages(kind, n_agents):
         dt=float(rng.uniform(0.001, 0.01)), horizon=1.0, window=0.5,
     )
     loop = assemble(sc)
-    got, want = step_operator(loop).p, step_matrix_of_stages(loop)
+    got, want = step_operator(loop).p, step_matrix_of_stages(loop, block_stage_rates(loop))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PROTOCOLS))
+@pytest.mark.parametrize("family", ["random", "path", "star"])
+@pytest.mark.parametrize("size", ["1", "4", "largest"])
+def test_step_operator_is_the_dense_rk4_polynomial(kind, family, size):
+    # one step of the per-agent stage on the identity columns against
+    # RK4's polynomial of the dense M, G: the two round differently, by
+    # at most 1.7e-16 of max|p| in a sweep of these loops; the first
+    # pre-activations are U itself
+    model, proto = KIND_PROTOCOLS[kind]
+    n_agents = materialized_agents(model, proto) if size == "largest" else int(size)
+    rng = np.random.default_rng(n_agents)
+    loop = assemble(Scenario(
+        name="p", model=model, graph=generate_graph(family, n_agents, roots=[1], seed=n_agents),
+        protocol=proto, x_r0=np.zeros(model.n), x0=rng.uniform(-1, 1, (n_agents, model.n)),
+        dt=float(rng.uniform(0.001, 0.01)), horizon=1.0, window=0.5,
+    ))
+    assert step_entries(loop) < PER_AGENT_MIN_ENTRIES
+    op = step_operator(loop)
+    want = step_matrix_of_stages(loop, dense_stage_rates(loop))
+    assert op.p.shape == want.shape
+    assert np.max(np.abs(op.p - want)) <= 1e-14 * np.max(np.abs(want))
+    u_mat = dense_operators(loop)[2]
+    assert op.w[: u_mat.shape[0]].tobytes() == u_mat.tobytes()
 
 
 def test_operator_sums_each_entry_in_the_kron_order():
@@ -734,7 +767,7 @@ def test_rates_match_the_two_product_form(kind, graph, batch, seed):
     z = rng.uniform(-2.0, 2.0, batch + (loop.dim,))
     s = saturate(rng.uniform(-2.0, 2.0, batch + (N, model.m)))
     want = two_product_rates(sc, z, s)
-    got = loop.rates(z, s)
+    got = block_rates(loop, z, s)
     assert got.shape == want.shape == batch + (loop.dim,)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -780,8 +813,9 @@ def test_vector_field_matches_per_agent_equations(kind, family, n_agents):
     assert step_entries(loop) >= PER_AGENT_MIN_ENTRIES
     z = np.random.default_rng(n_agents).uniform(-2.0, 2.0, loop.dim)
     want = per_agent_field(sc, z)
-    assert np.any(np.abs(loop.inputs(z)) > 1.0) and np.any(np.abs(loop.inputs(z)) < 1.0)
-    err = np.max(np.abs(loop.vector_field(0.0, z) - want))
+    u = z[model.n + n_agents * model.n:].reshape(n_agents, -1) @ proto.f_c.T
+    assert np.any(np.abs(u) > 1.0) and np.any(np.abs(u) < 1.0)
+    err = np.max(np.abs(block_rates(loop, z) - want))
     assert err <= 1e-12 * np.max(np.abs(want))
 
 
