@@ -80,6 +80,15 @@ class SyncReport:
             and np.array_equal(self.pairwise_error, other.pairwise_error)
         )
 
+    def verdict(self):
+        """The verdict as a run's summary entry and its manifest result
+        write it, in their key order."""
+        return {
+            "converged": self.converged,
+            "convergence_time": self.convergence_time,
+            "final_max_error": float(self.max_error[-1]),
+        }
+
 
 # time steps sync_metrics scores at a time (see _block_errors)
 _SCORE_ROWS = 512
@@ -384,9 +393,7 @@ def _summary_entry(record):
         "name": record.name,
         "tolerance": report.tol,
         "window": report.window,
-        "converged": report.converged,
-        "convergence_time": report.convergence_time,
-        "final_max_error": float(report.max_error[-1]),
+        **report.verdict(),
         "final_pairwise_error": float(report.pairwise_error[-1]),
         "times": [float(v) for v in report.times],
         "max_error": [float(v) for v in report.max_error],

@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .analysis import export_report, rho_cases, run_cases, size_cases, staged
 from .errors import IntegrationError, SynthesisError, ValidationError
-from .gains import synthesize_gains, verify_gains
+from .gains import GAIN_MATRICES, synthesize_gains, verify_gains
 from .graphs import check_rootset
 from .presets import GRAPH_A, GRAPH_B, preset_names, preset_scenario
 from .protocols import compatible_classes
@@ -103,14 +103,6 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _result_doc(report):
-    return {
-        "converged": report.converged,
-        "convergence_time": report.convergence_time,
-        "final_max_error": float(report.max_error[-1]),
-    }
-
-
 def _print_checks(report, rootset_ok):
     state = "pass" if rootset_ok else "FAIL"
     print(f"[{state}] rootset_reachable: every node reachable from the root set"
@@ -162,7 +154,7 @@ def _write_run(out, cases, on_run, echoes, second):
             "scenario": docs[0] if len(docs) == 1 else docs,
             key: value,
             "outputs": sorted(os.listdir(staging)),
-            "results": {run.name: _result_doc(run.report) for run in runs},
+            "results": {run.name: run.report.verdict() for run in runs},
         }
         _write_json(os.path.join(staging, "manifest.json"), {
             "format": "satsync-manifest",
@@ -211,7 +203,7 @@ def cmd_synthesize(args):
     parts = _load_parts(args)
     gains = synthesize_gains(parts.model, parts.kind, rho=parts.gains.rho)
     print(f"gains for kind {parts.kind} (rho={gains.rho:g}):")
-    for name in ("p", "f", "k", "p_d", "gamma_x"):
+    for name in GAIN_MATRICES:
         value = getattr(gains, name)
         if value is None:
             continue

@@ -57,6 +57,10 @@ RESIDUAL_TOL = 1e-8
 # gelsd in both libraries) keeps the same effective rank.
 _LSTSQ_RCOND = np.finfo(float).eps
 
+# The gain matrices a GainSet may carry, in the order a scenario's gains
+# are checked, echoed and printed.
+GAIN_MATRICES = ("p", "f", "k", "p_d", "gamma_x")
+
 # Each protocol kind: the agent class its feedback is designed for, and
 # whether neighbours exchange full states (else outputs only).
 _KINDS = {
@@ -99,7 +103,7 @@ class GainSet:
         if not np.isfinite(self.rho):
             raise ValidationError("rho must be finite")
         self.rho = float(self.rho)
-        for name in ("p", "f", "k", "p_d", "gamma_x"):
+        for name in GAIN_MATRICES:
             val = getattr(self, name)
             if val is None:
                 continue

@@ -29,7 +29,7 @@ import numpy as np
 
 from .agents import AgentModel
 from .errors import ValidationError
-from .gains import GainSet, kind_spec, synthesize_gains
+from .gains import GAIN_MATRICES, GainSet, kind_spec, synthesize_gains
 from .graphs import (
     _FLOAT_MAX,
     CommGraph,
@@ -53,7 +53,6 @@ __all__ = [
 _TOP_KEYS = {"name", "model", "graph", "protocol", "sim", "analysis"}
 _MODEL_KEYS = {"a", "b", "c"}
 _PROTOCOL_KEYS = {"kind", "rho", "gains"}
-_GAIN_KEYS = {"p", "f", "k", "p_d", "gamma_x"}
 _SIM_KEYS = {"dt", "horizon", "record_every", "seed", "x_r0", "x0", "ic_scale"}
 _ANALYSIS_KEYS = {"tol", "window"}
 _GENERATE_KEYS = {"kind", "n", "roots", "seed", "extra_edge_prob"}
@@ -81,7 +80,7 @@ class ScenarioParts:
 
 
 def _reject_unknown(section, allowed, path):
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section).difference(allowed))
     if unknown:
         keys = ", ".join(repr(k) for k in unknown)
         raise ValidationError(f"{path}: unknown keys {keys}")
@@ -270,7 +269,7 @@ def _parse_protocol(doc, model):
         except ValidationError as exc:
             raise ValidationError(f"protocol: {exc}") from None
     gains = _require_mapping(raw, "protocol.gains")
-    _reject_unknown(gains, _GAIN_KEYS, "protocol.gains")
+    _reject_unknown(gains, GAIN_MATRICES, "protocol.gains")
     matrices = {
         key: _matrix(gains[key], f"protocol.gains.{key}") for key in sorted(gains)
     }
@@ -394,7 +393,7 @@ def scenario_echo(scenario):
     model = scenario.model
     gains = scenario.protocol.gains
     gains_doc = {}
-    for key in ("p", "f", "k", "p_d", "gamma_x"):
+    for key in GAIN_MATRICES:
         value = getattr(gains, key)
         if value is not None:
             gains_doc[key] = _matrix_doc(value)

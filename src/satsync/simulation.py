@@ -464,11 +464,7 @@ def _agent_steps(loop, z0, dt, steps):
 def _record(trajectory, z0, dt, steps, record_every, states):
     """Record z0 and the states ``trajectory`` yields, one per step of
     dt, into the rows of ``states``: every ``record_every``-th step and
-    the last. Returns (times, states)."""
-    if not 0 < dt <= MAX_DT:
-        raise ValidationError(f"dt must be in (0, {MAX_DT}], got {dt}")
-    if steps > MAX_STEPS:
-        raise ValidationError(f"{steps} steps exceed the {MAX_STEPS} cap")
+    the last. Returns (times, states). ``Scenario`` bounds dt and steps."""
     # row j holds step min(j record_every, steps): every record_every-th
     # step, then the last. The product converts each step to a float as
     # Python's k * dt does; a record_every beyond the last step keeps its

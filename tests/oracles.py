@@ -3,12 +3,16 @@ and the code that only the tests use.
 
 Each reference computes a quantity the package computes another way
 (or no longer computes at all), in the plainest form: the two diffusive
-network signals from the Laplacians, the closed loop's right-hand side
-row-major, and with one product each with L and Lbar and the root-flag
-couplings on their own, stage-wise RK4 on any right-hand side, the
-reference trajectory integrated alone, the expanded-Laplacian spectrum
-test, the random graph generator as it drew with ``Generator.choice``,
-and whole-record scoring and step building.
+network signals from the Laplacians; the closed loop's right-hand side
+in its two-product form (one product each with L and Lbar, and the
+root-flag couplings on their own) and its dense M, G, U by ``np.kron``,
+both built from the realization and the graph alone, never from
+``assemble``'s arrays; stage-wise RK4 on any right-hand side; the
+reference trajectory integrated alone; the expanded-Laplacian spectrum
+test; the random graph generator as it drew with ``Generator.choice``;
+and whole-record scoring and step building. ``block_rates`` and
+``block_stage_rates`` are no references: they run the package's own
+per-agent stage, the side the references are held against.
 
 The code only the tests use is kept out of the package: the
 presets' parsed models and gains, a record's controller signals and
@@ -156,60 +160,6 @@ def rk4(f, z0, dt, steps, record_every=1):
     return simulation._record(_stage_steps(f, z, dt, steps), z, dt, steps, record_every, states)
 
 
-def _split(loop, z):
-    """x_r, the agent rows X and the controller rows Xc of states z."""
-    n, N = loop.scenario.model.n, loop.scenario.graph.n
-    lead = z.shape[:-1]
-    return (
-        z[..., :n],
-        z[..., n: n + N * n].reshape(lead + (N, n)),
-        z[..., n + N * n:].reshape(lead + (N, -1)),
-    )
-
-
-def inputs(loop, z):
-    """The controllers' unsaturated inputs U: N x m after z's leading axes."""
-    return _split(loop, z)[2] @ loop.f_c.T
-
-
-def rates(loop, z, s):
-    """dz/dt at states ``z`` and saturated inputs ``s``, row-major: the
-    stage rows [X | Xc | S; x_r | 0 | 0] times the loop's gain, and
-    [Lbar | -iota] times their input into Lbar.
-
-    ``z`` may carry leading batch axes, ``s`` the same ones before its
-    N x m.
-    """
-    N = loop.scenario.graph.n
-    gain = np.ascontiguousarray(loop.gain_t.T)
-    lbar = np.ascontiguousarray(loop.lbar_t[:, :N].T)
-    x_r, x, xc = _split(loop, z)
-    n = x.shape[-1]
-    n_c = xc.shape[-1]
-    rows = np.zeros(z.shape[:-1] + (N + 1, gain.shape[0]))
-    rows[..., :N, :n] = x
-    rows[..., :N, n: n + n_c] = xc
-    rows[..., :N, n + n_c:] = s
-    rows[..., N, :n] = x_r
-    w = rows @ gain
-    out = np.empty(z.shape)
-    _, dx, dxc = _split(loop, out)
-    out[..., :n] = w[..., N, :n]
-    dx[...] = w[..., :N, :n]
-    # summed as [Lbar | -iota] (.) + local: on identity columns each
-    # entry of the dense M or G is its Kronecker sum of at most two
-    # nonzero terms, a_c + Lbar_ij d_x h_c, rounded once
-    np.matmul(lbar, w[..., n + n_c:], out=dxc)
-    dxc += w[..., :N, n: n + n_c]
-    return out
-
-
-def vector_field(loop):
-    """dz/dt = f(t, z) of a loop, row-major (``rates`` at saturated
-    ``inputs``), for ``rk4``."""
-    return lambda t, z: rates(loop, z, saturate(inputs(loop, z)))
-
-
 def block_rates(loop, z, s=None):
     """dz/dt of the package's per-agent stage (``simulation._Block``) at
     states ``z`` and saturated inputs ``s``, which may carry the same
@@ -232,7 +182,7 @@ def block_rates(loop, z, s=None):
     return out.T.reshape(lead + (dim,))
 
 
-def two_product_rates(sc, z, s):
+def two_product_rates(sc):
     """The closed loop's dz/dt at states ``z`` and saturated inputs
     ``s`` in its two-product form,
 
@@ -240,31 +190,50 @@ def two_product_rates(sc, z, s):
                  + L (Xc (d_x h_c)^T + S d_u^T) + Lbar X (c_c C)^T
                  - iota x_r^T (c_c C)^T,
 
-    for scenario ``sc``; ``z`` and ``s`` may carry the same leading
-    batch axes."""
+    as a function ``rates(z, s)`` of scenario ``sc``, built from its
+    realization and graph alone; ``z`` and ``s`` may carry the same
+    leading batch axes."""
     model, graph, proto = sc.model, sc.graph, sc.protocol
     n, N, n_c = model.n, graph.n, proto.controller_state_dim
     root_state, root_input = root_blocks(model, proto)
     q = proto.h_c.shape[0]
     d_state, d_input = proto.d_c[:, :q], root_input  # d_u, asserted above
+    dh = d_state @ proto.h_c
     pair = laplacian(graph)
     iota = graph.root_flags.astype(float)[:, None]
-    lead = z.shape[:-1]
-    x_r = z[..., :n]
-    x = z[..., n: n + N * n].reshape(lead + (N, n))
-    xc = z[..., n + N * n:].reshape(lead + (N, n_c))
     cc = proto.c_c @ model.c
-    dx = x @ model.a.T + s @ model.b.T
-    dxc = (
-        xc @ proto.a_c.T + s @ proto.b_c.T
-        + iota * (s @ root_input.T - xc @ root_state.T)
-        + pair.L @ (xc @ (d_state @ proto.h_c).T + s @ d_input.T)
-        + pair.Lbar @ (x @ cc.T)
-        - iota * (x_r @ cc.T)[..., None, :]
-    )
-    return np.concatenate(
-        [x_r @ model.a.T, dx.reshape(lead + (-1,)), dxc.reshape(lead + (-1,))], axis=-1
-    )
+
+    def rates(z, s):
+        lead = z.shape[:-1]
+        x_r = z[..., :n]
+        x = z[..., n: n + N * n].reshape(lead + (N, n))
+        xc = z[..., n + N * n:].reshape(lead + (N, n_c))
+        dx = x @ model.a.T + s @ model.b.T
+        dxc = (
+            xc @ proto.a_c.T + s @ proto.b_c.T
+            + iota * (s @ root_input.T - xc @ root_state.T)
+            + pair.L @ (xc @ dh.T + s @ d_input.T)
+            + pair.Lbar @ (x @ cc.T)
+            - iota * (x_r @ cc.T)[..., None, :]
+        )
+        return np.concatenate(
+            [x_r @ model.a.T, dx.reshape(lead + (-1,)), dxc.reshape(lead + (-1,))], axis=-1
+        )
+
+    return rates
+
+
+def vector_field(sc):
+    """dz/dt = f(t, z) of scenario ``sc``, for ``rk4``: ``two_product_rates``
+    at the saturated inputs sat(Xc f_c^T) of the realization's f_c."""
+    rates, f_c = two_product_rates(sc), sc.protocol.f_c
+    N, start = sc.graph.n, sc.model.n * (sc.graph.n + 1)
+
+    def field(t, z):
+        xc = z[..., start:].reshape(z.shape[:-1] + (N, -1))
+        return rates(z, saturate(xc @ f_c.T))
+
+    return field
 
 
 def exosystem_reference(a, x_r0, times):
@@ -328,18 +297,19 @@ def sync_errors_whole(traj):
     return max_error, pairwise
 
 
-def step_matrix_of_stages(loop, stage_rates):
-    """``simulation.step_operator(loop).p`` summed from kept stages: each
-    stage's k_i kept, then z + dt/6 (k1 + 2 k2 + 2 k3 + k4), on the
-    identity columns z of [z; s1; s2; s3; s4].
+def step_matrix_of_stages(sc, stage_rates):
+    """``simulation.step_operator(loop).p`` of a loop of scenario ``sc``,
+    summed from kept stages: each stage's k_i kept, then
+    z + dt/6 (k1 + 2 k2 + 2 k3 + k4), on the identity columns z of
+    [z; s1; s2; s3; s4].
 
     ``stage_rates(i, stage)`` is k_i at the stage states (columns), with
     stage i's inputs the identity on its own slots: that of
     ``dense_stage_rates`` or of ``block_stage_rates``.
     """
-    nm = loop.scenario.graph.n * loop.scenario.model.m
-    dt = loop.scenario.dt
-    z = np.eye(loop.dim, loop.dim + 4 * nm)
+    n, N, dt = sc.model.n, sc.graph.n, sc.dt
+    dim, nm = n + N * (n + sc.protocol.controller_state_dim), N * sc.model.m
+    z = np.eye(dim, dim + 4 * nm)
     stage, ks = z, []
     for i, step in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
         k = stage_rates(i, stage)
@@ -350,23 +320,42 @@ def step_matrix_of_stages(loop, stage_rates):
     return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def dense_operators(loop):
-    """M, G and U of ``dz/dt = M z + G sat(U z)``: the row-major
-    ``rates`` and ``inputs`` on identity columns."""
-    dim, N, m = loop.dim, loop.scenario.graph.n, loop.scenario.model.m
-    nm = N * m
-    eye = np.eye(dim)
-    return (
-        np.ascontiguousarray(rates(loop, eye, np.zeros((dim, N, m))).T),
-        np.ascontiguousarray(rates(loop, np.zeros((nm, dim)), np.eye(nm).reshape(nm, N, m)).T),
-        np.ascontiguousarray(inputs(loop, eye).reshape(dim, nm).T),
-    )
+def dense_kron_operators(sc):
+    """M, G, U of ``dz/dt = M z + G sat(U z)`` for scenario ``sc``,
+    written out block by block with dense ``np.kron``."""
+    model, graph, proto = sc.model, sc.graph, sc.protocol
+    n, m, N = model.n, model.m, graph.n
+    n_c = proto.controller_state_dim
+    pair = laplacian(graph)
+    iota = graph.root_flags.astype(float).reshape(N, 1)
+    dim = n + N * n + N * n_c
+    r, x, c = slice(0, n), slice(n, n + N * n), slice(n + N * n, dim)
+    eye = np.eye(N)
+    cc_c = proto.c_c @ model.c
+    d_state = proto.d_c[:, : proto.h_c.shape[0]]
+    d_input = proto.d_c[:, proto.h_c.shape[0]:]
+
+    m_mat = np.zeros((dim, dim))
+    m_mat[r, r] = model.a
+    m_mat[x, x] = np.kron(eye, model.a)
+    m_mat[c, x] = np.kron(pair.Lbar, cc_c)
+    m_mat[c, r] = -np.kron(iota, cc_c)
+    m_mat[c, c] = np.kron(eye, proto.a_c) + np.kron(pair.Lbar, d_state @ proto.h_c)
+    g_mat = np.zeros((dim, N * m))
+    g_mat[x, :] = np.kron(eye, model.b)
+    g_mat[c, :] = np.kron(eye, proto.b_c)
+    if d_input.size:
+        g_mat[c, :] += np.kron(pair.Lbar, d_input)
+    u_mat = np.zeros((N * m, dim))
+    u_mat[:, c] = np.kron(eye, proto.f_c)
+    return m_mat, g_mat, u_mat
 
 
-def dense_stage_rates(loop):
-    """k_i = M stage + G on stage i's slots, with the dense M and G: the
-    step's polynomial as ``step_operator`` once formed it."""
-    m_mat, g_mat, _ = dense_operators(loop)
+def dense_stage_rates(sc):
+    """k_i = M stage + G on stage i's slots, with the dense M and G of
+    ``dense_kron_operators``: the step's polynomial as ``step_operator``
+    once formed it."""
+    m_mat, g_mat, _ = dense_kron_operators(sc)
     dim, nm = g_mat.shape
 
     def stage_rates(i, stage):

@@ -1,5 +1,6 @@
 """Closed-loop assembly, integration accuracy, trajectory round trips."""
 
+import ast
 import os
 import pickle
 from contextlib import contextmanager
@@ -39,7 +40,7 @@ from oracles import (
     block_rates,
     block_stage_rates,
     compute_network_signals,
-    dense_operators,
+    dense_kron_operators,
     dense_stage_rates,
     exosystem_reference,
     preset_parts,
@@ -414,10 +415,11 @@ def drawn_scenario(kind, family, n_agents, dt, steps, record_every, scale, seed)
 
 def assert_matches_stage_wise_rk4(loop, times, got, rng):
     """The recorded ``times`` and states ``got`` of a run of ``loop`` are
-    ``rk4``'s times, its states within 1e-12 of max|z|, and score the same
-    verdicts and convergence times."""
+    the times of ``rk4`` on the scenario's own ``vector_field``, its states
+    within 1e-12 of max|z|, and score the same verdicts and convergence
+    times."""
     sc = loop.scenario
-    want_times, ref = rk4(vector_field(loop), loop.initial_state(), sc.dt, sc.steps, sc.record_every)
+    want_times, ref = rk4(vector_field(sc), loop.initial_state(), sc.dt, sc.steps, sc.record_every)
     assert np.array_equal(times, want_times)
     assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * np.max(np.abs(ref)))
     # verdicts at the scenario's tolerance and at one set by a recorded
@@ -542,6 +544,23 @@ def test_no_loop_integrates_through_rk4_or_the_vector_field(monkeypatch):
     assert calls == [large]
 
 
+def test_no_oracle_but_block_rates_reads_the_loops_arrays():
+    # the references are built from the scenario alone, so a fault in
+    # assemble's gain^T or [Lbar | -iota]^T sits on one side of each
+    # comparison, not on both
+    with open(os.path.join(os.path.dirname(__file__), "oracles.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = ("gain_t", "lbar_t")
+    readers = {
+        getattr(node, "name", None)
+        for node in tree.body
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Attribute) and inner.attr in names
+        or isinstance(inner, ast.Constant) and inner.value in names
+    }
+    assert readers <= {"block_rates"}, readers
+
+
 class _Kernel(Exception):
     pass
 
@@ -586,36 +605,6 @@ def test_kernel_is_chosen_by_the_step_matrix_entries(monkeypatch, kind, n_agents
     with pytest.raises(_Kernel) as err:
         integrate(loop)
     assert err.value.args == (kernel,)
-
-
-def dense_kron_operators(sc):
-    """M, G, U written out block by block with dense ``np.kron``."""
-    model, graph, proto = sc.model, sc.graph, sc.protocol
-    n, m, N = model.n, model.m, graph.n
-    n_c = proto.controller_state_dim
-    pair = laplacian(graph)
-    iota = graph.root_flags.astype(float).reshape(N, 1)
-    dim = n + N * n + N * n_c
-    r, x, c = slice(0, n), slice(n, n + N * n), slice(n + N * n, dim)
-    eye = np.eye(N)
-    cc_c = proto.c_c @ model.c
-    d_state = proto.d_c[:, : proto.h_c.shape[0]]
-    d_input = proto.d_c[:, proto.h_c.shape[0]:]
-
-    m_mat = np.zeros((dim, dim))
-    m_mat[r, r] = model.a
-    m_mat[x, x] = np.kron(eye, model.a)
-    m_mat[c, x] = np.kron(pair.Lbar, cc_c)
-    m_mat[c, r] = -np.kron(iota, cc_c)
-    m_mat[c, c] = np.kron(eye, proto.a_c) + np.kron(pair.Lbar, d_state @ proto.h_c)
-    g_mat = np.zeros((dim, N * m))
-    g_mat[x, :] = np.kron(eye, model.b)
-    g_mat[c, :] = np.kron(eye, proto.b_c)
-    if d_input.size:
-        g_mat[c, :] += np.kron(pair.Lbar, d_input)
-    u_mat = np.zeros((N * m, dim))
-    u_mat[:, c] = np.kron(eye, proto.f_c)
-    return m_mat, g_mat, u_mat
 
 
 def identity_columns(loop):
@@ -675,7 +664,7 @@ def test_step_operator_is_bitwise_the_sum_of_kept_stages(kind, n_agents):
         dt=float(rng.uniform(0.001, 0.01)), horizon=1.0, window=0.5,
     )
     loop = assemble(sc)
-    got, want = step_operator(loop).p, step_matrix_of_stages(loop, block_stage_rates(loop))
+    got, want = step_operator(loop).p, step_matrix_of_stages(sc, block_stage_rates(loop))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -684,24 +673,26 @@ def test_step_operator_is_bitwise_the_sum_of_kept_stages(kind, n_agents):
 @pytest.mark.parametrize("size", ["1", "4", "largest"])
 def test_step_operator_is_the_dense_rk4_polynomial(kind, family, size):
     # one step of the per-agent stage on the identity columns against
-    # RK4's polynomial of the dense M, G: the two round differently, by
-    # at most 1.7e-16 of max|p| in a sweep of these loops; the first
-    # pre-activations are U itself
+    # RK4's polynomial of the np.kron M, G, built without ``assemble``:
+    # the two round differently, by at most 2.8e-17 of max|p| in these
+    # cases; the first pre-activations are U itself, up to the sign of
+    # zero (np.kron writes 0 x f_c < 0 as -0.0)
     model, proto = KIND_PROTOCOLS[kind]
     n_agents = materialized_agents(model, proto) if size == "largest" else int(size)
     rng = np.random.default_rng(n_agents)
-    loop = assemble(Scenario(
+    sc = Scenario(
         name="p", model=model, graph=generate_graph(family, n_agents, roots=[1], seed=n_agents),
         protocol=proto, x_r0=np.zeros(model.n), x0=rng.uniform(-1, 1, (n_agents, model.n)),
         dt=float(rng.uniform(0.001, 0.01)), horizon=1.0, window=0.5,
-    ))
+    )
+    loop = assemble(sc)
     assert step_entries(loop) < PER_AGENT_MIN_ENTRIES
     op = step_operator(loop)
-    want = step_matrix_of_stages(loop, dense_stage_rates(loop))
+    want = step_matrix_of_stages(sc, dense_stage_rates(sc))
     assert op.p.shape == want.shape
     assert np.max(np.abs(op.p - want)) <= 1e-14 * np.max(np.abs(want))
-    u_mat = dense_operators(loop)[2]
-    assert op.w[: u_mat.shape[0]].tobytes() == u_mat.tobytes()
+    u_mat = dense_kron_operators(sc)[2]
+    assert np.array_equal(op.w[: u_mat.shape[0]], u_mat)
 
 
 def test_operator_sums_each_entry_in_the_kron_order():
@@ -755,7 +746,11 @@ def rooted_digraphs(draw, max_n=12):
 def test_rates_match_the_two_product_form(kind, graph, batch, seed):
     # one Lbar product in place of the L and Lbar products and the
     # root-flag terms regroups each controller rate's sum: the two agree
-    # within 1e-14 of the largest rate (2000 draws gave at most 5.0e-16)
+    # within 1e-14 of the largest rate (2000 draws gave at most 5.0e-16).
+    # The two-product form, the reference every integration and
+    # step-operator test compares against, is in turn the equations
+    # written agent by agent, grouped differently: within 1e-14 again
+    # (2000 draws gave at most 1.1e-15)
     model, proto = KIND_PROTOCOLS[kind]
     N = graph.n
     sc = Scenario(
@@ -766,9 +761,12 @@ def test_rates_match_the_two_product_form(kind, graph, batch, seed):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-2.0, 2.0, batch + (loop.dim,))
     s = saturate(rng.uniform(-2.0, 2.0, batch + (N, model.m)))
-    want = two_product_rates(sc, z, s)
+    want = two_product_rates(sc)(z, s)
     got = block_rates(loop, z, s)
     assert got.shape == want.shape == batch + (loop.dim,)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    got = vector_field(sc)(0.0, z)
+    want = np.reshape([per_agent_field(sc, member) for member in z.reshape(-1, loop.dim)], z.shape)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
