@@ -111,19 +111,16 @@ def _block_errors(x_r, x):
     return max_error, pairwise
 
 
-def sync_metrics(traj, tol=1e-2, window=None):
-    """Score a trajectory against a tolerance and a terminal window.
+def sync_metrics(traj):
+    """Score a trajectory against its scenario's tolerance and window.
 
     Parameters
     ----------
     traj : TrajectoryRecord
-        Recorded closed-loop run.
-    tol : float
-        Error level that counts as synchronized.
-    window : float, optional
-        Length of the terminal band (seconds) that must sit strictly
-        below ``tol`` for the run to count as converged. Defaults to
-        5 s, clipped to the recorded span.
+        Recorded closed-loop run, scored by its ``scenario``: ``tol`` is
+        the error level that counts as synchronized, and ``window`` the
+        length (seconds) of the terminal band that must sit strictly
+        below it for the run to count as converged.
 
     Returns
     -------
@@ -133,20 +130,7 @@ def sync_metrics(traj, tol=1e-2, window=None):
     times = np.array(traj.times, dtype=float)
     if times.size == 0:
         raise ValidationError("trajectory is empty")
-    duration = float(times[-1] - times[0])
-    if window is None:
-        window = min(5.0, duration)
-    else:
-        window = float(window)
-        if not window > 0.0:
-            raise ValidationError(f"window must be positive, got {window:g}")
-        if window > duration + 1e-12:
-            raise ValidationError(
-                f"window {window:g} s exceeds the recorded span of {duration:g} s"
-            )
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tol:g}")
+    tol, window = float(traj.scenario.tol), float(traj.scenario.window)
 
     # scored _SCORE_ROWS time steps at a time: the temporaries are a few
     # blocks of rows x N x n, not the whole record's. A last block of one
@@ -185,7 +169,7 @@ def run_case(case, states=None):
 
     ``case`` is a Scenario or the ClosedLoop assembled from one; the
     states are recorded into ``states`` when it is given (a matrix of
-    the loop's ``record_shape``), which the record then views. The
+    the scenario's ``record_shape``), which the record then views. The
     verdict uses the scenario's own tolerance and window; the gain audit
     is its realization's ``gain_report``.
     """
@@ -197,7 +181,7 @@ def run_case(case, states=None):
     scenario = loop.scenario
     return RunRecord(
         name=scenario.name,
-        report=sync_metrics(record, tol=scenario.tol, window=scenario.window),
+        report=sync_metrics(record),
         gain_report=scenario.protocol.gain_report,
         trajectory=record,
     )
@@ -205,7 +189,7 @@ def run_case(case, states=None):
 
 def _assembled(case):
     loop = simulation.assemble(case)
-    return loop, SharedMatrix(*loop.record_shape)
+    return loop, SharedMatrix(*loop.scenario.record_shape)
 
 
 def _run_assembled(item):
@@ -266,15 +250,16 @@ def _size_name(scenario, size):
 
 
 def _require_distinct_names(scenario, label, values, name):
-    """Reject a case list in which two values would name the same run."""
+    """Reject a case list in which two values would name runs that write
+    the same file (see ``_file_name``)."""
     seen = {}
     for value in values:
-        case = name(scenario, value)
-        if case in seen:
+        file_name = _file_name(name(scenario, value))
+        if file_name in seen:
             raise ValidationError(
-                f"{label} {seen[case]!r} and {value!r} both give the case name {case!r}"
+                f"{label} {seen[file_name]!r} and {value!r} would both write {file_name}"
             )
-        seen[case] = value
+        seen[file_name] = value
 
 
 def _rho_case(scenario, rho):
@@ -310,9 +295,10 @@ def rho_cases(scenario, rhos):
     Every other ingredient -- graph, initial conditions, step size -- is
     held fixed; only the scalar gain changes, which re-synthesizes the
     realization per case (named ``<name>-rho<rho>``, ``rho`` printed
-    with ``%g``; gains that print alike are rejected). The gains are
-    checked at once; the returned generator builds each case as it is
-    read, in the input order.
+    with ``%g``; gains whose cases would write one CSV file, such as
+    gains that print alike, are rejected). The gains are checked at
+    once; the returned generator builds each case as it is read, in the
+    input order.
     """
     rhos = [float(r) for r in rhos]
     for r in rhos:
@@ -335,9 +321,9 @@ def size_cases(scenario, sizes):
     realization is rebuilt per case from the same model and gains, which
     makes the build determinism checkable: the controller matrices must
     come out bit-identical for every size. The sizes are checked at
-    once: each a whole number >= 1 whose graph fits in memory and that
-    names a case no other size names. The returned generator builds each
-    case as it is read, in the input order.
+    once: each a whole number >= 1 whose graph fits in memory and whose
+    case writes a CSV file no other size's writes. The returned
+    generator builds each case as it is read, in the input order.
     """
     for n in sizes:
         if not (n % 1 == 0 and n >= 1):
@@ -369,16 +355,17 @@ class RunRecord:
         )
 
 
-def _safe_name(name):
+def _file_name(name):
+    """The CSV file name of run ``name``: the name made file-safe."""
     safe = "".join(ch if ch.isalnum() or ch in "._-" else "-" for ch in name)
-    return safe or "run"
+    return (safe or "run") + ".csv"
 
 
 def _claim_file(claimed, name):
     """The CSV file name of run ``name``, entered in ``claimed`` (file
     name -> run name); a run that an earlier one would overwrite, having
     the same name or one that makes the same file name, is rejected."""
-    file_name = _safe_name(name) + ".csv"
+    file_name = _file_name(name)
     if file_name in claimed:
         raise ValidationError(
             f"runs {claimed[file_name]!r} and {name!r} would both write {file_name}"

@@ -31,7 +31,6 @@ import os
 import signal
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -87,14 +86,17 @@ def _overrides(args):
     return overrides
 
 
-def _load_parts(args):
+def _load_parts(args, defaults=None):
+    """The parts of ``--scenario``, with ``defaults`` (dotted paths, as
+    in ``_overrides``) under the command's own flags."""
     path = args.scenario
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read scenario {path}: {exc}") from None
-    return parse_scenario_doc(data, base_dir=os.path.dirname(os.path.abspath(path)), overrides=_overrides(args))
+    overrides = {**(defaults or {}), **_overrides(args)}
+    return parse_scenario_doc(data, base_dir=os.path.dirname(os.path.abspath(path)), overrides=overrides)
 
 
 def _write_json(path, doc):
@@ -263,11 +265,8 @@ def _size(entry):
 
 
 def cmd_sweep(args):
-    parts = _load_parts(args)
-    scenario = build_scenario(parts)
-    if args.record_every is None:
-        # sweeps thin their trajectories by default; full runs stay opt-in
-        scenario = replace(scenario, record_every=_SWEEP_RECORD_EVERY)
+    # sweeps thin their trajectories by default; full runs stay opt-in
+    scenario = build_scenario(_load_parts(args, {"sim.record_every": _SWEEP_RECORD_EVERY}))
     if args.rho is not None:
         cases = rho_cases(scenario, _parse_list(args.rho, "--rho", float))
     else:

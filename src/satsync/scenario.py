@@ -41,7 +41,7 @@ from .graphs import (
 )
 from .presets import preset_scenario
 from .protocols import KINDS, build_protocol
-from .simulation import DEFAULT_DT, DEFAULT_HORIZON, Scenario
+from .simulation import DEFAULT_DT, DEFAULT_HORIZON, DEFAULT_TOL, Scenario
 
 __all__ = [
     "ScenarioParts",
@@ -338,7 +338,7 @@ def parse_scenario_doc(data, base_dir=None, overrides=None):
 
     analysis = _require_mapping(doc.get("analysis", {}), "analysis")
     _reject_unknown(analysis, _ANALYSIS_KEYS, "analysis")
-    tol = _number(analysis.get("tol", 1e-2), "analysis.tol", positive=True)
+    tol = _number(analysis.get("tol", DEFAULT_TOL), "analysis.tol", positive=True)
     window = None
     if analysis.get("window") is not None:
         window = _number(analysis["window"], "analysis.window", positive=True)

@@ -44,6 +44,8 @@ bitwise identical.
 from __future__ import annotations
 
 import errno
+import math
+import numbers
 import os
 import shutil
 import tempfile
@@ -68,12 +70,14 @@ __all__ = [
     "export_trajectory",
     "DEFAULT_DT",
     "DEFAULT_HORIZON",
+    "DEFAULT_TOL",
     "MAX_STEPS",
     "PER_AGENT_MIN_ENTRIES",
 ]
 
 DEFAULT_DT = 1e-3
 DEFAULT_HORIZON = 30.0
+DEFAULT_TOL = 1e-2
 # Fixed-step integration; dt above 0.1 would be meaningless for the
 # oscillatory dynamics here, and the step count is capped outright.
 MAX_DT = 0.1
@@ -126,7 +130,8 @@ _EXPORT_ROWS = 1024
 
 @dataclass
 class Scenario:
-    """One fully resolved simulation: who, over what graph, from where.
+    """One fully resolved simulation: who, over what graph, from where,
+    and how its run is scored (see ``analysis.sync_metrics``).
 
     ``x0`` rows are per-agent initial states; ``controller0`` rows are
     per-agent controller initial states (zeros when omitted -- the
@@ -147,7 +152,7 @@ class Scenario:
     horizon: float = DEFAULT_HORIZON
     seed: int | None = None
     record_every: int = 1
-    tol: float = 1e-2
+    tol: float = DEFAULT_TOL
     window: float | None = None  # defaults to min(5 s, horizon)
 
     def __post_init__(self):
@@ -159,6 +164,9 @@ class Scenario:
             )
         if not 0 < self.dt <= MAX_DT:
             raise ValidationError(f"dt must be in (0, {MAX_DT}], got {self.dt}")
+        for name, value in (("horizon", self.horizon), ("tol", self.tol)):
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.horizon < self.dt:
             raise ValidationError(
                 f"horizon {self.horizon} shorter than one step {self.dt}"
@@ -167,16 +175,15 @@ class Scenario:
             raise ValidationError(
                 f"horizon/dt = {self.horizon / self.dt:.3g} exceeds {MAX_STEPS} steps"
             )
-        if self.record_every < 1:
-            raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
-        # the state matrix a run records, a time and the states per step,
-        # must fit in the machine
-        dim = n + N * (n + n_c)
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+            raise ValidationError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        # the state matrix a run records must fit in the machine
+        steps, cols = self.record_shape
         memory = _physical_memory()
-        if self.recorded_steps * (1 + dim) * 8 > memory:
+        if steps * cols * 8 > memory:
             raise ValidationError(
-                f"the recorded states would take {self.recorded_steps * (1 + dim) * 8 / 1e9:.3g} GB "
-                f"({self.recorded_steps} steps of a time and {dim} states), more than this "
+                f"the recorded states would take {steps * cols * 8 / 1e9:.3g} GB "
+                f"({steps} steps of a time and {cols - 1} states), more than this "
                 f"machine's {memory / 1e9:.3g} GB of memory: raise sim.record_every "
                 f"({self.record_every}), shorten sim.horizon ({self.horizon:g}) or "
                 f"lengthen sim.dt ({self.dt:g})"
@@ -188,7 +195,7 @@ class Scenario:
                 f"window must be in (0, horizon], got {self.window}"
             )
         # the run records steps * dt seconds, which rounding can put just
-        # below the horizon; allow what sync_metrics allows
+        # below the horizon; a window that long is allowed
         span = self.steps * self.dt
         if self.window > span + 1e-12:
             raise ValidationError(
@@ -222,6 +229,24 @@ class Scenario:
         """Time steps a run records: every ``record_every``-th and the last."""
         return -(-self.steps // self.record_every) + 1
 
+    @property
+    def dim(self):
+        """Size of the stacked state z."""
+        n = self.model.n
+        return n + self.graph.n * (n + self.protocol.controller_state_dim)
+
+    @property
+    def record_shape(self):
+        """(recorded steps, 1 + state size) of the matrix ``integrate``
+        fills: per step its time, then the state z."""
+        return self.recorded_steps, 1 + self.dim
+
+    def initial_state(self):
+        """The stacked state z at t = 0."""
+        return np.concatenate(
+            [self.x_r0, self.x0.reshape(-1), self.controller0.reshape(-1)]
+        )
+
 
 @dataclass
 class ClosedLoop:
@@ -251,24 +276,6 @@ class ClosedLoop:
     gain_t: np.ndarray  # [X; Xc; S] -> [dX; local; into Lbar]
     f_c: np.ndarray
     lbar_t: np.ndarray  # [[Lbar | -iota]^T | 0], (N + 1) x (N + 1)
-
-    def initial_state(self):
-        sc = self.scenario
-        return np.concatenate(
-            [sc.x_r0, sc.x0.reshape(-1), sc.controller0.reshape(-1)]
-        )
-
-    @property
-    def dim(self):
-        """Size of the stacked state z."""
-        n, N = self.scenario.model.n, self.scenario.graph.n
-        return n + N * (n + self.f_c.shape[1])
-
-    @property
-    def record_shape(self):
-        """(recorded steps, 1 + state size) of the matrix ``integrate``
-        fills: per step its time, then the state z."""
-        return self.scenario.recorded_steps, 1 + self.dim
 
 
 def assemble(scenario):
@@ -391,7 +398,7 @@ def step_operator(loop):
     ``c``.
     """
     sc = loop.scenario
-    n, N, (m, n_c), dim = sc.model.n, sc.graph.n, loop.f_c.shape, loop.dim
+    n, N, (m, n_c), dim = sc.model.n, sc.graph.n, loop.f_c.shape, sc.dim
     nm = N * m
     members = dim + 4 * nm
     z = np.zeros((n + n_c, members * (N + 1)))
@@ -545,17 +552,17 @@ def integrate(loop, states=None):
     smaller one through its ``step_operator``, built here. Either yields
     its states to ``_record``, which thins them and stops at the first
     non-finite one with its step's time. The record is one matrix of
-    ``loop.record_shape``, per recorded step its time and then its state:
-    every ``scenario.record_every``-th step and the last. ``states``,
-    when given, is that matrix, filled in place.
+    the scenario's ``record_shape``, per recorded step its time and then
+    its state: every ``scenario.record_every``-th step and the last.
+    ``states``, when given, is that matrix, filled in place.
     """
     sc = loop.scenario
-    z0 = loop.initial_state()
+    z0 = sc.initial_state()
     if states is None:
-        states = np.empty(loop.record_shape)
-    elif states.shape != loop.record_shape:
-        raise ValidationError(f"state matrix must be {loop.record_shape}, got {states.shape}")
-    if _step_entries(loop.dim, sc.graph.n * sc.model.m) >= PER_AGENT_MIN_ENTRIES:
+        states = np.empty(sc.record_shape)
+    elif states.shape != sc.record_shape:
+        raise ValidationError(f"state matrix must be {sc.record_shape}, got {states.shape}")
+    if _step_entries(sc.dim, sc.graph.n * sc.model.m) >= PER_AGENT_MIN_ENTRIES:
         trajectory = _agent_steps(loop, z0, sc.dt, sc.steps)
     else:
         trajectory = _operator_steps(step_operator(loop), z0, sc.steps)

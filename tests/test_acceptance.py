@@ -59,7 +59,7 @@ def _preset_run(name, graph_doc, **sim_overrides):
     started = time.perf_counter()
     rec = integrate(assemble(sc))
     wall = time.perf_counter() - started
-    return sync_metrics(rec, tol=sc.tol, window=sc.window), wall
+    return sync_metrics(rec), wall
 
 
 def rotation_full_model():

@@ -79,8 +79,9 @@ def p3_scenario(n_agents=3, horizon=12.0, dt=0.01, seed=1):
     )
 
 
-def hand_record(x):
-    """Record of agent states ``x`` [time, agent, component] at t = 0, 1, ...
+def hand_record(x, tol, window):
+    """Record of agent states ``x`` [time, agent, component] at t = 0, 1, ...,
+    scored at ``tol`` over the final ``window`` seconds.
 
     The reference sits at zero and a stand-in full-state realization
     keeps one controller state per agent at rest, so chi and u are zero
@@ -91,19 +92,21 @@ def hand_record(x):
     states = np.column_stack(
         [np.linspace(0.0, T - 1.0, T), np.zeros((T, n)), x.reshape(T, -1), np.zeros((T, N))]
     )
-    scenario = SimpleNamespace(protocol=protocol, model=SimpleNamespace(n=n), graph=SimpleNamespace(n=N))
+    scenario = SimpleNamespace(
+        protocol=protocol, model=SimpleNamespace(n=n), graph=SimpleNamespace(n=N), tol=tol, window=window,
+    )
     return TrajectoryRecord(states, scenario)
 
 
-def synthetic_record(errors):
+def synthetic_record(errors, tol, window):
     """Trajectory whose per-agent error norms are exactly ``errors``."""
-    return hand_record(np.asarray(errors, dtype=float)[:, :, None])
+    return hand_record(np.asarray(errors, dtype=float)[:, :, None], tol, window)
 
 
 def test_sync_metrics_hand_oracle():
     # errors decay below tol=0.5 from t=2 on; window 2 ends at t=4
     errs = np.array([[4.0, 3.0], [1.0, 2.0], [0.4, 0.3], [0.2, 0.1], [0.05, 0.02]])
-    rep = sync_metrics(synthetic_record(errs), tol=0.5, window=2.0)
+    rep = sync_metrics(synthetic_record(errs, tol=0.5, window=2.0))
     assert np.array_equal(rep.max_error, np.array([4.0, 2.0, 0.4, 0.2, 0.05]))
     assert rep.converged
     assert rep.convergence_time == 2.0
@@ -116,11 +119,11 @@ def test_sync_metrics_pairwise_equals_pair_loop(n):
     rng = np.random.default_rng(n)
     T, N = 40, 12
     x = rng.normal(size=(T, N, n))
-    rec = hand_record(x)
+    rec = hand_record(x, tol=0.5, window=5.0)
     want = np.zeros(T)
     for i, j in combinations(range(N), 2):
         np.maximum(want, np.linalg.norm(x[:, i, :] - x[:, j, :], axis=-1), out=want)
-    assert np.array_equal(sync_metrics(rec, tol=0.5).pairwise_error, want)
+    assert np.array_equal(sync_metrics(rec).pairwise_error, want)
 
 
 LAYOUTS = {
@@ -153,8 +156,9 @@ def test_block_scoring_is_bitwise_the_whole_record_form(steps, N, n, layout, see
     states = LAYOUTS[layout](full, T, cols)
     scenario = SimpleNamespace(model=SimpleNamespace(n=n), graph=SimpleNamespace(n=N))
     rec = TrajectoryRecord(states, scenario)
-    tol = float(np.quantile(np.linalg.norm(rec.x - rec.x_r[:, None, :], axis=-1).max(axis=1), 0.3))
-    got = sync_metrics(rec, tol=tol)
+    scenario.tol = float(np.quantile(np.linalg.norm(rec.x - rec.x_r[:, None, :], axis=-1).max(axis=1), 0.3))
+    scenario.window = min(5.0, float(rec.times[-1] - rec.times[0]))
+    got = sync_metrics(rec)
     max_error, pairwise = sync_errors_whole(rec)
     assert got.max_error.tobytes() == max_error.tobytes()
     assert got.pairwise_error.tobytes() == pairwise.tobytes()
@@ -167,7 +171,8 @@ def test_sync_metrics_holds_block_sized_temporaries():
     T, N, n = 6001, 10, 7
     states = np.random.default_rng(0).normal(size=(T, 1 + n + N * (n + 14)))
     states[:, 0] = np.arange(T) * 0.01
-    rec = TrajectoryRecord(states, SimpleNamespace(model=SimpleNamespace(n=n), graph=SimpleNamespace(n=N)))
+    scenario = SimpleNamespace(model=SimpleNamespace(n=n), graph=SimpleNamespace(n=N), tol=1e-2, window=5.0)
+    rec = TrajectoryRecord(states, scenario)
     sync_metrics(rec)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
@@ -180,15 +185,9 @@ def test_sync_metrics_holds_block_sized_temporaries():
 
 def test_sync_metrics_rejects_late_excursion():
     errs = np.array([[0.1], [0.1], [0.1], [0.9], [0.1]])
-    rep = sync_metrics(synthetic_record(errs), tol=0.5, window=2.0)
+    rep = sync_metrics(synthetic_record(errs, tol=0.5, window=2.0))
     assert not rep.converged
     assert rep.convergence_time is None
-
-
-def test_sync_metrics_window_validation():
-    errs = np.zeros((3, 1))
-    with pytest.raises(ValidationError, match="window"):
-        sync_metrics(synthetic_record(errs), tol=0.5, window=10.0)
 
 
 def test_v_trace_violation_signs():
@@ -307,7 +306,7 @@ def test_gain_audit_is_the_realizations(monkeypatch):
 def test_export_parse_round_trip(tmp_path):
     sc = p1_scenario(horizon=4.0)
     rec = integrate(assemble(sc))
-    rep = sync_metrics(rec, tol=1e-2)
+    rep = sync_metrics(rec)
     runs = [RunRecord(name="case-a", report=rep, trajectory=rec)]
     written = export_report(runs, tmp_path)
     assert sorted(p.name for p in map(_as_path, written)) == ["case-a.csv", "summary.json"]
@@ -334,7 +333,7 @@ def _as_path(p):
 
 
 def test_export_report_rejects_duplicate_names(tmp_path):
-    rep = sync_metrics(synthetic_record(np.zeros((3, 1))), tol=0.5)
+    rep = sync_metrics(synthetic_record(np.zeros((3, 1)), tol=0.5, window=2.0))
     runs = [RunRecord(name="dup", report=rep), RunRecord(name="dup", report=rep)]
     with pytest.raises(ValidationError, match="dup"):
         export_report(runs, tmp_path)
@@ -342,7 +341,7 @@ def test_export_report_rejects_duplicate_names(tmp_path):
 
 def test_export_report_rejects_names_that_make_one_file(tmp_path):
     rec = integrate(assemble(p1_scenario(horizon=0.5)))
-    rep = sync_metrics(rec, tol=1e-2)
+    rep = sync_metrics(rec)
     runs = [RunRecord(name=name, report=rep, trajectory=rec) for name in ("case a", "case-a")]
     out = tmp_path / "out"
     with pytest.raises(ValidationError, match="'case a' and 'case-a' would both write case-a.csv"):

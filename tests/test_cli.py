@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, run-directory contract, determinism."""
 
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -9,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from satsync import analysis, cli, simulation
 from satsync.cli import main
 from satsync.errors import IntegrationError
 from satsync.parallel import FORKS, process_map
+from satsync.scenario import build_scenario, parse_scenario_doc
 
 from procs import children, running
 
@@ -82,6 +85,42 @@ def test_simulate_overrides_change_echo(scenario_file, tmp_path):
     echo = read_json(out / "scenario.json")
     assert echo["sim"]["dt"] == 0.02
     assert echo["protocol"]["rho"] == 2.0
+
+
+INLINE_SCENARIO = {
+    "name": "inline",
+    "model": {"a": [[0, 1], [-1, 0]], "b": [[0], [1]]},
+    "graph": {"n": 3, "edges": [{"from": 1, "to": 2}, {"from": 2, "to": 3}], "roots": [1]},
+    "protocol": {"kind": "P1", "rho": 1.0},
+    "sim": {"seed": 1, "ic_scale": 1.0, "dt": 0.01, "horizon": 3.0},
+}
+
+
+@pytest.mark.parametrize("doc, tol, window", [
+    ({**SHORT_SCENARIO, "analysis": {"tol": 0.05, "window": 1.5}}, 0.05, 1.5),
+    # no analysis section: the default tolerance, and a window of
+    # min(5 s, horizon)
+    (INLINE_SCENARIO, 0.01, 3.0),
+], ids=["stated", "defaults"])
+def test_a_run_is_scored_by_its_documents_tolerance_and_window(tmp_path, doc, tol, window):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    (run,) = read_json(out / "summary.json")["runs"]
+    assert (run["tolerance"], run["window"]) == (tol, window)
+    # the verdict is the stored errors' against them
+    times, errors = np.array(run["times"]), np.array(run["max_error"])
+    below = errors < tol
+    converged = bool(below[times >= times[-1] - window - 1e-12].all())
+    first = None
+    if converged:
+        first = float(times[0 if below.all() else np.nonzero(~below)[0][-1] + 1])
+    verdict = {"converged": converged, "convergence_time": first, "final_max_error": errors[-1]}
+    assert {key: run[key] for key in verdict} == verdict
+    assert read_json(out / "manifest.json")["run"]["results"] == {doc["name"]: verdict}
+    echo = read_json(out / "scenario.json")["analysis"]
+    assert (echo["tol"], echo["window"]) == (tol, window)
 
 
 def test_verify_passes_good_scenario(scenario_file, capsys):
@@ -174,6 +213,24 @@ def test_sweep_n_controller_digest_is_size_free(scenario_file, tmp_path, capsys)
     manifest = read_json(out / "manifest.json")
     digests = list(manifest["run"]["sweep"].values())
     assert len(digests) == 2 and digests[0] == digests[1]
+
+
+def test_sweep_judges_memory_by_its_thinned_record(scenario_file, tmp_path, capsys, monkeypatch):
+    # room for the record a sweep keeps by default, every 100th step,
+    # and not for every step
+    sc = build_scenario(parse_scenario_doc(json.dumps(SHORT_SCENARIO)))
+    thinned = math.prod(replace(sc, record_every=cli._SWEEP_RECORD_EVERY).record_shape) * 8
+    assert math.prod(sc.record_shape) * 8 > thinned
+    monkeypatch.setattr(simulation, "_physical_memory", lambda: thinned)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", scenario_file, "--rho", "1", "--out", str(out)]) == 0
+    assert read_json(out / "scenario.json")["sim"]["record_every"] == cli._SWEEP_RECORD_EVERY
+    # the flag's thinning is judged instead
+    out = tmp_path / "full"
+    argv = ["sweep", "--scenario", scenario_file, "--rho", "1", "--record-every", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert "raise sim.record_every (1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _run_python(*argv):
@@ -298,6 +355,8 @@ def test_sweep_empty_axis_is_an_error(scenario_file, tmp_path, capsys):
     ("--n", "3,3", "network sizes 3 and 3"),
     ("--n", "2.5", "whole number >= 1, got 2.5"),
     ("--rho", "1.0000001,1.0000002", "rho values 1.0000001 and 1.0000002"),
+    # distinct names, but file-safe '+' is '-': one CSV file
+    ("--rho", "1e-6,1e6", "rho values 1e-06 and 1000000.0 would both write clidemo-rho1e-06.csv"),
 ])
 def test_sweep_rejects_bad_case_lists_before_any_case_runs(
     scenario_file, tmp_path, capsys, monkeypatch, axis, values, named

@@ -1,5 +1,6 @@
 """The package's options: every defaulted parameter of a public
-function, and every defaulted field of a public class.
+function, and every defaulted field of a public class; and no public
+function takes a setting that a ``Scenario`` states.
 
 An option is a parameter with a default on a public module-level function
 of a public ``satsync`` module, or a field with a default on a public
@@ -18,8 +19,6 @@ OPTIONS = {
     "agents.mixed_decompose(gamma_x)",
     "agents.saturate(out)",
     "analysis.run_case(states)",
-    "analysis.sync_metrics(tol)",
-    "analysis.sync_metrics(window)",
     "cli.main(argv)",
     "gains.synthesize_gains(rho)",
     "graphs.generate_graph(extra_edge_prob)",
@@ -59,21 +58,25 @@ def _public_modules(package_dir):
             yield name[:-3], ast.parse(fh.read()).body
 
 
+def _public_functions(package_dir):
+    """(module name, definition) of every public function defined at the
+    top of a public module."""
+    for module, body in _public_modules(package_dir):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                yield module, node
+
+
 def defaulted_parameters(package_dir):
     """``module.function(parameter)`` for every defaulted parameter of a
     public function defined at the top of a public module."""
     found = set()
-    for module, body in _public_modules(package_dir):
-        for node in body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            args = node.args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults):]
-            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            found |= {f"{module}.{node.name}({a.arg})" for a in defaulted}
+    for module, node in _public_functions(package_dir):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        found |= {f"{module}.{node.name}({a.arg})" for a in defaulted}
     return found
 
 
@@ -111,7 +114,7 @@ def test_the_option_set_is_spelled_out():
     assert found == OPTIONS, (
         f"new: {sorted(found - OPTIONS)}, gone: {sorted(OPTIONS - found)}"
     )
-    assert len(OPTIONS) == 13
+    assert len(OPTIONS) == 11
 
 
 def test_the_class_field_options_are_spelled_out():
@@ -120,3 +123,18 @@ def test_the_class_field_options_are_spelled_out():
         f"new: {sorted(found - FIELDS)}, gone: {sorted(FIELDS - found)}"
     )
     assert len(FIELDS) == 15
+
+
+# the Scenario fields that say how a run is stepped, recorded and scored
+SCENARIO_SETTINGS = {"tol", "window", "dt", "horizon", "record_every"}
+
+
+def test_no_public_function_takes_a_scenario_setting():
+    # a run's settings are stated once, on its Scenario: a function that
+    # took one as a parameter could run or score it otherwise
+    found = set()
+    for module, node in _public_functions(os.path.dirname(satsync.__file__)):
+        args = node.args
+        names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        found |= {f"{module}.{node.name}({name})" for name in names & SCENARIO_SETTINGS}
+    assert not found, f"Scenario settings taken as parameters: {sorted(found)}"

@@ -1,6 +1,7 @@
 """Closed-loop assembly, integration accuracy, trajectory round trips."""
 
 import ast
+import math
 import os
 import pickle
 from contextlib import contextmanager
@@ -101,7 +102,8 @@ def p6_scenario(n_agents=3, horizon=15.0, seed=2):
 
 def step_entries(loop):
     """Entries of a loop's RK4 step matrix [Phi | Gamma]."""
-    return _step_entries(loop.dim, loop.scenario.graph.n * loop.scenario.model.m)
+    sc = loop.scenario
+    return _step_entries(sc.dim, sc.graph.n * sc.model.m)
 
 
 def materialized_agents(model, proto):
@@ -152,8 +154,12 @@ def test_stacked_dimensions():
     loop = assemble(sc)
     n, N = 2, 4
     dim = n + N * n + N * sc.protocol.controller_state_dim
-    assert loop.dim == dim
-    assert loop.initial_state().shape == (dim,)
+    assert sc.dim == dim
+    assert sc.record_shape == (sc.recorded_steps, 1 + dim)
+    assert sc.initial_state().shape == (dim,)
+    # the loop holds its assembled arrays and nothing the scenario decides
+    assert [f.name for f in fields(ClosedLoop)] == ["scenario", "gain_t", "f_c", "lbar_t"]
+    assert [name for name in vars(ClosedLoop) if not name.startswith("__")] == []
 
 
 def test_equilibrium_stays_put():
@@ -178,7 +184,7 @@ def test_equilibrium_stays_put():
 def test_integrate_fills_a_given_state_matrix(record_every):
     sc = rotation_scenario(horizon=0.5, record_every=record_every)
     loop = assemble(sc)
-    states = np.full(loop.record_shape, np.nan)
+    states = np.full(sc.record_shape, np.nan)
     rec = integrate(loop, states)
     alone = integrate(assemble(sc))
     assert len(alone.times) == sc.recorded_steps == states.shape[0]
@@ -260,7 +266,7 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
     # times, x_r, x and xc are views into the one matrix the integrator
     # filled, per row the time and then the state
     states = rec.states
-    dim = assemble(sc).initial_state().size
+    dim = sc.dim
     assert states.shape == (rec.times.size, 1 + dim)
     for view in (rec.times, rec.x_r, rec.x, rec.xc):
         assert view.base is states and np.shares_memory(view, states)
@@ -360,10 +366,20 @@ def test_scenario_validation():
         replace(sc, dt=0.08, horizon=5.0, window=None)
     assert replace(sc, dt=0.08, horizon=5.0, window=4.96).steps == 62
     # 10 steps of 0.09 s record 0.8999999999999999 s: a 0.9 s window is
-    # inside the allowance that sync_metrics grants
+    # inside the allowance of 1e-12 s
     rec = integrate(assemble(replace(sc, dt=0.09, horizon=0.9, window=None)))
     assert rec.times[-1] - rec.times[0] < 0.9
-    assert sync_metrics(rec, window=0.9).window == 0.9
+    assert sync_metrics(rec).window == 0.9
+    # every setting a run is scored by, and its length and thinning, are
+    # checked where they are stated, each error naming its field
+    for field, value in [
+        ("window", 0.0), ("window", -1.0), ("window", math.nan),
+        ("tol", 0.0), ("tol", -1.0), ("tol", math.inf), ("tol", math.nan),
+        ("horizon", math.nan), ("horizon", math.inf), ("horizon", -1.0),
+        ("record_every", 0), ("record_every", 2.5), ("record_every", math.nan), ("record_every", 2.0),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{field} must"):
+            replace(sc, **{field: value})
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -419,18 +435,17 @@ def assert_matches_stage_wise_rk4(loop, times, got, rng):
     within 1e-12 of max|z|, and score the same verdicts and convergence
     times."""
     sc = loop.scenario
-    want_times, ref = rk4(vector_field(sc), loop.initial_state(), sc.dt, sc.steps, sc.record_every)
+    want_times, ref = rk4(vector_field(sc), sc.initial_state(), sc.dt, sc.steps, sc.record_every)
     assert np.array_equal(times, want_times)
     assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * np.max(np.abs(ref)))
     # verdicts at the scenario's tolerance and at one set by a recorded
     # error of the reference run, with a window of the drawn length
-    rec = TrajectoryRecord(np.column_stack([times, got]), sc)
-    want = TrajectoryRecord(np.column_stack([times, ref]), sc)
-    errors = sync_metrics(want).max_error
+    errors = sync_metrics(TrajectoryRecord(np.column_stack([times, ref]), sc)).max_error
     drawn = errors[rng.integers(errors.size)] * (1 + 1e-6)
     window = rng.uniform(0.1, 1.0) * (times[-1] - times[0])
-    for tol, window in ((sc.tol, None), (drawn, window)):
-        a, b = sync_metrics(rec, tol=tol, window=window), sync_metrics(want, tol=tol, window=window)
+    for scored in (sc, replace(sc, tol=drawn, window=window)):
+        a = sync_metrics(TrajectoryRecord(np.column_stack([times, got]), scored))
+        b = sync_metrics(TrajectoryRecord(np.column_stack([times, ref]), scored))
         assert (a.converged, a.convergence_time) == (b.converged, b.convergence_time)
 
 
@@ -480,7 +495,7 @@ def test_per_agent_steps_match_stage_wise_rk4(
     n_agents = 1 + int(size * (2 * materialized_agents(*KIND_PROTOCOLS[kind]) - 1))
     sc, rng = drawn_scenario(kind, family, n_agents, dt, steps, record_every, scale, seed)
     loop = assemble(sc)
-    z0 = loop.initial_state()
+    z0 = sc.initial_state()
     trajectory = simulation._agent_steps(loop, z0, dt, steps)
     states = np.empty((-(-steps // record_every) + 1, z0.size))
     times, got = simulation._record(trajectory, z0, dt, steps, record_every, states)
@@ -593,7 +608,7 @@ def test_kernel_is_chosen_by_the_step_matrix_entries(monkeypatch, kind, n_agents
         protocol=proto, x_r0=np.zeros(model.n), x0=np.zeros((n_agents, model.n)),
         dt=0.01, horizon=0.01,
     ))
-    assert loop.dim == dim
+    assert loop.scenario.dim == dim
 
     def chosen(name):
         def stop(*args):
@@ -612,7 +627,7 @@ def identity_columns(loop):
     columns: its rates of the identity states at zero inputs and of zero
     states at the identity inputs, and the first pre-activations of
     ``step_operator``, which steps that stage from the identity."""
-    dim, N, m = loop.dim, loop.scenario.graph.n, loop.scenario.model.m
+    dim, N, m = loop.scenario.dim, loop.scenario.graph.n, loop.scenario.model.m
     nm = N * m
     return (
         block_rates(loop, np.eye(dim), np.zeros((dim, N, m))).T,
@@ -759,14 +774,14 @@ def test_rates_match_the_two_product_form(kind, graph, batch, seed):
     )
     loop = assemble(sc)
     rng = np.random.default_rng(seed)
-    z = rng.uniform(-2.0, 2.0, batch + (loop.dim,))
+    z = rng.uniform(-2.0, 2.0, batch + (sc.dim,))
     s = saturate(rng.uniform(-2.0, 2.0, batch + (N, model.m)))
     want = two_product_rates(sc)(z, s)
     got = block_rates(loop, z, s)
-    assert got.shape == want.shape == batch + (loop.dim,)
+    assert got.shape == want.shape == batch + (sc.dim,)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     got = vector_field(sc)(0.0, z)
-    want = np.reshape([per_agent_field(sc, member) for member in z.reshape(-1, loop.dim)], z.shape)
+    want = np.reshape([per_agent_field(sc, member) for member in z.reshape(-1, sc.dim)], z.shape)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -809,7 +824,7 @@ def test_vector_field_matches_per_agent_equations(kind, family, n_agents):
     )
     loop = assemble(sc)
     assert step_entries(loop) >= PER_AGENT_MIN_ENTRIES
-    z = np.random.default_rng(n_agents).uniform(-2.0, 2.0, loop.dim)
+    z = np.random.default_rng(n_agents).uniform(-2.0, 2.0, sc.dim)
     want = per_agent_field(sc, z)
     u = z[model.n + n_agents * model.n:].reshape(n_agents, -1) @ proto.f_c.T
     assert np.any(np.abs(u) > 1.0) and np.any(np.abs(u) < 1.0)
