@@ -24,6 +24,7 @@ indices in all user-facing output are 1-based.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -197,6 +198,9 @@ def cmd_verify(args):
     accepted = "/".join(c.value for c in compatible_classes(parts.kind))
     print(f"[{state}] kind_compatible: {parts.kind} accepts {accepted}")
     ok = rootset_ok and compatible and report.passed
+    if ok:
+        # what simulate would reject fails here too, with its message
+        build_scenario(parts)
     print("verification " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
@@ -214,6 +218,8 @@ def cmd_synthesize(args):
             print("  [" + ", ".join(f"{v:.10g}" for v in row) + "]")
     report = verify_gains(parts.model, gains, kind=parts.kind)
     _print_checks(report, check_rootset(parts.graph))
+    if report.passed:
+        build_scenario(dataclasses.replace(parts, gains=gains))
     return 0 if report.passed else 1
 
 
@@ -268,13 +274,13 @@ def cmd_sweep(args):
     # sweeps thin their trajectories by default; full runs stay opt-in
     scenario = build_scenario(_load_parts(args, {"sim.record_every": _SWEEP_RECORD_EVERY}))
     if args.rho is not None:
-        cases = rho_cases(scenario, _parse_list(args.rho, "--rho", float))
+        flag, make_cases, values = "--rho", rho_cases, _parse_list(args.rho, "--rho", float)
     else:
-        sizes = _parse_list(args.n, "--n", _size)
-        try:
-            cases = size_cases(scenario, sizes)
-        except ValidationError as exc:
-            raise ValidationError(f"--n: {exc}") from None
+        flag, make_cases, values = "--n", size_cases, _parse_list(args.n, "--n", _size)
+    try:
+        cases = make_cases(scenario, values)
+    except ValidationError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
     digests = {}
 
     def table_row(case, run):

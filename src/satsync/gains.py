@@ -363,10 +363,11 @@ def _verify_K_double(k, m):
 def _verify_K_mixed(decomp, k, p_d):
     """Check the mixed-case equality and strict inequality for k.
 
-    The equality is checked against the velocity weight ``p_d``. Where
-    ``p_d`` is None, the weight that minimizes the equality residual is
-    recovered by least squares (the equality is linear in p_d) and must
-    itself be positive definite.
+    The equality is checked against the velocity weight ``p_d``, which
+    must be q x q and positive definite. Where ``p_d`` is None, the
+    weight that minimizes the equality residual is recovered by least
+    squares (the equality is linear in p_d) and must itself be positive
+    definite.
     """
     k = np.asarray(k, dtype=float)
     n = decomp.gamma_x.shape[0]
@@ -375,13 +376,16 @@ def _verify_K_mixed(decomp, k, p_d):
         raise ValidationError(f"k must have shape ({m}, {n}), got {k.shape}")
     if p_d is None:
         p_d = _best_p_d(decomp, k)
-    p_d = np.asarray(p_d, dtype=float)
+        indefinite = "no positive definite velocity weight fits the equality (best min eig"
+    else:
+        p_d = np.asarray(p_d, dtype=float)
+        if p_d.shape != (q, q):
+            raise ValidationError(f"p_d must be {q}x{q}, got {p_d.shape}")
+        indefinite = "the stated velocity weight p_d is not positive definite (min eig"
     pd_min = float(np.linalg.eigvalsh(0.5 * (p_d + p_d.T)).min()) if q else 1.0
     if pd_min <= DEFINITE_TOL:
         return GainCheck(
-            "k_mixed_conditions", False, pd_min,
-            f"no positive definite velocity weight fits the equality "
-            f"(best min eig {pd_min:.3e})",
+            "k_mixed_conditions", False, pd_min, f"{indefinite} {pd_min:.3e})"
         )
     lam = compute_Lambda(decomp, p_d)
     at = _decomposed_a(decomp)

@@ -107,7 +107,7 @@ def build_protocol(kind, model, gains):
             f"kind {kind} needs a {names} model, got {model.model_class.value!r}"
         )
     if full_state and not np.array_equal(model.c, np.eye(model.n)):
-        raise ValidationError(f"kind {kind} exchanges full states and needs c = I")
+        raise ValidationError(f"model.c: kind {kind} exchanges full states and needs c = I")
     report = verify_gains(model, gains, kind=kind)
     if not report.passed:
         failed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())

@@ -15,7 +15,9 @@ reproduces the original run byte for byte.
 Parsing is split in two stages. :func:`parse_scenario_doc` resolves the
 document into plain ingredients without building the controller, which
 lets the verifier report margins for gains that would be rejected at
-build time; :func:`build_scenario` performs the build.
+build time; :func:`build_scenario` performs the build. The parser checks
+a stated run setting's JSON type at its field path; ``Scenario`` alone
+defaults the settings and checks their ranges, naming the same paths.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .agents import AgentModel
 from .errors import ValidationError
-from .gains import GAIN_MATRICES, GainSet, kind_spec, synthesize_gains
+from .gains import GAIN_MATRICES, GainSet, synthesize_gains
 from .graphs import (
     _FLOAT_MAX,
     CommGraph,
@@ -41,7 +43,7 @@ from .graphs import (
 )
 from .presets import preset_scenario
 from .protocols import KINDS, build_protocol
-from .simulation import DEFAULT_DT, DEFAULT_HORIZON, DEFAULT_TOL, Scenario
+from .simulation import Scenario
 
 __all__ = [
     "ScenarioParts",
@@ -62,21 +64,18 @@ DEFAULT_IC_SCALE = 5.0
 
 @dataclass
 class ScenarioParts:
-    """A fully resolved document, one step short of building the controller."""
+    """A fully resolved document, one step short of building the controller.
 
-    name: str
+    ``run`` holds the rest of ``Scenario``'s keyword arguments: the name
+    and the initial states, and the seed and the run settings only where
+    the document states them.
+    """
+
     model: AgentModel
     graph: CommGraph
     kind: str
     gains: GainSet
-    x_r0: np.ndarray
-    x0: np.ndarray
-    dt: float
-    horizon: float
-    seed: int | None
-    record_every: int
-    tol: float
-    window: float | None
+    run: dict
 
 
 def _reject_unknown(section, allowed, path):
@@ -257,8 +256,6 @@ def _parse_protocol(doc, model):
         raise ValidationError(
             f"protocol.kind: unknown kind {kind!r} (expected one of {', '.join(KINDS)})"
         )
-    if kind_spec(kind)[1] and not np.array_equal(model.c, np.eye(model.n)):
-        raise ValidationError("model: full coupling requires c to be the identity")
     rho = 1.0
     if "rho" in protocol:
         rho = _number(protocol["rho"], "protocol.rho")
@@ -315,68 +312,43 @@ def parse_scenario_doc(data, base_dir=None, overrides=None):
 
     sim = _require_mapping(doc.get("sim", {}), "sim")
     _reject_unknown(sim, _SIM_KEYS, "sim")
-    dt = _number(sim.get("dt", DEFAULT_DT), "sim.dt", positive=True)
-    horizon = _number(sim.get("horizon", DEFAULT_HORIZON), "sim.horizon", positive=True)
-    record_every = _number(sim.get("record_every", 1), "sim.record_every", positive=True, integer=True)
+    run = {"name": name}
+    for key in ("dt", "horizon", "record_every"):
+        if key in sim:
+            run[key] = _number(sim[key], f"sim.{key}", integer=key == "record_every")
     seed = None
     if sim.get("seed") is not None:
-        seed = _seed(sim["seed"], "sim.seed")
+        seed = run["seed"] = _seed(sim["seed"], "sim.seed")
 
     if "x_r0" in sim:
-        x_r0 = _vector(sim["x_r0"], "sim.x_r0")
+        run["x_r0"] = _vector(sim["x_r0"], "sim.x_r0")
     else:
-        x_r0 = np.zeros(model.n)
+        run["x_r0"] = np.zeros(model.n)
     if "x0" in sim:
         # explicit initial conditions win over a (possibly preset-inherited) ic_scale
-        x0 = _matrix(sim["x0"], "sim.x0")
+        run["x0"] = _matrix(sim["x0"], "sim.x0")
     else:
         scale = DEFAULT_IC_SCALE
         if "ic_scale" in sim:
             scale = _number(sim["ic_scale"], "sim.ic_scale", positive=True)
         rng = np.random.default_rng(seed if seed is not None else 0)
-        x0 = rng.uniform(-scale, scale, size=(graph.n, model.n))
+        run["x0"] = rng.uniform(-scale, scale, size=(graph.n, model.n))
 
     analysis = _require_mapping(doc.get("analysis", {}), "analysis")
     _reject_unknown(analysis, _ANALYSIS_KEYS, "analysis")
-    tol = _number(analysis.get("tol", DEFAULT_TOL), "analysis.tol", positive=True)
-    window = None
+    if "tol" in analysis:
+        run["tol"] = _number(analysis["tol"], "analysis.tol")
     if analysis.get("window") is not None:
-        window = _number(analysis["window"], "analysis.window", positive=True)
+        run["window"] = _number(analysis["window"], "analysis.window")
 
-    return ScenarioParts(
-        name=name,
-        model=model,
-        graph=graph,
-        kind=kind,
-        gains=gains,
-        x_r0=x_r0,
-        x0=x0,
-        dt=dt,
-        horizon=horizon,
-        seed=seed,
-        record_every=record_every,
-        tol=tol,
-        window=window,
-    )
+    return ScenarioParts(model=model, graph=graph, kind=kind, gains=gains, run=run)
 
 
 def build_scenario(parts):
-    """Build the controller and assemble the runnable Scenario."""
+    """Build the controller and assemble the runnable Scenario, which
+    defaults and checks the run's settings."""
     protocol = build_protocol(parts.kind, parts.model, parts.gains)
-    return Scenario(
-        name=parts.name,
-        model=parts.model,
-        graph=parts.graph,
-        protocol=protocol,
-        x_r0=parts.x_r0,
-        x0=parts.x0,
-        dt=parts.dt,
-        horizon=parts.horizon,
-        seed=parts.seed,
-        record_every=parts.record_every,
-        tol=parts.tol,
-        window=parts.window,
-    )
+    return Scenario(model=parts.model, graph=parts.graph, protocol=protocol, **parts.run)
 
 
 def _matrix_doc(mat):

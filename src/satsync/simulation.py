@@ -139,6 +139,10 @@ class Scenario:
     merely the neutral choice). ``seed`` records how random initial
     conditions were drawn by whoever built the scenario; it is carried
     for the record and not consumed here.
+
+    The run's settings are defaulted and checked here alone, whoever
+    builds the scenario; each error names the document field it checks
+    (``sim.dt``, ``analysis.window``, ...).
     """
 
     name: str
@@ -163,20 +167,22 @@ class Scenario:
                 "graph fails the root-set reachability condition"
             )
         if not 0 < self.dt <= MAX_DT:
-            raise ValidationError(f"dt must be in (0, {MAX_DT}], got {self.dt}")
-        for name, value in (("horizon", self.horizon), ("tol", self.tol)):
+            raise ValidationError(f"sim.dt must be in (0, {MAX_DT}], got {self.dt}")
+        for path, value in (("sim.horizon", self.horizon), ("analysis.tol", self.tol)):
             if not 0 < value < math.inf:
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
+                raise ValidationError(f"{path} must be positive and finite, got {value}")
         if self.horizon < self.dt:
             raise ValidationError(
-                f"horizon {self.horizon} shorter than one step {self.dt}"
+                f"sim.horizon {self.horizon} shorter than one step, sim.dt {self.dt}"
             )
         if self.horizon / self.dt > MAX_STEPS:
             raise ValidationError(
-                f"horizon/dt = {self.horizon / self.dt:.3g} exceeds {MAX_STEPS} steps"
+                f"sim.horizon/sim.dt = {self.horizon / self.dt:.3g} exceeds {MAX_STEPS} steps"
             )
         if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
-            raise ValidationError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+            raise ValidationError(
+                f"sim.record_every must be an integer >= 1, got {self.record_every!r}"
+            )
         # the state matrix a run records must fit in the machine
         steps, cols = self.record_shape
         memory = _physical_memory()
@@ -192,7 +198,7 @@ class Scenario:
             self.window = min(5.0, self.horizon)
         if not 0 < self.window <= self.horizon:
             raise ValidationError(
-                f"window must be in (0, horizon], got {self.window}"
+                f"analysis.window must be in (0, sim.horizon], got {self.window}"
             )
         # the run records steps * dt seconds, which rounding can put just
         # below the horizon; a window that long is allowed
@@ -205,10 +211,10 @@ class Scenario:
             )
         self.x_r0 = np.asarray(self.x_r0, dtype=float).reshape(-1)
         if self.x_r0.shape != (n,):
-            raise ValidationError(f"x_r0 must have length {n}, got {self.x_r0.shape}")
+            raise ValidationError(f"sim.x_r0 must have length {n}, got {self.x_r0.shape}")
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (N, n):
-            raise ValidationError(f"x0 must be {N}x{n}, got {self.x0.shape}")
+            raise ValidationError(f"sim.x0 must be {N}x{n}, got {self.x0.shape}")
         if self.controller0 is None:
             self.controller0 = np.zeros((N, n_c))
         self.controller0 = np.asarray(self.controller0, dtype=float)
@@ -216,9 +222,9 @@ class Scenario:
             raise ValidationError(
                 f"controller0 must be {N}x{n_c}, got {self.controller0.shape}"
             )
-        for nm in ("x_r0", "x0", "controller0"):
+        for nm, path in (("x_r0", "sim.x_r0"), ("x0", "sim.x0"), ("controller0", "controller0")):
             if not np.all(np.isfinite(getattr(self, nm))):
-                raise ValidationError(f"{nm} has non-finite entries")
+                raise ValidationError(f"{path} has non-finite entries")
 
     @property
     def steps(self):

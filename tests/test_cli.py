@@ -150,6 +150,68 @@ def test_verify_fails_empty_rootset(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scenario", str(path)]) == 1
     assert "[FAIL] rootset_reachable" in capsys.readouterr().out
+    # synthesize reports the root set too, and like simulate rejects it
+    assert main(["synthesize", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == "error: graph fails the root-set reachability condition\n"
+
+
+# changes to scenarios/oscillator_trio.json that the built Scenario or
+# build_protocol rejects, and the message every command prints
+REJECTED_AT_BUILD = {
+    "dt": ({"sim": {"dt": 0.5}}, "sim.dt must be in (0, 0.1], got 0.5"),
+    "horizon": ({"sim": {"horizon": 0.001, "dt": 0.01}},
+                "sim.horizon 0.001 shorter than one step, sim.dt 0.01"),
+    "window": ({"sim": {"horizon": 1.0}, "analysis": {"window": 3}},
+               "analysis.window must be in (0, sim.horizon], got 3.0"),
+    "x0": ({"sim": {"x0": [[1.0, 2.0]]}}, "sim.x0 must be 3x2, got (1, 2)"),
+    "x_r0": ({"sim": {"x_r0": [0.0, 0.0, 0.0]}}, "sim.x_r0 must have length 2, got (3,)"),
+    "c": ({"model": {"c": [[1, 0]]}}, "model.c: kind P1 exchanges full states and needs c = I"),
+}
+
+
+@pytest.mark.parametrize("patch, said", REJECTED_AT_BUILD.values(), ids=REJECTED_AT_BUILD)
+def test_verify_and_synthesize_reject_what_simulate_rejects(tmp_path, capsys, patch, said):
+    with open(os.path.join(REPO_ROOT, "scenarios", "oscillator_trio.json")) as fh:
+        doc = json.load(fh)
+    for section, values in patch.items():
+        doc[section] = {**doc.get(section, {}), **values}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    for command in (["verify"], ["synthesize"], ["simulate", "--out", str(out)]):
+        assert main([*command, "--scenario", str(path)]) == 1, command
+        assert capsys.readouterr().err == f"error: {said}\n", command
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    "double_integrator_ring.json", "oscillator_trio.json", "random_observer_net.json",
+    {"model": {"preset": "example1"}}, {"model": {"preset": "example2"}},
+], ids=["ring", "trio", "random", "example1", "example2"])
+def test_verify_passes_the_bundled_scenarios_and_presets(tmp_path, capsys, doc):
+    if isinstance(doc, str):
+        path = os.path.join(REPO_ROOT, "scenarios", doc)
+    else:
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+    assert main(["verify", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("verification passed\n")
+
+
+@pytest.mark.parametrize("p_d, said", [
+    # example2 has two velocities (q = 2); a stated weight is checked as
+    # q x q before use, and judged as stated, not as a fitted one
+    ([[1, 2]], "error: p_d must be 2x2, got (1, 2)\n"),
+    ([[1]], "error: p_d must be 2x2, got (1, 1)\n"),
+    ([[-1, 0], [0, 1]], "[FAIL] k_mixed_conditions: margin=-1 "
+                        "(the stated velocity weight p_d is not positive definite (min eig -1.000e+00))\n"),
+], ids=["1x2", "1x1", "indefinite"])
+def test_verify_judges_a_stated_velocity_weight_as_stated(tmp_path, capsys, p_d, said):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"model": {"preset": "example2"}, "protocol": {"gains": {"p_d": p_d}}}))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert said in captured.out + captured.err and "Traceback" not in captured.err
 
 
 def test_double_integrator_kinds_need_the_block_order(tmp_path, capsys):
@@ -376,6 +438,7 @@ def test_sweep_rejects_bad_case_lists_before_any_case_runs(
     ("--n", "3,1e400", "error: --n: must be finite, got '1e400'\n"),
     ("--rho", "inf", "error: --rho: must be finite, got 'inf'\n"),
     ("--rho", "1e400", "error: --rho: must be finite, got '1e400'\n"),
+    ("--rho", "0", "error: --rho: rho must be positive and finite, got 0\n"),
 ])
 def test_sweep_reports_a_bad_list_entry_as_typed(scenario_file, tmp_path, capsys, axis, values, said):
     out = tmp_path / "sw"

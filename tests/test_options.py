@@ -138,3 +138,24 @@ def test_no_public_function_takes_a_scenario_setting():
         names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
         found |= {f"{module}.{node.name}({name})" for name in names & SCENARIO_SETTINGS}
     assert not found, f"Scenario settings taken as parameters: {sorted(found)}"
+
+
+# the constants a run's settings default to or are bounded by
+SETTING_CONSTANTS = {"DEFAULT_DT", "DEFAULT_HORIZON", "DEFAULT_TOL", "MAX_DT", "MAX_STEPS"}
+
+
+def test_only_simulation_names_the_setting_defaults_and_bounds():
+    # Scenario defaults and checks a run's settings; a module that named
+    # one of these constants would default or bound a setting again
+    package_dir = os.path.dirname(satsync.__file__)
+    found = set()
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py") or name == "simulation.py":
+            continue
+        with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            for named in (getattr(node, attr, None) for attr in ("id", "attr", "name", "value")):
+                if isinstance(named, str) and named in SETTING_CONSTANTS:
+                    found.add(f"{name[:-3]}: {named}")
+    assert not found, f"setting constants named outside simulation.py: {sorted(found)}"

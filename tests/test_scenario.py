@@ -26,28 +26,34 @@ def doc(**changes):
 
 def test_minimal_document_defaults():
     parts = parse_scenario_doc(doc())
-    assert parts.name == "scenario"
-    assert parts.dt == 1e-3
-    assert parts.horizon == 30.0
-    assert parts.record_every == 1
-    assert parts.tol == 1e-2
-    assert parts.window is None
-    assert np.array_equal(parts.x_r0, np.zeros(2))
-    assert parts.x0.shape == (2, 2)
+    # the parts carry no setting the document does not state; the
+    # Scenario defaults them
+    assert sorted(parts.run) == ["name", "x0", "x_r0"]
+    assert np.array_equal(parts.run["x_r0"], np.zeros(2))
+    assert parts.run["x0"].shape == (2, 2)
     # gains were synthesized because none were given
     assert parts.gains.p is not None and parts.gains.f is not None
+    sc = build_scenario(parts)
+    assert sc.name == "scenario"
+    assert sc.dt == 1e-3
+    assert sc.horizon == 30.0
+    assert sc.record_every == 1
+    assert sc.tol == 1e-2
+    assert sc.window == 5.0
 
 
 def test_full_state_kind_implies_full_coupling():
     d = doc(protocol={"kind": "P1"})  # c defaults to the identity
     assert np.array_equal(parse_scenario_doc(d).model.c, np.eye(2))
-    for kind in ("P1", "P3", "P5"):
-        d = doc(protocol={"kind": kind})
-        d["model"]["c"] = [[1, 0]]
+    # the rotation for P1, a double integrator for P3 and P5; the check
+    # is build_protocol's, which every command reaches
+    for kind, a in (("P1", [[0, 1], [-1, 0]]), ("P3", [[0, 1], [0, 0]]), ("P5", [[0, 1], [0, 0]])):
+        d = doc(protocol={"kind": kind}, model={"a": a, "b": [[0], [1]], "c": [[1, 0]]})
+        parts = parse_scenario_doc(d)
         with pytest.raises(
-            ValidationError, match="^model: full coupling requires c to be the identity$"
+            ValidationError, match=rf"^model\.c: kind {kind} exchanges full states and needs c = I$"
         ):
-            parse_scenario_doc(d)
+            build_scenario(parts)
     d = doc()
     d["model"]["c"] = [[1, 0]]
     assert parse_scenario_doc(d).model.c.shape == (1, 2)
@@ -67,8 +73,11 @@ def test_unknown_keys_rejected_with_paths():
 
 
 def test_malformed_values_name_their_field():
-    with pytest.raises(ValidationError, match="sim.dt"):
-        parse_scenario_doc(doc(sim={"dt": -1.0}))
+    # the parser checks a setting's type, the Scenario its range
+    with pytest.raises(ValidationError, match=r"^sim\.dt: expected a number, got '0\.1'$"):
+        parse_scenario_doc(doc(sim={"dt": "0.1"}))
+    with pytest.raises(ValidationError, match=r"^sim\.dt must be in \(0, 0\.1\], got -1\.0$"):
+        build_scenario(parse_scenario_doc(doc(sim={"dt": -1.0})))
     with pytest.raises(ValidationError, match="protocol.kind"):
         parse_scenario_doc(doc(protocol={"kind": "P99"}))
     with pytest.raises(ValidationError, match="model: a must be square"):
@@ -116,16 +125,16 @@ def test_bad_json_bytes():
 def test_preset_expansion():
     assert preset_names() == ("example1", "example2")
     parts = parse_scenario_doc({"model": {"preset": "example1"}})
-    assert parts.name == "example1"
+    assert parts.run["name"] == "example1"
     assert parts.kind == "P4"
     assert parts.graph.n == 3
-    assert parts.horizon == 30.0
+    assert parts.run["horizon"] == 30.0
     # user keys merge over the preset
     parts2 = parse_scenario_doc({"model": {"preset": "example1"}, "name": "mine",
                                  "sim": {"dt": 0.01}})
-    assert parts2.name == "mine"
-    assert parts2.dt == 0.01
-    assert parts2.horizon == 30.0
+    assert parts2.run["name"] == "mine"
+    assert parts2.run["dt"] == 0.01
+    assert parts2.run["horizon"] == 30.0
 
 
 def test_preset_graph_is_replaced_not_merged():
@@ -154,7 +163,7 @@ def test_preset_scenario_returns_fresh_copies():
 def test_overrides_win_and_leave_doc_untouched():
     base = doc()
     parts = parse_scenario_doc(base, overrides={"sim.dt": 0.05, "protocol.rho": 3.0})
-    assert parts.dt == 0.05
+    assert parts.run["dt"] == 0.05
     assert parts.gains.rho == 3.0
     assert "sim" not in base  # caller's document not mutated
 
@@ -162,15 +171,15 @@ def test_overrides_win_and_leave_doc_untouched():
 def test_explicit_x0_wins_over_ic_scale():
     d = doc(sim={"x0": [[1.0, 2.0], [3.0, 4.0]], "ic_scale": 99.0})
     parts = parse_scenario_doc(d)
-    assert np.array_equal(parts.x0, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert np.array_equal(parts.run["x0"], np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def test_ic_generation_is_seeded():
     a = parse_scenario_doc(doc(sim={"seed": 9}))
     b = parse_scenario_doc(doc(sim={"seed": 9}))
     c = parse_scenario_doc(doc(sim={"seed": 10}))
-    assert np.array_equal(a.x0, b.x0)
-    assert not np.array_equal(a.x0, c.x0)
+    assert np.array_equal(a.run["x0"], b.run["x0"])
+    assert not np.array_equal(a.run["x0"], c.run["x0"])
 
 
 def test_graph_generate_form_requires_seed():
@@ -191,7 +200,7 @@ def test_negative_seeds_are_rejected_with_their_path():
         parse_scenario_doc(d)
     with pytest.raises(ValidationError, match=r"sim\.seed: must be nonnegative"):
         parse_scenario_doc(doc(), overrides={"sim.seed": -3})
-    assert parse_scenario_doc(doc(sim={"seed": 0})).seed == 0
+    assert parse_scenario_doc(doc(sim={"seed": 0})).run["seed"] == 0
 
 
 def test_graph_file_form(tmp_path):

@@ -371,14 +371,16 @@ def test_scenario_validation():
     assert rec.times[-1] - rec.times[0] < 0.9
     assert sync_metrics(rec).window == 0.9
     # every setting a run is scored by, and its length and thinning, are
-    # checked where they are stated, each error naming its field
+    # checked where they are stated, each error naming its document field
+    paths = {"window": r"analysis\.window", "tol": r"analysis\.tol",
+             "horizon": r"sim\.horizon", "record_every": r"sim\.record_every"}
     for field, value in [
         ("window", 0.0), ("window", -1.0), ("window", math.nan),
         ("tol", 0.0), ("tol", -1.0), ("tol", math.inf), ("tol", math.nan),
         ("horizon", math.nan), ("horizon", math.inf), ("horizon", -1.0),
         ("record_every", 0), ("record_every", 2.5), ("record_every", math.nan), ("record_every", 2.0),
     ]:
-        with pytest.raises(ValidationError, match=f"^{field} must"):
+        with pytest.raises(ValidationError, match=f"^{paths[field]} must"):
             replace(sc, **{field: value})
 
 
