@@ -195,7 +195,7 @@ def _assembled(case):
 def _run_assembled(item):
     loop, states = item
     # the record stays behind: the caller views the same shared states
-    return replace(run_case(loop, states.array), trajectory=None)
+    return replace(run_case(loop, states[:]), trajectory=None)
 
 
 def _case_workers(rows):

@@ -19,6 +19,7 @@ admitted only after passing the same checks the synthesized ones do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -238,17 +239,12 @@ def compute_Lambda(decomp, p_d):
     """Weight matrix blkdiag(0_q, p_d, 0_{m-q}, I) on the decomposed state.
 
     Zero on positions and single integrators, ``p_d`` on velocities,
-    identity on the oscillator pairs.
+    identity on the oscillator pairs. ``p_d`` is a q x q symmetric
+    positive definite weight; its callers pass the identity, or one
+    ``_verify_K_mixed`` has judged.
     """
     q, m = decomp.q, decomp.m
     n = decomp.gamma_x.shape[0]
-    p_d = np.asarray(p_d, dtype=float)
-    if p_d.shape != (q, q):
-        raise ValidationError(f"p_d must be {q}x{q}, got {p_d.shape}")
-    if np.linalg.norm(p_d - p_d.T) > RESIDUAL_TOL * max(1.0, np.linalg.norm(p_d)):
-        raise ValidationError("p_d must be symmetric")
-    if q and np.linalg.eigvalsh(0.5 * (p_d + p_d.T)).min() <= DEFINITE_TOL:
-        raise ValidationError("p_d must be positive definite")
     lam = np.zeros((n, n))
     lam[q: 2 * q, q: 2 * q] = p_d
     lam[m + q:, m + q:] = np.eye(n - m - q)
@@ -303,16 +299,27 @@ def _decomposed_a(decomp):
 # -- verification ------------------------------------------------------------
 
 
+def _unusable(check, name, value, shape, symmetric=False):
+    """A failed ``check`` that names gain ``name`` where it is missing,
+    not of ``shape`` or, if it must be, not symmetric; else None."""
+    if value is None:
+        return GainCheck(check, False, -math.inf, f"{name} is missing")
+    if value.shape != shape:
+        detail = f"{name} must have shape {shape}, got {value.shape}"
+        return GainCheck(check, False, -math.inf, detail)
+    sym_err = np.linalg.norm(value - value.T) if symmetric else 0.0
+    if sym_err > RESIDUAL_TOL * max(1.0, np.linalg.norm(value)):
+        detail = f"{name} is not symmetric (asymmetry {sym_err:.3e})"
+        return GainCheck(check, False, -sym_err, detail)
+    return None
+
+
 def _verify_P(a, p):
     """Check p > 0 symmetric and ``p a + a' p <= RESIDUAL_TOL*||a||``."""
-    a = np.asarray(a, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if p.shape != a.shape:
-        raise ValidationError(f"p must match a's shape {a.shape}, got {p.shape}")
+    failed = _unusable("p_neutral_weight", "p", p, a.shape, symmetric=True)
+    if failed:
+        return failed
     check = partial(GainCheck, "p_neutral_weight")
-    sym_err = np.linalg.norm(p - p.T)
-    if sym_err > RESIDUAL_TOL * max(1.0, np.linalg.norm(p)):
-        return check(False, -sym_err, f"p is not symmetric (asymmetry {sym_err:.3e})")
     min_eig = float(np.linalg.eigvalsh(0.5 * (p + p.T)).min())
     if min_eig <= DEFINITE_TOL:
         return check(False, min_eig, f"p is not positive definite (min eig {min_eig:.3e})")
@@ -331,13 +338,9 @@ def _verify_P(a, p):
 
 def _verify_F(a, c, f):
     """Check that a - f c is Hurwitz; margin is the stability gap."""
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (a.shape[0], c.shape[0]):
-        raise ValidationError(
-            f"f must have shape ({a.shape[0]}, {c.shape[0]}), got {f.shape}"
-        )
+    failed = _unusable("f_stabilizes_observer", "f", f, (a.shape[0], c.shape[0]))
+    if failed:
+        return failed
     margin = -float(eigenvalues(a - f @ c).real.max())
     return GainCheck(
         "f_stabilizes_observer", margin > EIG_TOL, margin,
@@ -347,9 +350,9 @@ def _verify_F(a, c, f):
 
 def _verify_K_double(k, m):
     """Check k = (k1 k2) with both m x m blocks negative definite."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (m, 2 * m):
-        raise ValidationError(f"k must have shape ({m}, {2 * m}), got {k.shape}")
+    failed = _unusable("k_blocks_negative_definite", "k", k, (m, 2 * m))
+    if failed:
+        return failed
     margins = []
     for idx, name in ((0, "k1"), (1, "k2")):
         blk = k[:, idx * m: (idx + 1) * m]
@@ -360,41 +363,47 @@ def _verify_K_double(k, m):
     return GainCheck("k_blocks_negative_definite", worst[1] > DEFINITE_TOL, worst[1], detail)
 
 
-def _verify_K_mixed(decomp, k, p_d):
+def _verify_K_mixed(model, k, p_d, gamma_x):
     """Check the mixed-case equality and strict inequality for k.
 
-    The equality is checked against the velocity weight ``p_d``, which
-    must be q x q and positive definite. Where ``p_d`` is None, the
-    weight that minimizes the equality residual is recovered by least
-    squares (the equality is linear in p_d) and must itself be positive
-    definite.
+    ``k`` is read in the model's decomposed coordinates, a stated
+    ``gamma_x``'s (n x n, which ``mixed_decompose`` must accept) where
+    there is one. The equality is checked against the velocity weight
+    ``p_d``, which must be q x q, symmetric and positive definite. Where
+    ``p_d`` is None, the weight that minimizes the equality residual is
+    recovered by least squares (the equality is linear in p_d) and must
+    itself be positive definite.
     """
-    k = np.asarray(k, dtype=float)
-    n = decomp.gamma_x.shape[0]
-    q, m = decomp.q, decomp.m
-    if k.shape != (m, n):
-        raise ValidationError(f"k must have shape ({m}, {n}), got {k.shape}")
+    name, n = "k_mixed_conditions", model.n
+    check = partial(GainCheck, name)
+    failed = _unusable(name, "k", k, (model.m, n))
+    if gamma_x is not None:
+        failed = failed or _unusable(name, "gamma_x", gamma_x, (n, n))
+    if failed:
+        return failed
+    try:
+        decomp = mixed_decompose(model.a, model.b, model.c, gamma_x=gamma_x)
+    except SynthesisError as exc:
+        return check(False, -math.inf, str(exc))
+    q = decomp.q
     if p_d is None:
         p_d = _best_p_d(decomp, k)
         indefinite = "no positive definite velocity weight fits the equality (best min eig"
     else:
-        p_d = np.asarray(p_d, dtype=float)
-        if p_d.shape != (q, q):
-            raise ValidationError(f"p_d must be {q}x{q}, got {p_d.shape}")
+        failed = _unusable(name, "p_d", p_d, (q, q), symmetric=True)
+        if failed:
+            return failed
         indefinite = "the stated velocity weight p_d is not positive definite (min eig"
     pd_min = float(np.linalg.eigvalsh(0.5 * (p_d + p_d.T)).min()) if q else 1.0
     if pd_min <= DEFINITE_TOL:
-        return GainCheck(
-            "k_mixed_conditions", False, pd_min, f"{indefinite} {pd_min:.3e})"
-        )
+        return check(False, pd_min, f"{indefinite} {pd_min:.3e})")
     lam = compute_Lambda(decomp, p_d)
     at = _decomposed_a(decomp)
     resid = float(np.linalg.norm(k @ at + decomp.b_tilde.T @ lam))
     scale = max(1.0, np.linalg.norm(decomp.b_tilde.T @ lam))
     gram = k @ decomp.b_tilde + decomp.b_tilde.T @ k.T
     ineq_margin = -float(np.linalg.eigvalsh(0.5 * (gram + gram.T)).max())
-    return GainCheck(
-        "k_mixed_conditions",
+    return check(
         resid <= RESIDUAL_TOL * scale and ineq_margin > DEFINITE_TOL,
         min(ineq_margin, RESIDUAL_TOL * scale - resid),
         f"equality residual {resid:.3e} (scale {scale:.3g}), "
@@ -422,43 +431,38 @@ def verify_gains(model, gains, kind):
     """Run every verification the protocol kind requires.
 
     Report-only: each condition contributes a :class:`GainCheck` with a
-    numerical margin; nothing raises for a failed condition. The gains
-    the kind consumes must be present (missing ones raise): ``p`` for
-    the neutrally stable class, ``k`` for the others, and ``f`` where
-    neighbours exchange outputs.
+    numerical margin; nothing raises for a failed condition. The check
+    that reads a gain the kind consumes -- ``p`` for the neutrally
+    stable class, ``k`` for the others, ``f`` where neighbours exchange
+    outputs, and a stated ``p_d`` or ``gamma_x`` for the mixed class --
+    fails, naming it, where it is missing or malformed.
     """
     model_class, full_state = kind_spec(kind)
-    checks = [
-        GainCheck(
-            name="rho_positive",
-            passed=gains.rho > 0,
-            margin=gains.rho,
-            detail=f"rho = {gains.rho:.6g}"
-            if gains.rho > 0
-            else "rho must be positive",
-        )
-    ]
-    neutral = model_class is ModelClass.NEUTRALLY_STABLE
-    wanted = ("p" if neutral else "k",) + (() if full_state else ("f",))
-    missing = [g for g in wanted if getattr(gains, g) is None]
-    if missing:
-        raise ValidationError(f"kind {kind} needs gains {missing}")
-
-    if neutral:
+    rho = gains.rho
+    detail = f"rho = {rho:.6g}" if rho > 0 else "rho must be positive"
+    checks = [GainCheck("rho_positive", rho > 0, rho, detail)]
+    if model_class is ModelClass.NEUTRALLY_STABLE:
         checks.append(_verify_P(model.a, gains.p))
     if not full_state:
         checks.append(_verify_F(model.a, model.c, gains.f))
     if model_class is ModelClass.MIXED:
-        decomp = mixed_decompose(model.a, model.b, model.c, gamma_x=gains.gamma_x)
-        checks.append(_verify_K_mixed(decomp, gains.k, gains.p_d))
+        checks.append(_verify_K_mixed(model, gains.k, gains.p_d, gains.gamma_x))
     elif model_class is ModelClass.DOUBLE_INTEGRATOR:
         checks.append(_verify_K_double(gains.k, model.m))
     return GainReport(checks=tuple(checks))
 
 
 def synthesize_gains(model, kind, rho=1.0):
-    """Produce the full GainSet a protocol kind needs for this model."""
+    """Produce the full GainSet a protocol kind needs for this model.
+
+    A kind that exchanges outputs needs (a, c) observable: for the
+    kinds' classes that is what a stabilizing observer gain f needs,
+    since a double-integrator or mixed model has every eigenvalue on the
+    imaginary axis.
+    """
     model_class, full_state = kind_spec(kind)
+    if not (full_state or model.classification.observable):
+        raise SynthesisError(f"kind {kind} exchanges outputs and needs (a, c) observable")
     p = f = k = p_d = gamma_x = None
     if model_class is ModelClass.NEUTRALLY_STABLE:
         p = solve_P_neutral(model.a)

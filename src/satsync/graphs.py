@@ -163,6 +163,8 @@ def generate_graph(kind, n, roots, seed=0, extra_edge_prob=0.2):
         1-based root indices.
     seed : int
         Seed for the random family; ignored by path and star.
+    extra_edge_prob : float
+        Probability in [0, 1] of each extra edge of the random family.
 
     Raises
     ------
@@ -176,6 +178,8 @@ def generate_graph(kind, n, roots, seed=0, extra_edge_prob=0.2):
     _require_dense_fit(n, "n")
     if not roots:
         raise ValidationError("root set must not be empty")
+    if not 0.0 <= extra_edge_prob <= 1.0:
+        raise ValidationError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob:g}")
     for r in roots:
         if not 1 <= r <= n:
             raise ValidationError(f"root index {r} outside 1..{n}")

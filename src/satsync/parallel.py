@@ -28,10 +28,10 @@ the caller.
 A ``SharedMatrix`` is a float matrix in an anonymous shared mapping.
 Made before a pool's first task, it is inherited by every worker: a
 worker writes a run's states into the caller's memory, and only the
-run's small results travel back by pickle. ``Rows`` is how some rows of
-a matrix are read: a ``SharedMatrix``'s reach a worker as its key and
-the row range, which the worker reads in its inherited mapping, so the
-caller neither reads nor copies them.
+run's small results travel back by pickle. It slices like its array; a
+task that carries it and a row range reaches a worker as its key and the
+range, which the worker reads in its inherited mapping, so the caller
+neither reads nor copies the rows.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["FORKS", "Rows", "SharedMatrix", "process_map", "usable_cpus"]
+__all__ = ["FORKS", "SharedMatrix", "process_map", "usable_cpus"]
 
 # whether pool workers can be forked; elsewhere every map runs in process
 FORKS = sys.platform.startswith("linux")
@@ -73,13 +73,14 @@ _keys = itertools.count()
 class SharedMatrix:
     """A rows x cols float matrix in an anonymous shared mapping.
 
-    ``array`` is the matrix, zero until written. A handle pickled into a
-    pool task travels as its key, and a worker forked after the handle
-    was made resolves the key to the same memory, so what the worker
-    writes there the caller reads, and nothing is copied. ``pmap`` is
-    the map through which calls read it: the builtin ``map`` (in
-    process), or that of a pool whose workers were forked after it was
-    made (``analysis.run_cases`` sets it while its pool is open).
+    ``array`` is the matrix, zero until written; ``matrix[key]`` is
+    ``matrix.array[key]``. A handle pickled into a pool task travels as
+    its key, and a worker forked after the handle was made resolves the
+    key to the same memory, so what the worker writes there the caller
+    reads, and nothing is copied. ``pmap`` is the map through which
+    calls read it: the builtin ``map`` (in process), or that of a pool
+    whose workers were forked after it was made (``analysis.run_cases``
+    sets it while its pool is open).
     """
 
     def __init__(self, rows, cols):
@@ -89,6 +90,9 @@ class SharedMatrix:
         self._key = next(_keys)
         _shared[self._key] = self.array
         weakref.finalize(self, _shared.pop, self._key, None)
+
+    def __getitem__(self, key):
+        return self.array[key]
 
     def __reduce__(self):
         return _inherited, (self._key,)
@@ -104,24 +108,6 @@ def _inherited(key):
             "a SharedMatrix reaches only pool workers forked after it was made"
         ) from None
     return handle
-
-
-class Rows:
-    """Rows ``start:stop`` of ``matrix``, a ``SharedMatrix`` or an array.
-
-    ``array`` is the rows, a view. Pickled into a pool task, a
-    ``SharedMatrix``'s rows travel as its key and the range, a few
-    hundred bytes whatever their number, and a worker forked after the
-    matrix was made reads them in place.
-    """
-
-    def __init__(self, matrix, start, stop):
-        self.matrix, self.start, self.stop = matrix, start, stop
-
-    @property
-    def array(self):
-        m = self.matrix
-        return (m.array if isinstance(m, SharedMatrix) else m)[self.start: self.stop]
 
 
 def _exit_with_caller():

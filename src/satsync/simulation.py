@@ -57,7 +57,7 @@ import numpy as np
 from .agents import saturate
 from .errors import IntegrationError, ValidationError
 from .graphs import _physical_memory, check_rootset, laplacian
-from .parallel import Rows, SharedMatrix
+from .parallel import SharedMatrix
 
 __all__ = [
     "Scenario",
@@ -498,13 +498,14 @@ def _record(trajectory, z0, dt, steps, record_every, states):
 
 
 def _columns(states, N, n):
-    """times, x_r, x and xc of some rows of a record's state matrix, as views."""
+    """times, x_r, x and xc of some rows (or none) of a record's states, as views."""
     T = states.shape[0]
+    xc = states[:, 1 + n + N * n:]
     return (
         states[:, 0],
         states[:, 1: 1 + n],
         states[:, 1 + n: 1 + n + N * n].reshape(T, N, n),
-        states[:, 1 + n + N * n:].reshape(T, N, -1),
+        xc.reshape(T, N, xc.shape[1] // N),
     )
 
 
@@ -514,9 +515,9 @@ class TrajectoryRecord:
 
     ``states`` is the matrix ``integrate`` fills, row k the time t_k and
     the stacked state z at t_k, or the ``parallel.SharedMatrix`` that
-    holds it. ``times``, ``x_r`` [time, component], ``x`` and ``xc``
-    [time, agent, component] are views into it; the controller signals
-    derive from ``x`` and ``xc`` through ``_signal_columns``.
+    holds it, which slices alike. ``times``, ``x_r`` [time, component],
+    ``x`` and ``xc`` [time, agent, component] are views into it; the
+    controller signals derive from ``x`` and ``xc``: ``_csv_columns``.
     """
 
     states: object
@@ -524,7 +525,7 @@ class TrajectoryRecord:
 
     def _views(self):
         sc = self.scenario
-        return _columns(Rows(self.states, 0, None).array, sc.graph.n, sc.model.n)
+        return _columns(self.states[:], sc.graph.n, sc.model.n)
 
     @property
     def times(self):
@@ -590,19 +591,19 @@ def _time_blocks(record, rows=_EXPORT_ROWS):
     """The record as consecutive blocks of whole time steps, about ``rows``
     CSV rows each; the last one may be shorter.
 
-    A block is ``(signals, N, n, rows)``, ``signals`` the protocol's
-    ``_Signals`` and ``rows`` its time steps of the record's state matrix
-    as a ``parallel.Rows``; ``_write_block`` reads them. The rest of the
-    realization and the graph stay out, and so do the states of a record
-    in a ``SharedMatrix``: a block pickled for a worker process carries
-    O(1) data, the matrix's key and the row range, and the worker reads
-    the rows in its inherited mapping.
+    A block is ``(signals, N, n, states, steps)``, ``signals`` the
+    protocol's ``_Signals`` and ``steps`` a slice of the record's
+    ``states``; ``_write_block`` reads them. The rest of the realization
+    and the graph stay out, and so do the rows of a record in a
+    ``SharedMatrix``: a block pickled for a worker process carries O(1)
+    data, the matrix's key and the row range, and the worker reads the
+    rows in its inherited mapping.
     """
-    T, N, n = record.x.shape
+    sc, states = record.scenario, record.states
+    N, n = sc.graph.n, sc.model.n
     steps = max(1, rows // N)
-    protocol = record.scenario.protocol
-    signals = _Signals(protocol.uses_observer, protocol.h_c, protocol.f_c)
-    return ((signals, N, n, Rows(record.states, k, k + steps)) for k in range(0, T, steps))
+    signals = _Signals(sc.protocol.uses_observer, sc.protocol.h_c, sc.protocol.f_c)
+    return ((signals, N, n, states, slice(k, k + steps)) for k in range(0, len(states[:]), steps))
 
 
 def _signal_columns(protocol, x, xc):
@@ -626,6 +627,23 @@ def _signal_columns(protocol, x, xc):
     return columns
 
 
+def _csv_columns(signals, N, n, states):
+    """The CSV's column groups for some rows (or none) of a record's
+    states, in order: t, agent, x, chi, xhat (observer kinds only), u,
+    sat_u and xr, as their header names and their values [time, agent,
+    column]. ``signals`` is a realization or a block's ``_Signals``."""
+    times, x_r, x, xc = _columns(states, N, n)
+    shape = (len(times), N)
+    groups = {
+        "t": np.broadcast_to(times[:, None, None], shape + (1,)),
+        "agent": np.broadcast_to(np.arange(1.0, N + 1.0)[None, :, None], shape + (1,)),
+        **_signal_columns(signals, x, xc),
+        "xr": np.broadcast_to(x_r[:, None, :], shape + (n,)),
+    }
+    names = [f"{g}{j}" for g, a in list(groups.items())[2:] for j in range(a.shape[2])]
+    return ["t", "agent", *names], list(groups.values())
+
+
 def _write_block(item):
     """Write the CSV rows of a block from ``_time_blocks`` into its part
     file; return their byte count.
@@ -637,22 +655,11 @@ def _write_block(item):
     # imported here: its tables are built at import, off the start-up path
     from ._g17 import row_chunks
 
-    part, (protocol, N, n, rows) = item
-    times, x_r, x, xc = _columns(rows.array, N, n)
-    T = len(times)
-    shape = (T, N)
-    values = np.concatenate(
-        [
-            np.broadcast_to(times[:, None, None], shape + (1,)),
-            np.broadcast_to(np.arange(1.0, N + 1.0)[None, :, None], shape + (1,)),
-            *_signal_columns(protocol, x, xc).values(),
-            np.broadcast_to(x_r[:, None, :], shape + (n,)),
-        ],
-        axis=2,
-        dtype=float,
-    )
+    part, (signals, N, n, states, steps) = item
+    _, columns = _csv_columns(signals, N, n, states[steps])
+    values = np.concatenate(columns, axis=2, dtype=float)
     with open(part, "r+b") as fh:
-        for text in row_chunks(values.reshape(T * N, -1)):
+        for text in row_chunks(values.reshape(-1, values.shape[2])):
             fh.write(text)
         return fh.tell()
 
@@ -663,8 +670,8 @@ _COPY_CHUNK = 1 << 16
 
 
 def export_trajectory(record, path):
-    """Write one row per (time, agent): t, agent, x, chi, xhat?, u,
-    sat_u, xr -- comma separated, header first, 17 significant digits.
+    """Write one row per (time, agent), in the columns ``_csv_columns``
+    states -- comma separated, header first, 17 significant digits.
 
     The rows are formatted in blocks of whole time steps (see
     ``_write_block``): a record whose states are in a
@@ -683,14 +690,10 @@ def export_trajectory(record, path):
     """
     states = record.states
     pmap = states.pmap if isinstance(states, SharedMatrix) else map
-    # the column names from zeros of the record's shape: this process
-    # reads none of its rows, which a pool's workers format
-    _, N, n = record.x.shape
-    zeros = np.zeros((1, N, n)), np.zeros((1, N, record.xc.shape[2]))
-    first = _signal_columns(record.scenario.protocol, *zeros)
-    cols = ["t", "agent"]
-    cols += [f"{name}{j}" for name, a in first.items() for j in range(a.shape[2])]
-    cols += [f"xr{j}" for j in range(n)]
+    # the header from no rows: this process reads none of the record's,
+    # which a pool's workers format
+    sc = record.scenario
+    cols, _ = _csv_columns(sc.protocol, sc.graph.n, sc.model.n, states[:0])
     parts = tempfile.mkdtemp(prefix=".parts-", dir=os.path.dirname(os.path.abspath(path)))
     try:
         def items():

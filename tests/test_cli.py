@@ -1,19 +1,23 @@
 """Command-line behavior: exit codes, run-directory contract, determinism."""
 
+import io
 import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import satsync
 from satsync import analysis, cli, simulation
@@ -201,8 +205,8 @@ def test_verify_passes_the_bundled_scenarios_and_presets(tmp_path, capsys, doc):
 @pytest.mark.parametrize("p_d, said", [
     # example2 has two velocities (q = 2); a stated weight is checked as
     # q x q before use, and judged as stated, not as a fitted one
-    ([[1, 2]], "error: p_d must be 2x2, got (1, 2)\n"),
-    ([[1]], "error: p_d must be 2x2, got (1, 1)\n"),
+    ([[1, 2]], "[FAIL] k_mixed_conditions: margin=-inf (p_d must have shape (2, 2), got (1, 2))\n"),
+    ([[1]], "[FAIL] k_mixed_conditions: margin=-inf (p_d must have shape (2, 2), got (1, 1))\n"),
     ([[-1, 0], [0, 1]], "[FAIL] k_mixed_conditions: margin=-1 "
                         "(the stated velocity weight p_d is not positive definite (min eig -1.000e+00))\n"),
 ], ids=["1x2", "1x1", "indefinite"])
@@ -212,6 +216,102 @@ def test_verify_judges_a_stated_velocity_weight_as_stated(tmp_path, capsys, p_d,
     assert main(["verify", "--scenario", str(path)]) == 1
     captured = capsys.readouterr()
     assert said in captured.out + captured.err and "Traceback" not in captured.err
+
+
+# the gains each preset's kind reads, and their shapes: example1 is P4
+# on a double integrator (n 2, m 1, one output), example2 P6 on a mixed
+# model (n 7, m 3, four outputs, two velocities)
+READ_GAINS = {
+    "example1": {"f": (2, 1), "k": (1, 2)},
+    "example2": {"f": (7, 4), "k": (3, 7), "p_d": (2, 2), "gamma_x": (7, 7)},
+}
+
+
+def _run(argv):
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def malformed_gains(draw):
+    """(preset, gain, value): a gain the preset's kind reads, stated as a
+    matrix of another shape, or a p_d that is not symmetric."""
+    preset = draw(st.sampled_from(sorted(READ_GAINS)))
+    name = draw(st.sampled_from(sorted(READ_GAINS[preset])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if name == "p_d" and draw(st.booleans()):
+        value = np.eye(2) * rng.uniform(1.0, 2.0, size=2)
+        value[0, 1] = rng.uniform(0.1, 1.0)
+    else:
+        shape = draw(
+            st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(
+                lambda s: s != READ_GAINS[preset][name]
+            )
+        )
+        value = rng.uniform(-2.0, 2.0, size=shape)
+    return preset, name, value.tolist()
+
+
+@given(malformed_gains())
+def test_verify_reports_every_malformed_gain(tmp_path_factory, case):
+    preset, name, value = case
+    path = tmp_path_factory.mktemp("malformed") / "sc.json"
+    path.write_text(json.dumps({"model": {"preset": preset}, "protocol": {"gains": {name: value}}}))
+    code, out, err = _run(["verify", "--scenario", str(path)])
+    assert code == 1 and err == ""
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and re.search(rf"\(.*\b{name}\b", failed[0]), out
+    code, out, err = _run(["simulate", "--scenario", str(path), "--out", str(path.parent / "run")])
+    assert code == 1 and err.startswith("error: gains fail verification for ")
+    assert not (path.parent / "run").exists()
+
+
+# stated gains verify cannot judge: the check that reads each, and why
+UNJUDGED = {
+    "gamma_x": (
+        {"model": {"preset": "example2"},
+         "protocol": {"gains": {"gamma_x": np.eye(7)[::-1].tolist()}}},
+        "k_mixed_conditions", "gamma_x does not produce the chain/single/oscillator block form",
+    ),
+    "missing f": (
+        {"model": {"a": [[0, 1], [0, 0]], "b": [[0], [1]], "c": [[1, 0]]},
+         "graph": {"n": 2, "edges": [{"from": 1, "to": 2}], "roots": [1]},
+         "protocol": {"kind": "P4", "gains": {"k": [[-1, -1]]}}},
+        "f_stabilizes_observer", "f is missing",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, check, said", UNJUDGED.values(), ids=UNJUDGED)
+def test_verify_reports_a_gain_it_cannot_judge(tmp_path, doc, check, said):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["verify", "--scenario", str(path)])
+    assert code == 1 and err == "" and f"\n[FAIL] {check}: margin=-inf ({said})\n" in out
+    code, out, err = _run(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")])
+    assert code == 1 and err.startswith("error: gains fail verification for ")
+    assert err.endswith(f"{check}: {said}\n")
+
+
+def test_an_output_kind_refuses_an_unobservable_model(tmp_path):
+    # a double integrator that measures its velocity only: P4 refuses it
+    # for observability, not for the observer Riccati equation
+    doc = {
+        "model": {"a": [[0, 1], [0, 0]], "b": [[0], [1]], "c": [[0, 1]]},
+        "graph": {"n": 3, "edges": [{"from": 1, "to": 2}, {"from": 2, "to": 3}], "roots": [1]},
+        "protocol": {"kind": "P4"},
+    }
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    for command in (["verify"], ["synthesize"], ["simulate", "--out", str(out)]):
+        code, _, err = _run([*command, "--scenario", str(path)])
+        assert code == 1, command
+        assert err == "error: kind P4 exchanges outputs and needs (a, c) observable\n", command
+    assert not out.exists()
 
 
 def test_double_integrator_kinds_need_the_block_order(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Gain synthesis and verification against the algebraic contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -98,10 +100,13 @@ def test_compute_Lambda_layout():
 
 
 def test_compute_Lambda_rejects_indefinite_p_d():
-    model = preset_parts("example2").model
-    d = mixed_decompose(model.a, model.b, model.c)
-    with pytest.raises(ValidationError, match="positive definite"):
-        compute_Lambda(d, -np.eye(d.q))
+    # verification judges a stated weight before compute_Lambda sees it
+    parts = preset_parts("example2")
+    d = mixed_decompose(parts.model.a, parts.model.b, parts.model.c)
+    gains = replace(parts.gains, p_d=-np.eye(d.q))
+    check = verify_gains(parts.model, gains, kind="P6").checks[-1]
+    assert check.name == "k_mixed_conditions" and not check.passed
+    assert "p_d is not positive definite" in check.detail
 
 
 def test_design_K_mixed_satisfies_both_conditions():
@@ -192,8 +197,12 @@ def test_verify_gains_fails_on_nonpositive_rho():
 
 
 def test_verify_gains_requires_kind_gains():
-    with pytest.raises(ValidationError, match="needs gains"):
-        verify_gains(preset_parts("example1").model, GainSet(rho=1.0), kind="P4")
+    # a missing gain fails the check that reads it, which names it
+    report = verify_gains(preset_parts("example1").model, GainSet(rho=1.0), kind="P4")
+    assert [(c.name, c.passed, c.detail) for c in report.failures()] == [
+        ("f_stabilizes_observer", False, "f is missing"),
+        ("k_blocks_negative_definite", False, "k is missing"),
+    ]
 
 
 def test_synthesize_gains_field_coverage():

@@ -82,6 +82,15 @@ def test_generate_graph_deterministic_and_shaped():
     assert g1.roots() == [2, 5]
 
 
+@pytest.mark.parametrize("prob", [5.0, -2.0, 1.5, -1e-9])
+def test_generate_graph_rejects_an_edge_probability_outside_0_1(prob):
+    # 5 once gave the complete graph, -2 the tree alone, both silently
+    with pytest.raises(ValidationError, match=r"^extra_edge_prob must be in \[0, 1\], got "):
+        generate_graph("random", 6, roots=[1], seed=3, extra_edge_prob=prob)
+    for edge in (0.0, 1.0):
+        generate_graph("random", 6, roots=[1], seed=3, extra_edge_prob=edge)
+
+
 @pytest.mark.parametrize("n, roots", [
     (1, [1]), (2, [2]), (10, [1, 4]), (25, [2, 7, 9]), (60, [1]), (150, [1, 4]),
 ])

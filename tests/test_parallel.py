@@ -9,11 +9,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import satsync
 from satsync import parallel
-from satsync.parallel import Rows, SharedMatrix, process_map
+from satsync.parallel import SharedMatrix, process_map
 
 from procs import running
 
@@ -58,21 +59,45 @@ def test_shared_matrix_written_by_a_worker_is_read_by_its_caller():
         assert (handle.array == pid).all()
 
 
-def _fill_rows_with_pid(rows):
-    rows.array[:] = os.getpid()
+def _fill_rows_with_pid(item):
+    matrix, rows = item
+    matrix[rows].fill(os.getpid())
 
 
 @pytest.mark.needs_fork
 def test_rows_of_a_shared_matrix_reach_a_worker_in_place():
-    # a SharedMatrix's rows travel as its key and range, whatever their
-    # number, and the worker writes them in the caller's memory
+    # a SharedMatrix slices like its array; with a row range it travels
+    # as its key and the range, whatever the rows' number, and the worker
+    # writes them in the caller's memory
     shared = SharedMatrix(250, 3)
-    ranges = [Rows(shared, 10, 20), Rows(shared, 20, 250)]
-    sizes = [len(pickle.dumps(rows)) for rows in ranges]
+    assert np.shares_memory(shared[10:20], shared.array)
+    assert np.array_equal(shared[10:20], shared.array[10:20])
+    ranges = [(shared, slice(10, 20)), (shared, slice(20, 250))]
+    sizes = [len(pickle.dumps(item)) for item in ranges]
     assert sizes[0] == sizes[1]
     with process_map(2) as pmap:
         list(pmap(_fill_rows_with_pid, ranges))
     assert (shared.array[:10] == 0).all() and (shared.array[10:] != 0).all()
+
+
+def test_only_parallel_reads_a_shared_matrix_array():
+    # a record's states slice alike whether they are shared or not: a
+    # module that read .array would need to know which
+    package_dir = os.path.dirname(satsync.__file__)
+    found = []
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py") or name == "parallel.py":
+            continue
+        with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "array"
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f".array read outside parallel.py: {found}"
 
 
 def test_shared_matrix_leaves_the_table_with_its_handle():

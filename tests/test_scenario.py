@@ -192,6 +192,16 @@ def test_graph_generate_form_requires_seed():
     assert parts.graph.roots() == [1]  # default root
 
 
+@pytest.mark.parametrize("prob", [5, -2])
+def test_an_edge_probability_outside_0_1_is_rejected_with_its_path(prob):
+    d = doc(graph={"generate": {"kind": "random", "n": 6, "seed": 3, "extra_edge_prob": prob}})
+    with pytest.raises(
+        ValidationError,
+        match=rf"^graph\.generate: extra_edge_prob must be in \[0, 1\], got {prob}$",
+    ):
+        parse_scenario_doc(d)
+
+
 def test_negative_seeds_are_rejected_with_their_path():
     with pytest.raises(ValidationError, match=r"^sim\.seed: must be nonnegative"):
         parse_scenario_doc(doc(sim={"seed": -1}))

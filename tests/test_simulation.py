@@ -290,17 +290,18 @@ def test_record_is_the_state_matrix_and_signals_derive_bitwise(make):
     N, n = sc.graph.n, sc.model.n
     for rows in (_EXPORT_ROWS, 100):
         blocks = list(_time_blocks(rec, rows))
-        assert len(blocks[-1][3].array) < rows // N
+        last = blocks[-1]
+        assert len(last[3][last[4]]) < rows // N
         start = 0
         for block in blocks:
             proto = sc.protocol
             fields_sent = (proto.uses_observer, proto.h_c, proto.f_c)
             assert all(a is b for a, b in zip(block[0], fields_sent, strict=True))
-            assert block[1:3] == (N, n)
-            stop = start + len(block[3].array)
+            assert block[1:4] == (N, n, states) and block[4].start == start
+            stop = start + len(states[block[4]])
             for copy in (block, pickle.loads(pickle.dumps(block))):
-                protocol, _, _, block_rows = copy
-                times, x_r, x, xc = _columns(block_rows.array, N, n)
+                protocol, _, _, block_states, steps = copy
+                times, x_r, x, xc = _columns(block_states[steps], N, n)
                 assert np.array_equal(times, rec.times[start:stop])
                 assert np.array_equal(x_r, rec.x_r[start:stop])
                 columns = _signal_columns(protocol, x, xc)
