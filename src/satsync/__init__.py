@@ -57,15 +57,7 @@ from .gains import (
     synthesize_gains,
     verify_gains,
 )
-from .graphs import (
-    CommGraph,
-    check_rootset,
-    generate_graph,
-    laplacian,
-    load_graph,
-    parse_graph,
-    serialize_graph,
-)
+from .graphs import CommGraph, check_rootset, generate_graph, laplacian
 from .presets import preset_names, preset_scenario
 from .protocols import (
     KINDS,
@@ -73,7 +65,14 @@ from .protocols import (
     build_protocol,
     compatible_classes,
 )
-from .scenario import build_scenario, parse_scenario_doc, scenario_echo
+from .scenario import (
+    build_scenario,
+    load_graph,
+    parse_graph,
+    parse_scenario_doc,
+    scenario_echo,
+    serialize_graph,
+)
 from .simulation import Scenario, TrajectoryRecord, export_trajectory
 
 __version__ = "0.1.0"

@@ -73,6 +73,19 @@ _KINDS = {
     "P6": (ModelClass.MIXED, False),
 }
 
+# The gains each kind reads -- P1 p; P2 p, f; P3 k; P4 k, f; P5 k, p_d,
+# gamma_x; P6 k, f, p_d, gamma_x: those its class's feedback is designed
+# from, and the observer gain f where neighbours exchange outputs.
+_FEEDBACK_GAINS = {
+    ModelClass.NEUTRALLY_STABLE: ("p",),
+    ModelClass.DOUBLE_INTEGRATOR: ("k",),
+    ModelClass.MIXED: ("k", "p_d", "gamma_x"),
+}
+KIND_GAINS = {
+    kind: _FEEDBACK_GAINS[model_class] + (() if full_state else ("f",))
+    for kind, (model_class, full_state) in _KINDS.items()
+}
+
 
 def kind_spec(kind):
     """(agent class, whether neighbours exchange full states) of a kind."""

@@ -21,7 +21,6 @@ eigenvalue of ``Lbar`` in the open right half plane.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import os
 from collections import deque
@@ -37,9 +36,6 @@ __all__ = [
     "laplacian",
     "check_rootset",
     "generate_graph",
-    "parse_graph",
-    "serialize_graph",
-    "load_graph",
 ]
 
 
@@ -169,22 +165,20 @@ def generate_graph(kind, n, roots, seed=0, extra_edge_prob=0.2):
     Raises
     ------
     ValidationError
-        If the parameters cannot produce an admissible graph (for
-        example a path whose root set misses node 1).
+        If the parameters name no graph. A root set that misses nodes is
+        no error here: :func:`check_rootset` judges it where the graph is
+        used.
     """
     roots = sorted(set(int(r) for r in roots))
     if n < 1:
         raise ValidationError(f"graph needs at least one node, got n={n}")
     _require_dense_fit(n, "n")
-    if not roots:
-        raise ValidationError("root set must not be empty")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValidationError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob:g}")
+    flags = np.zeros(n, dtype=int)
     for r in roots:
         if not 1 <= r <= n:
             raise ValidationError(f"root index {r} outside 1..{n}")
-    flags = np.zeros(n, dtype=int)
-    for r in roots:
         flags[r - 1] = 1
     weights = np.zeros((n, n))
     if kind == "path":
@@ -194,6 +188,8 @@ def generate_graph(kind, n, roots, seed=0, extra_edge_prob=0.2):
         for i in range(1, n):
             weights[i, 0] = 1.0
     elif kind == "random":
+        if not roots:
+            raise ValidationError("a random graph needs a nonempty root set")
         # x[rng.integers(len(x))] is the same draw from the stream as
         # rng.choice(x), at a quarter of its per-call cost.
         rng = np.random.default_rng(seed)
@@ -214,109 +210,5 @@ def generate_graph(kind, n, roots, seed=0, extra_edge_prob=0.2):
                     weights[i, j] = _WEIGHT_GRID[rng.integers(grid)]
     else:
         raise ValidationError(f"unknown graph kind {kind!r}")
-    graph = CommGraph(n=n, weights=weights, root_flags=flags)
-    if not check_rootset(graph):
-        raise ValidationError(
-            f"{kind} graph with roots {roots} leaves unreachable nodes"
-        )
-    return graph
-
-
-# the largest weight a float holds; a larger JSON integer is rejected, not overflowed
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _index(value, path, n):
-    """``value`` if it is a JSON integer (never a bool) in 1..n; else rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    if not 1 <= value <= n:
-        raise ValidationError(f"{path}: index {value} outside 1..{n}")
-    return value
-
-
-def parse_graph(data, context="graph"):
-    """Build a CommGraph from the dict form used in files and scenarios.
-
-    Expected shape::
-
-        {"n": 3, "edges": [{"from": 1, "to": 2, "weight": 1.0}, ...],
-         "roots": [1]}
-
-    Indices are 1-based JSON integers, never coerced; ``"from"`` is the
-    information source. ``weight``, a positive number, defaults to 1.
-    Unknown keys, bad values and a second edge between the same ordered
-    pair are rejected with their field path.
-    """
-    if not isinstance(data, dict):
-        raise ValidationError(f"{context}: expected a mapping, got {type(data).__name__}")
-    allowed = {"n", "edges", "roots"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValidationError(f"{context}: unknown keys {sorted(unknown)}")
-    for key in ("n", "edges", "roots"):
-        if key not in data:
-            raise ValidationError(f"{context}.{key}: missing")
-    n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"{context}.n: must be a positive integer, got {n!r}")
-    _require_dense_fit(n, f"{context}.n")
-    weights = np.zeros((n, n))
-    if not isinstance(data["edges"], list):
-        raise ValidationError(f"{context}.edges: must be a list")
-    first = {}
-    for k, edge in enumerate(data["edges"]):
-        where = f"{context}.edges[{k}]"
-        if not isinstance(edge, dict):
-            raise ValidationError(f"{where}: expected a mapping")
-        unknown = set(edge) - {"from", "to", "weight"}
-        if unknown:
-            raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
-        src = _index(edge.get("from"), f"{where}.from", n)
-        dst = _index(edge.get("to"), f"{where}.to", n)
-        weight = edge.get("weight", 1.0)
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 < weight <= _FLOAT_MAX:
-            raise ValidationError(f"{where}.weight: must be a positive number, got {weight!r}")
-        if src == dst:
-            raise ValidationError(f"{where}: self-loop on node {src}")
-        if (src, dst) in first:
-            raise ValidationError(
-                f"{where}: duplicate of edges[{first[src, dst]}] (from {src} to {dst})"
-            )
-        first[src, dst] = k
-        weights[dst - 1, src - 1] = float(weight)
-    if not isinstance(data["roots"], list):
-        raise ValidationError(f"{context}.roots: must be a list")
-    flags = np.zeros(n, dtype=int)
-    for k, r in enumerate(data["roots"]):
-        flags[_index(r, f"{context}.roots[{k}]", n) - 1] = 1
     return CommGraph(n=n, weights=weights, root_flags=flags)
-
-
-def serialize_graph(graph):
-    """Dict form of a graph; inverse of :func:`parse_graph`.
-
-    Edges are listed in sorted (from, to) order so serialization is
-    canonical and round-trips exactly.
-    """
-    edges = []
-    for src in range(graph.n):
-        for dst in range(graph.n):
-            w = graph.weights[dst, src]
-            if w > 0:
-                edges.append({"from": src + 1, "to": dst + 1, "weight": float(w)})
-    edges.sort(key=lambda e: (e["from"], e["to"]))
-    return {"n": graph.n, "edges": edges, "roots": graph.roots()}
-
-
-def load_graph(path):
-    """Read a graph from a JSON file; parse errors carry file context."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # also text not in UTF-8, or an integer of more digits than int() reads
-        raise ValidationError(f"{path}: {exc}") from None
-    return parse_graph(data, context=str(path))
 

@@ -18,6 +18,10 @@ lets the verifier report margins for gains that would be rejected at
 build time; :func:`build_scenario` performs the build. The parser checks
 a stated run setting's JSON type at its field path; ``Scenario`` alone
 defaults the settings and checks their ranges, naming the same paths.
+
+Graph documents, in files or inline, are read and written here too,
+with the readers every section uses; whether a root set reaches every
+node is judged by ``graphs.check_rootset`` where the graph is used.
 """
 
 from __future__ import annotations
@@ -31,16 +35,8 @@ import numpy as np
 
 from .agents import AgentModel
 from .errors import ValidationError
-from .gains import GAIN_MATRICES, GainSet, synthesize_gains
-from .graphs import (
-    _FLOAT_MAX,
-    CommGraph,
-    _require_dense_fit,
-    generate_graph,
-    load_graph,
-    parse_graph,
-    serialize_graph,
-)
+from .gains import GAIN_MATRICES, KIND_GAINS, GainSet, synthesize_gains
+from .graphs import CommGraph, _require_dense_fit, generate_graph
 from .presets import preset_scenario
 from .protocols import KINDS, build_protocol
 from .simulation import Scenario
@@ -50,6 +46,9 @@ __all__ = [
     "parse_scenario_doc",
     "build_scenario",
     "scenario_echo",
+    "parse_graph",
+    "serialize_graph",
+    "load_graph",
 ]
 
 _TOP_KEYS = {"name", "model", "graph", "protocol", "sim", "analysis"}
@@ -58,6 +57,10 @@ _PROTOCOL_KEYS = {"kind", "rho", "gains"}
 _SIM_KEYS = {"dt", "horizon", "record_every", "seed", "x_r0", "x0", "ic_scale"}
 _ANALYSIS_KEYS = {"tol", "window"}
 _GENERATE_KEYS = {"kind", "n", "roots", "seed", "extra_edge_prob"}
+_GRAPH_KEYS = ("n", "edges", "roots")
+
+# the largest magnitude a float holds; a larger JSON integer is rejected
+_FLOAT_MAX = float(np.finfo(float).max)
 
 DEFAULT_IC_SCALE = 5.0
 
@@ -88,6 +91,49 @@ def _reject_unknown(section, allowed, path):
 def _require_mapping(value, path):
     if not isinstance(value, dict):
         raise ValidationError(f"{path}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
+def _require_list(value, path):
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _decode_json(data, what):
+    """The JSON value of ``data``, bytes or text; ``what`` names the
+    document in the error."""
+    # ValueError: also bytes that are not UTF-8, or an integer of more
+    # digits than int() reads
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except ValueError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _integer(value, path):
+    """``value`` if it is a JSON integer, never a bool or a float; else rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _node_count(value, path):
+    """A positive JSON integer whose dense graph fits in memory."""
+    n = _integer(value, path)
+    if n < 1:
+        raise ValidationError(f"{path}: must be positive, got {n}")
+    _require_dense_fit(n, path)
+    return n
+
+
+def _index(value, path, n):
+    """A 1-based node index: a JSON integer in 1..n."""
+    value = _integer(value, path)
+    if not 1 <= value <= n:
+        raise ValidationError(f"{path}: index {value} outside 1..{n}")
     return value
 
 
@@ -212,7 +258,10 @@ def _parse_graph_section(doc, base_dir):
         if not isinstance(ref, str):
             raise ValidationError(f"graph.file: expected a path, got {ref!r}")
         path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
-        return load_graph(path)
+        try:
+            return load_graph(path)
+        except OSError as exc:
+            raise ValidationError(f"graph.file: cannot read {path}: {exc.strerror}") from None
     if "generate" in graph:
         _reject_unknown(graph, {"generate"}, "graph")
         spec = _require_mapping(graph["generate"], "graph.generate")
@@ -225,15 +274,10 @@ def _parse_graph_section(doc, base_dir):
         kind = spec["kind"]
         if not isinstance(kind, str):
             raise ValidationError(f"graph.generate.kind: expected a string, got {kind!r}")
-        n = _number(spec["n"], "graph.generate.n", positive=True, integer=True)
-        _require_dense_fit(n, "graph.generate.n")
+        n = _node_count(spec["n"], "graph.generate.n")
         seed = _seed(spec["seed"], "graph.generate.seed")
-        roots = spec.get("roots", [1])
-        if not isinstance(roots, list):
-            raise ValidationError("graph.generate.roots: expected a list")
-        for k, r in enumerate(roots):
-            if isinstance(r, bool) or not isinstance(r, int):
-                raise ValidationError(f"graph.generate.roots[{k}]: expected an integer, got {r!r}")
+        roots = _require_list(spec.get("roots", [1]), "graph.generate.roots")
+        roots = [_index(r, f"graph.generate.roots[{k}]", n) for k, r in enumerate(roots)]
         kwargs = {}
         if "extra_edge_prob" in spec:
             kwargs["extra_edge_prob"] = _number(
@@ -244,6 +288,70 @@ def _parse_graph_section(doc, base_dir):
         except ValidationError as exc:
             raise ValidationError(f"graph.generate: {exc}") from None
     return parse_graph(graph, "graph")
+
+
+def parse_graph(data, context="graph"):
+    """Build a CommGraph from the dict form used in files and scenarios.
+
+    Expected shape::
+
+        {"n": 3, "edges": [{"from": 1, "to": 2, "weight": 1.0}, ...],
+         "roots": [1]}
+
+    Indices are 1-based JSON integers, never coerced; ``"from"`` is the
+    information source. ``weight``, a positive number, defaults to 1.
+    Unknown keys, bad values and a second edge between the same ordered
+    pair are rejected with their field path, ``context`` first.
+    """
+    data = _require_mapping(data, context)
+    _reject_unknown(data, _GRAPH_KEYS, context)
+    for key in _GRAPH_KEYS:
+        if key not in data:
+            raise ValidationError(f"{context}.{key}: missing")
+    n = _node_count(data["n"], f"{context}.n")
+    weights = np.zeros((n, n))
+    first = {}
+    for k, edge in enumerate(_require_list(data["edges"], f"{context}.edges")):
+        where = f"{context}.edges[{k}]"
+        _reject_unknown(_require_mapping(edge, where), {"from", "to", "weight"}, where)
+        src = _index(edge.get("from"), f"{where}.from", n)
+        dst = _index(edge.get("to"), f"{where}.to", n)
+        weight = _number(edge.get("weight", 1.0), f"{where}.weight", positive=True)
+        if src == dst:
+            raise ValidationError(f"{where}: self-loop on node {src}")
+        if (src, dst) in first:
+            raise ValidationError(
+                f"{where}: duplicate of edges[{first[src, dst]}] (from {src} to {dst})"
+            )
+        first[src, dst] = k
+        weights[dst - 1, src - 1] = weight
+    flags = np.zeros(n, dtype=int)
+    for k, r in enumerate(_require_list(data["roots"], f"{context}.roots")):
+        flags[_index(r, f"{context}.roots[{k}]", n) - 1] = 1
+    return CommGraph(n=n, weights=weights, root_flags=flags)
+
+
+def serialize_graph(graph):
+    """Dict form of a graph; inverse of :func:`parse_graph`.
+
+    Edges are listed in (from, to) order, so serialization is canonical
+    and round-trips exactly.
+    """
+    edges = []
+    for src in range(graph.n):
+        for dst in range(graph.n):
+            w = graph.weights[dst, src]
+            if w > 0:
+                edges.append({"from": src + 1, "to": dst + 1, "weight": float(w)})
+    return {"n": graph.n, "edges": edges, "roots": graph.roots()}
+
+
+def load_graph(path):
+    """Read a graph from a JSON file; its errors name the file. A file
+    that cannot be read raises the ``OSError`` of ``open``."""
+    with open(path, "rb") as fh:
+        data = _decode_json(fh.read(), str(path))
+    return parse_graph(data, context=str(path))
 
 
 def _parse_protocol(doc, model):
@@ -267,6 +375,9 @@ def _parse_protocol(doc, model):
             raise ValidationError(f"protocol: {exc}") from None
     gains = _require_mapping(raw, "protocol.gains")
     _reject_unknown(gains, GAIN_MATRICES, "protocol.gains")
+    unread = sorted(set(gains).difference(KIND_GAINS[kind]))
+    if unread:
+        raise ValidationError(f"protocol.gains.{unread[0]}: kind {kind} does not read {unread[0]}")
     matrices = {
         key: _matrix(gains[key], f"protocol.gains.{key}") for key in sorted(gains)
     }
@@ -284,15 +395,8 @@ def parse_scenario_doc(data, base_dir=None, overrides=None):
     maps dotted paths (``"sim.dt"``, ``"protocol.rho"``) onto values
     that replace the document's own, before validation.
     """
-    # ValueError: also bytes that are not UTF-8, or an integer of more
-    # digits than int() reads
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        if isinstance(data, str):
-            data = json.loads(data)
-    except ValueError as exc:
-        raise ValidationError(f"scenario document is not valid JSON: {exc}") from None
+    if isinstance(data, (bytes, str)):
+        data = _decode_json(data, "scenario document")
     doc = _require_mapping(data, "scenario")
     doc = _expand_preset(doc)
     if overrides:

@@ -33,11 +33,11 @@ from satsync import simulation
 from satsync.agents import ModelClass, saturate
 from satsync.errors import ValidationError
 from satsync.gains import design_K_double, solve_P_neutral
-from satsync.graphs import _WEIGHT_GRID, CommGraph, check_rootset, laplacian, serialize_graph
+from satsync.graphs import _WEIGHT_GRID, CommGraph, check_rootset, laplacian
 from satsync.linalg import EIG_TOL, _square, solve_lyapunov
 from satsync.presets import preset_scenario
 from satsync.protocols import KINDS
-from satsync.scenario import parse_scenario_doc
+from satsync.scenario import parse_scenario_doc, serialize_graph
 from satsync.simulation import _signal_columns
 
 
@@ -602,7 +602,7 @@ def read_trajectory(path):
 
 
 def save_graph(graph, path):
-    """Write a graph file that ``graphs.load_graph`` reads back."""
+    """Write a graph file that ``scenario.load_graph`` reads back."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(serialize_graph(graph), fh, indent=2)
         fh.write("\n")

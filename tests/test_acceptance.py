@@ -22,10 +22,10 @@ from satsync.agents import AgentModel, mixed_decompose, saturate
 from satsync.analysis import rho_cases, run_cases, size_cases, sync_metrics
 from satsync.cli import main
 from satsync.gains import compute_Lambda, design_K_mixed, solve_P_neutral
-from satsync.graphs import check_rootset, generate_graph, laplacian, parse_graph
+from satsync.graphs import check_rootset, generate_graph, laplacian
 from satsync.presets import GRAPH_A, GRAPH_B, preset_scenario
 from satsync.protocols import build_protocol
-from satsync.scenario import build_scenario, parse_scenario_doc
+from satsync.scenario import build_scenario, parse_graph, parse_scenario_doc
 from satsync.simulation import Scenario, assemble, integrate
 
 from oracles import (

@@ -314,6 +314,62 @@ def test_an_output_kind_refuses_an_unobservable_model(tmp_path):
     assert not out.exists()
 
 
+# a path 1 -> 2 -> 3 rooted at node 2 alone: node 1 is not reached
+PATH_ROOTED_AT_2 = {"n": 3, "edges": [{"from": 1, "to": 2}, {"from": 2, "to": 3}], "roots": [2]}
+
+
+@pytest.mark.parametrize("graph", [
+    PATH_ROOTED_AT_2,
+    {"file": "g.json"},
+    {"generate": {"kind": "path", "n": 3, "roots": [2], "seed": 0}},
+    {"generate": {"kind": "star", "n": 3, "roots": [], "seed": 0}},
+], ids=["inline", "file", "generate", "generate-rootless"])
+def test_a_root_set_that_misses_nodes_is_reported_alike_in_every_graph_form(tmp_path, graph):
+    (tmp_path / "g.json").write_text(json.dumps(PATH_ROOTED_AT_2))
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({**SHORT_SCENARIO, "graph": graph}))
+    code, out, err = _run(["verify", "--scenario", str(path)])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    failed = lines.index("[FAIL] rootset_reachable: root set does not reach every node")
+    assert lines.index("verification FAILED") == len(lines) - 1 > failed
+    code, _, err = _run(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")])
+    assert (code, err) == (1, "error: graph fails the root-set reachability condition\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_unreadable_graph_file_names_its_field(tmp_path):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({**SHORT_SCENARIO, "graph": {"file": "missing_graph.json"}}))
+    code, out, err = _run(["verify", "--scenario", str(path)])
+    missing = tmp_path / "missing_graph.json"
+    assert (code, out) == (1, "")
+    assert err == f"error: graph.file: cannot read {missing}: No such file or directory\n"
+
+
+# the gains each kind reads; a document that states another is rejected
+KIND_READS = {"P1": "p", "P2": "p f", "P3": "k", "P4": "k f", "P5": "k p_d gamma_x", "P6": "k f p_d gamma_x"}
+UNREAD = [
+    (kind, gain) for kind, reads in KIND_READS.items()
+    for gain in ("p", "f", "k", "p_d", "gamma_x") if gain not in reads.split()
+]
+
+
+@pytest.mark.parametrize("kind, gain", UNREAD, ids=[f"{kind}-{gain}" for kind, gain in UNREAD])
+def test_a_gain_the_kind_does_not_read_is_rejected(tmp_path, kind, gain):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({
+        "model": {"a": [[0, 1], [-1, 0]], "b": [[0], [1]]},
+        "graph": {"n": 2, "edges": [{"from": 1, "to": 2}], "roots": [1]},
+        "protocol": {"kind": kind, "gains": {gain: [[1]]}},
+    }))
+    out = tmp_path / "run"
+    for command in (["verify"], ["synthesize"], ["simulate", "--out", str(out)]):
+        code, _, err = _run([*command, "--scenario", str(path)])
+        assert (code, err) == (1, f"error: protocol.gains.{gain}: kind {kind} does not read {gain}\n")
+    assert not out.exists()
+
+
 def test_double_integrator_kinds_need_the_block_order(tmp_path, capsys):
     # k = [-I | -I] reads the states as (p1, p2, v1, v2); on the chains
     # listed (p1, v1, p2, v2) it fed back -p1 - p2, and P3 on this
@@ -894,7 +950,7 @@ def test_verify_rejects_a_bool_node_count_without_traceback(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: graph.n: must be a positive integer, got True\n"
+    assert err == "error: graph.n: expected an integer, got True\n"
 
 
 def test_verify_rejects_an_integer_beyond_floats_without_traceback(tmp_path, capsys):

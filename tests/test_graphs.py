@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from satsync.errors import ValidationError
-from satsync.graphs import (
-    CommGraph,
-    check_rootset,
-    generate_graph,
-    laplacian,
-    load_graph,
-    parse_graph,
-    serialize_graph,
-)
+from satsync.graphs import CommGraph, check_rootset, generate_graph, laplacian
+from satsync.scenario import load_graph, parse_graph, serialize_graph
 
 from oracles import expanded_spectrum_check, random_graph_by_choice, save_graph
 
@@ -50,6 +43,13 @@ def test_check_rootset_on_reachable_and_unreachable():
     w[1, 2] = 1.0
     g = CommGraph(n=3, weights=w, root_flags=np.array([1, 0, 0]))
     assert not check_rootset(g)
+    # the generator builds a path rooted past node 1; the root set is
+    # judged here, where the graph is used, not by the generator
+    assert not check_rootset(generate_graph("path", 3, roots=[2]))
+    assert not check_rootset(generate_graph("star", 3, roots=[]))
+    # a random graph grows its trees from the roots, so it needs one
+    with pytest.raises(ValidationError, match="^a random graph needs a nonempty root set$"):
+        generate_graph("random", 3, roots=[])
 
 
 def test_empty_rootset_fails():
@@ -145,16 +145,19 @@ def test_parse_graph_rejections():
     # are numbers, never bools: each rejected with its field path, none coerced
     edge = "graph.edges[0]"
     for bad, message in [
-        ({"n": True}, "graph.n: must be a positive integer, got True"),
-        ({"n": 2.0}, "graph.n: must be a positive integer, got 2.0"),
+        ({"n": True}, "graph.n: expected an integer, got True"),
+        ({"n": 2.0}, "graph.n: expected an integer, got 2.0"),
+        ({"n": 0}, "graph.n: must be positive, got 0"),
         ({"edges": [{"from": 1.9, "to": 2}]}, f"{edge}.from: expected an integer, got 1.9"),
         ({"edges": [{"from": 1, "to": "2"}]}, f"{edge}.to: expected an integer, got '2'"),
         ({"edges": [{"from": True, "to": 2}]}, f"{edge}.from: expected an integer, got True"),
         ({"edges": [{"to": 2}]}, f"{edge}.from: expected an integer, got None"),
         ({"edges": [{"from": 1, "to": 2, "weight": True}]},
-         f"{edge}.weight: must be a positive number, got True"),
+         f"{edge}.weight: expected a number, got True"),
         ({"edges": [{"from": 1, "to": 2, "weight": 10**400}]},
-         f"{edge}.weight: must be a positive number, got 1000"),
+         f"{edge}.weight: must be finite, got 1000"),
+        ({"edges": [{"from": 1, "to": 2, "weight": 0}]}, f"{edge}.weight: must be positive, got 0"),
+        ({"extra": 1}, "graph: unknown keys 'extra'"),
         ({"roots": [True]}, "graph.roots[0]: expected an integer, got True"),
         ({"roots": [1, 2.0]}, "graph.roots[1]: expected an integer, got 2.0"),
         ({"edges": [{"from": 1, "to": 2, "weight": 1.0}, {"from": 1, "to": 2, "weight": 3.0}]},
@@ -178,5 +181,5 @@ def test_save_load_round_trip(tmp_path):
     # an integer of more digits than Python's int() converts is rejected
     # with the file's name, not raised from the JSON decoder
     path.write_text('{"n": 1' + "0" * 5000 + ', "edges": [], "roots": [1]}')
-    with pytest.raises(ValidationError, match="g.json: Exceeds the limit"):
+    with pytest.raises(ValidationError, match="g.json is not valid JSON: Exceeds the limit"):
         load_graph(path)

@@ -23,7 +23,7 @@ OPTIONS = {
     "gains.synthesize_gains(rho)",
     "graphs.generate_graph(extra_edge_prob)",
     "graphs.generate_graph(seed)",
-    "graphs.parse_graph(context)",
+    "scenario.parse_graph(context)",
     "scenario.parse_scenario_doc(base_dir)",
     "scenario.parse_scenario_doc(overrides)",
     "simulation.integrate(states)",

@@ -1,10 +1,13 @@
 """Scenario documents: parsing, presets, overrides, the echo round trip."""
 
+import ast
 import json
+import os
 
 import numpy as np
 import pytest
 
+import satsync
 from satsync.errors import ValidationError
 from satsync.presets import preset_names, preset_scenario
 from satsync.scenario import build_scenario, parse_scenario_doc, scenario_echo
@@ -101,6 +104,59 @@ def test_malformed_values_name_their_field():
         spec = {"kind": "random", "n": 4, "seed": 2, "roots": roots}
         with pytest.raises(ValidationError, match=r"^graph\.generate\.roots" + where + "$"):
             parse_scenario_doc(doc(graph={"generate": spec}))
+
+
+@pytest.mark.parametrize("graph, where", [
+    ({"n": 3.0, "edges": [], "roots": [1]}, "graph.n"),
+    ({"generate": {"kind": "path", "n": 3.0, "seed": 0}}, "graph.generate.n"),
+], ids=["inline", "generate"])
+def test_a_node_count_is_a_json_integer_in_every_graph_form(graph, where):
+    with pytest.raises(ValidationError, match=rf"^{where}: expected an integer, got 3\.0$"):
+        parse_scenario_doc(doc(graph=graph))
+
+
+def json_value_reads():
+    """(module, top-level definition, call) for every call in src that
+    decodes JSON (``json.load``, ``json.loads``) or tells a JSON bool
+    from a number (``isinstance(..., bool)``)."""
+    package_dir = os.path.dirname(satsync.__file__)
+    found = set()
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+                        and getattr(func.value, "id", None) == "json"):
+                    call = f"json.{func.attr}"
+                elif getattr(func, "id", None) == "isinstance" and any(
+                    getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1])
+                ):
+                    call = "isinstance(..., bool)"
+                else:
+                    continue
+                found.add((name[:-3], getattr(top, "name", None), call))
+    return found
+
+
+def test_a_json_value_is_read_in_one_module():
+    # what a well-formed document value is, graph documents included, is
+    # stated in scenario.py; parse_report reads back the summary the
+    # program itself wrote
+    found = json_value_reads()
+    outside = sorted(
+        f"{module}.{owner}: {call}" for module, owner, call in found
+        if module != "scenario" and (module, owner, call) != ("analysis", "parse_report", "json.load")
+    )
+    assert not outside, f"JSON values read outside scenario.py: {outside}"
+    assert {call for module, _, call in found if module == "scenario"} == {
+        "json.loads", "isinstance(..., bool)"
+    }
 
 
 def test_required_sections():
